@@ -11,11 +11,13 @@ store needs no invalidation — a changed file simply hashes to a new
 object — and writes are atomic (temp file + ``os.replace``), so any
 number of worker processes can share one cache directory.
 
-The memory tier keeps its ``max_entries`` (and, when configured,
-``max_bytes``) LRU bounds; the disk tier is unbounded and survives
-across runs (``clear()`` drops both).  An entry too large for the
-memory budget still lands on disk, so it is served persistently without
-ever being pinned in RAM.
+The memory tier is an LRU bounded by estimated heap bytes — the same
+:data:`~repro.core.cache.MEMORY_TIER_MAX_BYTES` ceiling as the
+process-wide cache, with no entry-count cap, so a corpus's small
+summaries never crowd its file models out; the disk tier is unbounded
+and survives across runs (``clear()`` drops both).  An entry too large
+for the memory budget still lands on disk, so it is served persistently
+without ever being pinned in RAM.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import pickle
 import tempfile
 from typing import Optional
 
-from ..core.cache import ModelCache, _Slot
+from ..core.cache import MEMORY_TIER_MAX_BYTES, ModelCache, _Slot
 
 
 class DiskModelCache(ModelCache):
@@ -35,8 +37,8 @@ class DiskModelCache(ModelCache):
     def __init__(
         self,
         cache_dir: str,
-        max_entries: int = 4096,
-        max_bytes: Optional[int] = None,
+        max_entries: Optional[int] = None,
+        max_bytes: Optional[int] = MEMORY_TIER_MAX_BYTES,
     ) -> None:
         super().__init__(max_entries=max_entries, max_bytes=max_bytes)
         self.cache_dir = cache_dir

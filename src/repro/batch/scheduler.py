@@ -122,8 +122,6 @@ class BatchOptions:
     timeout: Optional[float] = None
     #: persistent parse-cache directory (None = per-process memory cache)
     cache_dir: Optional[str] = None
-    #: memory-LRU bound of each worker's cache
-    max_entries: int = 4096
 
 
 # -- worker side (runs in the child processes) ------------------------------
@@ -151,9 +149,9 @@ def _init_worker(spec: ToolSpec, options: BatchOptions) -> None:
     global _worker_tool, _worker_timeout
     cache: Optional[ModelCache] = None
     if options.cache_dir:
-        cache = DiskModelCache(options.cache_dir, max_entries=options.max_entries)
+        cache = DiskModelCache(options.cache_dir)
     elif spec.name == "phpsafe":
-        cache = ModelCache(max_entries=options.max_entries)
+        cache = ModelCache()
     _worker_tool = spec.build(cache=cache)
     _worker_timeout = options.timeout
     signal.signal(signal.SIGALRM, _on_alarm)

@@ -10,8 +10,7 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
 - **artifacts**: the parse/IR/summary cache is byte-capped
   (``max_cache_bytes``) and each plugin's file models are eagerly
   spilled the moment its analysis completes — huge models never wait
-  for LRU pressure; token lists are dropped at parse time
-  (``spill_tokens``), halving the per-file footprint;
+  for LRU pressure (file models carry no token lists at all);
 - **results**: findings stream to an on-disk JSONL sink
   (:class:`~repro.core.results.JsonlFindingSink`) and the report is
   dropped; SARIF export and telemetry read the stream back
@@ -26,7 +25,7 @@ enforces this, and ``BENCH_scale.json`` records the RSS bound it buys.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional
 
 from ..core.cache import ModelCache, content_key
@@ -41,12 +40,10 @@ DEFAULT_MAX_CACHE_BYTES = 64 * 1024 * 1024
 
 
 def streaming_options(base: Optional[PhpSafeOptions] = None) -> PhpSafeOptions:
-    """Streaming variant of ``base`` (default options when omitted):
-    identical analysis semantics, token spilling on."""
-    from dataclasses import replace
-
-    options = base or PhpSafeOptions()
-    return replace(options, spill_tokens=True)
+    """Options of a streaming scan: a copy of ``base`` (default options
+    when omitted).  Streaming needs no analysis knob of its own — file
+    models are token-free everywhere."""
+    return replace(base or PhpSafeOptions())
 
 
 @dataclass
@@ -110,8 +107,8 @@ def stream_scan(
 
     ``plugins`` may be any iterable — pass a generator to keep the
     corpus itself out of memory.  ``options`` defaults to
-    :func:`streaming_options` (token spilling on); an explicit options
-    object is honoured as-is so harnesses control every analysis knob.
+    :func:`streaming_options`; an explicit options object is honoured
+    as-is so harnesses control every analysis knob.
     ``cache`` overrides the default byte-capped in-memory cache (e.g.
     with a :class:`~repro.batch.diskcache.DiskModelCache` so spilled
     artifacts demote to disk instead of vanishing).

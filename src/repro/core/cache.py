@@ -4,7 +4,7 @@ phpSAFE, mainly regarding performance, memory consumption").
 Parsing dominates re-scan cost when a plugin is analyzed repeatedly
 (CI on every commit, the history workflow, the evaluation harness's
 timing repetitions).  :class:`ModelCache` memoizes the per-file
-model-construction products — token stream, AST, LOC, include list —
+model-construction products — AST, node index, LOC, include list —
 keyed by a content hash, so an unchanged file is never re-lexed or
 re-parsed.  ASTs are treated as immutable by the analysis stage, so
 sharing them across runs is safe.
@@ -19,13 +19,13 @@ content-addressed tier under this memory cache via the :meth:`_load` /
 The cache is additionally bounded by **bytes** when ``max_bytes`` is
 set: every slot carries an approximate heap-size estimate
 (:func:`approx_slot_bytes`), and insertion evicts LRU entries until
-*both* caps hold — whichever cap trips first wins.  Entry counts alone
-are a memory lie at scale: 4096 slots of multi-MB file models from a
-"single huge file" plugin are gigabytes of RSS while the entry counter
-reports a healthy cache.  An entry whose own estimate exceeds
-``max_bytes`` is never retained in memory at all (the persistent disk
-tier, when present, still keeps it) — a cache must stay a cache, not
-become the leak.
+*both* caps hold — whichever trips first wins (``max_entries=None``:
+bytes only).  Entry counts alone are a memory lie at scale: 4096 slots
+of multi-MB file models are gigabytes of RSS, while 4096 ~1 KB
+summaries evict models a byte budget would keep.  An entry whose own
+estimate exceeds ``max_bytes`` is never retained in memory at all (the
+persistent disk tier, when present, still keeps it) — a cache must
+stay a cache, not become the leak.
 """
 
 from __future__ import annotations
@@ -44,15 +44,19 @@ from ..php.errors import PhpSyntaxError
 # (interned tokens and hash-consed taint states are shared across
 # entries); instead each artifact type gets a calibrated linear
 # estimate.  The FileModel coefficients come from tracemalloc
-# measurements of representative OOP plugin files: ~150 heap bytes per
-# token, ~560 per effective line of AST/index, ~2 per raw source byte —
-# about 48 bytes of heap per source byte with tokens, half that once
-# tokens are spilled.
+# measurements of representative OOP plugin files: ~560 heap bytes per
+# effective line of AST/index and ~2 per raw source byte — about 24
+# bytes of heap per source byte.  Token lists are not counted: the
+# lexer output feeds the parser and is dropped, never cached.
 
-_TOKEN_BYTES = 150
 _LOC_BYTES = 560
 _INSTRUCTION_BYTES = 200
 _SLOT_OVERHEAD = 256
+
+#: Byte ceiling of the process-wide L1 and of every disk cache's memory
+#: tier: a warm corpus's artifact set stays resident, yet long-lived
+#: daemons cannot leak models across jobs.
+MEMORY_TIER_MAX_BYTES = 256 * 1024 * 1024
 
 
 def approx_object_bytes(obj: object) -> int:
@@ -61,14 +65,8 @@ def approx_object_bytes(obj: object) -> int:
         return 0
     source = getattr(obj, "source", None)
     if isinstance(source, str):  # FileModel (or compatible)
-        tokens = getattr(obj, "tokens", None) or ()
         loc = getattr(obj, "loc", 0) or 0
-        return (
-            _SLOT_OVERHEAD
-            + 2 * len(source)
-            + _TOKEN_BYTES * len(tokens)
-            + _LOC_BYTES * loc
-        )
+        return _SLOT_OVERHEAD + 2 * len(source) + _LOC_BYTES * loc
     codes = getattr(obj, "codes", None)
     if codes is not None:  # IRProgram: flat instruction tuples per body
         instructions = sum(len(body) for body in codes)
@@ -88,15 +86,22 @@ def approx_slot_bytes(slot: "_Slot") -> int:
     return approx_object_bytes(model if model is not None else error)
 
 
-def content_key(path: str, source: str, variant: str = "") -> str:
+def source_digest(source: str) -> str:
+    """Content digest of one source file: the identity every cache key,
+    rescan manifest and summary dependency check is built from."""
+    return hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
+
+
+def content_key(path: str, source: str, variant: str = "", digest: str = "") -> str:
     """Cache key: path + content digest (path matters for includes).
 
     ``variant`` distinguishes parse modes sharing one cache: a file
     parsed with panic-mode recovery produces a different model (partial
     AST + incidents) than a strict parse, so the two must not share a
-    slot.
+    slot.  ``digest``, when the caller already holds
+    :func:`source_digest` of ``source``, spares hashing it again.
     """
-    digest = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
+    digest = digest or source_digest(source)
     if variant:
         return f"{path}:{variant}:{digest}"
     return f"{path}:{digest}"
@@ -194,7 +199,8 @@ class ModelCache:
     identically until its content changes.
     """
 
-    max_entries: int = 4096
+    #: in-memory entry bound (None = bytes-only bound)
+    max_entries: Optional[int] = 4096
     #: approximate in-memory byte bound (None = entries-only bound);
     #: sized via :func:`approx_slot_bytes` at insertion time
     max_bytes: Optional[int] = None
@@ -209,10 +215,10 @@ class ModelCache:
     _total_bytes: int = field(default=0, repr=False)
 
     def lookup(
-        self, path: str, source: str, variant: str = ""
+        self, path: str, source: str, variant: str = "", digest: str = ""
     ) -> Tuple[object, Optional[PhpSyntaxError]]:
         """Return ``(file model or None, cached failure or None)``."""
-        slot = self._load(content_key(path, source, variant))
+        slot = self._load(content_key(path, source, variant, digest))
         if slot is None:
             self.stats.misses += 1
             return None, None
@@ -220,14 +226,24 @@ class ModelCache:
         return slot
 
     def store(
-        self, path: str, source: str, file_model: object, variant: str = ""
+        self,
+        path: str,
+        source: str,
+        file_model: object,
+        variant: str = "",
+        digest: str = "",
     ) -> None:
-        self._insert(content_key(path, source, variant), (file_model, None))
+        self._insert(content_key(path, source, variant, digest), (file_model, None))
 
     def store_failure(
-        self, path: str, source: str, error: PhpSyntaxError, variant: str = ""
+        self,
+        path: str,
+        source: str,
+        error: PhpSyntaxError,
+        variant: str = "",
+        digest: str = "",
     ) -> None:
-        self._insert(content_key(path, source, variant), (None, error))
+        self._insert(content_key(path, source, variant, digest), (None, error))
 
     # -- function-summary tier ---------------------------------------------
     #
@@ -237,17 +253,7 @@ class ModelCache:
 
     def lookup_summary(self, key: str) -> Optional[object]:
         """Return the persisted :class:`FunctionSummary` under ``key``."""
-        disk_hits_before = self.stats.disk_hits
-        slot = self._load(key)
-        if self.stats.disk_hits != disk_hits_before:
-            # re-attribute the disk hit to the summary tier's counters
-            self.stats.disk_hits = disk_hits_before
-            self.summary_stats.disk_hits += 1
-        if slot is None:
-            self.summary_stats.misses += 1
-            return None
-        self.summary_stats.hits += 1
-        return slot[0]
+        return self._load_counted(key, self.summary_stats)
 
     def store_summary(self, key: str, summary: object) -> None:
         self.summary_stats.stores += 1
@@ -259,21 +265,25 @@ class ModelCache:
         """Return the cached :class:`~repro.core.ir.IRProgram` under
         ``key``, or None.  Version/shape validation is the caller's job —
         the cache only answers by content address."""
-        disk_hits_before = self.stats.disk_hits
-        slot = self._load(key)
-        if self.stats.disk_hits != disk_hits_before:
-            # re-attribute the disk hit to the IR tier's counters
-            self.stats.disk_hits = disk_hits_before
-            self.ir_stats.disk_hits += 1
-        if slot is None:
-            self.ir_stats.misses += 1
-            return None
-        self.ir_stats.hits += 1
-        return slot[0]
+        return self._load_counted(key, self.ir_stats)
 
     def store_ir(self, key: str, program: object) -> None:
         self.ir_stats.stores += 1
         self._insert(key, (program, None))
+
+    def _load_counted(self, key: str, stats) -> Optional[object]:
+        """:meth:`_load` counted against a secondary tier's ``stats``."""
+        disk_hits_before = self.stats.disk_hits
+        slot = self._load(key)
+        if self.stats.disk_hits != disk_hits_before:
+            # re-attribute the disk hit to the secondary tier's counters
+            self.stats.disk_hits = disk_hits_before
+            stats.disk_hits += 1
+        if slot is None:
+            stats.misses += 1
+            return None
+        stats.hits += 1
+        return slot[0]
 
     # -- storage hooks (extended by the persistent disk tier) ---------------
 
@@ -300,13 +310,16 @@ class ModelCache:
         self._slots[key] = slot
         self._sizes[key] = size
         self._total_bytes += size
-        while len(self._slots) > self.max_entries or (
+        while self._over_entries() or (
             self.max_bytes is not None and self._total_bytes > self.max_bytes
         ):
-            if len(self._slots) <= self.max_entries:
+            if not self._over_entries():
                 self.stats.byte_evictions += 1
             self._evict_key(next(iter(self._slots)))
             self.stats.evictions += 1
+
+    def _over_entries(self) -> bool:
+        return self.max_entries is not None and len(self._slots) > self.max_entries
 
     def _evict_key(self, key: str) -> Optional[_Slot]:
         """Drop ``key`` from the memory tier, keeping sizes consistent."""
@@ -331,6 +344,17 @@ class ModelCache:
                 released += self._sizes.get(key, 0)
                 self._evict_key(key)
         return released
+
+    def spill_versions(self, digests: Iterable[str]) -> int:
+        """Spill every entry keyed by one of the content ``digests`` —
+        file models, parse failures, lowered IR and summaries all end
+        their keys in the defining file's digest.  A rescan calls this
+        with the digests its edit superseded, so dead versions leave
+        the memory tier instead of crowding out live artifacts."""
+        dead = set(digests)
+        if not dead:  # nothing superseded: skip the key scan
+            return 0
+        return self.spill([key for key in self._slots if key[-64:] in dead])
 
     @property
     def current_bytes(self) -> int:

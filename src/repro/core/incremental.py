@@ -29,11 +29,11 @@ the combined result is bit-identical to one cold pass.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..config.vulnerability import InputVector, VulnKind
+from .cache import source_digest
 from .engine import TaintEngine, UnitFootprint
 from .model import PluginModel
 from .results import Finding
@@ -49,10 +49,7 @@ def plugin_file_digests(plugin: Plugin) -> Dict[str, str]:
     Computed from the plugin payload (not the parsed model) so files
     the parser rejects still participate in change detection.
     """
-    return {
-        path: hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
-        for path, source in plugin.files.items()
-    }
+    return {path: source_digest(source) for path, source in plugin.files.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Model-construction stage (paper Section III.B).
 
-Builds, per plugin: the token stream and AST of every file, the table of
+Builds, per plugin: the AST of every file, the table of
 all user-defined functions and their parameters, the class table (with
 inheritance links), the set of *called* function names, and the include
 graph.  From these it derives the list of functions "that are not called
@@ -14,7 +14,6 @@ large make phpSAFE "unable to analyze" them (Section V.E).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,8 +25,8 @@ from ..php import ast_nodes as ast
 from ..php.errors import AnalysisBudgetExceeded, PhpParseError, PhpSyntaxError
 from ..php.lexer import Lexer, count_loc
 from ..php.parser import Parser
-from ..php.tokens import Token
 from ..plugin import Plugin
+from .cache import source_digest
 
 
 @dataclass
@@ -66,11 +65,10 @@ class ClassInfo:
 
 @dataclass
 class FileModel:
-    """One parsed file of the plugin."""
+    """One parsed file of the plugin (no tokens: nothing reads them after parsing)."""
 
     path: str
     source: str
-    tokens: List[Token]
     tree: ast.PhpFile
     loc: int
     includes: List[str] = field(default_factory=list)
@@ -114,7 +112,7 @@ class PluginModel:
         include_budget: int = 400_000,
         cache=None,
         recover: bool = False,
-        spill_tokens: bool = False,
+        digests: Optional[Dict[str, str]] = None,
     ) -> "PluginModel":
         """Parse every file and collect the model tables.
 
@@ -126,27 +124,24 @@ class PluginModel:
         unchanged files across runs.  ``recover=True`` enables
         panic-mode lexer/parser recovery: a file with a localized syntax
         error still yields a partial model, with each repair recorded in
-        :attr:`incidents`.  ``spill_tokens=True`` drops each file's
-        token list once its tree is built — tokens are a parse
-        by-product no downstream stage reads, and they carry roughly
-        half a FileModel's heap footprint, so streaming scans spill them
-        eagerly (the tree itself cannot be spilled mid-run: function
-        bodies and include execution hold references into it).
+        :attr:`incidents`.  ``digests`` maps paths to their
+        :func:`~repro.core.cache.source_digest` when the caller already
+        hashed the sources, so no file is hashed twice.
         """
         model = cls(plugin)
         variant = "recover" if recover else ""
         for path, source in plugin.iter_files():
-            digest = hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
+            digest = (digests or {}).get(path) or source_digest(source)
             if cache is not None:
-                cached, cached_error = cache.lookup(path, source, variant)
+                cached, cached_error = cache.lookup(path, source, variant, digest)
                 if cached_error is not None:
                     model._record_parse_failure(path, source, cached_error)
                     continue
                 if cached is not None:
                     if not getattr(cached, "digest", ""):
                         cached.digest = digest  # entry from a pre-digest store
-                    if spill_tokens and getattr(cached, "tokens", None):
-                        cached.tokens = []  # shared entry; safe, see above
+                    if hasattr(cached, "tokens"):
+                        del cached.tokens  # entry from a store that kept tokens
                     model.files[path] = cached  # type: ignore[assignment]
                     model.incidents.extend(getattr(cached, "incidents", []))
                     continue
@@ -162,7 +157,7 @@ class PluginModel:
             except PhpSyntaxError as error:
                 model._record_parse_failure(path, source, error)
                 if cache is not None:
-                    cache.store_failure(path, source, error, variant)
+                    cache.store_failure(path, source, error, variant, digest)
                 continue
             except Exception as error:  # includes RecursionError
                 if not recover:
@@ -174,17 +169,12 @@ class PluginModel:
                 )
                 model._record_parse_failure(path, source, wrapped)
                 if cache is not None:
-                    cache.store_failure(path, source, wrapped, variant)
+                    cache.store_failure(path, source, wrapped, variant, digest)
                 continue
             index = ast.index_file(tree)
-            if spill_tokens:
-                tokens = []  # spilled before caching: the byte-size
-                # accounting and the persisted object both see the
-                # token-free footprint
             file_model = FileModel(
                 path=path,
                 source=source,
-                tokens=tokens,
                 tree=tree,
                 loc=count_loc(source),
                 includes=_collect_includes(index),
@@ -195,7 +185,7 @@ class PluginModel:
             model.files[path] = file_model
             model.incidents.extend(file_incidents)
             if cache is not None:
-                cache.store(path, source, file_model, variant)
+                cache.store(path, source, file_model, variant, digest)
         model._check_include_budgets(include_budget)
         model._collect_definitions()
         return model

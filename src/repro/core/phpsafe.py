@@ -20,7 +20,7 @@ from ..config.profiles import AnalyzerProfile, generic_php, wordpress
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import counters, derive
 from ..plugin import Plugin
-from .cache import ModelCache, summary_key
+from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
 from .engine import EngineOptions, TaintEngine, summary_is_valid
 from .model import PluginModel
 from .results import FileFailure, Finding, ToolReport
@@ -64,10 +64,6 @@ class PhpSafeOptions:
     #: difftest ``ir`` axis enforces signature equality).  ``False``
     #: (the CLI's ``--no-ir``) selects the reference AST interpreter.
     use_ir: bool = True
-    #: Drop token lists from FileModels as soon as their trees exist
-    #: (streaming scans; roughly halves the per-file model footprint).
-    #: Tokens feed nothing after parse, so findings are unaffected.
-    spill_tokens: bool = False
     engine: EngineOptions = field(default_factory=EngineOptions)
 
 
@@ -80,25 +76,25 @@ class PhpSafeOptions:
 #: the same slot when they would have computed the identical artifact.
 #: Created lazily so importing the module costs nothing; bounded LRU so
 #: long-lived processes (serve daemons, fleet workers) cannot grow it
-#: without limit.
+#: without limit.  Entry counts alone are a poor bound — 512 slots of
+#: multi-MB FileModels is gigabytes — so the cache also evicts by
+#: approximate heap bytes (:data:`~repro.core.cache.MEMORY_TIER_MAX_BYTES`),
+#: whichever cap trips first.
 _PROCESS_CACHE: Optional[ModelCache] = None
 _PROCESS_CACHE_ENTRIES = 512
-#: Byte ceiling for the shared cache.  Entry counts alone are a poor
-#: bound — 512 slots of multi-MB FileModels is gigabytes — so the cache
-#: also evicts by approximate heap bytes, whichever cap trips first.
-#: 256 MB keeps a warm fleet worker's artifact set resident while
-#: guaranteeing long-lived daemons cannot leak models across jobs.
-_PROCESS_CACHE_MAX_BYTES = 256 * 1024 * 1024
+
+
+def _new_process_cache() -> ModelCache:
+    return ModelCache(
+        max_entries=_PROCESS_CACHE_ENTRIES, max_bytes=MEMORY_TIER_MAX_BYTES
+    )
 
 
 def process_cache() -> ModelCache:
     """The shared per-process artifact cache (created on first use)."""
     global _PROCESS_CACHE
     if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = ModelCache(
-            max_entries=_PROCESS_CACHE_ENTRIES,
-            max_bytes=_PROCESS_CACHE_MAX_BYTES,
-        )
+        _PROCESS_CACHE = _new_process_cache()
     return _PROCESS_CACHE
 
 
@@ -107,19 +103,10 @@ def process_cache_occupancy() -> Dict[str, object]:
 
     Returns the cache's entry/byte usage against both caps without
     forcing the cache into existence — an untouched process reports
-    zero occupancy.
+    the zero occupancy of an empty cache.
     """
-    if _PROCESS_CACHE is None:
-        return {
-            "entries": 0,
-            "max_entries": _PROCESS_CACHE_ENTRIES,
-            "bytes": 0,
-            "max_bytes": _PROCESS_CACHE_MAX_BYTES,
-            "evictions": 0,
-            "byte_evictions": 0,
-            "oversized": 0,
-        }
-    return _PROCESS_CACHE.occupancy()
+    cache = _new_process_cache() if _PROCESS_CACHE is None else _PROCESS_CACHE
+    return cache.occupancy()
 
 
 class PhpSafe(AnalyzerTool):
@@ -304,7 +291,6 @@ class PhpSafe(AnalyzerTool):
                 include_budget=self.options.include_budget,
                 cache=self.cache,
                 recover=self.options.recover,
-                spill_tokens=self.options.spill_tokens,
             )
         # unrecoverable skips keep their historical FileFailure shape so
         # the Section V.E robustness tables are unchanged
@@ -418,6 +404,11 @@ class PhpSafe(AnalyzerTool):
         )
 
         digests = plugin_file_digests(plugin)
+        if manifest is not None and self.cache is not None:
+            # the edit's superseded versions are dead weight in memory
+            # (they stay on disk); a digest still in use is kept
+            old_files: Dict[str, str] = manifest.get("files") or {}  # type: ignore
+            self.cache.spill_versions(set(old_files.values()) - set(digests.values()))
         base_options = self._engine_options(track_units=True)
         fingerprint = self._summary_fingerprint(base_options)
         model = PluginModel.build(
@@ -425,7 +416,7 @@ class PhpSafe(AnalyzerTool):
             include_budget=self.options.include_budget,
             cache=self.cache,
             recover=self.options.recover,
-            spill_tokens=self.options.spill_tokens,
+            digests=digests,
         )
         if self.options.recover:
             plan = plan_rescan(manifest, fingerprint, digests, model)

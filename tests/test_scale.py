@@ -17,7 +17,11 @@ from repro.batch.streaming import (
     streaming_options,
 )
 from repro.core import ModelCache, PhpSafe
-from repro.core.cache import approx_object_bytes, content_key
+from repro.core.cache import (
+    MEMORY_TIER_MAX_BYTES,
+    approx_object_bytes,
+    content_key,
+)
 from repro.core.model import PluginModel
 from repro.core.phpsafe import PhpSafeOptions, process_cache_occupancy
 from repro.core.results import (
@@ -212,7 +216,7 @@ class TestProcessCacheOccupancy:
         monkeypatch.setattr(phpsafe_module, "_PROCESS_CACHE", None)
         occupancy = process_cache_occupancy()
         assert occupancy["entries"] == 0 and occupancy["bytes"] == 0
-        assert occupancy["max_bytes"] == phpsafe_module._PROCESS_CACHE_MAX_BYTES
+        assert occupancy["max_bytes"] == MEMORY_TIER_MAX_BYTES
         assert phpsafe_module._PROCESS_CACHE is None  # not forced alive
 
     def test_process_cache_is_byte_capped(self, monkeypatch):
@@ -220,7 +224,7 @@ class TestProcessCacheOccupancy:
 
         monkeypatch.setattr(phpsafe_module, "_PROCESS_CACHE", None)
         cache = phpsafe_module.process_cache()
-        assert cache.max_bytes == phpsafe_module._PROCESS_CACHE_MAX_BYTES
+        assert cache.max_bytes == MEMORY_TIER_MAX_BYTES
         PhpSafe().analyze(Plugin(name="p", files={"a.php": SOURCE}))
         occupancy = process_cache_occupancy()
         assert occupancy["entries"] > 0 and occupancy["bytes"] > 0
@@ -426,19 +430,20 @@ class TestStreamingScan:
         assert summary.peak_cache_bytes <= cap
         assert summary.findings == MINI.expected_findings  # unaffected
 
-    def test_spill_tokens_drops_tokens_not_findings(self):
-        plugin = next(iter_stress_plugins(MINI))
-        spilled = PluginModel.build(plugin, spill_tokens=True)
-        assert all(not fm.tokens for fm in spilled.files.values())
-        kept = PluginModel.build(plugin)
-        assert any(fm.tokens for fm in kept.files.values())
-        base = PhpSafe(options=PhpSafeOptions(), use_process_cache=False)
-        spilling = PhpSafe(
-            options=PhpSafeOptions(spill_tokens=True), use_process_cache=False
-        )
-        assert finding_signatures([base.analyze(plugin)]) == finding_signatures(
-            [spilling.analyze(plugin)]
-        )
+    def test_file_models_carry_no_tokens_streaming_matches(self, tmp_path):
+        plugins = list(iter_stress_plugins(MINI))[:3]
+        cache = ModelCache()
+        for _round in range(2):  # parsed, then served from the cache
+            for plugin in plugins:
+                model = PluginModel.build(plugin, cache=cache)
+                assert model.files
+                assert not any(hasattr(fm, "tokens") for fm in model.files.values())
+        assert streaming_options(stress_options()) == stress_options()
+        tool = PhpSafe(options=stress_options(), use_process_cache=False)
+        accumulated = finding_signatures([tool.analyze(p) for p in plugins])
+        sink = str(tmp_path / "stream.jsonl")
+        stream_scan(iter(plugins), sink, options=streaming_options(stress_options()))
+        assert stream_signatures(sink) == accumulated
 
     def test_streaming_accumulating_parity_paper_corpus(self, tmp_path):
         # fast tier-1 parity on the paper corpus; the scale-smoke CI job
