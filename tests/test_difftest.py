@@ -196,7 +196,7 @@ class TestConfigMatrixOracle:
 
 class TestSliceCatalog:
     def test_catalog_is_large_and_deterministic(self):
-        assert len(SLICES) >= 60
+        assert len(SLICES) == 82
         assert len({piece.name for piece in SLICES}) == len(SLICES)
         for piece in SLICES:
             assert piece.code.startswith("<?php")
