@@ -6,7 +6,9 @@ modes in isolated spawn subprocesses, asserting:
 
 1. streaming peak RSS stays under the tier's configured bound
    (``StressTier.streaming_rss_mb``) — the hard RSS ceiling;
-2. both modes report the tier's expected seeded finding count;
+2. both modes report the tier's expected seeded finding count, and
+   the streamed finding *signatures* equal the committed golden file
+   ``tests/golden/scale-smoke.json`` (seed 0);
 3. streaming and accumulating finding *signatures* are identical on
    the paper corpus at scale 0.25 (the acceptance-criteria parity
    proof, re-run here on every push);
@@ -24,10 +26,26 @@ Stdlib only; run from the repo root::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "scale-smoke.json")
+
+
+def golden_signatures() -> set:
+    """The committed ``scale-smoke`` signatures (seed 0) as
+    ``(plugin slug, kind, file, line, sink)`` tuples."""
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    return {
+        (slug, kind, file, int(line), sink)
+        for slug, rows in document["plugins"].items()
+        for kind, file, line, sink in rows
+    }
 
 
 def main(argv=None) -> int:
@@ -42,13 +60,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.benchgate import calibration, merge_bench
-    from repro.benchscale import run_parity, run_scale_bench
+    from repro.benchscale import run_parity, run_scale_bench, sink_file
+    from repro.core.results import stream_signatures
     from repro.corpus.stress import get_tier
 
     tier = get_tier("scale-smoke")
     failures = []
 
-    section = run_scale_bench(["scale-smoke"], parity=False)
+    with tempfile.TemporaryDirectory(prefix="scale-smoke-") as sink_dir:
+        section = run_scale_bench(["scale-smoke"], parity=False, sink_dir=sink_dir)
+        streamed = stream_signatures(sink_file(sink_dir, "scale-smoke", "streaming"))
     row = section["tiers"]["scale-smoke"]
     streaming = row["streaming"]
     accumulating = row["accumulating"]
@@ -70,6 +91,18 @@ def main(argv=None) -> int:
                 f"{mode} found {measured['findings']} findings, expected "
                 f"{tier.expected_findings}"
             )
+    golden = golden_signatures()
+    print(
+        f"golden: {len(streamed)} streamed signatures vs {len(golden)} in "
+        "tests/golden/scale-smoke.json — "
+        + ("identical" if streamed == golden else "DIFFERENT")
+    )
+    if streamed != golden:
+        failures.append(
+            "streamed signatures differ from the golden file: "
+            f"missing={sorted(golden - streamed)[:5]} "
+            f"unexpected={sorted(streamed - golden)[:5]}"
+        )
 
     print(f"parity: paper corpus at scale {args.parity_scale} ...", flush=True)
     parity = run_parity(scale=args.parity_scale)

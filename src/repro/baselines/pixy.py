@@ -27,7 +27,8 @@ from typing import List, Optional
 
 from ..config.profiles import AnalyzerProfile, pixy_2007
 from ..config.vulnerability import PAPER_KINDS
-from ..core.engine import EngineOptions, TaintEngine
+from ..core.engine import EngineOptions
+from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool
@@ -122,7 +123,7 @@ class PixyLike(AnalyzerTool):
             unknown_call_policy="propagate",
             construct_kinds=PAPER_KINDS,  # Pixy: XSS and SQLi only
         )
-        engine = TaintEngine(model, self.profile, options)
+        engine = IRTaintEngine(model, self.profile, options)
         for finding in engine.run():
             report.add_finding(finding)
         report.files_analyzed = len(model.files)

@@ -4,8 +4,9 @@ Behavioural envelope of RIPS as the paper characterizes it (Sections II,
 IV and V):
 
 - performs intra- and inter-procedural taint analysis over the PHP AST,
-  simulating built-in functions — our shared :class:`TaintEngine` with
-  the generic-PHP knowledge base;
+  simulating built-in functions — the shared taint evaluator
+  (:class:`IRTaintEngine`, the one phpSAFE runs) with the generic-PHP
+  knowledge base;
 - "does not parse PHP objects, consequently it misses encapsulated
   vulnerabilities": method calls are opaque (``$wpdb->get_results`` is
   not a source, ``$wpdb->query`` not a sink, ``$wpdb->prepare`` not a
@@ -23,7 +24,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config.profiles import AnalyzerProfile, generic_php
-from ..core.engine import EngineOptions, TaintEngine
+from ..core.engine import EngineOptions
+from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool
@@ -51,7 +53,7 @@ class RipsLike(AnalyzerTool):
             analyze_methods_standalone=True,
             unknown_call_policy="propagate",
         )
-        engine = TaintEngine(model, self.profile, options)
+        engine = IRTaintEngine(model, self.profile, options)
         for finding in engine.run():
             report.add_finding(finding)
         report.files_analyzed = len(model.files)

@@ -103,14 +103,20 @@ def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> 
         conn.close()
 
 
+def sink_file(sink_dir: str, tier_name: str, mode: str) -> str:
+    """Where :func:`run_tier_mode` writes a (tier, mode) findings stream."""
+    return os.path.join(sink_dir, f"{tier_name}-{mode}.jsonl")
+
+
 def run_tier_mode(
     tier_name: str, mode: str, seed: int = 0, sink_dir: Optional[str] = None
 ) -> Dict[str, object]:
     """Measure one (tier, mode) in an isolated spawn subprocess."""
     context = multiprocessing.get_context("spawn")
     parent_conn, child_conn = context.Pipe(duplex=False)
-    sink_dir = sink_dir or tempfile.mkdtemp(prefix="benchscale-")
-    sink_path = os.path.join(sink_dir, f"{tier_name}-{mode}.jsonl")
+    sink_path = sink_file(
+        sink_dir or tempfile.mkdtemp(prefix="benchscale-"), tier_name, mode
+    )
     process = context.Process(
         target=_child_entry, args=(mode, tier_name, seed, sink_path, child_conn)
     )
@@ -174,8 +180,10 @@ def run_scale_bench(
     seed: int = 0,
     parity: bool = True,
     parity_scale: float = 0.25,
+    sink_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """The ``current`` section of ``BENCH_scale.json``."""
+    """The ``current`` section of ``BENCH_scale.json``.  Findings
+    streams go to ``sink_dir`` (a fresh temporary directory if None)."""
     tiers: Dict[str, object] = {}
     streaming_total = 0.0
     for name in tier_names:
@@ -188,7 +196,7 @@ def run_scale_bench(
         }
         for mode in ("streaming", "accumulating"):
             print(f"bench scale: {name}/{mode} ...", flush=True)
-            measured = run_tier_mode(name, mode, seed=seed)
+            measured = run_tier_mode(name, mode, seed=seed, sink_dir=sink_dir)
             row[mode] = measured
             print(
                 f"bench scale: {name}/{mode}: {measured['loc']} LOC in "

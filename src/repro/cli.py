@@ -126,7 +126,6 @@ def _make_tool(
     no_oop: bool = False,
     generic: bool = False,
     strict: bool = False,
-    no_ir: bool = False,
     profile: Optional[str] = None,
     rule_packs: Sequence[str] = (),
 ):
@@ -135,7 +134,6 @@ def _make_tool(
             oop=not no_oop,
             wordpress_config=not generic,
             recover=not strict,
-            use_ir=not no_ir,
             profile_name=profile,
             rule_packs=tuple(rule_packs),
         )
@@ -204,7 +202,6 @@ def _cmd_scan_impl(args: argparse.Namespace) -> int:
         no_oop=args.no_oop,
         generic=args.generic,
         strict=args.strict,
-        no_ir=args.no_ir,
         profile=args.profile,
         rule_packs=args.rule_pack,
     )
@@ -266,7 +263,6 @@ def _scan_stream(args: argparse.Namespace) -> int:
             oop=not args.no_oop,
             wordpress_config=not args.generic,
             recover=not args.strict,
-            use_ir=not args.no_ir,
             profile_name=args.profile,
             rule_packs=tuple(args.rule_pack),
         )
@@ -604,7 +600,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         no_oop=args.no_oop,
         generic=args.generic,
         strict=args.strict,
-        no_ir=args.no_ir,
         profile=args.profile,
         rule_packs=args.rule_pack,
     )
@@ -863,11 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable error recovery (a parse error skips the whole file)",
     )
     scan.add_argument(
-        "--no-ir", action="store_true",
-        help="use the reference AST interpreter instead of the lowered "
-             "taint IR (slower; cached results never mix evaluators)",
-    )
-    scan.add_argument(
         "--show-incidents", action="store_true",
         help="print the typed robustness incidents recorded per file",
     )
@@ -1031,9 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generic PHP profile (no WordPress)")
     serve.add_argument("--strict", action="store_true",
                        help="disable error recovery")
-    serve.add_argument("--no-ir", action="store_true",
-                       help="use the reference AST interpreter instead of "
-                            "the lowered taint IR")
     serve.add_argument(
         "--profile", choices=("wordpress", "drupal", "joomla", "generic"),
         help="analyzer knowledge-base profile (overrides --generic)",

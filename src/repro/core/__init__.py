@@ -1,8 +1,8 @@
 """phpSAFE core: the paper's primary contribution.
 
 Four stages (Fig. 1 of the paper): configuration (:mod:`repro.config`),
-model construction (:mod:`.model`), analysis (:mod:`.engine`), results
-processing (:mod:`.results`).  :class:`PhpSafe` is the public facade.
+model construction (:mod:`.model`), analysis (:mod:`.engine` semantics,
+run by the :mod:`.ir` executor), results processing (:mod:`.results`).  :class:`PhpSafe` is the public facade.
 """
 
 from ..incidents import Incident, IncidentSeverity, IncidentStage

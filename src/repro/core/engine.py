@@ -1,4 +1,4 @@
-"""Analysis stage: forward taint propagation over the AST.
+"""Analysis stage: the semantics of forward taint propagation.
 
 This is the paper's Section III.C engine.  It follows tainted variables
 "from the moment they enter the application/plugin until they reach the
@@ -7,6 +7,12 @@ knowledge-base sources/filters/reverts/sinks, summarizing every
 user-defined function once (function summaries), joining branches of
 conditionals and loops, and resolving OOP constructs through the class
 table and the known-instance registry (``$wpdb`` & co.).
+
+This module holds the state and the semantics every statement shares:
+scopes and reference aliasing, function summaries, fault-isolated
+analysis units, OOP dispatch, includes and sinks.  Statements and
+expressions are executed by :class:`repro.core.ir.IRTaintEngine` over
+the lowered IR; it is the only executor.
 
 The same engine, parameterized by :class:`EngineOptions`, also powers
 the RIPS-like and Pixy-like baselines: their capability envelopes are
@@ -23,12 +29,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..config.entries import PropagationSpec
 from ..config.profiles import AnalyzerProfile
-from ..config.vulnerability import ALL_KINDS, InputVector, VulnKind
+from ..config.vulnerability import ALL_KINDS, VulnKind
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import counters
 from ..php import ast_nodes as ast
-from ..php.htmlcontext import context_at_end
-from ..php.printer import print_expr
 from .model import FunctionInfo, PluginModel
 from .oop import ClassPropertyStore, join_class_names
 from .results import Finding
@@ -108,9 +112,10 @@ class EngineOptions:
     #: deadline).  Gives the serial path the timeout the batch path gets
     #: from SIGALRM.  Only honoured with ``recover=True``.
     unit_deadline: Optional[float] = None
-    #: AST-evaluation depth cap under ``recover=True``: degenerate
-    #: nesting (one-line concat chains of thousands of terms) trips a
-    #: unit fault instead of a ``RecursionError`` deep in the stack.
+    #: Nesting cap on executed statements and expressions under
+    #: ``recover=True``: degenerate nesting (one-line concat chains of
+    #: thousands of terms) trips a unit fault instead of a
+    #: ``RecursionError`` deep in the stack.
     max_eval_depth: int = 500
     #: Record per-unit state footprints (globals/properties/statics read
     #: and written, dependency files) for incremental rescans.  Off by
@@ -417,7 +422,12 @@ class UnitFault(Exception):
 
 
 class TaintEngine:
-    """Whole-plugin taint analysis over a :class:`PluginModel`."""
+    """Whole-plugin taint analysis over a :class:`PluginModel`.
+
+    The base of :class:`repro.core.ir.IRTaintEngine`, which supplies
+    statement execution (``_exec_block``) and expression evaluation
+    (``_eval_code``); construct that class, not this one.
+    """
 
     def __init__(
         self,
@@ -830,21 +840,6 @@ class TaintEngine:
     # Bookkeeping
     # ------------------------------------------------------------------
 
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self.options.step_budget:
-            raise BudgetExceeded()
-        if self._unit_limit is not None and self._steps > self._unit_limit:
-            raise UnitFault("unit step budget exhausted")
-        # the clock is read every 256 steps: cheap enough for the hot
-        # loop, granular enough for a seconds-scale deadline
-        if (
-            self._deadline_at is not None
-            and (self._steps & 0xFF) == 0
-            and time.monotonic() > self._deadline_at
-        ):
-            raise UnitFault("unit wall-clock deadline exceeded")
-
     def _emit(self, event: SinkEvent) -> None:
         if self._summary_stack:
             self._summary_stack[-1].sink_events.append(event)
@@ -949,8 +944,8 @@ class TaintEngine:
             if summary.uses_statics:
                 # Statics stored by one activation are observed by the
                 # next; a second pass against the joined slots reaches
-                # the cross-call fixed point (same two-pass scheme as
-                # :meth:`_exec_loop`).  Pass 1's effects are discarded —
+                # the cross-call fixed point (the two-pass scheme loops
+                # use too).  Pass 1's effects are discarded —
                 # pass 2 re-derives them with at-least-as-tainted state.
                 summary.sink_events = []
                 summary.return_taint = TaintState.clean()
@@ -1000,11 +995,9 @@ class TaintEngine:
         for index, taint in summary.ref_param_writes.items():
             if index < len(arg_exprs) and isinstance(arg_exprs[index], ast.Variable):
                 name = arg_exprs[index].name  # type: ignore[union-attr]
-                self._note_global_read(scope, name)
-                record = scope.get(name) or VariableRecord(
-                    name=name, file=self._current_file, line=line
+                self._join_into(
+                    scope, name, taint.substituted(mapping), self._current_file, line
                 )
-                scope.set(record.updated(taint=record.taint.joined(taint.substituted(mapping))))
         return Value(
             taint=summary.return_taint.substituted(mapping),
             class_name=summary.return_class,
@@ -1012,501 +1005,15 @@ class TaintEngine:
         )
 
     # ------------------------------------------------------------------
-    # Statements
+    # Scope, property and model helpers
     # ------------------------------------------------------------------
-
-    def _exec_block(self, statements: Sequence[ast.Statement], scope: Scope) -> None:
-        for statement in statements:
-            self._exec(statement, scope)
-
-    def _exec(self, node: ast.Statement, scope: Scope) -> None:
-        self._depth += 1
-        try:
-            if self.options.recover and self._depth > self.options.max_eval_depth:
-                raise UnitFault(
-                    f"evaluation depth limit ({self.options.max_eval_depth}) exceeded"
-                )
-            self._exec_dispatch(node, scope)
-        finally:
-            self._depth -= 1
-
-    def _exec_dispatch(self, node: ast.Statement, scope: Scope) -> None:  # noqa: C901
-        self._tick()
-        if isinstance(node, ast.ExpressionStatement):
-            self._eval(node.expr, scope)
-        elif isinstance(node, ast.EchoStatement):
-            for expr in node.exprs:
-                self._check_xss_output(expr, scope, sink="echo")
-        elif isinstance(node, ast.InlineHTML):
-            pass
-        elif isinstance(node, ast.ErrorStmt):
-            # a hole left by panic-mode parser recovery: nothing to do
-            pass
-        elif isinstance(node, ast.Block):
-            self._exec_block(node.statements, scope)
-        elif isinstance(node, ast.IfStatement):
-            self._eval(node.cond, scope)
-            branches = [node.then]
-            for clause in node.elseifs:
-                self._eval(clause.cond, scope)
-                branches.append(clause.body)
-            if node.otherwise is not None:
-                branches.append(node.otherwise)
-            self._exec_branches(branches, scope, exhaustive=node.otherwise is not None)
-        elif isinstance(node, ast.WhileStatement):
-            self._eval(node.cond, scope)
-            self._exec_loop(node.body, scope)
-        elif isinstance(node, ast.DoWhileStatement):
-            self._exec_loop(node.body, scope)
-            self._eval(node.cond, scope)
-        elif isinstance(node, ast.ForStatement):
-            for expr in node.init:
-                self._eval(expr, scope)
-            for expr in node.cond:
-                self._eval(expr, scope)
-            self._exec_loop(node.body + [ast.ExpressionStatement(expr=e) for e in node.update],
-                            scope)
-        elif isinstance(node, ast.ForeachStatement):
-            self._exec_foreach(node, scope)
-        elif isinstance(node, ast.SwitchStatement):
-            self._eval(node.subject, scope)
-            has_default = any(case.test is None for case in node.cases)
-            # fallthrough: entering at case i runs every later case body
-            # too unless a ``break`` intervenes; ``break`` is not
-            # tracked, so each branch is the suffix starting at its case
-            # (an over-approximation the outcome join keeps sound)
-            bodies = [case.body for case in node.cases]
-            suffixes = [
-                [stmt for body in bodies[i:] for stmt in body]
-                for i in range(len(bodies))
-            ]
-            self._exec_branches(suffixes, scope, exhaustive=has_default)
-        elif isinstance(node, ast.ReturnStatement):
-            self._exec_return(node, scope)
-        elif isinstance(node, ast.GlobalStatement):
-            self._exec_global(node, scope)
-        elif isinstance(node, ast.StaticVarStatement):
-            self._exec_static_vars(node, scope)
-        elif isinstance(node, ast.UnsetStatement):
-            # T_UNSET: "the properties of the variable are updated as
-            # untainted and marked as non-vulnerable"
-            for var in node.vars:
-                if isinstance(var, ast.Variable):
-                    scope.set(
-                        VariableRecord(
-                            name=var.name, file=self._current_file, line=node.line
-                        )
-                    )
-        elif isinstance(node, ast.ThrowStatement):
-            self._eval(node.expr, scope)
-        elif isinstance(node, ast.TryStatement):
-            branches = [node.body] + [catch.body for catch in node.catches]
-            self._exec_branches(branches, scope)
-            if node.finally_body is not None:
-                self._exec_block(node.finally_body, scope)
-        elif isinstance(node, (ast.FunctionDecl, ast.ClassDecl)):
-            pass  # declarations were collected by the model stage
-        elif isinstance(node, ast.NamespaceStatement):
-            if node.body is not None:
-                self._exec_block(node.body, scope)
-        elif isinstance(node, ast.DeclareStatement):
-            if node.body is not None:
-                self._exec_block(node.body, scope)
-        elif isinstance(
-            node,
-            (
-                ast.BreakStatement,
-                ast.ContinueStatement,
-                ast.UseStatement,
-                ast.ConstStatement,
-                ast.GotoStatement,
-                ast.LabelStatement,
-            ),
-        ):
-            pass
-        else:  # pragma: no cover - defensive
-            pass
-
-    def _exec_branches(
-        self,
-        branches: List[List[ast.Statement]],
-        scope: Scope,
-        exhaustive: bool = False,
-    ) -> None:
-        """Execute each branch from the pre-state and join the outcomes
-        ("the analysis takes into account all possible paths").
-
-        ``exhaustive`` means the branches cover every path (an ``if``
-        with ``else``, a ``switch`` with ``default``): the pre-state is
-        then not a possible outcome and a variable cleaned on every
-        branch really is clean afterwards.
-        """
-        outcomes: List[Scope] = []
-        for branch in branches:
-            snapshot = scope.copy()
-            self._exec_block(branch, snapshot)
-            outcomes.append(snapshot)
-        if not exhaustive:
-            outcomes.append(scope.copy())
-        if outcomes:
-            joined = outcomes[0]
-            joined.join_from(*outcomes[1:])
-            scope.records = joined.records
-
-    def _exec_loop(self, body: Sequence[ast.Statement], scope: Scope) -> None:
-        """Two joined passes propagate loop-carried taint."""
-        snapshot = scope.copy()
-        self._exec_block(list(body), snapshot)
-        self._exec_block(list(body), snapshot)
-        scope.join_from(snapshot)
-
-    def _exec_foreach(self, node: ast.ForeachStatement, scope: Scope) -> None:
-        subject = self._eval(node.subject, scope)
-        for target in (node.key_var, node.value_var):
-            if isinstance(target, ast.Variable):
-                scope.set(
-                    VariableRecord(
-                        name=target.name,
-                        file=self._current_file,
-                        line=node.line,
-                        taint=subject.taint.copy(),
-                        class_name=None,
-                        trace=subject.trace,
-                    )
-                )
-            elif target is not None:
-                self._assign_to(target, subject, scope, node.line)
-        # element values of a tainted container stay tainted but their
-        # class is unknown; remember the container taint for ->prop reads
-        self._exec_loop(node.body, scope)
-
-    def _exec_return(self, node: ast.ReturnStatement, scope: Scope) -> None:
-        if not self._summary_stack:
-            if node.expr is not None:
-                self._eval(node.expr, scope)
-            return
-        summary = self._summary_stack[-1]
-        if node.expr is None:
-            return
-        value = self._eval(node.expr, scope)
-        summary.return_taint = summary.return_taint.joined(value.taint)
-        summary.return_class = summary.return_class or value.class_name
-
-    def _exec_static_vars(self, node: ast.StaticVarStatement, scope: Scope) -> None:
-        """``static $s`` keeps its value across calls: one taint slot per
-        (function, variable) lives in the engine, every activation joins
-        the stored taint into its binding, and writes join back through
-        :meth:`_assign_to` — so taint stored by one call is observed by
-        the next (reached via the two-pass scheme in :meth:`_summarize`)."""
-        if self._summary_stack:
-            frame = self._summary_stack[-1]
-            frame.uses_statics = True
-            owner = frame.key
-            frame.static_tokens.add(f"static:{owner}")
-        else:
-            owner = f"<main>:{self._current_file}"
-        if self.track and self._unit_fp is not None:
-            self._unit_fp.statics.add(f"static:{owner}")
-        slots = self._static_store.setdefault(owner, {})
-        for name, default in node.vars:
-            value = self._eval(default, scope) if default is not None else Value.clean()
-            taint = value.taint
-            prior = slots.get(name)
-            if prior is not None:
-                taint = taint.joined(prior)
-            slots[name] = taint
-            scope.set(
-                VariableRecord(
-                    name=name, file=self._current_file, line=node.line, taint=taint
-                )
-            )
-            scope.static_names.add(name)
-            scope.static_slots = slots
-
-    def _exec_global(self, node: ast.GlobalStatement, scope: Scope) -> None:
-        """Bind names to the global scope; known CMS instances (e.g.
-        ``global $wpdb``) get their class from the profile."""
-        frame = self._summary_stack[-1] if self._summary_stack else None
-        if frame is not None:
-            # the summary observes run-order-dependent global state, so
-            # it cannot be reused across runs
-            frame.uses_globals = True
-        for name in node.names:
-            if frame is not None:
-                frame.global_reads.add(name)
-            if self.track and self._unit_fp is not None:
-                self._unit_fp.reads.add(name)
-            record = self.globals.get(name)
-            if record is None:
-                class_name = None
-                if self.options.oop:
-                    instance = self.profile.known_instance(name)
-                    if instance is not None:
-                        class_name = instance.class_name
-                record = VariableRecord(
-                    name=name,
-                    file=self._current_file,
-                    line=node.line,
-                    class_name=class_name,
-                )
-                self.globals.set(record)
-                if class_name and frame is not None:
-                    # materializing a known CMS instance binding is a
-                    # class-bearing write other units can observe
-                    frame.global_writes.add(name)
-            scope.set(record)
-            scope.global_aliases.add(name)
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-
-    def _eval(self, node: Optional[ast.Expr], scope: Scope) -> Value:
-        self._depth += 1
-        try:
-            if self.options.recover and self._depth > self.options.max_eval_depth:
-                raise UnitFault(
-                    f"evaluation depth limit ({self.options.max_eval_depth}) exceeded"
-                )
-            return self._eval_dispatch(node, scope)
-        finally:
-            self._depth -= 1
-
-    def _eval_dispatch(self, node: Optional[ast.Expr], scope: Scope) -> Value:  # noqa: C901
-        self._tick()
-        if node is None:
-            return Value.clean()
-        if isinstance(node, ast.Literal):
-            return Value.clean()
-        if isinstance(node, ast.Variable):
-            return self._eval_variable(node, scope)
-        if isinstance(node, ast.VariableVariable):
-            self._eval(node.expr, scope)
-            return Value.clean()
-        if isinstance(node, ast.InterpolatedString):
-            value = Value.clean()
-            for part in node.parts:
-                value = value.joined(self._eval(part, scope))
-            value.class_name = ""
-            return value
-        if isinstance(node, ast.ShellExec):
-            value = Value.clean()
-            for part in node.parts:
-                value = value.joined(self._eval(part, scope))
-            if (
-                VulnKind.CMDI in self.options.construct_kinds
-                and value.taint.active.get(VulnKind.CMDI)
-            ):
-                self._emit(
-                    SinkEvent(
-                        kind=VulnKind.CMDI,
-                        sink="`...`",
-                        file=self._current_file,
-                        line=node.line,
-                        variable=value.name_hint,
-                        taint=value.taint,
-                        trace=value.trace,
-                    )
-                )
-            return value
-        if isinstance(node, ast.ArrayLiteral):
-            value = Value.clean()
-            for item in node.items:
-                if item.key is not None:
-                    value = value.joined(self._eval(item.key, scope))
-                value = value.joined(self._eval(item.value, scope))
-            value.class_name = ""
-            return value
-        if isinstance(node, ast.ArrayAccess):
-            return self._eval_array_access(node, scope)
-        if isinstance(node, ast.PropertyAccess):
-            return self._eval_property_access(node, scope)
-        if isinstance(node, ast.StaticPropertyAccess):
-            if self.options.oop:
-                self._note_prop_read(node.class_name, node.name)
-                return Value(taint=self.class_props.read(node.class_name, node.name))
-            return Value.clean()
-        if isinstance(node, (ast.ClassConstAccess, ast.ConstFetch)):
-            return Value.clean()
-        if isinstance(node, ast.Assignment):
-            return self._eval_assignment(node, scope)
-        if isinstance(node, ast.Binary):
-            return self._eval_binary(node, scope)
-        if isinstance(node, ast.Unary):
-            inner = self._eval(node.operand, scope)
-            if node.op in ("!", "-", "+", "~"):
-                return Value.clean()
-            return inner  # @-suppression and throw pass the value through
-        if isinstance(node, ast.Ternary):
-            self._eval(node.cond, scope)
-            left = (
-                self._eval(node.if_true, scope)
-                if node.if_true is not None
-                else self._eval(node.cond, scope)
-            )
-            right = self._eval(node.if_false, scope)
-            return left.joined(right)
-        if isinstance(node, ast.Cast):
-            inner = self._eval(node.operand, scope)
-            if node.to in ("int", "float", "bool", "unset"):
-                return Value.clean()
-            return inner
-        if isinstance(node, ast.IncDec):
-            self._eval(node.target, scope)
-            return Value.clean()
-        if isinstance(node, (ast.IssetExpr, ast.EmptyExpr, ast.InstanceofExpr)):
-            return Value.clean()
-        if isinstance(node, ast.ListExpr):
-            value = Value.clean()
-            for target in node.targets:
-                if target is not None:
-                    value = value.joined(self._eval(target, scope))
-            return value
-        if isinstance(node, ast.Closure):
-            return Value.clean()
-        if isinstance(node, ast.FunctionCall):
-            return self._eval_function_call(node, scope)
-        if isinstance(node, ast.MethodCall):
-            return self._eval_method_call(node, scope)
-        if isinstance(node, ast.StaticCall):
-            return self._eval_static_call(node, scope)
-        if isinstance(node, ast.New):
-            return self._eval_new(node, scope)
-        if isinstance(node, ast.Clone):
-            return self._eval(node.expr, scope)
-        if isinstance(node, ast.IncludeExpr):
-            return self._eval_include(node, scope)
-        if isinstance(node, ast.ExitExpr):
-            if node.expr is not None:
-                self._check_xss_output(node.expr, scope, sink="exit")
-            return Value.clean()
-        if isinstance(node, ast.PrintExpr):
-            self._check_xss_output(node.expr, scope, sink="print")
-            return Value.clean()
-        return Value.clean()  # pragma: no cover - defensive
-
-    # -- variables, arrays, properties ------------------------------------
-
-    def _eval_variable(self, node: ast.Variable, scope: Scope) -> Value:
-        name = node.name
-        source = self.profile.superglobal_source(name)
-        if source is not None:
-            label = ConcreteSource(
-                vector=source.vector,
-                name=f"${name}",
-                file=self._current_file,
-                line=node.line,
-            )
-            return Value(
-                taint=TaintState.from_label(label, source.kinds),
-                trace=(f"${name} read at {self._current_file}:{node.line}",),
-                name_hint=f"${name}",
-            )
-        if self.track and self._unit_fp is not None and scope.is_global_image:
-            # a top-level read observes whatever earlier units left in
-            # the global scope — record it even when nothing is bound
-            # yet (an earlier unit *writing* it is still a coupling)
-            self._unit_fp.reads.add(name)
-        record = scope.get(name)
-        if record is None and scope is not self.globals:
-            pass  # locals do not fall back to globals without `global`
-        if record is None and scope is self.globals:
-            record = self.globals.get(name)
-        if record is None:
-            if self.options.oop:
-                instance = self.profile.known_instance(name)
-                if instance is not None:
-                    return Value(class_name=instance.class_name, name_hint=f"${name}")
-            if self.profile.register_globals and scope is self.globals:
-                # Pixy-era model: uninitialized globals are attacker-set
-                label = ConcreteSource(
-                    vector=InputVector.GET,
-                    name=f"register_globals:${name}",
-                    file=self._current_file,
-                    line=node.line,
-                )
-                return Value(
-                    taint=TaintState.from_label(label, self._kind_universe),
-                    trace=(f"uninitialized ${name} at {self._current_file}:{node.line}",),
-                    name_hint=f"${name}",
-                )
-            return Value(name_hint=f"${name}")
-        class_name = record.class_name or ""
-        if not class_name and self.options.oop:
-            # conventional names keep their known CMS type even when the
-            # assignment was opaque (e.g. $db = JFactory::getDBO())
-            instance = self.profile.known_instance(name)
-            if instance is not None:
-                class_name = instance.class_name
-        return Value(
-            taint=record.taint.copy(),
-            class_name=class_name,
-            trace=record.trace,
-            name_hint=f"${name}",
-        )
-
-    def _eval_array_access(self, node: ast.ArrayAccess, scope: Scope) -> Value:
-        container = self._eval(node.array, scope)
-        if node.index is not None:
-            # evaluate for side effects; an index rarely carries the
-            # payload into the element value
-            self._eval(node.index, scope)
-        hint = container.name_hint + "[...]" if container.name_hint else ""
-        return Value(
-            taint=container.taint,
-            trace=container.trace,
-            name_hint=hint,
-        )
-
-    def _eval_property_access(self, node: ast.PropertyAccess, scope: Scope) -> Value:
-        obj = self._eval(node.object, scope)
-        prop = node.name if isinstance(node.name, str) else ""
-        if not isinstance(node.name, str) and node.name is not None:
-            self._eval(node.name, scope)
-        hint = f"{obj.name_hint}->{prop}" if obj.name_hint else f"->{prop}"
-        if self.options.oop and obj.class_name and prop:
-            self._note_prop_read(obj.class_name, prop)
-            return Value(
-                taint=self.class_props.read(obj.class_name, prop),
-                trace=obj.trace,
-                name_hint=hint,
-            )
-        # property of an untyped value (e.g. a DB result row object):
-        # propagate the container's taint
-        return Value(taint=obj.taint, trace=obj.trace, name_hint=hint)
-
-    # -- assignment -----------------------------------------------------------
-
-    def _eval_assignment(self, node: ast.Assignment, scope: Scope) -> Value:
-        value = self._eval(node.value, scope)
-        if node.op == "=":
-            if (
-                node.by_ref
-                and isinstance(node.target, ast.Variable)
-                and isinstance(node.value, ast.Variable)
-            ):
-                self._link_reference(node.target.name, node.value.name, scope)
-            result = value
-        elif node.op == ".=":
-            current = self._eval(node.target, scope)
-            result = current.joined(value)
-        elif node.op == "??=":
-            # assigns only when the target is null, so afterwards the
-            # value may come from either side: join them
-            current = self._eval(node.target, scope)
-            result = current.joined(value)
-        else:  # arithmetic/bitwise compound: numeric result
-            self._eval(node.target, scope)
-            result = Value.clean()
-        self._assign_to(node.target, result, scope, node.line)
-        return result
 
     def _link_reference(self, target: str, source: str, scope: Scope) -> None:
         """``$b =& $a``: both names denote one storage slot from now on.
 
         The union of the two names' existing groups becomes a fresh
-        frozenset shared by every member, and :meth:`_assign_to` mirrors
-        each write across the group.  (By-ref *parameters* are handled
+        frozenset shared by every member, and every variable write
+        mirrors across the group.  (By-ref *parameters* are handled
         separately through ``ref_param_writes``.)"""
         group = set(scope.ref_groups.get(target, (target,)))
         group.update(scope.ref_groups.get(source, (source,)))
@@ -1514,75 +1021,15 @@ class TaintEngine:
         for name in shared:
             scope.ref_groups[name] = shared
 
-    def _assign_to(
-        self, target: Optional[ast.Expr], value: Value, scope: Scope, line: int
+    def _join_into(
+        self, scope: Scope, name: str, taint: TaintState, file: str, line: int
     ) -> None:
-        if isinstance(target, ast.Variable):
-            trace = value.trace + (
-                f"${target.name} assigned at {self._current_file}:{line}",
-            )
-            was_global_alias = (
-                scope is not self.globals
-                and target.name in scope.global_aliases
-                and scope.get(target.name) is not None
-            )
-            scope.set(
-                VariableRecord(
-                    name=target.name,
-                    file=self._current_file,
-                    line=line,
-                    taint=value.taint.copy(),
-                    class_name=value.class_name or None,
-                    trace=trace[-self.options.max_trace:],
-                )
-            )
-            if was_global_alias:
-                # `global $x` alias: write through to the global scope
-                self.globals.set(scope.records[target.name])
-            if target.name in scope.static_names and scope.static_slots is not None:
-                # `static $x`: join the write into the cross-call slot
-                prior = scope.static_slots.get(target.name)
-                scope.static_slots[target.name] = (
-                    value.taint.copy() if prior is None else prior.joined(value.taint)
-                )
-            group = scope.ref_groups.get(target.name)
-            if group is not None:
-                # `$b =& $a` aliases: mirror the write to every member
-                written = scope.records[target.name]
-                for alias in group:
-                    if alias != target.name:
-                        scope.set(written.updated(name=alias))
-        elif isinstance(target, ast.ArrayAccess):
-            base = target.array
-            while isinstance(base, ast.ArrayAccess):
-                base = base.array
-            if isinstance(base, ast.Variable):
-                self._note_global_read(scope, base.name)
-                record = scope.get(base.name) or VariableRecord(
-                    name=base.name, file=self._current_file, line=line
-                )
-                scope.set(record.updated(taint=record.taint.joined(value.taint)))
-            elif isinstance(base, ast.PropertyAccess):
-                self._assign_to(base, value, scope, line)
-        elif isinstance(target, ast.PropertyAccess):
-            obj = self._eval(target.object, scope)
-            prop = target.name if isinstance(target.name, str) else ""
-            if self.options.oop and obj.class_name and prop:
-                self._record_prop_write(obj.class_name, prop, value.taint)
-            elif isinstance(target.object, ast.Variable):
-                # untyped object: taint the container variable itself
-                self._note_global_read(scope, target.object.name)
-                record = scope.get(target.object.name) or VariableRecord(
-                    name=target.object.name, file=self._current_file, line=line
-                )
-                scope.set(record.updated(taint=record.taint.joined(value.taint)))
-        elif isinstance(target, ast.StaticPropertyAccess):
-            if self.options.oop:
-                self._record_prop_write(target.class_name, target.name, value.taint)
-        elif isinstance(target, ast.ListExpr):
-            for sub_target in target.targets:
-                if sub_target is not None:
-                    self._assign_to(sub_target, value, scope, line)
+        """Join ``taint`` into ``$name`` without rebinding it: writes
+        through a by-ref parameter, an array element or a property of
+        an untyped object taint the whole variable."""
+        self._note_global_read(scope, name)
+        record = scope.get(name) or VariableRecord(name=name, file=file, line=line)
+        scope.set(record.updated(taint=record.taint.joined(taint)))
 
     def _declaring_class(self, class_name: str, prop: str) -> str:
         """Walk up the hierarchy to the ancestor declaring ``prop``.
@@ -1692,7 +1139,7 @@ class TaintEngine:
 
     def _note_global_read(self, scope: Scope, name: str) -> None:
         """Record a read-modify-write touch of a (possibly) global name
-        that bypasses :meth:`_eval_variable`."""
+        that bypasses a plain variable read."""
         if self.track and self._unit_fp is not None and scope.is_global_image:
             self._unit_fp.reads.add(name)
 
@@ -1715,125 +1162,16 @@ class TaintEngine:
         if self.track and self._unit_fp is not None:
             self._unit_fp.prop_reads.update(keys)
 
-    # -- binary ------------------------------------------------------------------
+    # ------------------------------------------------------------------
+    # Calls, includes and sinks (arguments already evaluated)
+    # ------------------------------------------------------------------
 
-    def _eval_binary(self, node: ast.Binary, scope: Scope) -> Value:
-        left = self._eval(node.left, scope)
-        right = self._eval(node.right, scope)
-        if node.op == ".":
-            joined = left.joined(right)
-            joined.class_name = ""
-            return joined
-        if node.op == "??":
-            # either operand may be the result, so the value carries the
-            # union of both operands' taint
-            return left.joined(right)
-        if node.op in ("&&", "||", "and", "or", "xor"):
-            return Value.clean()
-        # arithmetic/comparison produce numeric/boolean values
-        return Value.clean()
-
-    # -- calls ----------------------------------------------------------------------
-
-    def _eval_args(self, args: Sequence[ast.Expr], scope: Scope) -> List[Value]:
-        return [self._eval(arg, scope) for arg in args]
-
-    def _eval_function_call(self, node: ast.FunctionCall, scope: Scope) -> Value:
-        if not isinstance(node.name, str):
-            self._eval(node.name, scope)
-            self._eval_args(node.args, scope)
-            return Value.clean()
-        name = node.name
-        lowered = name.lower()
-        values = self._eval_args(node.args, scope)
-
-        sinks = self.profile.function_sinks(lowered)
-        if sinks and lowered not in ("echo", "print", "exit"):
-            for sink in sinks:
-                self._check_sink(sink.kind, name, node, values, sink_spec=sink)
-
-        filter_spec = self.profile.function_filter(lowered)
-        if filter_spec is not None:
-            joined = Value.clean()
-            for value in values:
-                joined = joined.joined(value)
-            return Value(
-                taint=joined.taint.filtered(filter_spec.kinds),
-                trace=joined.trace + (f"filtered by {name}()",),
-            )
-
-        revert = self.profile.revert(lowered)
-        if revert is not None:
-            joined = Value.clean()
-            for value in values:
-                joined = joined.joined(value)
-            return Value(
-                taint=joined.taint.reverted(revert.kinds),
-                trace=joined.trace + (f"reverted by {name}()",),
-            )
-
-        source = self.profile.function_source(lowered)
-        if source is not None:
-            label = ConcreteSource(
-                vector=source.vector,
-                name=f"{name}()",
-                file=self._current_file,
-                line=node.line,
-            )
-            return Value(
-                taint=TaintState.from_label(label, source.kinds),
-                trace=(f"{name}() read at {self._current_file}:{node.line}",),
-            )
-
-        info = self._lookup_function_dep(lowered)
-        if info is not None and not info.is_method:
-            summary = self._summarize(info)
-            return self._apply_summary(summary, values, node.args, scope, node.line)
-
-        propagation = self.profile.function_propagation(lowered)
-        if propagation is not None:
-            return self._apply_propagation(propagation, name, values)
-
-        if lowered in PASSTHROUGH_FUNCTIONS:
-            joined = Value.clean()
-            for value in values:
-                joined = joined.joined(value)
-            joined.class_name = ""
-            return joined
-        if lowered in CLEAN_FUNCTIONS:
-            return Value.clean()
-        if self.options.unknown_call_policy == "propagate":
-            joined = Value.clean()
-            for value in values:
-                joined = joined.joined(value)
-            joined.class_name = ""
-            return joined
-        return Value.clean()
-
-    def _eval_method_call(self, node: ast.MethodCall, scope: Scope) -> Value:
-        obj = self._eval(node.object, scope)
-        if not isinstance(node.method, str):
-            self._eval_args(node.args, scope)
-            return Value.clean()
-        if not self.options.oop:
-            self._eval_args(node.args, scope)
-            return Value.clean()
-        method = node.method
-        class_name = obj.class_name
-        values = self._eval_args(node.args, scope)
-        if not class_name:
-            return Value(taint=TaintState.clean())
-        return self._dispatch_method(class_name, method, node, values, obj, scope)
-
-    def _eval_static_call(self, node: ast.StaticCall, scope: Scope) -> Value:
-        values = self._eval_args(node.args, scope)
-        return self._static_call_with_values(node, values, scope)
-
-    def _static_call_with_values(
+    def _static_call(
         self, node: ast.StaticCall, values: List[Value], scope: Scope
     ) -> Value:
-        """Static-call resolution after the arguments are evaluated
-        (shared with the IR evaluator, which lowers the argument list)."""
+        """``Class::method(...)`` resolution: ``self``/``static``/
+        ``parent`` bind through ``$this``, ``$var::`` through the
+        variable's class."""
         if not self.options.oop or not isinstance(node.method, str):
             return Value.clean()
         class_name = node.class_name
@@ -1921,15 +1259,11 @@ class TaintEngine:
             return Value.clean()
         return Value(taint=taint, trace=joined.trace + (f"through {name}()",))
 
-    def _eval_new(self, node: ast.New, scope: Scope) -> Value:
-        values = self._eval_args(node.args, scope)
-        return self._new_with_values(node, values, scope)
-
-    def _new_with_values(
+    def _new(
         self, node: ast.New, values: List[Value], scope: Scope
     ) -> Value:
-        """Constructor dispatch after the arguments are evaluated
-        (shared with the IR evaluator)."""
+        """``new Class(...)``: apply the constructor's summary (PHP5
+        ``__construct`` or the PHP4 method named like the class)."""
         if not isinstance(node.class_name, str):
             return Value.clean()
         class_name = node.class_name
@@ -1943,21 +1277,15 @@ class TaintEngine:
                 self._apply_summary(summary, values, node.args, scope, node.line)
         return Value(class_name=class_name)
 
-    def _eval_include(self, node: ast.IncludeExpr, scope: Scope) -> Value:
+    def _include(
+        self, node: ast.IncludeExpr, path_value: Value, scope: Scope
+    ) -> Value:
         """Inline the included file's top level (paper: "as the PHP file
         can include other PHP files recursively, all of them must be
         analyzed in order to obtain the complete AST").
 
         A tainted include path is also a file-inclusion sink (extension
         kind ``VulnKind.LFI``)."""
-        path_value = self._eval(node.path, scope)
-        return self._include_with_value(node, path_value, scope)
-
-    def _include_with_value(
-        self, node: ast.IncludeExpr, path_value: Value, scope: Scope
-    ) -> Value:
-        """Include handling after the path expression is evaluated
-        (shared with the IR evaluator)."""
         if (
             VulnKind.LFI in self.options.construct_kinds
             and path_value.taint.active.get(VulnKind.LFI)
@@ -2003,34 +1331,6 @@ class TaintEngine:
             self._current_file = previous_file
         return Value.clean()
 
-    # -- sinks ------------------------------------------------------------------------
-
-    def _check_xss_output(
-        self, expr: Optional[ast.Expr], scope: Scope, sink: str
-    ) -> None:
-        """echo/print/<?=: evaluate and flag XSS-tainted output.
-
-        The markup context at the injection point (element text,
-        attribute, script block, URL ...) is derived from the literal
-        markup emitted before the first dynamic part — RIPS's
-        context-sensitive string analysis (paper Section II)."""
-        value = self._eval(expr, scope)
-        if value.taint.active.get(VulnKind.XSS):
-            prefix = _literal_prefix(expr)
-            context = context_at_end(prefix)
-            self._emit(
-                SinkEvent(
-                    kind=VulnKind.XSS,
-                    sink=sink,
-                    file=self._current_file,
-                    line=expr.line if expr is not None else 0,
-                    variable=value.name_hint or _describe_expr(expr),
-                    taint=value.taint,
-                    trace=value.trace,
-                    markup_context=context.value,
-                )
-            )
-
     def _check_sink(
         self,
         kind: VulnKind,
@@ -2056,37 +1356,3 @@ class TaintEngine:
                         via_oop=via_oop,
                     )
                 )
-
-
-def _literal_prefix(expr: Optional[ast.Expr]) -> str:
-    """Concatenated literal markup before the first dynamic part."""
-    parts: List[str] = []
-
-    def collect(node: Optional[ast.Expr]) -> bool:
-        """Append literals in output order; False at first dynamic part."""
-        if node is None:
-            return False
-        if isinstance(node, ast.Literal):
-            parts.append(str(node.value) if node.value is not None else "")
-            return True
-        if isinstance(node, ast.Binary) and node.op == ".":
-            return collect(node.left) and collect(node.right)
-        if isinstance(node, ast.InterpolatedString):
-            for part in node.parts:
-                if not collect(part):
-                    return False
-            return True
-        return False
-
-    collect(expr)
-    return "".join(parts)
-
-
-def _describe_expr(expr: Optional[ast.Expr]) -> str:
-    if expr is None:
-        return ""
-    try:
-        text = print_expr(expr)
-    except TypeError:
-        return type(expr).__name__
-    return text if len(text) <= 60 else text[:57] + "..."

@@ -1,13 +1,13 @@
 """Taint IR: one-time lowering of AST bodies to a linear instruction
-form, and the evaluator that runs the taint fixed-point over it.
+form, and the executor that runs the taint fixed-point over it.
 
-The AST interpreter in :mod:`repro.core.engine` re-walks the tree on
-every pass: each visit pays ``isinstance`` dispatch ladders, knowledge-
-base dict probes (``function_sink`` & co. per call site per visit), and
-f-string trace construction (``"$x assigned at file:line"`` per
-assignment per visit).  All of that is invariant per *syntax site* — so
-this module lowers each body once into flat tuples of integer-opcode
-instructions with every invariant pre-resolved:
+The fixed-point visits every body several times (branch snapshots, two
+loop passes, summary re-analysis), and what each visit would otherwise
+recompute — ``isinstance`` dispatch, knowledge-base dict probes
+(``function_sink`` & co. per call site), f-string trace construction
+(``"$x assigned at file:line"`` per assignment) — is invariant per
+*syntax site*.  So this module lowers each body once into flat tuples of
+integer-opcode instructions with every invariant pre-resolved:
 
 * profile lookups (superglobal/function sources, filters, reverts,
   sinks, known instances) are resolved at lowering time; call sites
@@ -18,14 +18,15 @@ instructions with every invariant pre-resolved:
 * the unknown-call policy and passthrough/clean builtin classification
   collapse to a single pre-computed join-or-clean flag,
 * statement/expression dispatch becomes one integer index into a
-  handler table instead of an ``isinstance`` ladder.
+  handler table instead of an ``isinstance`` ladder,
+* assignment targets, ``static`` defaults and ``global`` names are
+  lowered too, so execution never goes back to the AST.
 
-Semantics are deliberately *transliterated*, not redesigned: every
-handler mirrors its ``TaintEngine`` dispatch branch 1:1, including the
-step-tick count per node (budgets and deadlines trip at the same step)
-and the scope/ref-group/global-alias/static-slot write-through rules.
-The ``difftest`` config-matrix oracle diffs the two evaluators end to
-end (axis ``ir``) to enforce bit-identical finding signatures.
+:class:`IRTaintEngine` is the only executor: phpSAFE and the RIPS and
+Pixy baselines all run on it.  Every statement and every expression
+costs one step tick, the unit the step budgets and deadlines count in;
+the golden files under ``tests/golden/`` pin per-plugin step counts
+along with the finding signatures.
 
 Lowered programs are pickle-safe (tuples of ints, strings, interned
 taint states, spec dataclasses, and AST node references) and are cached
@@ -44,6 +45,7 @@ from ..perf import counters
 from ..php import ast_nodes as ast
 from ..php.ast_nodes import iter_bodies
 from ..php.htmlcontext import context_at_end
+from ..php.printer import print_expr
 from .cache import ir_key
 from .engine import (
     CLEAN_FUNCTIONS,
@@ -55,14 +57,14 @@ from .engine import (
     TaintEngine,
     UnitFault,
     Value,
-    _describe_expr,
-    _literal_prefix,
 )
 from .taint import ConcreteSource, TaintState, VariableRecord
 
 #: bump when the instruction encoding changes; part of cache validity
-#: (2: E_CALL carries a sink *tuple* and a trailing propagation spec)
-IR_VERSION = 2
+#: (2: E_CALL carries a sink *tuple* and a trailing propagation spec;
+#: 3: assignment/foreach targets, ``static`` and ``global`` lowered,
+#: E_LOCAL carries the register_globals source line, not its state)
+IR_VERSION = 3
 
 # -- statement opcodes -------------------------------------------------------
 S_EXPR = 0
@@ -112,6 +114,13 @@ E_INCLUDE = 25
 E_EXIT = 26
 E_PRINT = 27
 
+# -- assignment-target opcodes (E_ASSIGN, E_LIST items, foreach) -----------
+T_VAR = 0
+T_ELEM = 1
+T_PROP = 2
+T_SPROP = 3
+T_LIST = 4
+
 #: shared singleton instructions (the most common lowered forms)
 _NOP_INSTR = (S_NOP,)
 _NONE_INSTR = (E_NONE,)
@@ -125,6 +134,40 @@ class IRProgram:
     version: int
     file: str
     codes: Tuple[Tuple[tuple, ...], ...]
+
+
+def _literal_prefix(expr: Optional[ast.Expr]) -> str:
+    """Concatenated literal markup before the first dynamic part."""
+    parts: List[str] = []
+
+    def collect(node: Optional[ast.Expr]) -> bool:
+        """Append literals in output order; False at first dynamic part."""
+        if node is None:
+            return False
+        if isinstance(node, ast.Literal):
+            parts.append(str(node.value) if node.value is not None else "")
+            return True
+        if isinstance(node, ast.Binary) and node.op == ".":
+            return collect(node.left) and collect(node.right)
+        if isinstance(node, ast.InterpolatedString):
+            for part in node.parts:
+                if not collect(part):
+                    return False
+            return True
+        return False
+
+    collect(expr)
+    return "".join(parts)
+
+
+def _describe_expr(expr: Optional[ast.Expr]) -> str:
+    if expr is None:
+        return ""
+    try:
+        text = print_expr(expr)
+    except TypeError:
+        return type(expr).__name__
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class _Lowerer:
@@ -143,7 +186,6 @@ class _Lowerer:
         self.oop = options.oop
         self.construct_kinds = options.construct_kinds
         self.unknown_call_policy = options.unknown_call_policy
-        self.kind_universe = profile.kind_universe()
 
     # -- statements --------------------------------------------------------
     #
@@ -158,8 +200,7 @@ class _Lowerer:
             handler(self, stmt)
             if (handler := dispatch.get(stmt.__class__)) is not None
             # InlineHTML, ErrorStmt, declarations, break/continue/use/
-            # const/goto/label and anything unknown: a ticked no-op,
-            # like the parent
+            # const/goto/label and anything unknown: a ticked no-op
             else _NOP_INSTR
             for stmt in statements
         )
@@ -206,11 +247,9 @@ class _Lowerer:
         return (S_DOWHILE, self.lower_block(node.body), self.lower_expr(node.cond))
 
     def _lower_for(self, node: ast.ForStatement) -> tuple:
-        # init/cond exprs are bare evals in the parent (no statement
-        # tick); each update expr is wrapped in a synthetic
-        # ExpressionStatement appended to the loop body (one
-        # statement tick + the expr per iteration) — mirror both so
-        # tick counts line up exactly
+        # init/cond exprs are bare evals (no statement tick); each
+        # update expr runs as an expression statement appended to the
+        # loop body (one statement tick + the expr per pass)
         body = self.lower_block(node.body) + tuple(
             (S_EXPR, self.lower_expr(expr)) for expr in node.update
         )
@@ -219,11 +258,23 @@ class _Lowerer:
         return (S_FOR, inits, conds, body)
 
     def _lower_foreach(self, node: ast.ForeachStatement) -> tuple:
+        # a plain variable target is bound as-is (no assignment trace
+        # step, no alias write-through); any other target is an
+        # ordinary assignment of the subject's value
+        targets = []
+        for target in (node.key_var, node.value_var):
+            if isinstance(target, ast.Variable):
+                targets.append(target.name)
+            elif target is not None:
+                lowered = self.lower_target(target, node.line)
+                if lowered is not None:
+                    targets.append(lowered)
         return (
             S_FOREACH,
-            node,
             self.lower_expr(node.subject),
+            tuple(targets),
             self.lower_block(node.body),
+            node.line,
         )
 
     def _lower_switch(self, node: ast.SwitchStatement) -> tuple:
@@ -242,10 +293,14 @@ class _Lowerer:
         )
 
     def _lower_global(self, node: ast.GlobalStatement) -> tuple:
-        return (S_GLOBAL, node)
+        return (S_GLOBAL, tuple(node.names), node.line)
 
     def _lower_static(self, node: ast.StaticVarStatement) -> tuple:
-        return (S_STATIC, node)
+        defaults = tuple(
+            (name, self.lower_expr(default) if default is not None else None)
+            for name, default in node.vars
+        )
+        return (S_STATIC, defaults, node.line)
 
     def _lower_unset(self, node: ast.UnsetStatement) -> tuple:
         names = tuple(
@@ -416,9 +471,13 @@ class _Lowerer:
     # -- site pre-computation ----------------------------------------------
 
     def _xss_pre(self, expr: Optional[ast.Expr], sink: str) -> tuple:
-        """(sink, file, line, markup context, fallback variable name):
-        everything :meth:`TaintEngine._check_xss_output` derives from the
-        syntax site rather than the runtime value."""
+        """(sink, file, line, markup context, fallback variable name) of
+        an echo/print/exit output site.
+
+        The markup context at the injection point (element text,
+        attribute, script block, URL ...) is derived from the literal
+        markup emitted before the first dynamic part — RIPS's
+        context-sensitive string analysis (paper Section II)."""
         context = context_at_end(_literal_prefix(expr))
         return (
             sink,
@@ -449,19 +508,11 @@ class _Lowerer:
             instance = self.profile.known_instance(name)
             if instance is not None:
                 instance_class = instance.class_name
-        rg_pre = None
-        if self.profile.register_globals:
-            label = ConcreteSource(
-                vector=InputVector.GET,
-                name=f"register_globals:${name}",
-                file=self.file,
-                line=node.line,
-            )
-            rg_pre = (
-                TaintState.from_label(label, self.kind_universe),
-                (f"uninitialized ${name} at {self.file}:{node.line}",),
-            )
-        return (E_LOCAL, name, f"${name}", instance_class, rg_pre)
+        # register_globals: the line an unbound global read becomes a
+        # source at; the label is built only on such a read, because a
+        # pre-built state per variable site costs more than it saves
+        rg_line = node.line if self.profile.register_globals else None
+        return (E_LOCAL, name, f"${name}", instance_class, rg_line)
 
     def _lower_assignment(self, node: ast.Assignment) -> tuple:
         value_code = self.lower_expr(node.value)
@@ -494,7 +545,49 @@ class _Lowerer:
                 self.file,
                 node.line,
             )
-        return (E_ASSIGN, value_code, node.target, mode, read_code, node.line)
+        return (
+            E_ASSIGN,
+            value_code,
+            self.lower_target(node.target, node.line),
+            mode,
+            read_code,
+        )
+
+    def lower_target(self, node: Optional[ast.Expr], line: int) -> Optional[tuple]:
+        """Lower one assignment target; ``None`` for targets a write
+        cannot reach (call results, variable-variables, ...)."""
+        if isinstance(node, ast.Variable):
+            trace_step = f"${node.name} assigned at {self.file}:{line}"
+            return (T_VAR, node.name, trace_step, self.file, line)
+        if isinstance(node, ast.ArrayAccess):
+            base = node.array
+            while isinstance(base, ast.ArrayAccess):
+                base = base.array
+            if isinstance(base, ast.Variable):
+                # an element write taints the whole container
+                return (T_ELEM, base.name, self.file, line)
+            if isinstance(base, ast.PropertyAccess):
+                return self.lower_target(base, line)
+            return None
+        if isinstance(node, ast.PropertyAccess):
+            # the container variable an untyped-object write taints
+            container = None
+            if isinstance(node.object, ast.Variable):
+                container = node.object.name
+            return (
+                T_PROP,
+                self.lower_expr(node.object),
+                node.name if isinstance(node.name, str) else "",
+                container,
+                self.file,
+                line,
+            )
+        if isinstance(node, ast.StaticPropertyAccess):
+            return (T_SPROP, node.class_name, node.name)
+        if isinstance(node, ast.ListExpr):
+            lowered = (self.lower_target(target, line) for target in node.targets)
+            return (T_LIST, tuple(code for code in lowered if code is not None))
+        return None
 
     def _lower_function_call(self, node: ast.FunctionCall) -> tuple:
         if not isinstance(node.name, str):
@@ -566,8 +659,7 @@ class _Lowerer:
 # Lowering dispatch tables, keyed by node class (built after the class
 # so entries are plain functions: ``handler(self, node)``).  Classes
 # absent from the statement table lower to a ticked no-op; classes
-# absent from the expression table lower to a clean value — both
-# matching the parent interpreter's fallbacks.
+# absent from the expression table lower to a clean value.
 _Lowerer._STMT_DISPATCH = {
     ast.ExpressionStatement: _Lowerer._lower_expr_stmt,
     ast.EchoStatement: _Lowerer._lower_echo,
@@ -618,22 +710,20 @@ _Lowerer._EXPR_DISPATCH = {
 
 
 class IRTaintEngine(TaintEngine):
-    """A :class:`TaintEngine` whose statement walks run on lowered IR.
+    """The taint executor: runs every statement list as lowered IR.
 
-    Only :meth:`_exec_block` is overridden: every entry into a
-    statement list — top-level file walks, function summaries, inlined
-    includes — looks up (or builds) the lowered code for that exact
-    ``list`` object and executes it through the instruction loop.  All
-    cold-path helpers (summaries, method dispatch, ``_assign_to`` for
-    complex targets, include resolution) are inherited unchanged, which
-    is what keeps the two evaluators semantics-identical.
+    Every entry into a statement list — top-level file walks, function
+    summaries, inlined includes — goes through :meth:`_exec_block`,
+    which looks up (or builds) the lowered code for that exact ``list``
+    object and runs it through the instruction loop.  The semantics
+    shared across statements (summaries, method dispatch, include
+    resolution, sinks, property stores) live in :class:`TaintEngine`.
 
-    Soundness of pre-computation rests on one invariant of the parent
-    engine: **a body always executes with ``_current_file`` equal to its
+    Soundness of pre-computation rests on one invariant of the engine:
+    **a body always executes with ``_current_file`` equal to its
     defining file** (``_run_strict``/``_run_unit`` set it per file,
-    ``_summarize`` sets it to ``info.file``, ``_eval_include`` pushes and
-    pops it).  Every pre-formatted trace/label/site string relies on it;
-    the difftest ``ir`` axis would catch any violation.
+    ``_summarize`` sets it to ``info.file``, ``_include`` pushes and
+    pops it).  Every pre-formatted trace/label/site string relies on it.
     """
 
     def __init__(
@@ -726,10 +816,10 @@ class IRTaintEngine(TaintEngine):
     def _exec_code(self, code: Tuple[tuple, ...], scope: Scope) -> None:
         """Execute one lowered statement list.
 
-        The parent's ``_exec`` → ``_exec_dispatch`` pair is inlined:
-        depth increment + cap check, then the step tick, then dispatch.
-        There is no try/finally around the depth bookkeeping — every
-        exception that can unwind from here (``BudgetExceeded``,
+        Per statement: depth increment + cap check, then the step tick
+        (plugin budget, unit budget, deadline every 256 steps), then
+        dispatch.  There is no try/finally around the depth bookkeeping
+        — every exception that can unwind from here (``BudgetExceeded``,
         ``UnitFault``, ``RecursionError``) lands in ``_run_unit``,
         whose ``finally`` resets ``_depth`` to 0 (the strict path never
         consults depth, since ``recover=False`` leaves the cap unset).
@@ -761,7 +851,8 @@ class IRTaintEngine(TaintEngine):
             self._depth = depth - 1
 
     def _eval_code(self, code: tuple, scope: Scope) -> Value:
-        """Evaluate one lowered expression (the parent's ``_eval``)."""
+        """Evaluate one lowered expression: depth and step bookkeeping
+        as in :meth:`_exec_code`, then dispatch on the opcode."""
         depth = self._depth + 1
         self._depth = depth
         cap = self._depth_cap
@@ -795,7 +886,7 @@ class IRTaintEngine(TaintEngine):
 
     def _st_echo(self, instr: tuple, scope: Scope) -> None:
         for code, pre in instr[1]:
-            self._ir_check_xss(code, pre, scope)
+            self._check_xss(code, pre, scope)
 
     def _st_if(self, instr: tuple, scope: Scope) -> None:
         self._eval_code(instr[1], scope)
@@ -819,20 +910,21 @@ class IRTaintEngine(TaintEngine):
         self._exec_code_loop(instr[3], scope)
 
     def _st_foreach(self, instr: tuple, scope: Scope) -> None:
-        node = instr[1]
-        subject = self._eval_code(instr[2], scope)
-        for target in (node.key_var, node.value_var):
-            if isinstance(target, ast.Variable):
-                scope.records[target.name] = VariableRecord(
-                    name=target.name,
+        subject = self._eval_code(instr[1], scope)
+        for target in instr[2]:
+            if target.__class__ is str:
+                # element values of a tainted container stay tainted but
+                # their class is unknown
+                scope.records[target] = VariableRecord(
+                    name=target,
                     file=self._current_file,
-                    line=node.line,
+                    line=instr[4],
                     taint=subject.taint,
                     class_name=None,
                     trace=subject.trace,
                 )
-            elif target is not None:
-                self._assign_to(target, subject, scope, node.line)
+            else:
+                self._assign_to(target, subject, scope)
         self._exec_code_loop(instr[3], scope)
 
     def _st_switch(self, instr: tuple, scope: Scope) -> None:
@@ -853,10 +945,69 @@ class IRTaintEngine(TaintEngine):
         summary.return_class = summary.return_class or value.class_name
 
     def _st_global(self, instr: tuple, scope: Scope) -> None:
-        self._exec_global(instr[1], scope)
+        """Bind names to the global scope; known CMS instances (e.g.
+        ``global $wpdb``) get their class from the profile."""
+        frame = self._summary_stack[-1] if self._summary_stack else None
+        if frame is not None:
+            # the summary observes run-order-dependent global state, so
+            # it cannot be reused across runs
+            frame.uses_globals = True
+        for name in instr[1]:
+            if frame is not None:
+                frame.global_reads.add(name)
+            if self.track and self._unit_fp is not None:
+                self._unit_fp.reads.add(name)
+            record = self.globals.get(name)
+            if record is None:
+                class_name = None
+                if self._oop:
+                    instance = self.profile.known_instance(name)
+                    if instance is not None:
+                        class_name = instance.class_name
+                record = VariableRecord(
+                    name=name,
+                    file=self._current_file,
+                    line=instr[2],
+                    class_name=class_name,
+                )
+                self.globals.set(record)
+                if class_name and frame is not None:
+                    # materializing a known CMS instance binding is a
+                    # class-bearing write other units can observe
+                    frame.global_writes.add(name)
+            scope.set(record)
+            scope.global_aliases.add(name)
 
     def _st_static(self, instr: tuple, scope: Scope) -> None:
-        self._exec_static_vars(instr[1], scope)
+        """``static $s`` keeps its value across calls: one taint slot per
+        (function, variable) lives in the engine, every activation joins
+        the stored taint into its binding, and writes join back through
+        :meth:`_write_variable` — so taint stored by one call is observed
+        by the next (reached via the two-pass scheme in ``_summarize``)."""
+        if self._summary_stack:
+            frame = self._summary_stack[-1]
+            frame.uses_statics = True
+            owner = frame.key
+            frame.static_tokens.add(f"static:{owner}")
+        else:
+            owner = f"<main>:{self._current_file}"
+        if self.track and self._unit_fp is not None:
+            self._unit_fp.statics.add(f"static:{owner}")
+        slots = self._static_store.setdefault(owner, {})
+        for name, default in instr[1]:
+            value = self._eval_code(default, scope) if default is not None else Value()
+            taint = value.taint
+            prior = slots.get(name)
+            if prior is not None:
+                taint = taint.joined(prior)
+            slots[name] = taint
+            scope.set(
+                VariableRecord(
+                    name=name, file=self._current_file, line=instr[2], taint=taint
+                )
+            )
+            scope.static_names.add(name)
+            scope.static_slots = slots
 
     def _st_unset(self, instr: tuple, scope: Scope) -> None:
         file = self._current_file
@@ -884,7 +1035,14 @@ class IRTaintEngine(TaintEngine):
         scope: Scope,
         exhaustive: bool,
     ) -> None:
-        """Lowered mirror of :meth:`TaintEngine._exec_branches`."""
+        """Execute each branch from the pre-state and join the outcomes
+        ("the analysis takes into account all possible paths").
+
+        ``exhaustive`` means the branches cover every path (an ``if``
+        with ``else``, a ``switch`` with ``default``): the pre-state is
+        then not a possible outcome and a variable cleaned on every
+        branch really is clean afterwards.
+        """
         outcomes: List[Scope] = []
         for code in branch_codes:
             snapshot = scope.copy()
@@ -898,7 +1056,7 @@ class IRTaintEngine(TaintEngine):
             scope.records = joined.records
 
     def _exec_code_loop(self, body: Tuple[tuple, ...], scope: Scope) -> None:
-        """Lowered mirror of :meth:`TaintEngine._exec_loop`."""
+        """Two joined passes propagate loop-carried taint."""
         snapshot = scope.copy()
         self._exec_code(body, snapshot)
         self._exec_code(body, snapshot)
@@ -918,9 +1076,20 @@ class IRTaintEngine(TaintEngine):
                 instance_class = code[3]
                 if instance_class:
                     return Value(class_name=instance_class, name_hint=code[2])
-            rg_pre = code[4]
-            if rg_pre is not None and scope is self.globals:
-                return Value(taint=rg_pre[0], trace=rg_pre[1], name_hint=code[2])
+            rg_line = code[4]
+            if rg_line is not None and scope is self.globals:
+                # Pixy-era model: uninitialized globals are attacker-set
+                label = ConcreteSource(
+                    vector=InputVector.GET,
+                    name=f"register_globals:{code[2]}",
+                    file=self._current_file,
+                    line=rg_line,
+                )
+                return Value(
+                    taint=TaintState.from_label(label, self._kind_universe),
+                    trace=(f"uninitialized {code[2]} at {self._current_file}:{rg_line}",),
+                    name_hint=code[2],
+                )
             return Value(name_hint=code[2])
         class_name = record.class_name or ""
         if not class_name and self._oop and code[3]:
@@ -1010,36 +1179,7 @@ class IRTaintEngine(TaintEngine):
         else:
             self._eval_code(code[5], scope)
             result = Value()
-        # inlined Variable branch of TaintEngine._assign_to
-        name = code[2]
-        records = scope.records
-        was_global_alias = (
-            scope is not self.globals
-            and name in scope.global_aliases
-            and name in records
-        )
-        trace = result.trace + (code[3],)
-        record = VariableRecord(
-            name=name,
-            file=code[7],
-            line=code[8],
-            taint=result.taint,
-            class_name=result.class_name or None,
-            trace=trace[-self._max_trace:],
-        )
-        records[name] = record
-        if was_global_alias:
-            self.globals.records[name] = record
-        if name in scope.static_names and scope.static_slots is not None:
-            prior = scope.static_slots.get(name)
-            scope.static_slots[name] = (
-                result.taint if prior is None else prior.joined(result.taint)
-            )
-        group = scope.ref_groups.get(name)
-        if group is not None:
-            for alias in group:
-                if alias != name:
-                    records[alias] = record.updated(name=alias)
+        self._write_variable(scope, code[2], result, code[3], code[7], code[8])
         return result
 
     def _ex_assign(self, code: tuple, scope: Scope) -> Value:
@@ -1053,8 +1193,74 @@ class IRTaintEngine(TaintEngine):
         else:
             self._eval_code(code[4], scope)
             result = Value()
-        self._assign_to(code[2], result, scope, code[5])
+        if code[2] is not None:
+            self._assign_to(code[2], result, scope)
         return result
+
+    def _write_variable(
+        self,
+        scope: Scope,
+        name: str,
+        value: Value,
+        trace_step: str,
+        file: str,
+        line: int,
+    ) -> None:
+        """Bind ``$name`` to ``value`` and mirror the write through a
+        ``global`` alias, a ``static`` slot and a ``=&`` reference group."""
+        records = scope.records
+        was_global_alias = (
+            scope is not self.globals
+            and name in scope.global_aliases
+            and name in records
+        )
+        trace = value.trace + (trace_step,)
+        record = VariableRecord(
+            name=name,
+            file=file,
+            line=line,
+            taint=value.taint,
+            class_name=value.class_name or None,
+            trace=trace[-self._max_trace:],
+        )
+        records[name] = record
+        if was_global_alias:
+            # `global $x` alias: write through to the global scope
+            self.globals.records[name] = record
+        if name in scope.static_names and scope.static_slots is not None:
+            # `static $x`: join the write into the cross-call slot
+            prior = scope.static_slots.get(name)
+            scope.static_slots[name] = (
+                value.taint if prior is None else prior.joined(value.taint)
+            )
+        group = scope.ref_groups.get(name)
+        if group is not None:
+            # `$b =& $a` aliases: mirror the write to every member
+            for alias in group:
+                if alias != name:
+                    records[alias] = record.updated(name=alias)
+
+    def _assign_to(self, target: tuple, value: Value, scope: Scope) -> None:
+        """Write ``value`` through one lowered target (``T_*``)."""
+        op = target[0]
+        if op == T_VAR:
+            self._write_variable(scope, target[1], value, *target[2:])
+        elif op == T_ELEM:
+            self._join_into(scope, target[1], value.taint, target[2], target[3])
+        elif op == T_PROP:
+            obj = self._eval_code(target[1], scope)
+            prop = target[2]
+            if self._oop and obj.class_name and prop:
+                self._record_prop_write(obj.class_name, prop, value.taint)
+            elif target[3] is not None:
+                # untyped object: taint the container variable itself
+                self._join_into(scope, target[3], value.taint, target[4], target[5])
+        elif op == T_SPROP:
+            if self._oop:
+                self._record_prop_write(target[1], target[2], value.taint)
+        else:  # T_LIST
+            for sub_target in target[1]:
+                self._assign_to(sub_target, value, scope)
 
     def _ex_binary(self, code: tuple, scope: Scope) -> Value:
         left = self._eval_code(code[1], scope)
@@ -1161,31 +1367,32 @@ class IRTaintEngine(TaintEngine):
 
     def _ex_scall(self, code: tuple, scope: Scope) -> Value:
         values = [self._eval_code(arg, scope) for arg in code[2]]
-        return self._static_call_with_values(code[1], values, scope)
+        return self._static_call(code[1], values, scope)
 
     def _ex_new(self, code: tuple, scope: Scope) -> Value:
         values = [self._eval_code(arg, scope) for arg in code[2]]
-        return self._new_with_values(code[1], values, scope)
+        return self._new(code[1], values, scope)
 
     def _ex_clone(self, code: tuple, scope: Scope) -> Value:
         return self._eval_code(code[1], scope)
 
     def _ex_include(self, code: tuple, scope: Scope) -> Value:
         path_value = self._eval_code(code[2], scope)
-        return self._include_with_value(code[1], path_value, scope)
+        return self._include(code[1], path_value, scope)
 
     def _ex_exit(self, code: tuple, scope: Scope) -> Value:
         if code[1] is not None:
-            self._ir_check_xss(code[1], code[2], scope)
+            self._check_xss(code[1], code[2], scope)
         return Value()
 
     def _ex_print(self, code: tuple, scope: Scope) -> Value:
-        self._ir_check_xss(code[1], code[2], scope)
+        self._check_xss(code[1], code[2], scope)
         return Value()
 
-    def _ir_check_xss(self, code: tuple, pre: tuple, scope: Scope) -> None:
-        """Lowered :meth:`TaintEngine._check_xss_output`: the markup
-        context and site strings come pre-computed in ``pre``."""
+    def _check_xss(self, code: tuple, pre: tuple, scope: Scope) -> None:
+        """echo/print/exit: evaluate and flag XSS-tainted output.  The
+        markup context and site strings come pre-computed in ``pre``
+        (see :meth:`_Lowerer._xss_pre`)."""
         value = self._eval_code(code, scope)
         if value.taint.active.get(VulnKind.XSS):
             self._emit(

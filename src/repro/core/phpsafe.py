@@ -22,6 +22,7 @@ from ..perf import counters, derive
 from ..plugin import Plugin
 from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
 from .engine import EngineOptions, TaintEngine, summary_is_valid
+from .ir import IRTaintEngine
 from .model import PluginModel
 from .results import FileFailure, Finding, ToolReport
 from .tool import AnalyzerTool
@@ -59,11 +60,6 @@ class PhpSafeOptions:
     #: (the batch path gets its timeout from SIGALRM).  Only honoured
     #: with ``recover=True``; overrides ``engine.unit_deadline``.
     file_deadline: Optional[float] = None
-    #: Run the taint fixed-point over lowered linear IR instead of
-    #: re-walking the AST (same findings, ~2x faster analysis; the
-    #: difftest ``ir`` axis enforces signature equality).  ``False``
-    #: (the CLI's ``--no-ir``) selects the reference AST interpreter.
-    use_ir: bool = True
     engine: EngineOptions = field(default_factory=EngineOptions)
 
 
@@ -155,11 +151,6 @@ class PhpSafe(AnalyzerTool):
         budget was left when it was computed (faulted placeholder
         summaries are never persisted)."""
         spec = (
-            # evaluator tag: IR and AST runs must never share cached
-            # summaries, rescan manifests, or lowered-IR entries — the
-            # results are identical by contract, but a shared namespace
-            # would mask an evaluator divergence instead of surfacing it
-            "ir" if self.options.use_ir else "ast",
             self.profile.fingerprint(),
             engine_options.oop,
             engine_options.analyze_uncalled,
@@ -305,19 +296,13 @@ class PhpSafe(AnalyzerTool):
         fingerprint = ""
         if self.cache is not None:
             fingerprint = self._summary_fingerprint(engine_options)
-        if self.options.use_ir:
-            # late import: the IR evaluator builds on top of the engine
-            from .ir import IRTaintEngine
-
-            engine: TaintEngine = IRTaintEngine(
-                model,
-                self.profile,
-                engine_options,
-                ir_store=self.cache,
-                ir_fingerprint=fingerprint,
-            )
-        else:
-            engine = TaintEngine(model, self.profile, engine_options)
+        engine = IRTaintEngine(
+            model,
+            self.profile,
+            engine_options,
+            ir_store=self.cache,
+            ir_fingerprint=fingerprint,
+        )
         use_summary_cache = self.cache is not None and engine_options.use_summaries
         digests: Dict[str, str] = {}
         preloaded: Set[str] = set()

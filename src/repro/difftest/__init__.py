@@ -5,8 +5,8 @@ of its *capability envelope* rather than of which execution path ran:
 
 * :class:`~repro.difftest.oracle.ConfigMatrixOracle` scans one corpus
   through every configuration axis (strict/recover, cache cold/warm,
-  serial/parallel, summaries on/off, incremental rescan vs full scan,
-  IR evaluator vs AST interpreter) and diffs the finding sets — any
+  serial/parallel, summaries on/off, incremental rescan vs full scan)
+  and diffs the finding sets — any
   difference is a typed :class:`~repro.difftest.divergence.Divergence`;
 * :func:`~repro.difftest.slices.run_slices` runs a deterministic
   catalog of minimal per-construct PHP slices through all three tools,

@@ -1,6 +1,6 @@
 """Typed divergence model of the differential harness.
 
-The analyzer has six independent configuration axes that must not
+The analyzer has five independent configuration axes that must not
 change *what* is found, only *how* it is found:
 
 * ``recover`` — strict all-or-nothing pipeline vs fault-tolerant
@@ -10,10 +10,7 @@ change *what* is found, only *how* it is found:
 * ``summaries`` — function-summary memoization on vs off,
 * ``incremental`` — diff-aware rescan (one file mutated, unchanged
   analysis units reused from the prior scan's manifest) vs a cold
-  full scan of the same mutated plugin,
-* ``ir`` — the lowered taint-IR evaluator vs the reference AST
-  interpreter (``--no-ir``), the two implementations of the same
-  fixed-point semantics.
+  full scan of the same mutated plugin.
 
 A finding present on one side of an axis but not the other is a
 :class:`Divergence`: a correctness bug in one of the two execution
@@ -32,7 +29,7 @@ from ..core.results import FindingSignature
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 
 #: the config axes the oracle exercises
-AXES = ("recover", "cache", "jobs", "summaries", "incremental", "ir")
+AXES = ("recover", "cache", "jobs", "summaries", "incremental")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .divergence import AxisOutcome, DifftestReport, diff_signatures
 
 def _pack_enabled_base() -> PhpSafeOptions:
     """Default baseline options: every builtin rule pack loaded, so all
-    six axes exercise the pack-compiled profile (the pack content hash
+    five axes exercise the pack-compiled profile (the pack content hash
     then flows through every cache key the axes compare)."""
     from ..rules import builtin_pack_names
 
@@ -49,7 +49,7 @@ class OracleOptions:
 
 
 class ConfigMatrixOracle:
-    """Drives the six axis comparisons over generated corpora."""
+    """Drives the five axis comparisons over generated corpora."""
 
     def __init__(self, options: Optional[OracleOptions] = None) -> None:
         self.options = options or OracleOptions()
@@ -106,7 +106,7 @@ class ConfigMatrixOracle:
             cold |= finding_signatures([cold_report])
         return cold, incremental
 
-    # -- the six axes ------------------------------------------------------
+    # -- the five axes -----------------------------------------------------
 
     def run_version(self, version: str) -> DifftestReport:
         corpus = build_corpus(version, scale=self.options.scale)
@@ -197,28 +197,6 @@ class ConfigMatrixOracle:
                     "incremental-rescan",
                     cold_mutated,
                     warm_mutated,
-                ),
-            )
-        )
-
-        # ir: the lowered taint-IR evaluator vs the reference AST
-        # interpreter — two implementations of the same fixed-point
-        # semantics, so every finding must match bit-for-bit
-        ast_side = self._scan(plugins, replace(base_options, use_ir=False))
-        ir_side = (
-            baseline
-            if base_options.use_ir
-            else self._scan(plugins, replace(base_options, use_ir=True))
-        )
-        report.axes.append(
-            AxisOutcome(
-                axis="ir",
-                left="ast-interpreter",
-                right="ir-evaluator",
-                left_count=len(ast_side),
-                right_count=len(ir_side),
-                divergences=diff_signatures(
-                    "ir", "ast-interpreter", "ir-evaluator", ast_side, ir_side
                 ),
             )
         )

@@ -9,8 +9,8 @@ propagation taxonomy (``SrcToSink`` = sources, ``ArgToSink`` = sinks,
 ``ArgToReturn`` = propagation).
 
 Packs compile into the existing :class:`~repro.config.AnalyzerProfile`
-machinery, so the AST interpreter and the taint IR execute them
-unchanged, and each pack's identity (name, version, content hash)
+machinery, so the taint engine executes them unchanged, and each
+pack's identity (name, version, content hash)
 lands in :meth:`AnalyzerProfile.fingerprint` — summary, IR, and disk
 cache keys plus the service analyzer fingerprint all change when pack
 content changes, making stale cached results across pack versions

@@ -205,6 +205,9 @@ class WorkerPool:
             )
         document = result_document(job, report, outcome, rescan)
         self.store.put_result(job.digest, job.fingerprint, document)
+        # count the run before publishing its state: a poller that sees
+        # the job finished must also see it in the stats
+        self._record(job, report, outcome, delta, scope.report(), rescan)
         if outcome == "ok":
             if new_manifest is not None:
                 self.store.put_manifest(job.digest, job.fingerprint, new_manifest)
@@ -212,8 +215,6 @@ class WorkerPool:
             self.queue.complete(job.id)
         else:
             self.queue.fail(job.id, f"analysis {outcome}")
-        finished = self.queue.get(job.id) or job
-        self._record(finished, report, outcome, delta, scope.report(), rescan)
 
     def _record(
         self,

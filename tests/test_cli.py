@@ -59,14 +59,6 @@ class TestScan:
         assert main(["scan", str(path)]) == 1
         assert main(["scan", str(path), "--no-oop"]) == 0
 
-    def test_scan_no_ir_flag_same_findings(self, vulnerable_file, capsys):
-        assert main(["scan", vulnerable_file, "--no-ir"]) == 1
-        ast_out = capsys.readouterr().out
-        assert main(["scan", vulnerable_file]) == 1
-        ir_out = capsys.readouterr().out
-        assert "1 finding(s)" in ast_out
-        assert "1 finding(s)" in ir_out
-
 
 @pytest.fixture()
 def corpus_dir(tmp_path):

@@ -61,7 +61,8 @@ def _measure(tool, plugin: Plugin) -> Dict[str, object]:
     """One analyzer run: its finding signatures and engine step count."""
     before = counters.engine_steps
     report = tool.analyze(plugin)
-    return {"steps": counters.engine_steps - before, "findings": _signature_rows(report)}
+    steps = counters.engine_steps - before
+    return {"steps": steps, "findings": _signature_rows(report)}
 
 
 def _pack_options() -> PhpSafeOptions:
@@ -115,17 +116,6 @@ def load_golden(name: str) -> Dict[str, object]:
         return json.load(handle)
 
 
-def stress_signatures() -> set:
-    """The ``scale-smoke`` golden as a signature set
-    ``(plugin slug, kind, file, line, sink)``."""
-    document = load_golden(STRESS_TIER)
-    return {
-        (slug, kind, file, int(line), sink)
-        for slug, rows in document["plugins"].items()
-        for kind, file, line, sink in rows
-    }
-
-
 def write_golden(name: str, document: Dict[str, object]) -> None:
     """One plugin (or slice) per line, so a change diffs to the rows
     that moved."""
@@ -157,15 +147,31 @@ def write_golden(name: str, document: Dict[str, object]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _row_change(want, got) -> str:
+    if want is None or got is None:
+        return f"expected {want}, got {got}"
+    parts = []
+    if want["steps"] != got["steps"]:
+        parts.append(f"steps {want['steps']} -> {got['steps']}")
+    missing = [row for row in want["findings"] if row not in got["findings"]]
+    extra = [row for row in got["findings"] if row not in want["findings"]]
+    if missing:
+        parts.append(f"missing {missing}")
+    if extra:
+        parts.append(f"unexpected {extra}")
+    return "; ".join(parts)
+
+
 def _differences(actual: Dict[str, dict], expected: Dict[str, dict]) -> List[str]:
     """Readable per-tool, per-row differences (first few per tool)."""
     problems: List[str] = []
     for tool in sorted(set(actual) | set(expected)):
         got = actual.get(tool, {})
         want = expected.get(tool, {})
-        moved = [key for key in sorted(set(got) | set(want)) if got.get(key) != want.get(key)]
+        keys = sorted(set(got) | set(want))
+        moved = [key for key in keys if got.get(key) != want.get(key)]
         for key in moved[:5]:
-            problems.append(f"{tool} {key}: expected {want.get(key)}, got {got.get(key)}")
+            problems.append(f"{tool} {key}: {_row_change(want.get(key), got.get(key))}")
         if len(moved) > 5:
             problems.append(f"{tool}: ... {len(moved) - 5} more rows differ")
     return problems
