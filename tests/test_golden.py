@@ -9,7 +9,13 @@ how much taint work they do to find it:
   phpSAFE's builtin rule packs loaded (the catalog's reference setup);
 - ``scale-smoke.json``: phpSAFE's finding signatures on the
   ``scale-smoke`` stress tier (seed 0), checked against the streamed
-  run by ``scripts/scale_smoke.py``.
+  run by ``scripts/scale_smoke.py``;
+- ``frontend.json``: per file of the same inputs (both paper corpora at
+  scale 0.25, the ``scale-smoke`` tier and every slice), a sha256 of a
+  structural dump of the parsed AST and the ``(line, markup context)``
+  of every echo/print/exit site.  Finding signatures omit the markup
+  context, and a parser change can move a node without moving a
+  finding, so these pin the front end on its own.
 
 Every analyzer is fresh and uncached, so step counts do not depend on
 what ran before.  The step count is where step budgets and unit
@@ -23,19 +29,25 @@ Regenerate after an intended change with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
 from repro.baselines import PixyLike, RipsLike
 from repro.core.phpsafe import PhpSafe, PhpSafeOptions
+from repro.core.ir import _literal_prefix
 from repro.core.results import finding_signatures
 from repro.corpus.generator import build_corpus
 from repro.difftest import SLICES
 from repro.perf import counters
+from repro.php import ast_nodes as ast
+from repro.php.errors import PhpSyntaxError
+from repro.php.htmlcontext import context_at_end
+from repro.php.parser import parse_source
 from repro.plugin import Plugin
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -111,6 +123,90 @@ def capture_stress() -> Dict[str, object]:
     }
 
 
+def ast_fingerprint(tree: ast.Node) -> str:
+    """sha256 of a structural dump of ``tree``: every node's class and
+    every field in declaration order (``line`` included), children
+    nested in place and scalars by ``repr``.  Iterative, so deeply
+    nested concatenation chains need no recursion."""
+    digest = hashlib.sha256()
+    stack: List[Tuple[bool, object]] = [(False, tree)]
+    while stack:
+        is_text, item = stack.pop()
+        if is_text:
+            digest.update(item.encode("utf-8", "surrogatepass"))
+        elif isinstance(item, ast.Node):
+            stack.append((True, ")"))
+            for name in reversed(item.__node_fields__):
+                stack.append((False, getattr(item, name)))
+                stack.append((True, f" {name}="))
+            stack.append((True, f"({item.__class__.__name__}"))
+        elif isinstance(item, (list, tuple)):
+            stack.append((True, "]"))
+            for element in reversed(item):
+                stack.append((False, element))
+                stack.append((True, " "))
+            stack.append((True, "["))
+        else:
+            stack.append((True, repr(item)))
+    return digest.hexdigest()
+
+
+def output_sites(tree: ast.Node) -> List[list]:
+    """``[line, context]`` of every echo/print/exit site, document
+    order, with the context the taint IR records for it."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.EchoStatement):
+            exprs = node.exprs
+        elif isinstance(node, (ast.PrintExpr, ast.ExitExpr)):
+            exprs = [node.expr]
+        else:
+            continue
+        for expr in exprs:
+            line = expr.line if expr is not None else 0
+            sites.append([line, context_at_end(_literal_prefix(expr)).value])
+    return sites
+
+
+def _frontend_row(plugin: Plugin) -> Dict[str, object]:
+    """Per file of ``plugin``: AST fingerprint and output sites, or the
+    error that stopped the recovering front end."""
+    row: Dict[str, object] = {}
+    for path, source in plugin.iter_files():
+        try:
+            tree = parse_source(source, path, recover=True)
+        except PhpSyntaxError as error:
+            row[path] = {"error": str(error)}
+            continue
+        row[path] = {"ast": ast_fingerprint(tree), "sites": output_sites(tree)}
+    return row
+
+
+def _frontend_inputs() -> Iterator[Tuple[str, Iterator[Plugin]]]:
+    from repro.corpus.stress import get_tier, iter_stress_plugins
+
+    for version in VERSIONS:
+        yield f"paper-{version}", iter(build_corpus(version, scale=SCALE).plugins)
+    yield STRESS_TIER, iter_stress_plugins(get_tier(STRESS_TIER), STRESS_SEED)
+    yield "slices", (
+        Plugin(name=f"slice-{piece.name}", files={"slice.php": piece.code})
+        for piece in SLICES
+    )
+
+
+def capture_frontend() -> Dict[str, object]:
+    corpora = {
+        name: {plugin.slug: _frontend_row(plugin) for plugin in plugins}
+        for name, plugins in _frontend_inputs()
+    }
+    return {
+        "schema": SCHEMA,
+        "scale": SCALE,
+        "stress": [STRESS_TIER, STRESS_SEED],
+        "corpora": corpora,
+    }
+
+
 def load_golden(name: str) -> Dict[str, object]:
     with open(golden_path(name), "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -119,7 +215,7 @@ def load_golden(name: str) -> Dict[str, object]:
 def write_golden(name: str, document: Dict[str, object]) -> None:
     """One plugin (or slice) per line, so a change diffs to the rows
     that moved."""
-    nested = "tools" if "tools" in document else "plugins"
+    nested = next(key for key in ("tools", "corpora", "plugins") if key in document)
     lines = ["{"]
     head = [key for key in document if key != nested]
     for key in head:
@@ -206,6 +302,26 @@ def test_golden_covers_every_tool_and_slice():
         )
 
 
+def test_frontend_matches_golden():
+    expected = load_golden("frontend")
+    assert expected["scale"] == SCALE
+    actual = capture_frontend()["corpora"]
+    problems = []
+    for corpus in sorted(set(actual) | set(expected["corpora"])):
+        got = actual.get(corpus, {})
+        want = expected["corpora"].get(corpus, {})
+        moved = [
+            f"{corpus} {slug} {path}"
+            for slug in sorted(set(got) | set(want))
+            for path in sorted(set(got.get(slug, {})) | set(want.get(slug, {})))
+            if got.get(slug, {}).get(path) != want.get(slug, {}).get(path)
+        ]
+        problems.extend(moved[:5])
+        if len(moved) > 5:
+            problems.append(f"{corpus}: ... {len(moved) - 5} more files differ")
+    assert not problems, "\n".join(problems)
+
+
 def _main(argv: List[str]) -> int:
     if argv != ["--write"]:
         print("usage: python -m tests.test_golden --write", file=sys.stderr)
@@ -214,6 +330,7 @@ def _main(argv: List[str]) -> int:
         write_golden(f"paper-{version}", capture_paper(version))
     write_golden("slices", capture_slices())
     write_golden(STRESS_TIER, capture_stress())
+    write_golden("frontend", capture_frontend())
     print(f"golden files written to {GOLDEN_DIR}")
     return 0
 
