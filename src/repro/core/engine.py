@@ -372,12 +372,25 @@ class Scope:
         return clone
 
     def join_from(self, *branches: "Scope") -> None:
-        """Merge branch outcomes into this scope (taint union)."""
-        names: Set[str] = set(self.records)
+        """Merge branch outcomes into this scope (taint union).
+
+        Every branch starts as a :meth:`copy` of one pre-state, and a
+        write rebinds a name to a new record (``updated()``), so a name
+        holding the receiver's record object in every branch that has
+        it was not written on any path and its join is the identity.
+        Only the names some branch rebound or added are joined; taint
+        states are interned, so skipping the rest is exact.  A name a
+        branch unset is joined over the scopes that still hold it.
+        """
+        records = self.records
+        own = records.get
+        changed: Dict[str, None] = {}
         for branch in branches:
-            names.update(branch.records)
+            for name, record in branch.records.items():
+                if own(name) is not record:
+                    changed[name] = None
         scopes = (self, *branches)
-        for name in names:
+        for name in changed:
             variants = [
                 scope.records[name]
                 for scope in scopes
@@ -388,10 +401,9 @@ class Scope:
                 if record is not first:
                     break
             else:
-                # every path holds the same record object (name untouched
-                # in all branches): the join is the identity, so skip the
-                # rebind — taint states are interned, so this is exact
-                self.records[name] = first
+                # every scope that has the name holds one record object
+                # (the receiver lacks it): take that record as is
+                records[name] = first
                 continue
             taint = first.taint
             for record in variants[1:]:
@@ -399,7 +411,7 @@ class Scope:
             class_name = join_class_names(
                 record.class_name or "" for record in variants
             )
-            self.records[name] = variants[-1].updated(
+            records[name] = variants[-1].updated(
                 taint=taint, class_name=class_name or None
             )
 
@@ -677,8 +689,8 @@ class TaintEngine:
         """Record global names whose effective value changed this unit.
 
         Taint states are interned, so identity compares are exact; a
-        record object replaced with an equal value (``join_from``
-        rebinds unchanged names) is correctly ignored.
+        record object replaced with an equal value (``join_from`` of
+        branch records that agree in value) is correctly ignored.
         """
         if footprint is None:
             return

@@ -13,13 +13,14 @@ closures, and ``include``/``require``.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Union
 
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from . import ast_nodes as ast
 from .errors import PhpParseError
 from .lexer import tokenize_significant
-from .tokens import Token, TokenType
+from .tokens import KEYWORDS, OPERATORS, Token, TokenType
 
 #: statement-starting keywords the panic-mode recovery resynchronizes on
 #: (in addition to ``;`` and ``}`` statement boundaries)
@@ -51,75 +52,73 @@ _SYNC_TOKENS = frozenset(
     }
 )
 
-# Binary operator precedence, PHP manual order (higher binds tighter).
-# `??` sits between `||` and the ternary and is right-associative —
-# handled in the main binary loop rather than a dedicated ladder level.
-_BINARY_PRECEDENCE = {
-    "or": 1,
-    "xor": 2,
-    "and": 3,
-    "??": 4,
-    "||": 5,
-    "&&": 6,
-    "|": 7,
-    "^": 8,
-    "&": 9,
-    "==": 10,
-    "!=": 10,
-    "===": 10,
-    "!==": 10,
-    "<>": 10,
-    "<": 11,
-    "<=": 11,
-    ">": 11,
-    ">=": 11,
-    "<<": 12,
-    ">>": 12,
-    "+": 13,
-    "-": 13,
-    ".": 13,
-    "*": 14,
-    "/": 14,
-    "%": 14,
-    "instanceof": 16,
-    "**": 17,
+# Infix operators of the binding-power loop in ``Parser._parse_expression``.
+# A higher power binds tighter (PHP manual order).  Two PHP 5 rules shape
+# the low end: `and`/`or`/`xor` bind looser than `=` (one level, left to
+# right), and the right side of `=`, `op=` and both arms of `?:` are
+# parsed at assignment power, so each holds a full assignment.
+_BINARY_POWER = {
+    op: power
+    for power, ops in (
+        (1, "and or xor"),
+        (4, "??"),
+        (5, "||"),
+        (6, "&&"),
+        (7, "|"),
+        (8, "^"),
+        (9, "&"),
+        (10, "== != === !=="),
+        (11, "< <= > >="),
+        (12, "<< >>"),
+        (13, "+ - ."),
+        (14, "* / %"),
+        (17, "**"),
+    )
+    for op in ops.split()
 }
-
 _RIGHT_ASSOC = {"**", "??"}
+_ASSIGN_POWER, _TERNARY_POWER, _INSTANCEOF_POWER = 2, 3, 16
 
-_COMPOUND_ASSIGN = {
-    TokenType.PLUS_EQUAL: "+",
-    TokenType.MINUS_EQUAL: "-",
-    TokenType.MUL_EQUAL: "*",
-    TokenType.DIV_EQUAL: "/",
-    TokenType.CONCAT_EQUAL: ".",
-    TokenType.MOD_EQUAL: "%",
-    TokenType.AND_EQUAL: "&",
-    TokenType.OR_EQUAL: "|",
-    TokenType.XOR_EQUAL: "^",
-    TokenType.SL_EQUAL: "<<",
-    TokenType.SR_EQUAL: ">>",
-    TokenType.COALESCE_EQUAL: "??",
+# infix kinds: what the loop builds once it consumed the operator
+_BINARY, _ASSIGN, _TERNARY, _INSTANCEOF = range(4)
+
+#: spelling -> (power, power of the right operand, kind)
+_INFIX = {
+    op: (power, power if op in _RIGHT_ASSOC else power + 1, _BINARY)
+    for op, power in _BINARY_POWER.items()
+}
+_INFIX.update(
+    (op, (_ASSIGN_POWER, _ASSIGN_POWER, _ASSIGN))
+    for op in "= += -= *= /= .= %= &= |= ^= <<= >>= ??=".split()
+)
+_INFIX["?"] = (_TERNARY_POWER, _ASSIGN_POWER, _TERNARY)
+_INFIX["instanceof"] = (_INSTANCEOF_POWER, 0, _INSTANCEOF)
+
+#: the loop's lookup tables, valued (power, right power, kind, spelling):
+#: one-character operators arrive as CHAR tokens keyed by their text,
+#: the rest by token type (``<>`` is spelled ``!=``)
+_INFIX_CHARS = {op: (*entry, op) for op, entry in _INFIX.items() if len(op) == 1}
+_INFIX_TOKENS = {
+    type_: (*_INFIX[op], op)
+    for op, type_ in (*OPERATORS, *KEYWORDS.items())
+    if op in _INFIX
 }
 
-_BINARY_TOKEN_SPELLING = {
-    TokenType.COALESCE: "??",
-    TokenType.BOOLEAN_AND: "&&",
-    TokenType.BOOLEAN_OR: "||",
-    TokenType.LOGICAL_AND: "and",
-    TokenType.LOGICAL_OR: "or",
-    TokenType.LOGICAL_XOR: "xor",
-    TokenType.IS_EQUAL: "==",
-    TokenType.IS_NOT_EQUAL: "!=",
-    TokenType.IS_IDENTICAL: "===",
-    TokenType.IS_NOT_IDENTICAL: "!==",
-    TokenType.IS_SMALLER_OR_EQUAL: "<=",
-    TokenType.IS_GREATER_OR_EQUAL: ">=",
-    TokenType.SL: "<<",
-    TokenType.SR: ">>",
-    TokenType.POW: "**",
-    TokenType.INSTANCEOF: "instanceof",
-}
+#: keywords that end an alternative-syntax (``: ... endX;``) statement list
+_CLOSER_TYPES = frozenset(
+    {
+        TokenType.ENDIF,
+        TokenType.ENDWHILE,
+        TokenType.ENDFOR,
+        TokenType.ENDFOREACH,
+        TokenType.ENDSWITCH,
+        TokenType.ENDDECLARE,
+        TokenType.ELSE,
+        TokenType.ELSEIF,
+        TokenType.CASE,
+        TokenType.DEFAULT,
+    }
+)
 
 _CAST_NAMES = {
     TokenType.INT_CAST: "int",
@@ -138,8 +137,10 @@ _INCLUDE_KINDS = {
     TokenType.REQUIRE_ONCE: "require_once",
 }
 
-# Non-CHAR token types that introduce a prefix form in `_parse_unary`.
-# Anything else skips straight to the postfix/primary ladder.
+# Prefix forms of `_parse_unary`: one-character operators, and the
+# non-CHAR token types that introduce one.  Anything else is a primary
+# with its postfix operators.
+_UNARY_CHARS = frozenset("!-+~@")
 _UNARY_PREFIX_TYPES = frozenset(_CAST_NAMES) | frozenset(_INCLUDE_KINDS) | {
     TokenType.INC,
     TokenType.DEC,
@@ -160,45 +161,47 @@ _DOUBLE_ESCAPES = {
     "\\": "\\",
     "$": "$",
     '"': '"',
-    "0": "\0",
 }
+
+# PHP's double-quoted escapes; any other backslash stays literal
+_DOUBLE_ESCAPE = re.compile(r'\\([0-7]{1,3}|x[0-9A-Fa-f]{1,2}|[ntrvfe\\$"])')
+_SINGLE_ESCAPE = re.compile(r"\\([\\'])")
+
+
+def _decode_double_escape(match: "re.Match[str]") -> str:
+    sequence = match.group(1)
+    if sequence[0] == "x":
+        return chr(int(sequence[1:], 16))
+    if sequence[0] in "01234567":
+        # PHP keeps the low byte of an octal escape past \377
+        return chr(int(sequence, 8) & 0xFF)
+    return _DOUBLE_ESCAPES[sequence]
 
 
 def unescape_single_quoted(raw: str) -> str:
     """Decode the contents of a single-quoted PHP string literal."""
     body = raw[1:-1]
-    out: List[str] = []
-    index = 0
-    while index < len(body):
-        char = body[index]
-        if char == "\\" and index + 1 < len(body) and body[index + 1] in ("\\", "'"):
-            out.append(body[index + 1])
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
+    if "\\" not in body:
+        return body
+    return _SINGLE_ESCAPE.sub(r"\1", body)
 
 
 def unescape_double_quoted(body: str) -> str:
-    """Decode escape sequences of a double-quoted PHP string body."""
-    out: List[str] = []
-    index = 0
-    while index < len(body):
-        char = body[index]
-        if char == "\\" and index + 1 < len(body):
-            nxt = body[index + 1]
-            if nxt in _DOUBLE_ESCAPES:
-                out.append(_DOUBLE_ESCAPES[nxt])
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
+    """Decode escape sequences of a double-quoted PHP string body:
+    ``\\n``-style letters, ``\\$``, ``\\"``, ``\\\\``, octal
+    ``\\[0-7]{1,3}`` and hex ``\\x[0-9A-Fa-f]{1,2}``."""
+    if "\\" not in body:
+        return body
+    return _DOUBLE_ESCAPE.sub(_decode_double_escape, body)
 
 
 class Parser:
-    """One-pass recursive-descent parser with precedence climbing."""
+    """One-pass recursive-descent parser.
+
+    Statements dispatch on their first token (``_STATEMENT_DISPATCH``;
+    anything else is an expression statement); expressions are one
+    binding-power loop (``_parse_expression``).
+    """
 
     def __init__(
         self, tokens: List[Token], filename: str = "<string>", recover: bool = False
@@ -356,101 +359,66 @@ class Parser:
 
     # -- statements -------------------------------------------------------------
 
-    def _parse_statement(self) -> Optional[ast.Statement]:  # noqa: C901
-        token = self._peek()
-        type_ = token.type
+    def _parse_statement(self) -> Optional[ast.Statement]:
+        handler = self._STATEMENT_DISPATCH.get(self.tokens[self.pos].type)
+        if handler is None:
+            return self._parse_expression_statement()
+        return handler(self)
 
-        if type_ in (TokenType.OPEN_TAG,):
-            self._next()
+    def _parse_expression_statement(self) -> ast.ExpressionStatement:
+        line = self.tokens[self.pos].line
+        expr = self._parse_expression()
+        self._end_statement()
+        return ast.ExpressionStatement(line=line, expr=expr)
+
+    def _skip_tag(self) -> None:
+        self.pos += 1
+
+    def _parse_inline_html(self) -> ast.InlineHTML:
+        token = self._next()
+        return ast.InlineHTML(line=token.line, text=token.value)
+
+    def _parse_char_statement(self) -> Optional[ast.Statement]:
+        """``;`` (empty statement), a ``{...}`` block, or an expression
+        statement opening with punctuation (``(``, ``$$``, ``-`` ...)."""
+        token = self.tokens[self.pos]
+        if token.value == ";":
+            self.pos += 1
             return None
-        if type_ is TokenType.OPEN_TAG_WITH_ECHO:
-            self._next()
-            return self._parse_echo_tail(token.line)
-        if type_ is TokenType.CLOSE_TAG:
-            self._next()
-            return None
-        if type_ is TokenType.INLINE_HTML:
-            self._next()
-            return ast.InlineHTML(line=token.line, text=token.value)
-        if token.is_char(";"):
-            self._next()
-            return None
-        if token.is_char("{"):
-            self._next()
+        if token.value == "{":
+            self.pos += 1
             body = self._parse_statement_list_until("}")
             self._expect_char("}")
             return ast.Block(line=token.line, statements=body)
+        return self._parse_expression_statement()
 
-        if type_ is TokenType.ECHO:
-            self._next()
-            return self._parse_echo_tail(token.line)
-        if type_ is TokenType.IF:
-            return self._parse_if()
-        if type_ is TokenType.WHILE:
-            return self._parse_while()
-        if type_ is TokenType.DO:
-            return self._parse_do_while()
-        if type_ is TokenType.FOR:
-            return self._parse_for()
-        if type_ is TokenType.FOREACH:
-            return self._parse_foreach()
-        if type_ is TokenType.SWITCH:
-            return self._parse_switch()
-        if type_ is TokenType.BREAK:
-            return self._parse_break_continue(ast.BreakStatement)
-        if type_ is TokenType.CONTINUE:
-            return self._parse_break_continue(ast.ContinueStatement)
-        if type_ is TokenType.RETURN:
-            self._next()
-            expr = None
-            if not self._at_char(";") and not self._at(TokenType.CLOSE_TAG):
-                expr = self._parse_expression()
-            self._end_statement()
-            return ast.ReturnStatement(line=token.line, expr=expr)
-        if type_ is TokenType.GLOBAL:
-            return self._parse_global()
-        if type_ is TokenType.STATIC and self._peek(1).type is TokenType.VARIABLE:
-            return self._parse_static_vars()
-        if type_ is TokenType.UNSET:
-            return self._parse_unset()
-        if type_ is TokenType.THROW:
-            self._next()
+    def _parse_return(self) -> ast.ReturnStatement:
+        line = self._next().line
+        expr = None
+        if not self._at_char(";") and not self._at(TokenType.CLOSE_TAG):
             expr = self._parse_expression()
-            self._end_statement()
-            return ast.ThrowStatement(line=token.line, expr=expr)
-        if type_ is TokenType.TRY:
-            return self._parse_try()
-        if type_ is TokenType.FUNCTION and self._is_function_declaration():
-            return self._parse_function_declaration()
-        if type_ in (TokenType.ABSTRACT, TokenType.FINAL):
-            return self._parse_class_declaration()
-        if type_ in (TokenType.CLASS, TokenType.INTERFACE, TokenType.TRAIT):
-            return self._parse_class_declaration()
-        if type_ is TokenType.NAMESPACE:
-            return self._parse_namespace()
-        if type_ is TokenType.USE:
-            return self._parse_use()
-        if type_ is TokenType.CONST:
-            return self._parse_const()
-        if type_ is TokenType.DECLARE:
-            return self._parse_declare()
-        if type_ is TokenType.GOTO:
-            self._next()
-            label = self._expect(TokenType.STRING).value
-            self._end_statement()
-            return ast.GotoStatement(line=token.line, label=label)
-        if (
-            type_ is TokenType.STRING
-            and self._peek(1).is_char(":")
-            and not self._peek(2).is_char(":")
-        ):
-            self._next()
-            self._next()
-            return ast.LabelStatement(line=token.line, name=token.value)
+        self._end_statement()
+        return ast.ReturnStatement(line=line, expr=expr)
 
+    def _parse_throw(self) -> ast.ThrowStatement:
+        line = self._next().line
         expr = self._parse_expression()
         self._end_statement()
-        return ast.ExpressionStatement(line=token.line, expr=expr)
+        return ast.ThrowStatement(line=line, expr=expr)
+
+    def _parse_goto(self) -> ast.GotoStatement:
+        line = self._next().line
+        label = self._expect(TokenType.STRING).value
+        self._end_statement()
+        return ast.GotoStatement(line=line, label=label)
+
+    def _parse_name_statement(self) -> ast.Statement:
+        """``label:`` or an expression statement opening with a name."""
+        if self._peek(1).is_char(":") and not self._peek(2).is_char(":"):
+            token = self._next()
+            self._next()
+            return ast.LabelStatement(line=token.line, name=token.value)
+        return self._parse_expression_statement()
 
     def _end_statement(self) -> None:
         """Consume the terminating ``;`` (a ``?>`` also terminates)."""
@@ -464,18 +432,7 @@ class Parser:
 
     def _parse_statement_list_until(self, *closers: str) -> List[ast.Statement]:
         """Parse statements until a closing char token or closing keyword."""
-        closer_types = {
-            TokenType.ENDIF,
-            TokenType.ENDWHILE,
-            TokenType.ENDFOR,
-            TokenType.ENDFOREACH,
-            TokenType.ENDSWITCH,
-            TokenType.ENDDECLARE,
-            TokenType.ELSE,
-            TokenType.ELSEIF,
-            TokenType.CASE,
-            TokenType.DEFAULT,
-        }
+        closer_types = _CLOSER_TYPES
         statements: List[ast.Statement] = []
         while True:
             token = self.tokens[self.pos]
@@ -518,7 +475,9 @@ class Parser:
 
     # -- control flow --------------------------------------------------------
 
-    def _parse_echo_tail(self, line: int) -> ast.EchoStatement:
+    def _parse_echo(self) -> ast.EchoStatement:
+        """``echo a, b;`` (also ``<?= a ?>``, whose open tag echoes)."""
+        line = self._next().line
         exprs = [self._parse_expression()]
         while self._accept_char(","):
             exprs.append(self._parse_expression())
@@ -675,8 +634,9 @@ class Parser:
             self._expect_char("}")
         return ast.SwitchStatement(line=line, subject=subject, cases=cases)
 
-    def _parse_break_continue(self, cls) -> ast.Statement:
+    def _parse_break_continue(self) -> ast.Statement:
         token = self._next()
+        cls = ast.BreakStatement if token.type is TokenType.BREAK else ast.ContinueStatement
         level = 1
         if self._at(TokenType.LNUMBER):
             level = int(self._next().value, 0)
@@ -691,7 +651,11 @@ class Parser:
         self._end_statement()
         return ast.GlobalStatement(line=line, names=names)
 
-    def _parse_static_vars(self) -> ast.StaticVarStatement:
+    def _parse_static_vars(self) -> ast.Statement:
+        """``static $a = 1, $b;``, else an expression opening with
+        ``static`` (``static::x()``, a static closure)."""
+        if self._peek(1).type is not TokenType.VARIABLE:
+            return self._parse_expression_statement()
         line = self._expect(TokenType.STATIC).line
         vars_: List = []
         while True:
@@ -746,12 +710,15 @@ class Parser:
 
     # -- declarations -----------------------------------------------------------
 
-    def _is_function_declaration(self) -> bool:
-        """Distinguish ``function name(...)`` from a closure expression."""
+    def _parse_function_statement(self) -> ast.Statement:
+        """``function name(...)``, else an expression statement opening
+        with a closure."""
         offset = 1
         if self._peek(offset).is_char("&"):
             offset += 1
-        return self._peek(offset).type is TokenType.STRING
+        if self._peek(offset).type is TokenType.STRING:
+            return self._parse_function_declaration()
+        return self._parse_expression_statement()
 
     def _parse_qualified_name(self) -> str:
         """Parse a possibly namespace-qualified name into one string."""
@@ -1022,117 +989,61 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
-    def _parse_expression(self) -> ast.Expr:
-        # `and`/`or`/`xor` bind looser than `=` in PHP, so they sit
-        # above the assignment level.
-        left = self._parse_assignment()
-        while True:
-            token = self.tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.LOGICAL_AND:
-                op = "and"
-            elif type_ is TokenType.LOGICAL_OR:
-                op = "or"
-            elif type_ is TokenType.LOGICAL_XOR:
-                op = "xor"
-            else:
-                return left
-            self.pos += 1
-            right = self._parse_assignment()
-            left = ast.Binary(line=token.line, op=op, left=left, right=right)
+    def _parse_expression(self, min_power: int = 0) -> ast.Expr:
+        """One binding-power (Pratt) loop for every infix form.
 
-    def _parse_assignment(self) -> ast.Expr:
-        left = self._parse_ternary()
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR:
-            if token.value != "=":
-                return left
-            self.pos += 1
-            by_ref = self._accept_char("&") is not None
-            value = self._parse_assignment()
-            return ast.Assignment(
-                line=token.line, target=left, value=value, op="=", by_ref=by_ref
-            )
-        compound = _COMPOUND_ASSIGN.get(token.type)
-        if compound is not None:
-            self.pos += 1
-            value = self._parse_assignment()
-            return ast.Assignment(
-                line=token.line,
-                target=left,
-                value=value,
-                op=compound + "=",
-            )
-        return left
-
-    def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(4)
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value == "?":
-            line = token.line
-            self.pos += 1
-            if self._accept_char(":"):
-                if_false = self._parse_assignment()
-                return ast.Ternary(line=line, cond=cond, if_true=None, if_false=if_false)
-            if_true = self._parse_assignment()
-            self._expect_char(":")
-            if_false = self._parse_assignment()
-            return ast.Ternary(line=line, cond=cond, if_true=if_true, if_false=if_false)
-        return cond
-
-    def _binary_op_at(self) -> Optional[str]:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value in "+-*/%.&|^<>":
-            # exclude chars that terminate expressions
-            return token.value
-        return _BINARY_TOKEN_SPELLING.get(token.type)
-
-    def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        Parse a prefix operand, then keep folding infix operators into
+        it while the next one binds at least ``min_power`` (see
+        ``_INFIX``): binaries recurse for their right operand at its
+        right power, ``=``/``op=`` and ``?:`` at assignment power.
+        """
         left = self._parse_unary()
         tokens = self.tokens
-        precedence_get = _BINARY_PRECEDENCE.get
-        spelling_get = _BINARY_TOKEN_SPELLING.get
         while True:
             token = tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.CHAR:
-                op = token.value
-                if op not in "+-*/%.&|^<>":
-                    # exclude chars that terminate expressions
-                    return left
+            if token.type is TokenType.CHAR:
+                entry = _INFIX_CHARS.get(token.value)
             else:
-                op = spelling_get(type_)
-                if op is None:
-                    return left
-            precedence = precedence_get(op)
-            if precedence is None or precedence < min_precedence:
+                entry = _INFIX_TOKENS.get(token.type)
+            if entry is None or entry[0] < min_power:
                 return left
+            _power, right_power, kind, op = entry
             self.pos += 1
-            if op == "instanceof":
+            if kind == _BINARY:
+                right = self._parse_expression(right_power)
+                left = ast.Binary(line=token.line, op=op, left=left, right=right)
+            elif kind == _ASSIGN:
+                by_ref = op == "=" and self._accept_char("&") is not None
+                value = self._parse_expression(right_power)
+                left = ast.Assignment(
+                    line=token.line, target=left, value=value, op=op, by_ref=by_ref
+                )
+            elif kind == _TERNARY:
+                if_true = None
+                if not self._accept_char(":"):
+                    if_true = self._parse_expression(right_power)
+                    self._expect_char(":")
+                if_false = self._parse_expression(right_power)
+                left = ast.Ternary(
+                    line=token.line, cond=left, if_true=if_true, if_false=if_false
+                )
+            else:  # instanceof: a class name or a dynamic operand
                 class_name: Union[str, ast.Expr]
                 if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR):
                     class_name = self._parse_qualified_name()
                 else:
                     class_name = self._parse_unary()
                 left = ast.InstanceofExpr(line=token.line, expr=left, class_name=class_name)
-                continue
-            next_min = precedence if op in _RIGHT_ASSOC else precedence + 1
-            right = self._parse_binary(next_min)
-            left = ast.Binary(line=token.line, op=op, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
         token = self.tokens[self.pos]
         type_ = token.type
         if type_ is TokenType.CHAR:
             value = token.value
-            if value == "!" or value == "-" or value == "+" or value == "~":
+            if value in _UNARY_CHARS:
                 self.pos += 1
                 operand = self._parse_unary()
                 return ast.Unary(line=token.line, op=value, operand=operand)
-            if value == "@":
-                self.pos += 1
-                operand = self._parse_unary()
-                return ast.Unary(line=token.line, op="@", operand=operand)
             return self._parse_postfix_operators(self._parse_primary())
         if type_ not in _UNARY_PREFIX_TYPES:
             return self._parse_postfix_operators(self._parse_primary())
@@ -1162,15 +1073,14 @@ class Parser:
             self.pos += 1
             expr = self._parse_unary()
             return ast.Clone(line=token.line, expr=expr)
-        if type_ is TokenType.EXIT:
-            self.pos += 1
-            expr = None
-            if self._accept_char("("):
-                if not self._at_char(")"):
-                    expr = self._parse_expression()
-                self._expect_char(")")
-            return ast.ExitExpr(line=token.line, expr=expr)
-        return self._parse_postfix()
+        # exit / die
+        self.pos += 1
+        expr = None
+        if self._accept_char("("):
+            if not self._at_char(")"):
+                expr = self._parse_expression()
+            self._expect_char(")")
+        return ast.ExitExpr(line=token.line, expr=expr)
 
     def _parse_new(self) -> ast.Expr:
         line = self._expect(TokenType.NEW).line
@@ -1551,6 +1461,42 @@ class Parser:
                 f"unexpected token in string interpolation: {token.name}"
             )
         return parts
+
+
+Parser._STATEMENT_DISPATCH = {
+    TokenType.OPEN_TAG: Parser._skip_tag,
+    TokenType.CLOSE_TAG: Parser._skip_tag,
+    TokenType.OPEN_TAG_WITH_ECHO: Parser._parse_echo,
+    TokenType.ECHO: Parser._parse_echo,
+    TokenType.INLINE_HTML: Parser._parse_inline_html,
+    TokenType.CHAR: Parser._parse_char_statement,
+    TokenType.IF: Parser._parse_if,
+    TokenType.WHILE: Parser._parse_while,
+    TokenType.DO: Parser._parse_do_while,
+    TokenType.FOR: Parser._parse_for,
+    TokenType.FOREACH: Parser._parse_foreach,
+    TokenType.SWITCH: Parser._parse_switch,
+    TokenType.BREAK: Parser._parse_break_continue,
+    TokenType.CONTINUE: Parser._parse_break_continue,
+    TokenType.RETURN: Parser._parse_return,
+    TokenType.GLOBAL: Parser._parse_global,
+    TokenType.STATIC: Parser._parse_static_vars,
+    TokenType.UNSET: Parser._parse_unset,
+    TokenType.THROW: Parser._parse_throw,
+    TokenType.TRY: Parser._parse_try,
+    TokenType.FUNCTION: Parser._parse_function_statement,
+    TokenType.ABSTRACT: Parser._parse_class_declaration,
+    TokenType.FINAL: Parser._parse_class_declaration,
+    TokenType.CLASS: Parser._parse_class_declaration,
+    TokenType.INTERFACE: Parser._parse_class_declaration,
+    TokenType.TRAIT: Parser._parse_class_declaration,
+    TokenType.NAMESPACE: Parser._parse_namespace,
+    TokenType.USE: Parser._parse_use,
+    TokenType.CONST: Parser._parse_const,
+    TokenType.DECLARE: Parser._parse_declare,
+    TokenType.GOTO: Parser._parse_goto,
+    TokenType.STRING: Parser._parse_name_statement,
+}
 
 
 def parse_source(

@@ -1,6 +1,11 @@
 """Engine behaviour: control flow — branches joined, loops, includes."""
 
-from repro.config.vulnerability import VulnKind
+import random
+
+from repro.config.vulnerability import InputVector, VulnKind
+from repro.core.engine import Scope
+from repro.core.oop import join_class_names
+from repro.core.taint import ConcreteSource, TaintState, VariableRecord
 
 from tests.helpers import analyze, findings_of
 
@@ -61,6 +66,150 @@ class TestBranchJoin:
     def test_condition_itself_evaluated(self):
         # assignment inside a condition still happens
         assert xss("<?php if ($x = $_GET['a']) { } echo $x;")
+
+
+def _tainted(line):
+    return TaintState.from_label(
+        ConcreteSource(InputVector.GET, "_GET", "t.php", line)
+    )
+
+
+def _full_join(receiver, *branches):
+    """Reference: join every name of every scope, untouched or not."""
+    scopes = (receiver, *branches)
+    names = set(receiver.records)
+    for branch in branches:
+        names.update(branch.records)
+    joined = {}
+    for name in names:
+        variants = [scope.records[name] for scope in scopes if name in scope.records]
+        if all(record is variants[0] for record in variants):
+            joined[name] = variants[0]
+            continue
+        taint = variants[0].taint
+        for record in variants[1:]:
+            taint = taint.joined(record.taint)
+        class_name = join_class_names(record.class_name or "" for record in variants)
+        joined[name] = variants[-1].updated(taint=taint, class_name=class_name or None)
+    return joined
+
+
+def _branch_join(pre, *edits, exhaustive=True):
+    """The engine's branch join: each edit runs on a copy of ``pre``;
+    a non-exhaustive statement also joins the untouched pre-state."""
+    outcomes = []
+    for edit in edits:
+        snapshot = pre.copy()
+        edit(snapshot)
+        outcomes.append(snapshot)
+    if not exhaustive:
+        outcomes.append(pre.copy())
+    expected = _full_join(outcomes[0], *outcomes[1:])
+    outcomes[0].join_from(*outcomes[1:])
+    return outcomes[0].records, expected
+
+
+def _same_records(actual, expected):
+    assert set(actual) == set(expected)
+    for name, record in expected.items():
+        assert actual[name].__dict__ == record.__dict__, name
+
+
+class TestScopeJoin:
+    """``Scope.join_from`` joins only the names some branch rebound."""
+
+    def _pre(self):
+        pre = Scope()
+        pre.set(VariableRecord(name="a", taint=_tainted(1)))
+        pre.set(VariableRecord(name="b", class_name="Widget"))
+        pre.set(VariableRecord(name="c"))
+        return pre
+
+    def test_all_branches_untouched_keep_the_record_objects(self):
+        pre = self._pre()
+        records, expected = _branch_join(pre, lambda s: None, lambda s: None)
+        _same_records(records, expected)
+        for name, record in pre.records.items():
+            assert records[name] is record
+
+    def test_branch_that_unsets_a_name(self):
+        pre = self._pre()
+
+        def unset(scope):
+            del scope.records["a"]
+
+        records, expected = _branch_join(pre, unset, lambda s: None)
+        _same_records(records, expected)
+        # the path that kept `a` still carries its taint
+        assert records["a"] is pre.records["a"]
+
+    def test_branch_that_adds_a_name(self):
+        pre = self._pre()
+
+        def add(scope):
+            scope.set(VariableRecord(name="d", taint=_tainted(2)))
+
+        records, expected = _branch_join(pre, lambda s: None, add)
+        _same_records(records, expected)
+        assert records["d"].taint is _tainted(2)
+
+    def test_rebound_names_are_joined(self):
+        pre = self._pre()
+
+        def clean_a(scope):
+            scope.set(scope.get("a").updated(taint=TaintState.clean()))
+
+        def retype_b(scope):
+            scope.set(scope.get("b").updated(class_name="Other"))
+
+        records, expected = _branch_join(pre, clean_a, retype_b)
+        _same_records(records, expected)
+        assert records["a"].taint is _tainted(1)  # tainted on the retype_b path
+
+    def test_non_exhaustive_if_joins_the_pre_state(self):
+        pre = self._pre()
+
+        def clean_a(scope):
+            scope.set(scope.get("a").updated(taint=TaintState.clean()))
+
+        records, expected = _branch_join(pre, clean_a, exhaustive=False)
+        _same_records(records, expected)
+        assert records["a"].taint is _tainted(1)
+        records, expected = _branch_join(pre, clean_a, clean_a)
+        _same_records(records, expected)
+        assert records["a"].taint is TaintState.clean()
+
+    def test_matches_the_full_join_on_random_edits(self):
+        rng = random.Random(7)
+        names = ["a", "b", "c", "d", "e"]
+        states = [TaintState.clean(), _tainted(1), _tainted(2)]
+        classes = [None, "Widget", "Other"]
+
+        def random_edit(scope):
+            for _ in range(rng.randint(0, 3)):
+                name = rng.choice(names)
+                action = rng.random()
+                if action < 0.2:
+                    scope.records.pop(name, None)
+                elif name in scope.records and action < 0.6:
+                    scope.set(scope.get(name).updated(taint=rng.choice(states)))
+                else:
+                    scope.set(
+                        VariableRecord(
+                            name=name,
+                            taint=rng.choice(states),
+                            class_name=rng.choice(classes),
+                        )
+                    )
+
+        for _ in range(300):
+            pre = Scope()
+            random_edit(pre)
+            edits = [random_edit for _ in range(rng.randint(1, 4))]
+            records, expected = _branch_join(
+                pre, *edits, exhaustive=rng.random() < 0.5
+            )
+            _same_records(records, expected)
 
 
 class TestLoops:

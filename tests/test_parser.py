@@ -4,6 +4,7 @@ import pytest
 
 from repro.php import PhpParseError, parse_source
 from repro.php import ast_nodes as ast
+from repro.php.parser import unescape_double_quoted, unescape_single_quoted
 
 
 def parse(source):
@@ -373,6 +374,144 @@ class TestExpressions:
         tree = parse_source("<?php\n\n$a = 1;\necho $a;\n")
         assert tree.statements[0].line == 3
         assert tree.statements[1].line == 4
+
+
+def shape(node):
+    """Compact prefix form of an expression tree, for precedence checks."""
+    if isinstance(node, ast.Variable):
+        return "$" + node.name
+    if isinstance(node, ast.Literal):
+        return repr(node.value)
+    if isinstance(node, ast.ConstFetch):
+        return node.name
+    if isinstance(node, ast.Binary):
+        return f"({node.op} {shape(node.left)} {shape(node.right)})"
+    if isinstance(node, ast.Assignment):
+        op = "=&" if node.by_ref else node.op
+        return f"({op} {shape(node.target)} {shape(node.value)})"
+    if isinstance(node, ast.Ternary):
+        if_true = "_" if node.if_true is None else shape(node.if_true)
+        return f"(? {shape(node.cond)} {if_true} {shape(node.if_false)})"
+    if isinstance(node, ast.Unary):
+        return f"({node.op} {shape(node.operand)})"
+    if isinstance(node, ast.Cast):
+        return f"(({node.to}) {shape(node.operand)})"
+    if isinstance(node, ast.InstanceofExpr):
+        class_name = node.class_name
+        if not isinstance(class_name, str):
+            class_name = shape(class_name)
+        return f"(instanceof {shape(node.expr)} {class_name})"
+    if isinstance(node, ast.ArrayAccess):
+        return f"{shape(node.array)}[{shape(node.index)}]"
+    if isinstance(node, ast.PropertyAccess):
+        return f"{shape(node.object)}->{node.name}"
+    if isinstance(node, ast.MethodCall):
+        return f"{shape(node.object)}->{node.method}()"
+    if isinstance(node, ast.New):
+        return f"(new {node.class_name})"
+    raise AssertionError(f"no shape for {type(node).__name__}")
+
+
+class TestPrecedence:
+    """Operator binding of the expression loop, PHP 5 rules."""
+
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            # `and`/`or`/`xor` bind looser than `=`; they share one level,
+            # left to right (PHP itself ranks and > xor > or)
+            ("$a = $b and $c = $d", "(and (= $a $b) (= $c $d))"),
+            ("$a or $b and $c", "(and (or $a $b) $c)"),
+            ("$a = $b ?: $c", "(= $a (? $b _ $c))"),
+            # nested ternaries group to the right (PHP 5 groups left)
+            ("$a ? $b : $c ? $d : $e", "(? $a $b (? $c $d $e))"),
+            ("$a ? $b = 1 : $c = 2", "(? $a (= $b 1) (= $c 2))"),
+            # `??` is right-associative and looser than `||`
+            ("$a ?? $b ?? $c", "(?? $a (?? $b $c))"),
+            ("$a ?? $b || $c", "(?? $a (|| $b $c))"),
+            ("$a ** $b ** $c", "(** $a (** $b $c))"),
+            ("$a - $b - $c", "(- (- $a $b) $c)"),
+            ("$a . $b + $c", "(+ (. $a $b) $c)"),
+            ("$a == $b < $c", "(== $a (< $b $c))"),
+            # prefix operators take a bare operand: `!` and casts bind
+            # before `instanceof` and the binaries
+            ("!$a instanceof B", "(instanceof (! $a) B)"),
+            ("(int) $a . $b", "(. ((int) $a) $b)"),
+            ("@$x['k'] . 'y'", "(. (@ $x['k']) 'y')"),
+            ("-$a ** 2", "(** (- $a) 2)"),
+            ("!$a = $b", "(= (! $a) $b)"),
+            ("$a + $b = $c", "(= (+ $a $b) $c)"),
+            ("$a =& $b . $c", "(=& $a (. $b $c))"),
+            ("$a .= $b . $c", "(.= $a (. $b $c))"),
+            ("$a ??= $b ?? $c", "(??= $a (?? $b $c))"),
+            ("$a = $b += 1", "(= $a (+= $b 1))"),
+            ("$a instanceof $b && $c", "(&& (instanceof $a $b) $c)"),
+            ("new A . $b", "(. (new A) $b)"),
+            ("(new A)->p", "(new A)->p"),
+            ("new A()->m()", "(new A)->m()"),
+        ],
+    )
+    def test_binding(self, source, expected):
+        assert shape(parse_expr(source)) == expected
+
+    def test_print_takes_a_whole_expression(self):
+        expr = parse_expr("print $a and $b")
+        assert isinstance(expr, ast.PrintExpr)
+        assert shape(expr.expr) == "(and $a $b)"
+
+
+class TestEscapes:
+    @pytest.mark.parametrize(
+        "raw,value",
+        [
+            ("'it\\'s'", "it's"),
+            ("'C:\\path'", "C:\\path"),  # an unknown escape keeps its backslash
+            ("'a\\\\b'", "a\\b"),
+            ("'plain text'", "plain text"),
+            ("''", ""),
+        ],
+    )
+    def test_single_quoted(self, raw, value):
+        assert unescape_single_quoted(raw) == value
+
+    @pytest.mark.parametrize(
+        "body,value",
+        [
+            ("\\$x", "$x"),
+            ("\\t", "\t"),
+            ("a\\nb\\r\\v\\f\\e", "a\nb\r\v\f\x1b"),
+            ('say \\"hi\\"', 'say "hi"'),
+            ("a\\\\b", "a\\b"),
+            ("\\q\\", "\\q\\"),  # unknown escape and a trailing backslash stay
+            ("plain text", "plain text"),
+        ],
+    )
+    def test_double_quoted(self, body, value):
+        assert unescape_double_quoted(body) == value
+
+    @pytest.mark.parametrize(
+        "body,value",
+        [
+            ("\\012", "\n"),
+            ("\\0", "\0"),
+            ("\\08", "\x008"),  # 8 is not an octal digit
+            ("\\1234", "S4"),  # at most three octal digits
+            ("\\101\\102", "AB"),
+            ("\\400", "\0"),  # past \377 PHP keeps the low byte
+            ("\\x41", "A"),
+            ("\\x4a1", "J1"),  # at most two hex digits
+            ("\\xA", "\n"),
+            ("\\xg", "\\xg"),  # no hex digit: stays literal
+            ("\\\\012", "\\012"),  # an escaped backslash is not an octal escape
+        ],
+    )
+    def test_double_quoted_octal_and_hex(self, body, value):
+        assert unescape_double_quoted(body) == value
+
+    def test_escapes_reach_literals(self):
+        assert parse_expr('"\\x41\\102\\n"').value == "AB\n"
+        (part,) = parse_expr('"\\101$x"').parts[:1]
+        assert part.value == "A"
 
 
 class TestParserErrors:
