@@ -1010,8 +1010,10 @@ class TaintEngine:
                 self._join_into(
                     scope, name, taint.substituted(mapping), self._current_file, line
                 )
+        # a getter returns a property placeholder: keep it for the
+        # property store, which resolves it once the plugin is analyzed
         return Value(
-            taint=summary.return_taint.substituted(mapping),
+            taint=summary.return_taint.substituted(mapping, keep_props=True),
             class_name=summary.return_class,
             trace=(f"return of {summary.key}() at {self._current_file}:{line}",),
         )

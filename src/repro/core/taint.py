@@ -308,11 +308,15 @@ class TaintState:
             return self
         return TaintState(active=active, suppressed=suppressed)
 
-    def substituted(self, mapping: Dict[Label, "TaintState"]) -> "TaintState":
+    def substituted(
+        self, mapping: Dict[Label, "TaintState"], keep_props: bool = False
+    ) -> "TaintState":
         """Replace placeholder labels using ``mapping``.
 
         Placeholders absent from the mapping are dropped (an unresolved
         parameter contributes no taint); concrete labels pass through.
+        With ``keep_props``, unmapped :class:`PropRef` labels pass
+        through too, for the property store to resolve later.
         """
         if self._concrete:
             return self  # no placeholders anywhere: substitution is identity
@@ -325,6 +329,8 @@ class TaintState:
                     replacement = mapping[label].active.get(kind)
                     if replacement:
                         active.setdefault(kind, set()).update(replacement)
+                elif keep_props and isinstance(label, PropRef):
+                    active.setdefault(kind, set()).add(label)
         suppressed: Dict[VulnKind, Set[Label]] = {}
         for kind, labels in self.suppressed.items():
             for label in labels:
@@ -334,6 +340,8 @@ class TaintState:
                     replacement = mapping[label].active.get(kind)
                     if replacement:
                         suppressed.setdefault(kind, set()).update(replacement)
+                elif keep_props and isinstance(label, PropRef):
+                    suppressed.setdefault(kind, set()).add(label)
         return TaintState(active=active, suppressed=suppressed)
 
     def drop_param_refs(self) -> "TaintState":

@@ -128,6 +128,9 @@ SLICES: Tuple[Slice, ...] = (
     Slice("oop-static-property", "oop", _php("class Cfg {\n    public static $v;\n}\nCfg::$v = $_GET['a'];\necho Cfg::$v;"), _XSS),
     Slice("oop-call-object-property-write", "oop", _php("function box($x) {\n    echo $x;\n    return new stdClass();\n}\nbox($_GET['a'])->v = 1;"), _XSS),
     Slice("oop-foreach-property-target", "oop", _php("class Box {\n    public $v;\n    public function fill() {\n        foreach ($_GET as $this->v) {\n        }\n    }\n    public function dump() {\n        echo $this->v;\n    }\n}\n$b = new Box();\n$b->fill();\n$b->dump();"), _XSS),
+    Slice("oop-setter-getter", "oop", _php("class D {\n    private $v;\n    public function set($x) {\n        $this->v = $x;\n    }\n    public function get() {\n        return $this->v;\n    }\n}\n$d = new D();\n$d->set($_GET['a']);\necho $d->get();"), _XSS),
+    Slice("oop-public-property-getter", "oop", _php("class D {\n    public $v;\n    public function get() {\n        return $this->v;\n    }\n}\n$d = new D();\n$d->v = $_GET['a'];\necho $d->get();"), _XSS),
+    Slice("oop-constructor-getter", "oop", _php("class D {\n    private $v;\n    public function __construct($x) {\n        $this->v = $x;\n    }\n    public function get() {\n        return $this->v;\n    }\n}\n$d = new D($_GET['a']);\necho $d->get();"), _XSS),
     # -- rule packs (declarative knowledge bases; every builtin pack is
     # -- loaded, so overlapping sinks report their *combined* kinds) -------
     Slice("pack-ssrf-wp-remote-get", "pack-ssrf", _php("wp_remote_get($_GET['u']);"), _SSRF),

@@ -12,11 +12,13 @@ to over-approximate, e.g. it flags a flow through ``strtoupper`` whose
 uppercased payload no longer matches the marker.)
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.vulnerability import VulnKind
 from repro.core import PhpSafe
+from repro.difftest.slices import SLICES
 from repro.dynamic import build_attack_runtime, make_payload
 from repro.php.interp import PhpRuntimeError
 
@@ -102,3 +104,24 @@ def test_analysis_deterministic(case):
     assert sorted(f.key for f in first.findings) == sorted(
         f.key for f in second.findings
     )
+
+
+GETTER_SLICES = (
+    "oop-setter-getter", "oop-public-property-getter", "oop-constructor-getter"
+)
+
+
+@pytest.mark.parametrize("name", GETTER_SLICES)
+def test_getter_flows_are_exploitable_and_reported(name):
+    """A property written through a setter, directly or by a constructor,
+    then read back through a getter: the payload reaches the page, so
+    phpSAFE must report the flow."""
+    (piece,) = [piece for piece in SLICES if piece.name == name]
+    payload = make_payload(VulnKind.XSS)
+    interp = build_attack_runtime(payload.text)
+    interp.load_source(piece.code, "slice.php")
+    interp.run_file("slice.php")
+    assert payload.appears_raw_in(interp.effects.page)
+
+    report = PhpSafe().analyze_source(piece.code, filename="slice.php")
+    assert [f.kind for f in report.findings] == [VulnKind.XSS]
