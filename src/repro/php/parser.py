@@ -54,30 +54,34 @@ _SYNC_TOKENS = frozenset(
 
 # Infix operators of the binding-power loop in ``Parser._parse_expression``.
 # A higher power binds tighter (PHP manual order).  Two PHP 5 rules shape
-# the low end: `and`/`or`/`xor` bind looser than `=` (one level, left to
-# right), and the right side of `=`, `op=` and both arms of `?:` are
-# parsed at assignment power, so each holds a full assignment.
+# the low end: `and` > `xor` > `or` all bind looser than `=`, and the
+# right side of `=`, `op=` and the middle arm of `?:` are parsed at
+# assignment power, so each holds a full assignment.  Nested `?:` groups
+# to the left: the last arm stops at the next `?` (but still takes an
+# assignment).  `!` sits between `instanceof` and `*`.
 _BINARY_POWER = {
     op: power
     for power, ops in (
-        (1, "and or xor"),
-        (4, "??"),
-        (5, "||"),
-        (6, "&&"),
-        (7, "|"),
-        (8, "^"),
-        (9, "&"),
-        (10, "== != === !=="),
-        (11, "< <= > >="),
-        (12, "<< >>"),
-        (13, "+ - ."),
-        (14, "* / %"),
-        (17, "**"),
+        (1, "or"),
+        (2, "xor"),
+        (3, "and"),
+        (7, "??"),
+        (8, "||"),
+        (9, "&&"),
+        (10, "|"),
+        (11, "^"),
+        (12, "&"),
+        (13, "== != === !=="),
+        (14, "< <= > >="),
+        (15, "<< >>"),
+        (16, "+ - ."),
+        (17, "* / %"),
+        (20, "**"),
     )
     for op in ops.split()
 }
 _RIGHT_ASSOC = {"**", "??"}
-_ASSIGN_POWER, _TERNARY_POWER, _INSTANCEOF_POWER = 2, 3, 16
+_ASSIGN_POWER, _TERNARY_POWER, _INSTANCEOF_POWER = 4, 5, 19
 
 # infix kinds: what the loop builds once it consumed the operator
 _BINARY, _ASSIGN, _TERNARY, _INSTANCEOF = range(4)
@@ -989,13 +993,17 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
-    def _parse_expression(self, min_power: int = 0) -> ast.Expr:
+    def _parse_expression(
+        self, min_power: int = 0, assign_ok: bool = False
+    ) -> ast.Expr:
         """One binding-power (Pratt) loop for every infix form.
 
         Parse a prefix operand, then keep folding infix operators into
         it while the next one binds at least ``min_power`` (see
         ``_INFIX``): binaries recurse for their right operand at its
-        right power, ``=``/``op=`` and ``?:`` at assignment power.
+        right power, ``=``/``op=`` and the middle arm of ``?:`` at
+        assignment power.  The last arm of ``?:`` stops at any operator
+        looser than ``??`` except an assignment (``assign_ok``).
         """
         left = self._parse_unary()
         tokens = self.tokens
@@ -1005,7 +1013,9 @@ class Parser:
                 entry = _INFIX_CHARS.get(token.value)
             else:
                 entry = _INFIX_TOKENS.get(token.type)
-            if entry is None or entry[0] < min_power:
+            if entry is None:
+                return left
+            if entry[0] < min_power and not (assign_ok and entry[2] == _ASSIGN):
                 return left
             _power, right_power, kind, op = entry
             self.pos += 1
@@ -1023,7 +1033,7 @@ class Parser:
                 if not self._accept_char(":"):
                     if_true = self._parse_expression(right_power)
                     self._expect_char(":")
-                if_false = self._parse_expression(right_power)
+                if_false = self._parse_expression(_TERNARY_POWER + 1, assign_ok=True)
                 left = ast.Ternary(
                     line=token.line, cond=left, if_true=if_true, if_false=if_false
                 )
@@ -1042,7 +1052,11 @@ class Parser:
             value = token.value
             if value in _UNARY_CHARS:
                 self.pos += 1
-                operand = self._parse_unary()
+                if value == "!":
+                    # `!` binds looser than `instanceof` and `**`
+                    operand = self._parse_expression(_INSTANCEOF_POWER)
+                else:
+                    operand = self._parse_unary()
                 return ast.Unary(line=token.line, op=value, operand=operand)
             return self._parse_postfix_operators(self._parse_primary())
         if type_ not in _UNARY_PREFIX_TYPES:

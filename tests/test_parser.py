@@ -418,14 +418,21 @@ class TestPrecedence:
     @pytest.mark.parametrize(
         "source,expected",
         [
-            # `and`/`or`/`xor` bind looser than `=`; they share one level,
-            # left to right (PHP itself ranks and > xor > or)
+            # `and`/`or`/`xor` bind looser than `=`, ranked and > xor > or
             ("$a = $b and $c = $d", "(and (= $a $b) (= $c $d))"),
-            ("$a or $b and $c", "(and (or $a $b) $c)"),
+            ("$a or $b and $c", "(or $a (and $b $c))"),
+            ("$a xor $b and $c", "(xor $a (and $b $c))"),
+            ("$a or $b xor $c", "(or $a (xor $b $c))"),
+            ("$a and $b or $c xor $d", "(or (and $a $b) (xor $c $d))"),
+            ("$a or $b or $c", "(or (or $a $b) $c)"),
             ("$a = $b ?: $c", "(= $a (? $b _ $c))"),
-            # nested ternaries group to the right (PHP 5 groups left)
-            ("$a ? $b : $c ? $d : $e", "(? $a $b (? $c $d $e))"),
+            # nested ternaries group to the left (PHP 5)
+            ("$a ? $b : $c ? $d : $e", "(? (? $a $b $c) $d $e)"),
+            ("$a ?: $b ?: $c", "(? (? $a _ $b) _ $c)"),
+            ("$a ? $b ? $c : $d : $e", "(? $a (? $b $c $d) $e)"),
+            ("$a ? $b : $c ?? $d", "(? $a $b (?? $c $d))"),
             ("$a ? $b = 1 : $c = 2", "(? $a (= $b 1) (= $c 2))"),
+            ("$a ? $b : $c = $d ? $e : $f", "(? $a $b (= $c (? $d $e $f)))"),
             # `??` is right-associative and looser than `||`
             ("$a ?? $b ?? $c", "(?? $a (?? $b $c))"),
             ("$a ?? $b || $c", "(?? $a (|| $b $c))"),
@@ -433,9 +440,11 @@ class TestPrecedence:
             ("$a - $b - $c", "(- (- $a $b) $c)"),
             ("$a . $b + $c", "(+ (. $a $b) $c)"),
             ("$a == $b < $c", "(== $a (< $b $c))"),
-            # prefix operators take a bare operand: `!` and casts bind
-            # before `instanceof` and the binaries
-            ("!$a instanceof B", "(instanceof (! $a) B)"),
+            # `!` binds looser than `instanceof`; other prefix operators
+            # and casts take a bare operand
+            ("!$a instanceof B", "(! (instanceof $a B))"),
+            ("!$a instanceof B && $c", "(&& (! (instanceof $a B)) $c)"),
+            ("!$a . $b", "(. (! $a) $b)"),
             ("(int) $a . $b", "(. ((int) $a) $b)"),
             ("@$x['k'] . 'y'", "(. (@ $x['k']) 'y')"),
             ("-$a ** 2", "(** (- $a) 2)"),
