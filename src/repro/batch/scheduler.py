@@ -64,6 +64,12 @@ class ToolSpec:
     name: str = "phpsafe"
     options: Optional[PhpSafeOptions] = None
 
+    @property
+    def display_name(self) -> str:
+        """The tool name a report carries (``phpSAFE``, not ``phpsafe``)."""
+        names = {"phpsafe": "phpSAFE", "rips": "RIPS", "pixy": "Pixy"}
+        return names.get(self.name, self.name)
+
     def build(self, cache: Optional[ModelCache] = None) -> AnalyzerTool:
         if self.name == "phpsafe":
             return PhpSafe(options=self.options, cache=cache)
@@ -441,12 +447,8 @@ class BatchScanner:
     def _payload(plugin: Plugin) -> Tuple[str, str, Dict[str, str]]:
         return plugin.name, plugin.version, dict(plugin.files)
 
-    def _tool_name(self) -> str:
-        names = {"phpsafe": "phpSAFE", "rips": "RIPS", "pixy": "Pixy"}
-        return names.get(self.spec.name, self.spec.name)
-
     def _crash_result(self, plugin: Plugin, reason: str) -> _TaskResult:
-        report = _failure_report(self._tool_name(), plugin.slug, reason)
+        report = _failure_report(self.spec.display_name, plugin.slug, reason)
         return report, 0.0, "crashed", (0,) * 7
 
 

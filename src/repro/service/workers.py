@@ -311,7 +311,9 @@ class WorkerPool:
             with self._lock:
                 self.telemetry.worker_restarts += 1
             report = _failure_report(
-                self.spec.name, plugin.slug, "worker process died during analysis"
+                self.spec.display_name,
+                plugin.slug,
+                "worker process died during analysis",
             )
             return report, "crashed", (0,) * 7, None, {}
 
@@ -337,7 +339,7 @@ class WorkerPool:
             outcome = "ok"
         except Exception as error:
             report = _failure_report(
-                self.spec.name, plugin.slug, f"worker exception: {error!r}"
+                self.spec.display_name, plugin.slug, f"worker exception: {error!r}"
             )
             outcome = "error"
             new_manifest = None

@@ -409,6 +409,36 @@ class TestServiceIntegration:
         finally:
             service.shutdown()
 
+    def test_thread_failure_report_names_the_tool_like_a_good_job(
+        self, tmp_path, monkeypatch
+    ):
+        rescan = PhpSafe.rescan
+
+        def explode_on_bomb(tool, plugin, manifest=None):
+            if plugin.name == "bomb":
+                raise RuntimeError("analysis blew up")
+            return rescan(tool, plugin, manifest)
+
+        monkeypatch.setattr(PhpSafe, "rescan", explode_on_bomb)
+        service = self.make_service(tmp_path, jobs=1)
+        service.start()
+        try:
+            bomb = submit_plugin(
+                service, Plugin(name="bomb", files={"index.php": "<?php 1;"})
+            )
+            good = submit_plugin(service, small_plugins()[0])
+            states = wait_done(service, [bomb["id"], good["id"]])
+            assert states == ["failed", "done"]
+            drivers = []
+            for job in (bomb, good):
+                code, document = service.sarif(job["id"])
+                assert code == 200
+                (run,) = document["runs"]
+                drivers.append(run["tool"]["driver"]["name"])
+            assert drivers == ["phpSAFE", "phpSAFE"]
+        finally:
+            service.shutdown()
+
     def test_metrics_schema_v6(self, tmp_path):
         plugin = small_plugins()[0]
         service = self.make_service(tmp_path, jobs=1)
