@@ -1,67 +1,103 @@
 #!/usr/bin/env python
-"""Fail CI when a BENCH_*.json stage regresses below its floor.
+"""Gate one perfbench result: correct, and cold-corpus kLOC/s at its floor.
 
-Reads the ``speedup_vs_baseline_normalized`` section that
-``repro.benchgate.merge_bench`` derives (each side's seconds scaled by
-its own ``calibration_ops_per_second`` before the ratio, so the
-runner's raw speed cancels out) and exits non-zero when the requested
-stage falls under ``--min-normalized``.  The perf-smoke job uses it to
-pin the analyzer line of ``BENCH_substrate.json`` at its pre-IR value:
-the IR evaluator may only ever move that number up.
+``perfbench/run.py`` is the repository's one performance harness.  The
+last line it prints is one JSON object
+``{"correct", "attempted", "failed", "metrics"}``.  This script reads
+that line from a saved run and fails unless:
 
-Stdlib only; run from the repo root::
+1. ``correct`` is true (every SARIF matched ``perfbench/expected/`` and,
+   for a traced run, the layers covered the wall clock);
+2. when the result carries ``kloc_per_s`` (an untraced run), it is at or
+   above ``RECORDED_KLOC_PER_S * (1 - bound)``, where ``bound`` is the
+   ``kloc_per_s`` entry of ``BENCHMARK.json``.  A traced result has no
+   end-to-end metrics, so only check 1 applies to it.
 
-    python scripts/perf_check.py --bench BENCH_substrate.json \
-        --stage analyzer --min-normalized 2.29
+The floor is meant for the ``cold-corpus`` workload.  Stdlib only; run
+from the repo root::
+
+    python3 perfbench/run.py --workload cold-corpus --seed 1 \\
+        --seconds 15 --trace 0 > perfbench-gate.txt
+    python scripts/perf_check.py perfbench-gate.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Dict, List
+
+BENCHMARK = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"
+)
+
+#: ``cold-corpus`` kLOC/s of commit 4867697 ("Cut per-node work from
+#: cold scans"): the change median recorded when that commit was
+#: accepted, in perfbench's host-normalized reference seconds.
+RECORDED_KLOC_PER_S = 22.49
+
+
+def kloc_floor(benchmark: str = BENCHMARK) -> float:
+    """``RECORDED_KLOC_PER_S`` less the ``kloc_per_s`` regression bound."""
+    with open(benchmark, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    (bound,) = [
+        metric["bound"]
+        for metric in document["end_to_end"]
+        if metric["name"] == "kloc_per_s"
+    ]
+    return RECORDED_KLOC_PER_S * (1.0 - bound)
+
+
+def result_line(text: str) -> Dict[str, object]:
+    """The JSON object on the last non-empty line of a perfbench run."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    return json.loads(lines[-1])
+
+
+def check(result: Dict[str, object], floor: float) -> List[str]:
+    """Why ``result`` fails the gate; empty when it passes."""
+    failures: List[str] = []
+    if result.get("correct") is not True:
+        failures.append(
+            f"result is not correct ({result.get('failed')} of "
+            f"{result.get('attempted')} operations failed, or a check did)"
+        )
+    metrics: Dict[str, Dict[str, float]] = result.get("metrics") or {}  # type: ignore[assignment]
+    kloc = metrics.get("kloc_per_s")
+    if kloc is not None:
+        if kloc["value"] < floor:
+            failures.append(
+                f"kloc_per_s {kloc['value']:.2f} is below the floor {floor:.2f}"
+            )
+    elif "trace.coverage" not in metrics:
+        failures.append("an untraced result must carry kloc_per_s")
+    return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bench", required=True, help="BENCH_*.json to check")
-    parser.add_argument(
-        "--stage", required=True,
-        help="stage name, e.g. 'analyzer' for analyzer_seconds",
-    )
-    parser.add_argument(
-        "--min-normalized", type=float, required=True,
-        help="minimum acceptable calibration-normalized speedup vs baseline",
-    )
+    parser.add_argument("output", help="saved stdout of perfbench/run.py")
     args = parser.parse_args(argv)
 
-    with open(args.bench, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-
-    normalized = data.get("speedup_vs_baseline_normalized") or {}
-    value = normalized.get(args.stage)
-    if value is None:
-        print(
-            f"perf-check: {args.bench} has no normalized speedup for stage "
-            f"{args.stage!r} (has: {sorted(normalized)}); was the baseline "
-            "recorded with a calibration figure?",
-            file=sys.stderr,
-        )
-        return 2
-    raw = (data.get("speedup_vs_baseline") or {}).get(args.stage)
+    with open(args.output, "r", encoding="utf-8") as handle:
+        result = result_line(handle.read())
+    floor = kloc_floor()
+    kloc = (result.get("metrics") or {}).get("kloc_per_s")  # type: ignore[union-attr]
     print(
-        f"perf-check: {args.stage} normalized speedup {value}x "
-        f"(raw {raw}x, floor {args.min_normalized}x)"
+        f"perf-check: correct {result.get('correct')}, kloc_per_s "
+        + (f"{kloc['value']:.2f}" if kloc else "not measured (traced run)")
+        + f", floor {floor:.2f} ({RECORDED_KLOC_PER_S} less the"
+        " BENCHMARK.json bound)"
     )
-    if value < args.min_normalized:
-        print(
-            f"perf-check: FAIL — {args.stage} regressed below "
-            f"{args.min_normalized}x",
-            file=sys.stderr,
-        )
-        return 1
-    print("perf-check: OK")
-    return 0
+    failures = check(result, floor)
+    for failure in failures:
+        print(f"perf-check: FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

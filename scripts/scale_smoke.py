@@ -13,7 +13,7 @@ modes in isolated spawn subprocesses, asserting:
    the paper corpus at scale 0.25 (the acceptance-criteria parity
    proof, re-run here on every push);
 
-and writes the measurements into ``BENCH_scale.json`` (uploaded as a CI
+and writes the measurements to ``BENCH_scale.json`` (uploaded as a CI
 artifact).  The full three-tier bench, including the ≥1M-LOC tier, is
 run via ``phpsafe bench scale``; this job keeps the per-push cost to
 the smallest tier.
@@ -51,7 +51,7 @@ def golden_signatures() -> set:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", default="BENCH_scale.json", help="bench file to merge into"
+        "--out", default="BENCH_scale.json", help="bench file to write"
     )
     parser.add_argument(
         "--parity-scale", type=float, default=0.25,
@@ -59,8 +59,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.benchgate import calibration, merge_bench
-    from repro.benchscale import run_parity, run_scale_bench, sink_file
+    from repro.benchscale import run_parity, run_scale_bench, sink_file, write_bench
     from repro.core.results import stream_signatures
     from repro.corpus.stress import get_tier
 
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
             f"only-accumulating={parity['only_accumulating']}"
         )
 
-    merge_bench(args.out, section, quick=True, calibration_ops=calibration())
+    write_bench(args.out, section)
     print(f"bench written to {args.out}")
 
     for failure in failures:

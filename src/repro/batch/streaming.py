@@ -19,7 +19,9 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
 Soundness: every cache tier is content-addressed, so eviction/spill can
 only cost recomputation, never change a result — the streaming-vs-
 accumulating parity test (identical finding signatures at scale 0.25)
-enforces this, and ``BENCH_scale.json`` records the RSS bound it buys.
+enforces this, and ``BENCH_scale.json`` (``phpsafe bench scale``)
+records the RSS bound it buys.  Streaming speed across commits is
+measured by perfbench's ``stress-stream`` workload.
 """
 
 from __future__ import annotations

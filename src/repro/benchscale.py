@@ -1,8 +1,8 @@
 """Scale benchmark: peak RSS and LOC/s across the stress tiers.
 
 ``phpsafe bench scale`` runs each stress tier
-(:mod:`repro.corpus.stress`) in both evaluation modes and records the
-results into ``BENCH_scale.json`` via :func:`repro.benchgate.merge_bench`:
+(:mod:`repro.corpus.stress`) in both evaluation modes and writes the
+results to ``BENCH_scale.json`` as one plain JSON document:
 
 - **streaming** — :func:`repro.batch.streaming.stream_scan`: lazy
   corpus generation, byte-capped artifact cache, eager per-plugin
@@ -27,6 +27,7 @@ correctness witness attached.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import resource
@@ -34,7 +35,6 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from .benchgate import calibration, merge_bench
 from .corpus.stress import TIERS, get_tier, iter_stress_plugins, stress_options
 
 BENCH_PATH = "BENCH_scale.json"
@@ -182,8 +182,8 @@ def run_scale_bench(
     parity_scale: float = 0.25,
     sink_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """The ``current`` section of ``BENCH_scale.json``.  Findings
-    streams go to ``sink_dir`` (a fresh temporary directory if None)."""
+    """The ``BENCH_scale.json`` document.  Findings streams go to
+    ``sink_dir`` (a fresh temporary directory if None)."""
     tiers: Dict[str, object] = {}
     streaming_total = 0.0
     for name in tier_names:
@@ -223,10 +223,9 @@ def run_scale_bench(
 
 
 def check_scale(data: Dict[str, object]) -> List[str]:
-    """Gate conditions over a merged ``BENCH_scale.json`` document."""
+    """Gate conditions over a ``BENCH_scale.json`` document."""
     failures: List[str] = []
-    current = data.get("current") or {}
-    tiers: Dict[str, Dict[str, object]] = current.get("tiers") or {}  # type: ignore[assignment]
+    tiers: Dict[str, Dict[str, object]] = data.get("tiers") or {}  # type: ignore[assignment]
     if not tiers:
         return ["no tiers benched"]
     for name, row in sorted(tiers.items()):
@@ -261,7 +260,7 @@ def check_scale(data: Dict[str, object]) -> List[str]:
             "no tier shows streaming under a bound accumulating exceeds "
             "(bench more tiers or lower the bound)"
         )
-    parity = current.get("parity")
+    parity = data.get("parity")
     if parity is not None and not parity.get("identical"):  # type: ignore[union-attr]
         failures.append(
             "parity: streaming and accumulating finding signatures differ"
@@ -269,29 +268,29 @@ def check_scale(data: Dict[str, object]) -> List[str]:
     return failures
 
 
+def write_bench(path: str, document: Dict[str, object]) -> None:
+    """Write one bench run as an indented JSON document."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
+
+
 def run_and_gate(
     tier_names: Sequence[str],
     path: str = BENCH_PATH,
-    record_baseline: bool = False,
     quick: bool = False,
     seed: int = 0,
     parity: bool = True,
 ) -> int:
-    """CLI core: bench, merge, gate; returns the exit code."""
-    section = run_scale_bench(
+    """CLI core: bench, write, gate; returns the exit code."""
+    document = run_scale_bench(
         tier_names,
         seed=seed,
         parity=parity,
         parity_scale=0.25 if not quick else 0.05,
     )
-    data = merge_bench(
-        path,
-        section,
-        record_baseline=record_baseline,
-        quick=quick,
-        calibration_ops=calibration(),
-    )
-    failures = check_scale(data)
+    write_bench(path, document)
+    failures = check_scale(document)
     for failure in failures:
         print(f"bench scale: FAIL: {failure}", flush=True)
     if not failures:

@@ -693,7 +693,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return run_scale(
             args.tiers,
             path=args.output,
-            record_baseline=args.record_baseline,
             quick=args.quick,
             seed=args.seed,
             parity=not args.no_parity,
@@ -1084,15 +1083,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--output", default="BENCH_scale.json",
-        help="bench file to merge results into (default: BENCH_scale.json)",
-    )
-    scale.add_argument(
-        "--record-baseline", action="store_true",
-        help="overwrite the stored baseline section with this run",
+        help="bench file to write (default: BENCH_scale.json)",
     )
     scale.add_argument(
         "--quick", action="store_true",
-        help="mark the run quick and shrink the parity corpus scale",
+        help="shrink the parity corpus scale to 0.05",
     )
     scale.add_argument(
         "--seed", type=int, default=0,

@@ -23,8 +23,7 @@ store) and from the client's view (duplicate submissions coalesce or
 dedup onto the same result).
 
 Throughput (sustained jobs/min) and queue-wait latency (p50/p99) are
-recorded into ``BENCH_service.json`` through the shared
-:func:`repro.benchgate.merge_bench` gate.
+written to ``BENCH_service.json`` as one plain JSON document.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..benchgate import merge_bench
 from ..batch.scheduler import ToolSpec
+from ..benchscale import write_bench
 from ..core import PhpSafe
 from ..core.results import finding_signatures
 from ..plugin import Plugin
@@ -65,8 +64,6 @@ class ChaosConfig:
     seed: int = 7
     deadline_seconds: float = 300.0
     out: Optional[str] = "BENCH_service.json"
-    record_baseline: bool = False
-    quick: bool = False
     keep: bool = False
     verbose: bool = False
     workdir: Optional[str] = None
@@ -74,7 +71,7 @@ class ChaosConfig:
 
 @dataclass
 class ChaosReport:
-    """What happened, for the caller and the perf gate."""
+    """What happened, for the caller and the bench file."""
 
     section: Dict[str, object] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
@@ -435,21 +432,12 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
 
 
 def run_and_gate(config: ChaosConfig) -> int:
-    """Run the scenario, write the perf gate, print the verdict."""
+    """Run the scenario, write the bench file, print the verdict."""
     report = run_chaos(config)
-    if report.section and config.out:
-        data = merge_bench(
-            config.out,
-            report.section,
-            record_baseline=config.record_baseline,
-            quick=config.quick,
-        )
-        print(f"fleet bench → {config.out}")
-        print(json.dumps(data["current"], indent=1))
-        speedup = data.get("speedup_vs_baseline")
-        if speedup:
-            print("speedup vs baseline:", speedup)
-    elif report.section:
+    if report.section:
+        if config.out:
+            write_bench(config.out, report.section)
+            print(f"fleet bench → {config.out}")
         print(json.dumps(report.section, indent=1))
     if not report.ok:
         for failure in report.failures:
@@ -481,8 +469,7 @@ def build_arg_parser(parser: Optional[argparse.ArgumentParser] = None):
     parser.add_argument("--deadline", type=float, default=300.0,
                         help="seconds to wait for the fleet to drain")
     parser.add_argument("--out", default="BENCH_service.json",
-                        help="perf-gate file ('' disables)")
-    parser.add_argument("--record-baseline", action="store_true")
+                        help="bench file to write ('' disables)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller corpus for CI smoke")
     parser.add_argument("--keep", action="store_true",
@@ -508,8 +495,6 @@ def config_from_args(args: argparse.Namespace) -> ChaosConfig:
         seed=args.seed,
         deadline_seconds=args.deadline,
         out=args.out or None,
-        record_baseline=args.record_baseline,
-        quick=args.quick,
         keep=args.keep,
         verbose=args.verbose,
     )

@@ -476,19 +476,17 @@ class TestBenchScaleGate:
         from repro.benchscale import check_scale
 
         data = {
-            "current": {
-                "tiers": {
-                    "scale-smoke": {
-                        "rss_bound_mb": 512,
-                        "expected_findings": 240,
-                        "streaming": {"peak_rss_mb": 200.0, "findings": 240},
-                        "accumulating": {"peak_rss_mb": 600.0, "findings": 240},
-                        "streaming_within_bound": True,
-                        "accumulating_within_bound": False,
-                    }
-                },
-                "parity": {"identical": True},
-            }
+            "tiers": {
+                "scale-smoke": {
+                    "rss_bound_mb": 512,
+                    "expected_findings": 240,
+                    "streaming": {"peak_rss_mb": 200.0, "findings": 240},
+                    "accumulating": {"peak_rss_mb": 600.0, "findings": 240},
+                    "streaming_within_bound": True,
+                    "accumulating_within_bound": False,
+                }
+            },
+            "parity": {"identical": True},
         }
         assert check_scale(data) == []
 
@@ -496,23 +494,30 @@ class TestBenchScaleGate:
         from repro.benchscale import check_scale
 
         data = {
-            "current": {
-                "tiers": {
-                    "scale-smoke": {
-                        "rss_bound_mb": 512,
-                        "expected_findings": 240,
-                        "streaming": {"peak_rss_mb": 700.0, "findings": 239},
-                        "accumulating": {"peak_rss_mb": 600.0, "findings": 240},
-                        "streaming_within_bound": False,
-                        "accumulating_within_bound": False,
-                    }
-                },
-                "parity": {"identical": False},
-            }
+            "tiers": {
+                "scale-smoke": {
+                    "rss_bound_mb": 512,
+                    "expected_findings": 240,
+                    "streaming": {"peak_rss_mb": 700.0, "findings": 239},
+                    "accumulating": {"peak_rss_mb": 600.0, "findings": 240},
+                    "streaming_within_bound": False,
+                    "accumulating_within_bound": False,
+                }
+            },
+            "parity": {"identical": False},
         }
         failures = check_scale(data)
         assert len(failures) == 5
-        assert check_scale({"current": {}}) == ["no tiers benched"]
+        assert check_scale({}) == ["no tiers benched"]
+
+    def test_committed_bench_file_passes_the_gate(self):
+        import os
+
+        from repro.benchscale import check_scale
+
+        path = os.path.join(os.path.dirname(__file__), "..", "BENCH_scale.json")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert check_scale(json.load(handle)) == []
 
     def test_cli_accepts_bench_scale_and_stream_flags(self):
         from repro.cli import build_parser
