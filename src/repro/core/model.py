@@ -78,9 +78,9 @@ class FileModel:
     #: sha256 of ``source`` — the identity the incremental summary cache
     #: validates function-summary dependencies against
     digest: str = ""
-    #: single-pass node index (:func:`repro.php.ast_nodes.index_file`);
-    #: cached with the model so cache hits skip the tree traversal.
-    #: ``None`` on models unpickled from older stores — recomputed lazily.
+    #: the node index the parser recorded while building ``tree``;
+    #: cached with the model.  ``None`` only on models unpickled from
+    #: older stores, which :meth:`PluginModel.build` treats as misses.
     index: Optional[ast.FileIndex] = None
 
 
@@ -137,7 +137,7 @@ class PluginModel:
                 if cached_error is not None:
                     model._record_parse_failure(path, source, cached_error)
                     continue
-                if cached is not None:
+                if getattr(cached, "index", None) is not None:
                     if not getattr(cached, "digest", ""):
                         cached.digest = digest  # entry from a pre-digest store
                     if hasattr(cached, "tokens"):
@@ -171,7 +171,7 @@ class PluginModel:
                 if cache is not None:
                     cache.store_failure(path, source, wrapped, variant, digest)
                 continue
-            index = ast.index_file(tree)
+            index = parser.index
             file_model = FileModel(
                 path=path,
                 source=source,
@@ -248,12 +248,10 @@ class PluginModel:
 
     def _collect_definitions(self) -> None:
         """Collect definitions and call sites from each file's node
-        index (built in one traversal at parse time and cached with the
-        file model, so cache hits skip the tree walk entirely)."""
+        index (recorded by the parser and cached with the file model, so
+        no stage walks the tree for them)."""
         for path, file_model in self.files.items():
-            index = getattr(file_model, "index", None)
-            if index is None:  # model unpickled from a pre-index store
-                index = file_model.index = ast.index_file(file_model.tree)
+            index = file_model.index
             self.called_names.update(index.called_names)
             self.called_methods.update(index.called_methods)
             for node in index.functions:

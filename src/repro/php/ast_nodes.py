@@ -672,13 +672,16 @@ def walk(node: object):
 
 
 class FileIndex:
-    """Single-pass index of the nodes the model-construction stage needs.
+    """Index of the nodes the model-construction stage needs.
 
-    One traversal of the tree collects what previously took two generic
-    :func:`walk` passes per file (definitions + includes).  The index is
-    pickle-safe (it holds references into the same tree it was built
-    from) and is stored on the cached ``FileModel``, so cache hits skip
-    the traversal entirely.
+    The parser records it while it builds the tree
+    (:attr:`repro.php.parser.Parser.index`), so no stage walks the tree
+    for these nodes.  The lists hold the nodes in document order, which
+    is :func:`walk`'s preorder except inside a class body (walked as
+    constants, properties, methods); a recover-mode parse drops the
+    records of every statement it discards.  The index is pickle-safe (it holds
+    references into the same tree) and is stored on the cached
+    ``FileModel``.
     """
 
     __slots__ = (
@@ -701,54 +704,6 @@ class FileIndex:
         self.classes: List[ClassDecl] = []
         #: every IncludeExpr, document order
         self.includes: List[IncludeExpr] = []
-
-
-def index_file(tree: "PhpFile") -> FileIndex:
-    """Build the :class:`FileIndex` of ``tree`` (one preorder pass)."""
-    index = FileIndex()
-    called_names = index.called_names
-    called_methods = index.called_methods
-    stack = [tree]
-    pop = stack.pop
-    while stack:
-        node = pop()
-        cls = node.__class__
-        if cls is list or cls is tuple:
-            stack.extend(reversed(node))
-            continue
-        fields = getattr(node, "__walk_fields__", None)
-        if fields is None:
-            continue
-        if cls is FunctionCall:
-            if type(node.name) is str:
-                called_names.add(node.name.lower())
-        elif cls is MethodCall:
-            if type(node.method) is str:
-                called_methods.add(node.method.lower())
-        elif cls is StaticCall:
-            if type(node.method) is str:
-                called_methods.add(node.method.lower())
-        elif cls is New:
-            if type(node.class_name) is str:
-                called_methods.add("__construct")
-                called_names.add(node.class_name.lower())
-        elif cls is FunctionDecl:
-            index.functions.append(node)
-        elif cls is ClassDecl:
-            index.classes.append(node)
-        elif cls is IncludeExpr:
-            index.includes.append(node)
-        children = None
-        for name in fields:
-            value = getattr(node, name)
-            if isinstance(value, Node) or value.__class__ in (list, tuple):
-                if children is None:
-                    children = [value]
-                else:
-                    children.append(value)
-        if children:
-            stack.extend(reversed(children))
-    return index
 
 
 def iter_bodies(tree: "PhpFile"):

@@ -14,7 +14,8 @@ and PHP-mode scanning dispatches through a table keyed on the current
 character instead of a conditional ladder.  Identifier and variable
 spellings are interned — plugin code repeats the same names thousands
 of times, and interning makes the later ``==`` checks in the parser
-and engine pointer comparisons.
+and engine pointer comparisons.  Each :class:`Token` is built in C
+(``tuple.__new__``), so no Python frame runs per token.
 
 The public entry points are :func:`tokenize` (returns every token,
 including whitespace and comments — mirroring ``token_get_all``) and
@@ -43,11 +44,15 @@ _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 _BIN = re.compile(r"0[bB][01]+")
 _FLOAT = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+")
 _INT = re.compile(r"\d+")
-_CAST = re.compile(r"\(\s*([A-Za-z]+)\s*\)")
+_CAST = re.compile(r"\([ \t]*([A-Za-z]+)[ \t]*\)")
 _OPEN_TAG = re.compile(r"<\?(php\b|=)?", re.IGNORECASE)
 _HEREDOC_START = re.compile(r"<<<[ \t]*(['\"]?)([A-Za-z_][A-Za-z0-9_]*)\1\r?\n")
 _INTERP_INDEX = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*|\d+|[A-Za-z_][A-Za-z0-9_]*")
 _INTERP_PROP = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: ``_new(Token, (type, value, line))`` builds a token in C, without the
+#: Python ``__new__`` frame that calling ``Token(...)`` runs
+_new = tuple.__new__
 
 #: identifier characters, used to build the dispatch table below
 _IDENT_CHARS = (
@@ -94,9 +99,10 @@ _MASTER = re.compile(
     r'|("(?:[^"\\${]|\\[\s\S]|\$(?![A-Za-z_\x80-\xff{])|\{(?!\$))*")'
     r"|(/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"  # 9: block comment
     r"|((?://|\#)(?:[^\n?]|\?(?!>))*)"  # 10: line comment (stops at ?>)
-    # 11: cast — the parenthesized spelling is the token value
-    r"|\(\s*((?i:int|integer|bool|boolean|float|double|real|string"
-    r"|array|object|unset))\s*\)"
+    # 11: cast — the parenthesized spelling is the token value; like
+    # PHP's scanner, only spaces and tabs may pad the type name
+    r"|\([ \t]*((?i:int|integer|bool|boolean|float|double|real|string"
+    r"|array|object|unset))[ \t]*\)"
     r"|(\?>)"  # 12: close tag
     r"|(>>=|===|!==|\.\.\.|\?\?=|\*\*|\?\?|==|!=|>=|&&|\|\||->|=>|::"
     r"|\+\+|--|\+=|-=|\*=|/=|\.=|%=|&=|\|=|\^=|>>)"  # 13: multi-char operator
@@ -150,7 +156,9 @@ class Lexer:
     # -- helpers ---------------------------------------------------------
 
     def _emit(self, type_: TokenType, value: str, line: Optional[int] = None) -> None:
-        self.tokens.append(Token(type_, value, self.line if line is None else line))
+        if line is None:
+            line = self.line
+        self.tokens.append(_new(Token, (type_, value, line)))
 
     def _advance(self, text: str) -> None:
         """Consume ``text`` (already known to be at ``self.pos``)."""
@@ -205,6 +213,7 @@ class Lexer:
         significant = self.significant
         keywords_get = KEYWORDS.get
         operator_types = _OPERATOR_TYPES
+        new = _new
         token_cls = Token
         string_type = TokenType.STRING
         char_type = TokenType.CHAR
@@ -217,76 +226,76 @@ class Lexer:
         line = self.line
         while pos < size:
             # Pattern.scanner (stable CPython API since 2.x) anchors
-            # each match at the previous match's end entirely in C, so
-            # the loop never re-passes (source, pos) and only calls
-            # ``end()`` when the scanner stops at a slow-path construct
-            scanner_match = _MASTER.scanner(source, pos).match
+            # each match at the previous match's end entirely in C, and
+            # iter() drives it from C too, so the loop never re-passes
+            # (source, pos) and only calls ``end()`` when the scanner
+            # stops at a slow-path construct
             match = None
-            while True:
-                prev = match
-                match = scanner_match()
-                if match is None:
-                    if prev is not None:
-                        pos = prev.end()
-                    break
+            for match in iter(_MASTER.scanner(source, pos).match, None):
                 index = match.lastindex
-                ws = match.group(1)
+                ws = match[1]
                 if ws is not None:
                     if not significant:
-                        append(token_cls(ws_type, ws, line))
+                        append(new(token_cls, (ws_type, ws, line)))
                     line += ws.count("\n")
                 if index == 3:  # identifier / keyword
-                    text = match.group(3)
+                    text = match[3]
                     type_ = keywords_get(text)
                     if type_ is None:
                         if not text.islower():
                             type_ = keywords_get(text.lower())
                         if type_ is None:
                             type_ = string_type
-                    append(token_cls(type_, intern(text), line))
+                    append(new(token_cls, (type_, intern(text), line)))
                 elif index == 14:  # bare single-char token
-                    append(token_cls(char_type, match.group(14), line))
+                    append(new(token_cls, (char_type, match[14], line)))
                 elif index == 2:  # variable
-                    append(token_cls(variable_type, intern(match.group(2)), line))
+                    text = intern(match[2])
+                    append(new(token_cls, (variable_type, text, line)))
                 elif index == 13:  # multi-char operator
-                    text = match.group(13)
-                    append(token_cls(operator_types[text], text, line))
+                    text = match[13]
+                    append(new(token_cls, (operator_types[text], text, line)))
                 elif index == 7 or index == 8:  # quoted string, no interpolation
-                    text = match.group(index)
-                    append(token_cls(TokenType.CONSTANT_ENCAPSED_STRING, text, line))
+                    text = match[index]
+                    type_ = TokenType.CONSTANT_ENCAPSED_STRING
+                    append(new(token_cls, (type_, text, line)))
                     line += text.count("\n")
                 elif index == 9:  # block comment
-                    text = match.group(9)
+                    text = match[9]
                     if not significant:
                         type_ = (
                             TokenType.DOC_COMMENT
                             if text.startswith("/**") and len(text) > 4
                             else TokenType.COMMENT
                         )
-                        append(token_cls(type_, text, line))
+                        append(new(token_cls, (type_, text, line)))
                     line += text.count("\n")
                 elif index == 10:  # line comment
                     if not significant:
-                        append(token_cls(TokenType.COMMENT, match.group(10), line))
+                        text = match[10]
+                        append(new(token_cls, (TokenType.COMMENT, text, line)))
                 elif index == 11:  # cast — token value is the full spelling
                     start = match.start() if ws is None else match.end(1)
                     text = source[start : match.end()]
-                    append(token_cls(CASTS[match.group(11).lower()], text, line))
+                    append(new(token_cls, (CASTS[match[11].lower()], text, line)))
                 elif index == 12:  # ?> close tag (swallows one trailing newline)
                     pos = match.end()
                     if pos < size and source[pos] == "\n":
-                        append(token_cls(TokenType.CLOSE_TAG, "?>\n", line))
+                        append(new(token_cls, (TokenType.CLOSE_TAG, "?>\n", line)))
                         pos += 1
                         line += 1
                     else:
-                        append(token_cls(TokenType.CLOSE_TAG, "?>", line))
+                        append(new(token_cls, (TokenType.CLOSE_TAG, "?>", line)))
                     self.pos = pos
                     self.line = line
                     return
                 elif index == 5:  # float
-                    append(token_cls(TokenType.DNUMBER, match.group(5), line))
+                    append(new(token_cls, (TokenType.DNUMBER, match[5], line)))
                 else:  # 4 or 6: integer
-                    append(token_cls(TokenType.LNUMBER, match.group(index), line))
+                    text = match[index]
+                    append(new(token_cls, (TokenType.LNUMBER, text, line)))
+            if match is not None:
+                pos = match.end()
             if pos >= size:
                 break
             # the scanner stopped mid-input: a stateful construct (or
@@ -335,7 +344,7 @@ class Lexer:
         assert match is not None
         text = match.group(0)
         if not self.significant:
-            self.tokens.append(Token(TokenType.WHITESPACE, text, self.line))
+            self._emit(TokenType.WHITESPACE, text)
         self.pos = match.end()
         self.line += text.count("\n")
 
@@ -393,7 +402,7 @@ class Lexer:
                 if text.startswith("/**") and len(text) > 4
                 else TokenType.COMMENT
             )
-            self.tokens.append(Token(type_, text, self.line))
+            self._emit(type_, text)
         self.pos += len(text)
         self.line += text.count("\n")
 
@@ -407,7 +416,7 @@ class Lexer:
         if newline_index != -1:  # pragma: no cover - regex stops at newline
             text = text[:newline_index]
         if not self.significant:
-            self.tokens.append(Token(TokenType.COMMENT, text, self.line))
+            self._emit(TokenType.COMMENT, text)
         self.pos += len(text)
 
     # -- simple tokens ------------------------------------------------------
@@ -416,7 +425,7 @@ class Lexer:
         match = _VARIABLE.match(self.source, self.pos)
         assert match is not None
         text = intern(match.group(0))
-        self.tokens.append(Token(TokenType.VARIABLE, text, self.line))
+        self._emit(TokenType.VARIABLE, text)
         self.pos = match.end()
 
     def _lex_number(self) -> None:
@@ -444,7 +453,7 @@ class Lexer:
                 type_ = KEYWORDS.get(word.lower())
             if type_ is None:
                 type_ = TokenType.STRING
-        self.tokens.append(Token(type_, intern(word), self.line))
+        self._emit(type_, intern(word))
         self.pos = match.end()
 
     # -- strings --------------------------------------------------------------
@@ -572,9 +581,7 @@ class Lexer:
             nonlocal literal_start, literal_line
             if self.pos > literal_start:
                 text = source[literal_start:self.pos]
-                self.tokens.append(
-                    Token(TokenType.ENCAPSED_AND_WHITESPACE, text, literal_line)
-                )
+                self._emit(TokenType.ENCAPSED_AND_WHITESPACE, text, literal_line)
             literal_start = self.pos
             literal_line = self.line
 
@@ -724,12 +731,10 @@ class Lexer:
                     self.line += 1
                 self.pos += 1
             if self.pos > literal_start:
-                self.tokens.append(
-                    Token(
-                        TokenType.ENCAPSED_AND_WHITESPACE,
-                        source[literal_start:self.pos],
-                        literal_line,
-                    )
+                self._emit(
+                    TokenType.ENCAPSED_AND_WHITESPACE,
+                    source[literal_start:self.pos],
+                    literal_line,
                 )
         else:
             self._lex_interpolated_body(terminator="", heredoc_label=label)

@@ -98,30 +98,20 @@ _INFIX.update(
 _INFIX["?"] = (_TERNARY_POWER, _ASSIGN_POWER, _TERNARY)
 _INFIX["instanceof"] = (_INSTANCEOF_POWER, 0, _INSTANCEOF)
 
-#: the loop's lookup tables, valued (power, right power, kind, spelling):
-#: one-character operators arrive as CHAR tokens keyed by their text,
-#: the rest by token type (``<>`` is spelled ``!=``)
-_INFIX_CHARS = {op: (*entry, op) for op, entry in _INFIX.items() if len(op) == 1}
-_INFIX_TOKENS = {
-    type_: (*_INFIX[op], op)
+#: the loop's lookup table by token kind (see ``Parser.kinds``), valued
+#: (power, right power, kind, spelling): one-character operators are
+#: keyed by their text, the rest by token type (``<>`` is spelled ``!=``)
+_INFIX_KINDS = {op: (*entry, op) for op, entry in _INFIX.items() if len(op) == 1}
+_INFIX_KINDS.update(
+    (type_, (*_INFIX[op], op))
     for op, type_ in (*OPERATORS, *KEYWORDS.items())
     if op in _INFIX
-}
+)
 
-#: keywords that end an alternative-syntax (``: ... endX;``) statement list
-_CLOSER_TYPES = frozenset(
-    {
-        TokenType.ENDIF,
-        TokenType.ENDWHILE,
-        TokenType.ENDFOR,
-        TokenType.ENDFOREACH,
-        TokenType.ENDSWITCH,
-        TokenType.ENDDECLARE,
-        TokenType.ELSE,
-        TokenType.ELSEIF,
-        TokenType.CASE,
-        TokenType.DEFAULT,
-    }
+#: kinds that end a ``{ ... }`` statement list (``case``/``default``/
+#: ``endswitch`` end a switch arm, which is parsed as one)
+_BLOCK_CLOSERS = frozenset(
+    {"}", TokenType.EOF, TokenType.CASE, TokenType.DEFAULT, TokenType.ENDSWITCH}
 )
 
 _CAST_NAMES = {
@@ -142,10 +132,10 @@ _INCLUDE_KINDS = {
 }
 
 # Prefix forms of `_parse_unary`: one-character operators, and the
-# non-CHAR token types that introduce one.  Anything else is a primary
-# with its postfix operators.
+# token types that introduce one.  Anything else is a primary with its
+# postfix operators.
 _UNARY_CHARS = frozenset("!-+~@")
-_UNARY_PREFIX_TYPES = frozenset(_CAST_NAMES) | frozenset(_INCLUDE_KINDS) | {
+_UNARY_KINDS = _UNARY_CHARS | frozenset(_CAST_NAMES) | frozenset(_INCLUDE_KINDS) | {
     TokenType.INC,
     TokenType.DEC,
     TokenType.PRINT,
@@ -154,6 +144,39 @@ _UNARY_PREFIX_TYPES = frozenset(_CAST_NAMES) | frozenset(_INCLUDE_KINDS) | {
     TokenType.CLONE,
     TokenType.EXIT,
 }
+
+#: token types that make up a (namespace-qualified) name
+_NAME_PARTS = frozenset({TokenType.STRING, TokenType.ARRAY, TokenType.STATIC})
+
+#: name-like primaries besides a plain identifier: ``\\qualified`` and
+#: the magic constants
+_MAGIC_NAMES = frozenset(
+    {
+        TokenType.NS_SEPARATOR,
+        TokenType.FILE,
+        TokenType.LINE,
+        TokenType.DIR,
+        TokenType.FUNC_C,
+        TokenType.CLASS_C,
+        TokenType.METHOD_C,
+    }
+)
+
+#: nodes a ``(`` (call) or ``{`` (string offset) may follow
+_CALLABLE_NODES = (ast.Variable, ast.ArrayAccess, ast.PropertyAccess)
+
+#: kinds that can continue a primary in `_parse_postfix_operators`
+_POSTFIX_KINDS = frozenset(
+    {
+        "[",
+        "(",
+        "{",
+        TokenType.OBJECT_OPERATOR,
+        TokenType.DOUBLE_COLON,
+        TokenType.INC,
+        TokenType.DEC,
+    }
+)
 
 _DOUBLE_ESCAPES = {
     "n": "\n",
@@ -205,6 +228,15 @@ class Parser:
     Statements dispatch on their first token (``_STATEMENT_DISPATCH``;
     anything else is an expression statement); expressions are one
     binding-power loop (``_parse_expression``).
+
+    Dispatch and lookahead read :attr:`kinds`, not the tokens: a
+    token's *kind* is its spelling for a bare CHAR token and its
+    :class:`TokenType` otherwise, so ``kinds[pos] == ";"`` and
+    ``kinds[pos] is TokenType.IF`` are one list index each.  The token
+    primitives (``_at``, ``_accept``, ``_expect``) take a kind.
+
+    While it builds the tree the parser also records the model stage's
+    :class:`~repro.php.ast_nodes.FileIndex` (:attr:`index`).
     """
 
     def __init__(
@@ -217,6 +249,10 @@ class Parser:
             tokens = list(tokens)
             tokens.append(Token(TokenType.EOF, "", tokens[-1].line if tokens else 0))
         self.tokens = tokens
+        self.kinds = [
+            token.value if token.type is TokenType.CHAR else token.type
+            for token in tokens
+        ]
         self.filename = filename
         self.pos = 0
         #: with ``recover=True``, a :class:`PhpParseError` inside a
@@ -226,61 +262,57 @@ class Parser:
         #: and records the incident here
         self.recover = recover
         self.incidents: List[Incident] = []
+        #: the index of the tree :meth:`parse_file` returns; its name
+        #: sets are filled when the parse ends
+        self.index = ast.FileIndex()
+        self._called_names: List[str] = []
+        self._called_methods: List[str] = []
+        #: every list a node is recorded in, for recover-mode rollback
+        self._records = (
+            self.index.functions,
+            self.index.classes,
+            self.index.includes,
+            self._called_names,
+            self._called_methods,
+        )
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def _peek_kind(self, offset: int) -> object:
         index = self.pos + offset
-        tokens = self.tokens
-        return tokens[index] if index < len(tokens) else tokens[-1]
+        kinds = self.kinds
+        return kinds[index] if index < len(kinds) else kinds[-1]
 
     def _next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
-            self.pos += 1
-        return token
+        pos = self.pos
+        if self.kinds[pos] is not TokenType.EOF:
+            self.pos = pos + 1
+        return self.tokens[pos]
 
-    def _at(self, type_: TokenType) -> bool:
-        return self.tokens[self.pos].type is type_
+    def _at(self, kind: object) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def _at_char(self, char: str) -> bool:
-        token = self.tokens[self.pos]
-        return token.type is TokenType.CHAR and token.value == char
-
-    def _accept(self, type_: TokenType) -> Optional[Token]:
-        token = self.tokens[self.pos]
-        if token.type is type_:
-            self.pos += 1
-            return token
+    def _accept(self, kind: object) -> Optional[Token]:
+        pos = self.pos
+        if self.kinds[pos] == kind:
+            self.pos = pos + 1
+            return self.tokens[pos]
         return None
 
-    def _accept_char(self, char: str) -> Optional[Token]:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.CHAR and token.value == char:
-            self.pos += 1
-            return token
-        return None
-
-    def _expect(self, type_: TokenType) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not type_:
+    def _expect(self, kind: object) -> Token:
+        pos = self.pos
+        token = self.tokens[pos]
+        if self.kinds[pos] != kind:
+            expected = repr(kind) if kind.__class__ is str else kind.value
             raise PhpParseError(
-                f"expected {type_.value}, found {token.name} {token.value!r}",
+                f"expected {expected}, found {token.name} {token.value!r}",
                 self.filename,
                 token.line,
             )
-        self.pos += 1
-        return token
-
-    def _expect_char(self, char: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.CHAR or token.value != char:
-            raise PhpParseError(
-                f"expected {char!r}, found {token.name} {token.value!r}",
-                self.filename,
-                token.line,
-            )
-        self.pos += 1
+        self.pos = pos + 1
         return token
 
     def _error(self, message: str) -> PhpParseError:
@@ -294,16 +326,22 @@ class Parser:
             statement = self._parse_statement_recovering()
             if statement is not None:
                 statements.append(statement)
+        self.index.called_names.update(self._called_names)
+        self.index.called_methods.update(self._called_methods)
         return ast.PhpFile(line=1, filename=self.filename, statements=statements)
 
     def _parse_statement_recovering(self) -> Optional[ast.Statement]:
-        """Parse one statement; in recover mode, resync on parse errors."""
+        """Parse one statement; in recover mode, resync on parse errors
+        and drop the index records of the discarded statement."""
         if not self.recover:
             return self._parse_statement()
         start = self.pos
+        marks = tuple(map(len, self._records))
         try:
             return self._parse_statement()
         except PhpParseError as error:
+            for records, mark in zip(self._records, marks):
+                del records[mark:]
             return self._recover_statement(start, error)
 
     def _recover_statement(self, start: int, error: PhpParseError) -> ast.ErrorStmt:
@@ -321,21 +359,21 @@ class Parser:
             self._next()  # guarantee forward progress on the very first token
         depth = 0
         while not self._at(TokenType.EOF):
-            token = self._peek()
-            if token.is_char("{") or token.is_char("(") or token.is_char("["):
+            kind = self.kinds[self.pos]
+            if kind == "{" or kind == "(" or kind == "[":
                 depth += 1
-            elif token.is_char(")") or token.is_char("]"):
+            elif kind == ")" or kind == "]":
                 if depth > 0:
                     depth -= 1
-            elif token.is_char("}"):
+            elif kind == "}":
                 if depth == 0:
                     break  # the enclosing block's closer: leave it
                 depth -= 1
             elif depth == 0:
-                if token.is_char(";"):
+                if kind == ";":
                     self._next()  # the boundary belongs to the bad statement
                     break
-                if token.type in _SYNC_TOKENS:
+                if kind in _SYNC_TOKENS:
                     break
             self._next()
         end_line = (
@@ -364,7 +402,7 @@ class Parser:
     # -- statements -------------------------------------------------------------
 
     def _parse_statement(self) -> Optional[ast.Statement]:
-        handler = self._STATEMENT_DISPATCH.get(self.tokens[self.pos].type)
+        handler = self._STATEMENT_DISPATCH.get(self.kinds[self.pos])
         if handler is None:
             return self._parse_expression_statement()
         return handler(self)
@@ -375,31 +413,24 @@ class Parser:
         self._end_statement()
         return ast.ExpressionStatement(line=line, expr=expr)
 
-    def _skip_tag(self) -> None:
+    def _skip_token(self) -> None:
+        """Open/close tags and the empty statement ``;`` build no node."""
         self.pos += 1
 
     def _parse_inline_html(self) -> ast.InlineHTML:
         token = self._next()
         return ast.InlineHTML(line=token.line, text=token.value)
 
-    def _parse_char_statement(self) -> Optional[ast.Statement]:
-        """``;`` (empty statement), a ``{...}`` block, or an expression
-        statement opening with punctuation (``(``, ``$$``, ``-`` ...)."""
-        token = self.tokens[self.pos]
-        if token.value == ";":
-            self.pos += 1
-            return None
-        if token.value == "{":
-            self.pos += 1
-            body = self._parse_statement_list_until("}")
-            self._expect_char("}")
-            return ast.Block(line=token.line, statements=body)
-        return self._parse_expression_statement()
+    def _parse_block(self) -> ast.Block:
+        line = self._next().line
+        body = self._parse_block_statements()
+        self._expect("}")
+        return ast.Block(line=line, statements=body)
 
     def _parse_return(self) -> ast.ReturnStatement:
         line = self._next().line
         expr = None
-        if not self._at_char(";") and not self._at(TokenType.CLOSE_TAG):
+        if not self._at(";") and not self._at(TokenType.CLOSE_TAG):
             expr = self._parse_expression()
         self._end_statement()
         return ast.ReturnStatement(line=line, expr=expr)
@@ -418,7 +449,7 @@ class Parser:
 
     def _parse_name_statement(self) -> ast.Statement:
         """``label:`` or an expression statement opening with a name."""
-        if self._peek(1).is_char(":") and not self._peek(2).is_char(":"):
+        if self._peek_kind(1) == ":" and self._peek_kind(2) != ":":
             token = self._next()
             self._next()
             return ast.LabelStatement(line=token.line, name=token.value)
@@ -426,33 +457,22 @@ class Parser:
 
     def _end_statement(self) -> None:
         """Consume the terminating ``;`` (a ``?>`` also terminates)."""
-        if self._accept_char(";"):
+        kind = self.kinds[self.pos]
+        if kind == ";":
+            self.pos += 1
             return
-        if self._at(TokenType.CLOSE_TAG) or self._at(TokenType.EOF):
+        if kind is TokenType.CLOSE_TAG or kind is TokenType.EOF:
             return
         raise self._error(
             f"expected ';', found {self._peek().name} {self._peek().value!r}"
         )
 
-    def _parse_statement_list_until(self, *closers: str) -> List[ast.Statement]:
-        """Parse statements until a closing char token or closing keyword."""
-        closer_types = _CLOSER_TYPES
+    def _parse_block_statements(self) -> List[ast.Statement]:
+        """Parse statements up to the ``}`` closing a block (a switch
+        arm also ends at ``case``/``default``/``endswitch``)."""
+        kinds = self.kinds
         statements: List[ast.Statement] = []
-        while True:
-            token = self.tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.EOF:
-                break
-            if type_ is TokenType.CHAR and token.value in closers:
-                break
-            if closers and not closers[0] == "}" and type_ in closer_types:
-                break
-            if closers == ("}",) and type_ in (
-                TokenType.CASE,
-                TokenType.DEFAULT,
-                TokenType.ENDSWITCH,
-            ):
-                break
+        while kinds[self.pos] not in _BLOCK_CLOSERS:
             statement = self._parse_statement_recovering()
             if statement is not None:
                 statements.append(statement)
@@ -460,16 +480,14 @@ class Parser:
 
     def _parse_body(self, *end_keywords: TokenType) -> List[ast.Statement]:
         """Parse a statement body: ``{...}``, ``: ... endX;`` or single stmt."""
-        if self._at_char("{"):
-            self._next()
-            body = self._parse_statement_list_until("}")
-            self._expect_char("}")
+        if self._accept("{"):
+            body = self._parse_block_statements()
+            self._expect("}")
             return body
-        if self._at_char(":"):
-            self._next()
+        if self._accept(":"):
             body: List[ast.Statement] = []
-            stop = set(end_keywords) | {TokenType.ELSE, TokenType.ELSEIF}
-            while not self._at(TokenType.EOF) and self._peek().type not in stop:
+            stop = {*end_keywords, TokenType.ELSE, TokenType.ELSEIF, TokenType.EOF}
+            while self.kinds[self.pos] not in stop:
                 statement = self._parse_statement_recovering()
                 if statement is not None:
                     body.append(statement)
@@ -483,21 +501,21 @@ class Parser:
         """``echo a, b;`` (also ``<?= a ?>``, whose open tag echoes)."""
         line = self._next().line
         exprs = [self._parse_expression()]
-        while self._accept_char(","):
+        while self._accept(","):
             exprs.append(self._parse_expression())
         self._end_statement()
         return ast.EchoStatement(line=line, exprs=exprs)
 
     def _parse_paren_expression(self) -> ast.Expr:
-        self._expect_char("(")
+        self._expect("(")
         expr = self._parse_expression()
-        self._expect_char(")")
+        self._expect(")")
         return expr
 
     def _parse_if(self) -> ast.IfStatement:
         line = self._expect(TokenType.IF).line
         cond = self._parse_paren_expression()
-        alternative = self._at_char(":")
+        alternative = self._at(":")
         then = self._parse_body(TokenType.ENDIF)
         elseifs: List[ast.ElseIfClause] = []
         otherwise: Optional[List[ast.Statement]] = None
@@ -510,7 +528,7 @@ class Parser:
                     ast.ElseIfClause(line=clause_line, cond=clause_cond, body=clause_body)
                 )
                 continue
-            if self._at(TokenType.ELSE) and self._peek(1).type is TokenType.IF:
+            if self._at(TokenType.ELSE) and self._peek_kind(1) is TokenType.IF:
                 # `else if` treated as elseif with a nested parse
                 clause_line = self._next().line
                 self._next()
@@ -534,7 +552,7 @@ class Parser:
     def _parse_while(self) -> ast.WhileStatement:
         line = self._expect(TokenType.WHILE).line
         cond = self._parse_paren_expression()
-        alternative = self._at_char(":")
+        alternative = self._at(":")
         body = self._parse_body(TokenType.ENDWHILE)
         if alternative:
             self._expect(TokenType.ENDWHILE)
@@ -551,23 +569,23 @@ class Parser:
 
     def _parse_expr_list_until(self, *closers: str) -> List[ast.Expr]:
         exprs: List[ast.Expr] = []
-        if any(self._at_char(closer) for closer in closers):
+        if any(self._at(closer) for closer in closers):
             return exprs
         exprs.append(self._parse_expression())
-        while self._accept_char(","):
+        while self._accept(","):
             exprs.append(self._parse_expression())
         return exprs
 
     def _parse_for(self) -> ast.ForStatement:
         line = self._expect(TokenType.FOR).line
-        self._expect_char("(")
+        self._expect("(")
         init = self._parse_expr_list_until(";")
-        self._expect_char(";")
+        self._expect(";")
         cond = self._parse_expr_list_until(";")
-        self._expect_char(";")
+        self._expect(";")
         update = self._parse_expr_list_until(")")
-        self._expect_char(")")
-        alternative = self._at_char(":")
+        self._expect(")")
+        alternative = self._at(":")
         body = self._parse_body(TokenType.ENDFOR)
         if alternative:
             self._expect(TokenType.ENDFOR)
@@ -576,19 +594,19 @@ class Parser:
 
     def _parse_foreach(self) -> ast.ForeachStatement:
         line = self._expect(TokenType.FOREACH).line
-        self._expect_char("(")
+        self._expect("(")
         subject = self._parse_expression()
         self._expect(TokenType.AS)
-        by_ref = self._accept_char("&") is not None
+        by_ref = self._accept("&") is not None
         first = self._parse_expression()
         key_var: Optional[ast.Expr] = None
         value_var = first
         if self._accept(TokenType.DOUBLE_ARROW):
             key_var = first
-            by_ref = self._accept_char("&") is not None
+            by_ref = self._accept("&") is not None
             value_var = self._parse_expression()
-        self._expect_char(")")
-        alternative = self._at_char(":")
+        self._expect(")")
+        alternative = self._at(":")
         body = self._parse_body(TokenType.ENDFOREACH)
         if alternative:
             self._expect(TokenType.ENDFOREACH)
@@ -606,17 +624,17 @@ class Parser:
         line = self._expect(TokenType.SWITCH).line
         subject = self._parse_paren_expression()
         alternative = False
-        if self._accept_char("{"):
+        if self._accept("{"):
             pass
-        elif self._accept_char(":"):
+        elif self._accept(":"):
             alternative = True
         else:
             raise self._error("expected '{' or ':' after switch (...)")
         cases: List[ast.SwitchCase] = []
         while not self._at(TokenType.EOF):
-            if self._at_char("}") or self._at(TokenType.ENDSWITCH):
+            if self._at("}") or self._at(TokenType.ENDSWITCH):
                 break
-            if self._accept_char(";"):
+            if self._accept(";"):
                 continue
             token = self._peek()
             if token.type is TokenType.CASE:
@@ -627,15 +645,15 @@ class Parser:
                 test = None
             else:
                 raise self._error(f"expected case/default, found {token.name}")
-            if not self._accept_char(":"):
-                self._accept_char(";")
-            body = self._parse_statement_list_until("}")
+            if not self._accept(":"):
+                self._accept(";")
+            body = self._parse_block_statements()
             cases.append(ast.SwitchCase(line=token.line, test=test, body=body))
         if alternative:
             self._expect(TokenType.ENDSWITCH)
             self._end_statement()
         else:
-            self._expect_char("}")
+            self._expect("}")
         return ast.SwitchStatement(line=line, subject=subject, cases=cases)
 
     def _parse_break_continue(self) -> ast.Statement:
@@ -650,7 +668,7 @@ class Parser:
     def _parse_global(self) -> ast.GlobalStatement:
         line = self._expect(TokenType.GLOBAL).line
         names = [self._expect(TokenType.VARIABLE).value[1:]]
-        while self._accept_char(","):
+        while self._accept(","):
             names.append(self._expect(TokenType.VARIABLE).value[1:])
         self._end_statement()
         return ast.GlobalStatement(line=line, names=names)
@@ -658,46 +676,46 @@ class Parser:
     def _parse_static_vars(self) -> ast.Statement:
         """``static $a = 1, $b;``, else an expression opening with
         ``static`` (``static::x()``, a static closure)."""
-        if self._peek(1).type is not TokenType.VARIABLE:
+        if self._peek_kind(1) is not TokenType.VARIABLE:
             return self._parse_expression_statement()
         line = self._expect(TokenType.STATIC).line
         vars_: List = []
         while True:
             name = self._expect(TokenType.VARIABLE).value[1:]
             default = None
-            if self._accept_char("="):
+            if self._accept("="):
                 default = self._parse_expression()
             vars_.append((name, default))
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
         self._end_statement()
         return ast.StaticVarStatement(line=line, vars=vars_)
 
     def _parse_unset(self) -> ast.UnsetStatement:
         line = self._expect(TokenType.UNSET).line
-        self._expect_char("(")
+        self._expect("(")
         vars_ = self._parse_expr_list_until(")")
-        self._expect_char(")")
+        self._expect(")")
         self._end_statement()
         return ast.UnsetStatement(line=line, vars=vars_)
 
     def _parse_try(self) -> ast.TryStatement:
         line = self._expect(TokenType.TRY).line
-        self._expect_char("{")
-        body = self._parse_statement_list_until("}")
-        self._expect_char("}")
+        self._expect("{")
+        body = self._parse_block_statements()
+        self._expect("}")
         catches: List[ast.CatchClause] = []
         finally_body: Optional[List[ast.Statement]] = None
         while self._at(TokenType.CATCH):
             catch_line = self._next().line
-            self._expect_char("(")
+            self._expect("(")
             class_name = self._parse_qualified_name()
             var_token = self._accept(TokenType.VARIABLE)
             var_name = var_token.value[1:] if var_token else ""
-            self._expect_char(")")
-            self._expect_char("{")
-            catch_body = self._parse_statement_list_until("}")
-            self._expect_char("}")
+            self._expect(")")
+            self._expect("{")
+            catch_body = self._parse_block_statements()
+            self._expect("}")
             catches.append(
                 ast.CatchClause(
                     line=catch_line, class_name=class_name, var_name=var_name, body=catch_body
@@ -705,9 +723,9 @@ class Parser:
             )
         if self._at(TokenType.STRING) and self._peek().value.lower() == "finally":
             self._next()
-            self._expect_char("{")
-            finally_body = self._parse_statement_list_until("}")
-            self._expect_char("}")
+            self._expect("{")
+            finally_body = self._parse_block_statements()
+            self._expect("}")
         return ast.TryStatement(
             line=line, body=body, catches=catches, finally_body=finally_body
         )
@@ -718,23 +736,18 @@ class Parser:
         """``function name(...)``, else an expression statement opening
         with a closure."""
         offset = 1
-        if self._peek(offset).is_char("&"):
+        if self._peek_kind(offset) == "&":
             offset += 1
-        if self._peek(offset).type is TokenType.STRING:
+        if self._peek_kind(offset) is TokenType.STRING:
             return self._parse_function_declaration()
         return self._parse_expression_statement()
 
     def _parse_qualified_name(self) -> str:
         """Parse a possibly namespace-qualified name into one string."""
         parts: List[str] = []
-        if self._accept(TokenType.NS_SEPARATOR):
-            pass
-        while True:
-            token = self._peek()
-            if token.type in (TokenType.STRING, TokenType.ARRAY, TokenType.STATIC):
-                parts.append(self._next().value)
-            else:
-                break
+        self._accept(TokenType.NS_SEPARATOR)
+        while self.kinds[self.pos] in _NAME_PARTS:
+            parts.append(self._next().value)
             if not self._accept(TokenType.NS_SEPARATOR):
                 break
         if not parts:
@@ -742,40 +755,48 @@ class Parser:
         return "\\".join(parts)
 
     def _parse_params(self) -> List[ast.Param]:
-        self._expect_char("(")
+        self._expect("(")
         params: List[ast.Param] = []
-        while not self._at_char(")") and not self._at(TokenType.EOF):
+        while not self._at(")") and not self._at(TokenType.EOF):
             line = self._peek().line
             type_hint: Optional[str] = None
             if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR):
                 type_hint = self._parse_qualified_name()
             elif self._at(TokenType.ARRAY):
                 type_hint = self._next().value
-            by_ref = self._accept_char("&") is not None
+            by_ref = self._accept("&") is not None
             self._accept(TokenType.ELLIPSIS)
             name = self._expect(TokenType.VARIABLE).value[1:]
             default = None
-            if self._accept_char("="):
+            if self._accept("="):
                 default = self._parse_expression()
             params.append(
                 ast.Param(
                     line=line, name=name, default=default, by_ref=by_ref, type_hint=type_hint
                 )
             )
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
-        self._expect_char(")")
+        self._expect(")")
         return params
 
     def _parse_function_declaration(self) -> ast.FunctionDecl:
+        # the index lists declarations in preorder: reserve this one's
+        # place ahead of the declarations nested in its body
+        functions = self.index.functions
+        slot = len(functions)
+        functions.append(None)
         line = self._expect(TokenType.FUNCTION).line
-        by_ref = self._accept_char("&") is not None
+        by_ref = self._accept("&") is not None
         name = self._expect(TokenType.STRING).value
         params = self._parse_params()
-        self._expect_char("{")
-        body = self._parse_statement_list_until("}")
-        self._expect_char("}")
-        return ast.FunctionDecl(line=line, name=name, params=params, body=body, by_ref=by_ref)
+        self._expect("{")
+        body = self._parse_block_statements()
+        self._expect("}")
+        functions[slot] = decl = ast.FunctionDecl(
+            line=line, name=name, params=params, body=body, by_ref=by_ref
+        )
+        return decl
 
     def _parse_class_declaration(self) -> ast.ClassDecl:
         is_abstract = False
@@ -803,13 +824,13 @@ class Parser:
         if self._accept(TokenType.EXTENDS):
             parent = self._parse_qualified_name()
             # interfaces may extend several parents; keep the first, record rest
-            while self._accept_char(","):
+            while self._accept(","):
                 interfaces.append(self._parse_qualified_name())
         if self._accept(TokenType.IMPLEMENTS):
             interfaces.append(self._parse_qualified_name())
-            while self._accept_char(","):
+            while self._accept(","):
                 interfaces.append(self._parse_qualified_name())
-        self._expect_char("{")
+        self._expect("{")
         decl = ast.ClassDecl(
             line=line,
             name=name,
@@ -819,21 +840,22 @@ class Parser:
             is_abstract=is_abstract,
             is_final=is_final,
         )
-        while not self._at_char("}") and not self._at(TokenType.EOF):
+        self.index.classes.append(decl)  # before its members: preorder
+        while not self._at("}") and not self._at(TokenType.EOF):
             self._parse_class_member(decl)
-        self._expect_char("}")
+        self._expect("}")
         return decl
 
     def _parse_class_member(self, decl: ast.ClassDecl) -> None:  # noqa: C901
-        if self._accept_char(";"):
+        if self._accept(";"):
             return
         if self._at(TokenType.USE):
             self._next()
             decl.uses.append(self._parse_qualified_name())
-            while self._accept_char(","):
+            while self._accept(","):
                 decl.uses.append(self._parse_qualified_name())
-            if self._accept_char("{"):
-                while not self._accept_char("}") and not self._at(TokenType.EOF):
+            if self._accept("{"):
+                while not self._accept("}") and not self._at(TokenType.EOF):
                     self._next()
             else:
                 self._end_statement()
@@ -843,12 +865,12 @@ class Parser:
             while True:
                 const_line = self._peek().line
                 const_name = self._expect(TokenType.STRING).value
-                self._expect_char("=")
+                self._expect("=")
                 value = self._parse_expression()
                 decl.constants.append(
                     ast.ClassConstDecl(line=const_line, name=const_name, value=value)
                 )
-                if not self._accept_char(","):
+                if not self._accept(","):
                     break
             self._end_statement()
             return
@@ -882,7 +904,7 @@ class Parser:
 
         if self._at(TokenType.FUNCTION):
             line = self._next().line
-            by_ref = self._accept_char("&") is not None
+            by_ref = self._accept("&") is not None
             name_token = self._peek()
             if name_token.type is TokenType.STRING or name_token.type.value.startswith("T_"):
                 name = self._next().value
@@ -890,9 +912,9 @@ class Parser:
                 raise self._error("expected method name")
             params = self._parse_params()
             body: Optional[List[ast.Statement]] = None
-            if self._accept_char("{"):
-                body = self._parse_statement_list_until("}")
-                self._expect_char("}")
+            if self._accept("{"):
+                body = self._parse_block_statements()
+                self._expect("}")
             else:
                 self._end_statement()
             decl.methods.append(
@@ -915,7 +937,7 @@ class Parser:
                 line = self._peek().line
                 name = self._expect(TokenType.VARIABLE).value[1:]
                 default = None
-                if self._accept_char("="):
+                if self._accept("="):
                     default = self._parse_expression()
                 decl.properties.append(
                     ast.PropertyDecl(
@@ -926,7 +948,7 @@ class Parser:
                         static=static,
                     )
                 )
-                if not self._accept_char(","):
+                if not self._accept(","):
                     break
             self._end_statement()
             return
@@ -938,9 +960,9 @@ class Parser:
         name = ""
         if self._at(TokenType.STRING):
             name = self._parse_qualified_name()
-        if self._accept_char("{"):
-            body = self._parse_statement_list_until("}")
-            self._expect_char("}")
+        if self._accept("{"):
+            body = self._parse_block_statements()
+            self._expect("}")
             return ast.NamespaceStatement(line=line, name=name, body=body)
         self._end_statement()
         return ast.NamespaceStatement(line=line, name=name, body=None)
@@ -951,7 +973,7 @@ class Parser:
         alias = None
         if self._accept(TokenType.AS):
             alias = self._expect(TokenType.STRING).value
-        while self._accept_char(","):
+        while self._accept(","):
             self._parse_qualified_name()
             if self._accept(TokenType.AS):
                 self._expect(TokenType.STRING)
@@ -963,32 +985,32 @@ class Parser:
         consts: List = []
         while True:
             name = self._expect(TokenType.STRING).value
-            self._expect_char("=")
+            self._expect("=")
             value = self._parse_expression()
             consts.append((name, value))
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
         self._end_statement()
         return ast.ConstStatement(line=line, consts=consts)
 
     def _parse_declare(self) -> ast.DeclareStatement:
         line = self._expect(TokenType.DECLARE).line
-        self._expect_char("(")
+        self._expect("(")
         directives: List = []
-        while not self._at_char(")"):
+        while not self._at(")"):
             name = self._expect(TokenType.STRING).value
-            self._expect_char("=")
+            self._expect("=")
             value = self._parse_expression()
             directives.append((name, value))
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
-        self._expect_char(")")
+        self._expect(")")
         body: Optional[List[ast.Statement]] = None
-        if self._accept_char("{"):
-            body = self._parse_statement_list_until("}")
-            self._expect_char("}")
+        if self._accept("{"):
+            body = self._parse_block_statements()
+            self._expect("}")
         else:
-            self._accept_char(";")
+            self._accept(";")
         return ast.DeclareStatement(line=line, directives=directives, body=body)
 
     # -- expressions ---------------------------------------------------------------
@@ -1006,36 +1028,33 @@ class Parser:
         looser than ``??`` except an assignment (``assign_ok``).
         """
         left = self._parse_unary()
-        tokens = self.tokens
+        kinds = self.kinds
         while True:
-            token = tokens[self.pos]
-            if token.type is TokenType.CHAR:
-                entry = _INFIX_CHARS.get(token.value)
-            else:
-                entry = _INFIX_TOKENS.get(token.type)
+            entry = _INFIX_KINDS.get(kinds[self.pos])
             if entry is None:
                 return left
             if entry[0] < min_power and not (assign_ok and entry[2] == _ASSIGN):
                 return left
             _power, right_power, kind, op = entry
+            line = self.tokens[self.pos].line
             self.pos += 1
             if kind == _BINARY:
                 right = self._parse_expression(right_power)
-                left = ast.Binary(line=token.line, op=op, left=left, right=right)
+                left = ast.Binary(line=line, op=op, left=left, right=right)
             elif kind == _ASSIGN:
-                by_ref = op == "=" and self._accept_char("&") is not None
+                by_ref = op == "=" and self._accept("&") is not None
                 value = self._parse_expression(right_power)
                 left = ast.Assignment(
-                    line=token.line, target=left, value=value, op=op, by_ref=by_ref
+                    line=line, target=left, value=value, op=op, by_ref=by_ref
                 )
             elif kind == _TERNARY:
                 if_true = None
-                if not self._accept_char(":"):
+                if not self._accept(":"):
                     if_true = self._parse_expression(right_power)
-                    self._expect_char(":")
+                    self._expect(":")
                 if_false = self._parse_expression(_TERNARY_POWER + 1, assign_ok=True)
                 left = ast.Ternary(
-                    line=token.line, cond=left, if_true=if_true, if_false=if_false
+                    line=line, cond=left, if_true=if_true, if_false=if_false
                 )
             else:  # instanceof: a class name or a dynamic operand
                 class_name: Union[str, ast.Expr]
@@ -1043,86 +1062,94 @@ class Parser:
                     class_name = self._parse_qualified_name()
                 else:
                     class_name = self._parse_unary()
-                left = ast.InstanceofExpr(line=token.line, expr=left, class_name=class_name)
+                left = ast.InstanceofExpr(line=line, expr=left, class_name=class_name)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.tokens[self.pos]
-        type_ = token.type
-        if type_ is TokenType.CHAR:
-            value = token.value
-            if value in _UNARY_CHARS:
-                self.pos += 1
-                if value == "!":
-                    # `!` binds looser than `instanceof` and `**`
-                    operand = self._parse_expression(_INSTANCEOF_POWER)
-                else:
-                    operand = self._parse_unary()
-                return ast.Unary(line=token.line, op=value, operand=operand)
+        kind = self.kinds[self.pos]
+        if kind not in _UNARY_KINDS:
             return self._parse_postfix_operators(self._parse_primary())
-        if type_ not in _UNARY_PREFIX_TYPES:
-            return self._parse_postfix_operators(self._parse_primary())
-        if type_ in _CAST_NAMES:
+        line = self.tokens[self.pos].line
+        if kind in _UNARY_CHARS:
+            self.pos += 1
+            if kind == "!":
+                # `!` binds looser than `instanceof` and `**`
+                operand = self._parse_expression(_INSTANCEOF_POWER)
+            else:
+                operand = self._parse_unary()
+            return ast.Unary(line=line, op=kind, operand=operand)
+        if kind in _CAST_NAMES:
             self.pos += 1
             operand = self._parse_unary()
-            return ast.Cast(line=token.line, to=_CAST_NAMES[type_], operand=operand)
-        if type_ is TokenType.INC or type_ is TokenType.DEC:
-            self.pos += 1
+            return ast.Cast(line=line, to=_CAST_NAMES[kind], operand=operand)
+        if kind is TokenType.INC or kind is TokenType.DEC:
+            op = self._next().value
             target = self._parse_unary()
-            return ast.IncDec(line=token.line, op=token.value, target=target, prefix=True)
-        if type_ in _INCLUDE_KINDS:
+            return ast.IncDec(line=line, op=op, target=target, prefix=True)
+        if kind in _INCLUDE_KINDS:
             self.pos += 1
+            includes = self.index.includes  # preorder slot, as for functions
+            slot = len(includes)
+            includes.append(None)
             path = self._parse_expression()
-            return ast.IncludeExpr(line=token.line, kind=_INCLUDE_KINDS[type_], path=path)
-        if type_ is TokenType.PRINT:
+            includes[slot] = node = ast.IncludeExpr(
+                line=line, kind=_INCLUDE_KINDS[kind], path=path
+            )
+            return node
+        if kind is TokenType.PRINT:
             self.pos += 1
             expr = self._parse_expression()
-            return ast.PrintExpr(line=token.line, expr=expr)
-        if type_ is TokenType.THROW:
+            return ast.PrintExpr(line=line, expr=expr)
+        if kind is TokenType.THROW:
             self.pos += 1
             expr = self._parse_expression()
-            return ast.Unary(line=token.line, op="throw", operand=expr)
-        if type_ is TokenType.NEW:
+            return ast.Unary(line=line, op="throw", operand=expr)
+        if kind is TokenType.NEW:
             return self._parse_new()
-        if type_ is TokenType.CLONE:
+        if kind is TokenType.CLONE:
             self.pos += 1
             expr = self._parse_unary()
-            return ast.Clone(line=token.line, expr=expr)
+            return ast.Clone(line=line, expr=expr)
         # exit / die
         self.pos += 1
         expr = None
-        if self._accept_char("("):
-            if not self._at_char(")"):
+        if self._accept("("):
+            if not self._at(")"):
                 expr = self._parse_expression()
-            self._expect_char(")")
-        return ast.ExitExpr(line=token.line, expr=expr)
+            self._expect(")")
+        return ast.ExitExpr(line=line, expr=expr)
 
     def _parse_new(self) -> ast.Expr:
         line = self._expect(TokenType.NEW).line
         class_name: Union[str, ast.Expr]
-        if self._at(TokenType.STRING) or self._at(TokenType.NS_SEPARATOR) or self._at(
+        kind = self.kinds[self.pos]
+        if kind is TokenType.STRING or kind is TokenType.NS_SEPARATOR or kind is (
             TokenType.STATIC
         ):
             class_name = self._parse_qualified_name()
-        elif self._at(TokenType.VARIABLE):
+            # constructors count as called
+            self._called_methods.append("__construct")
+            self._called_names.append(class_name.lower())
+        elif kind is TokenType.VARIABLE:
             class_name = self._parse_postfix()
         else:
             raise self._error("expected class name after new")
         args: List[ast.Expr] = []
-        if self._at_char("("):
+        if self._at("("):
             args = self._parse_call_args()
         node: ast.Expr = ast.New(line=line, class_name=class_name, args=args)
         return self._parse_postfix_operators(node)
 
     def _parse_call_args(self) -> List[ast.Expr]:
-        self._expect_char("(")
+        self._expect("(")
         args: List[ast.Expr] = []
-        while not self._at_char(")") and not self._at(TokenType.EOF):
-            self._accept_char("&")  # call-time pass-by-reference (PHP4 style)
+        kinds = self.kinds
+        while kinds[self.pos] != ")" and kinds[self.pos] is not TokenType.EOF:
+            self._accept("&")  # call-time pass-by-reference (PHP4 style)
             self._accept(TokenType.ELLIPSIS)
             args.append(self._parse_expression())
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
-        self._expect_char(")")
+        self._expect(")")
         return args
 
     def _parse_postfix(self) -> ast.Expr:
@@ -1130,89 +1157,82 @@ class Parser:
         return self._parse_postfix_operators(node)
 
     def _parse_postfix_operators(self, node: ast.Expr) -> ast.Expr:  # noqa: C901
-        tokens = self.tokens
+        kinds = self.kinds
         while True:
-            token = tokens[self.pos]
-            type_ = token.type
-            if type_ is TokenType.CHAR:
-                value = token.value
-                if value == "[":
-                    self.pos += 1
-                    index: Optional[ast.Expr] = None
-                    if not self._at_char("]"):
-                        index = self._parse_expression()
-                    self._expect_char("]")
-                    node = ast.ArrayAccess(line=token.line, array=node, index=index)
-                    continue
-                if value == "(" and isinstance(
-                    node, (ast.Variable, ast.ArrayAccess, ast.PropertyAccess)
-                ):
+            kind = kinds[self.pos]
+            if kind not in _POSTFIX_KINDS:
+                return node
+            line = self.tokens[self.pos].line
+            if kind == "[":
+                self.pos += 1
+                index: Optional[ast.Expr] = None
+                if not self._at("]"):
+                    index = self._parse_expression()
+                self._expect("]")
+                node = ast.ArrayAccess(line=line, array=node, index=index)
+            elif kind == "(" or kind == "{":
+                if not isinstance(node, _CALLABLE_NODES):
+                    return node
+                if kind == "(":
                     args = self._parse_call_args()
-                    node = ast.FunctionCall(line=token.line, name=node, args=args)
-                    continue
-                if value == "{" and isinstance(
-                    node, (ast.Variable, ast.ArrayAccess, ast.PropertyAccess)
-                ):
+                    node = ast.FunctionCall(line=line, name=node, args=args)
+                else:
                     # string offset access $str{0} (PHP5) — treat as array access
                     self.pos += 1
                     index = self._parse_expression()
-                    self._expect_char("}")
-                    node = ast.ArrayAccess(line=token.line, array=node, index=index)
-                    continue
-                return node
-            if type_ is TokenType.OBJECT_OPERATOR:
+                    self._expect("}")
+                    node = ast.ArrayAccess(line=line, array=node, index=index)
+            elif kind is TokenType.OBJECT_OPERATOR:
                 self.pos += 1
                 name = self._parse_member_name()
-                if self._at_char("("):
+                if self._at("("):
                     args = self._parse_call_args()
                     node = ast.MethodCall(
-                        line=token.line, object=node, method=name, args=args
+                        line=line, object=node, method=name, args=args
                     )
+                    if name.__class__ is str:
+                        self._called_methods.append(name.lower())
                 else:
-                    node = ast.PropertyAccess(line=token.line, object=node, name=name)
-                continue
-            if type_ is TokenType.DOUBLE_COLON:
+                    node = ast.PropertyAccess(line=line, object=node, name=name)
+            elif kind is TokenType.DOUBLE_COLON:
                 class_name = self._static_class_name(node)
-                self._next()
+                self.pos += 1
                 if self._at(TokenType.VARIABLE):
                     prop = self._next().value[1:]
-                    if self._at_char("("):
+                    if self._at("("):
                         args = self._parse_call_args()
                         node = ast.StaticCall(
-                            line=token.line,
+                            line=line,
                             class_name=class_name,
-                            method=ast.Variable(line=token.line, name=prop),
+                            method=ast.Variable(line=line, name=prop),
                             args=args,
                         )
                     else:
                         node = ast.StaticPropertyAccess(
-                            line=token.line, class_name=class_name, name=prop
+                            line=line, class_name=class_name, name=prop
                         )
-                    continue
-                if self._at(TokenType.CLASS):
-                    self._next()
+                elif self._accept(TokenType.CLASS):
                     node = ast.ClassConstAccess(
-                        line=token.line, class_name=class_name, name="class"
-                    )
-                    continue
-                member = self._parse_member_name()
-                if self._at_char("("):
-                    args = self._parse_call_args()
-                    node = ast.StaticCall(
-                        line=token.line, class_name=class_name, method=member, args=args
+                        line=line, class_name=class_name, name="class"
                     )
                 else:
-                    if not isinstance(member, str):
+                    member = self._parse_member_name()
+                    if self._at("("):
+                        args = self._parse_call_args()
+                        node = ast.StaticCall(
+                            line=line, class_name=class_name, method=member, args=args
+                        )
+                        if member.__class__ is str:
+                            self._called_methods.append(member.lower())
+                    elif member.__class__ is str:
+                        node = ast.ClassConstAccess(
+                            line=line, class_name=class_name, name=member
+                        )
+                    else:
                         raise self._error("dynamic class constant access")
-                    node = ast.ClassConstAccess(
-                        line=token.line, class_name=class_name, name=member
-                    )
-                continue
-            if type_ is TokenType.INC or type_ is TokenType.DEC:
-                self.pos += 1
-                node = ast.IncDec(line=token.line, op=token.value, target=node, prefix=False)
-                continue
-            return node
+            else:  # ++ / --
+                op = self._next().value
+                node = ast.IncDec(line=line, op=op, target=node, prefix=False)
 
     def _parse_member_name(self) -> Union[str, ast.Expr]:
         token = self._peek()
@@ -1224,10 +1244,9 @@ class Parser:
         if token.type is TokenType.VARIABLE:
             self._next()
             return ast.Variable(line=token.line, name=token.value[1:])
-        if token.is_char("{"):
-            self._next()
+        if self._accept("{"):
             expr = self._parse_expression()
-            self._expect_char("}")
+            self._expect("}")
             return expr
         raise self._error(f"expected member name, found {token.name}")
 
@@ -1239,13 +1258,18 @@ class Parser:
         raise self._error("expected class name before '::'")
 
     def _parse_primary(self) -> ast.Expr:  # noqa: C901
+        kind = self.kinds[self.pos]
         token = self.tokens[self.pos]
-        type_ = token.type
 
-        if type_ is TokenType.VARIABLE:
+        if kind is TokenType.VARIABLE:
             self.pos += 1
             return ast.Variable(line=token.line, name=token.value[1:])
-        if type_ is TokenType.CONSTANT_ENCAPSED_STRING:
+        if kind is TokenType.STRING:
+            name = self._parse_qualified_name()
+            if self._at("("):
+                return self._parse_named_call(token.line, name)
+            return ast.ConstFetch(line=token.line, name=name)
+        if kind is TokenType.CONSTANT_ENCAPSED_STRING:
             self.pos += 1
             raw = token.value
             if raw.startswith("'"):
@@ -1253,158 +1277,146 @@ class Parser:
             else:
                 value = unescape_double_quoted(raw[1:-1])
             return ast.Literal(line=token.line, value=value, raw=raw)
-        if type_ is TokenType.CHAR:
-            char = token.value
-            if char == "(":
-                self.pos += 1
+        if kind == "(":
+            self.pos += 1
+            expr = self._parse_expression()
+            self._expect(")")
+            return expr
+        if kind == "[":
+            self.pos += 1
+            return self._parse_array_items(token.line, "]")
+        if kind == '"':
+            return self._parse_interpolated('"')
+        if kind == "$":
+            self.pos += 1
+            if self._accept("{"):
                 expr = self._parse_expression()
-                self._expect_char(")")
-                return expr
-            if char == "[":
-                self.pos += 1
-                return self._parse_array_items(token.line, "]")
-            if char == '"':
-                return self._parse_interpolated('"')
-            if char == "$":
-                self.pos += 1
-                if self._at_char("{"):
-                    self.pos += 1
-                    expr = self._parse_expression()
-                    self._expect_char("}")
-                    return ast.VariableVariable(line=token.line, expr=expr)
-                inner = self._parse_primary()
-                return ast.VariableVariable(line=token.line, expr=inner)
-            if char == "`":
-                node = self._parse_interpolated("`")
-                return ast.ShellExec(line=node.line, parts=node.parts)
-            if char == "&":
-                # reference in expression position: &$var — transparent for taint
-                self.pos += 1
-                return self._parse_postfix()
-            raise self._error(f"unexpected token {token.name} {token.value!r}")
-        if type_ is TokenType.STRING:
-            name = self._parse_qualified_name()
-            if self._at_char("("):
-                args = self._parse_call_args()
-                return ast.FunctionCall(line=token.line, name=name, args=args)
-            return ast.ConstFetch(line=token.line, name=name)
-        if type_ is TokenType.LNUMBER:
+                self._expect("}")
+                return ast.VariableVariable(line=token.line, expr=expr)
+            inner = self._parse_primary()
+            return ast.VariableVariable(line=token.line, expr=inner)
+        if kind == "`":
+            node = self._parse_interpolated("`")
+            return ast.ShellExec(line=node.line, parts=node.parts)
+        if kind == "&":
+            # reference in expression position: &$var — transparent for taint
+            self.pos += 1
+            return self._parse_postfix()
+        if kind is TokenType.LNUMBER:
             self.pos += 1
             try:
                 value = int(token.value, 0)
             except ValueError:
                 value = int(token.value)
             return ast.Literal(line=token.line, value=value, raw=token.value)
-        if type_ is TokenType.DNUMBER:
+        if kind is TokenType.DNUMBER:
             self.pos += 1
             return ast.Literal(line=token.line, value=float(token.value), raw=token.value)
-        if type_ is TokenType.START_HEREDOC:
+        if kind is TokenType.START_HEREDOC:
             return self._parse_heredoc()
-        if type_ is TokenType.ARRAY and self._peek(1).is_char("("):
+        if kind is TokenType.ARRAY and self._peek_kind(1) == "(":
             self.pos += 1
             return self._parse_array_literal(token.line, ")")
-        if type_ is TokenType.ISSET:
-            self._next()
-            self._expect_char("(")
+        if kind is TokenType.ISSET:
+            self.pos += 1
+            self._expect("(")
             vars_ = self._parse_expr_list_until(")")
-            self._expect_char(")")
+            self._expect(")")
             return ast.IssetExpr(line=token.line, vars=vars_)
-        if token.type is TokenType.EMPTY:
-            self._next()
-            self._expect_char("(")
+        if kind is TokenType.EMPTY:
+            self.pos += 1
+            self._expect("(")
             expr = self._parse_expression()
-            self._expect_char(")")
+            self._expect(")")
             return ast.EmptyExpr(line=token.line, expr=expr)
-        if token.type is TokenType.LIST:
-            self._next()
-            self._expect_char("(")
+        if kind is TokenType.LIST:
+            self.pos += 1
+            self._expect("(")
             targets: List[Optional[ast.Expr]] = []
-            while not self._at_char(")"):
-                if self._at_char(","):
+            while not self._at(")"):
+                if self._at(","):
                     targets.append(None)
                 else:
                     targets.append(self._parse_expression())
-                if not self._accept_char(","):
+                if not self._accept(","):
                     break
-            self._expect_char(")")
+            self._expect(")")
             return ast.ListExpr(line=token.line, targets=targets)
-        if token.type is TokenType.FUNCTION:
+        if kind is TokenType.FUNCTION:
             return self._parse_closure(static=False)
-        if token.type is TokenType.STATIC and self._peek(1).type is TokenType.FUNCTION:
-            self._next()
+        if kind is TokenType.STATIC and self._peek_kind(1) is TokenType.FUNCTION:
+            self.pos += 1
             return self._parse_closure(static=True)
-        if token.type is TokenType.STATIC and self._peek(1).type is TokenType.DOUBLE_COLON:
-            self._next()
+        if kind is TokenType.STATIC and self._peek_kind(1) is TokenType.DOUBLE_COLON:
+            self.pos += 1
             return ast.ConstFetch(line=token.line, name="static")
-        if token.type in (
-            TokenType.NS_SEPARATOR,
-            TokenType.FILE,
-            TokenType.LINE,
-            TokenType.DIR,
-            TokenType.FUNC_C,
-            TokenType.CLASS_C,
-            TokenType.METHOD_C,
-        ):
-            name = self._parse_qualified_name() if token.type is (
-                TokenType.NS_SEPARATOR
-            ) else self._next().value
-            if self._at_char("("):
-                args = self._parse_call_args()
-                return ast.FunctionCall(line=token.line, name=name, args=args)
+        if kind in _MAGIC_NAMES:
+            if kind is TokenType.NS_SEPARATOR:
+                name = self._parse_qualified_name()
+            else:
+                name = self._next().value
+            if self._at("("):
+                return self._parse_named_call(token.line, name)
             return ast.ConstFetch(line=token.line, name=name)
 
         raise self._error(f"unexpected token {token.name} {token.value!r}")
 
+    def _parse_named_call(self, line: int, name: str) -> ast.FunctionCall:
+        """``name(...)``: a call the index records as called by name."""
+        args = self._parse_call_args()
+        self._called_names.append(name.lower())
+        return ast.FunctionCall(line=line, name=name, args=args)
+
     def _parse_array_literal(self, line: int, closer: str) -> ast.ArrayLiteral:
-        self._expect_char("(")
+        self._expect("(")
         return self._parse_array_items(line, closer)
 
     def _parse_array_items(self, line: int, closer: str) -> ast.ArrayLiteral:
         items: List[ast.ArrayItem] = []
-        while not self._at_char(closer) and not self._at(TokenType.EOF):
+        while not self._at(closer) and not self._at(TokenType.EOF):
             item_line = self._peek().line
-            by_ref = self._accept_char("&") is not None
+            by_ref = self._accept("&") is not None
             first = self._parse_expression()
             if self._accept(TokenType.DOUBLE_ARROW):
-                value_by_ref = self._accept_char("&") is not None
+                value_by_ref = self._accept("&") is not None
                 value = self._parse_expression()
                 items.append(
                     ast.ArrayItem(line=item_line, key=first, value=value, by_ref=value_by_ref)
                 )
             else:
                 items.append(ast.ArrayItem(line=item_line, key=None, value=first, by_ref=by_ref))
-            if not self._accept_char(","):
+            if not self._accept(","):
                 break
-        self._expect_char(closer)
+        self._expect(closer)
         return ast.ArrayLiteral(line=line, items=items)
 
     def _parse_closure(self, static: bool) -> ast.Closure:
         line = self._expect(TokenType.FUNCTION).line
-        by_ref = self._accept_char("&") is not None
+        by_ref = self._accept("&") is not None
         params = self._parse_params()
         uses: List[ast.ClosureUse] = []
         if self._at(TokenType.USE):
             self._next()
-            self._expect_char("(")
-            while not self._at_char(")"):
+            self._expect("(")
+            while not self._at(")"):
                 use_line = self._peek().line
-                use_by_ref = self._accept_char("&") is not None
+                use_by_ref = self._accept("&") is not None
                 use_name = self._expect(TokenType.VARIABLE).value[1:]
                 uses.append(ast.ClosureUse(line=use_line, name=use_name, by_ref=use_by_ref))
-                if not self._accept_char(","):
+                if not self._accept(","):
                     break
-            self._expect_char(")")
-        self._expect_char("{")
-        body = self._parse_statement_list_until("}")
-        self._expect_char("}")
+            self._expect(")")
+        self._expect("{")
+        body = self._parse_block_statements()
+        self._expect("}")
         return ast.Closure(
             line=line, params=params, uses=uses, body=body, static=static, by_ref=by_ref
         )
 
     def _parse_interpolated(self, delimiter: str) -> ast.InterpolatedString:
-        line = self._expect_char(delimiter).line
-        parts = self._parse_interpolation_parts(lambda: self._at_char(delimiter))
-        self._expect_char(delimiter)
+        line = self._expect(delimiter).line
+        parts = self._parse_interpolation_parts(lambda: self._at(delimiter))
+        self._expect(delimiter)
         return ast.InterpolatedString(line=line, parts=parts)
 
     def _parse_heredoc(self) -> ast.InterpolatedString:
@@ -1431,7 +1443,7 @@ class Parser:
                 self._next()
                 node: ast.Expr = ast.Variable(line=token.line, name=token.value[1:])
                 # simple interpolation suffixes: [index] and ->prop
-                if self._at_char("["):
+                if self._at("["):
                     self._next()
                     index_token = self._next()
                     index: Optional[ast.Expr]
@@ -1451,7 +1463,7 @@ class Parser:
                             value=index_token.value,
                             raw=index_token.value,
                         )
-                    self._expect_char("]")
+                    self._expect("]")
                     node = ast.ArrayAccess(line=token.line, array=node, index=index)
                 elif self._at(TokenType.OBJECT_OPERATOR):
                     self._next()
@@ -1462,13 +1474,13 @@ class Parser:
             if token.type is TokenType.CURLY_OPEN:
                 self._next()
                 expr = self._parse_expression()
-                self._expect_char("}")
+                self._expect("}")
                 parts.append(expr)
                 continue
             if token.type is TokenType.DOLLAR_OPEN_CURLY_BRACES:
                 self._next()
                 expr = self._parse_expression()
-                self._expect_char("}")
+                self._expect("}")
                 parts.append(ast.VariableVariable(line=token.line, expr=expr))
                 continue
             raise self._error(
@@ -1478,12 +1490,13 @@ class Parser:
 
 
 Parser._STATEMENT_DISPATCH = {
-    TokenType.OPEN_TAG: Parser._skip_tag,
-    TokenType.CLOSE_TAG: Parser._skip_tag,
+    TokenType.OPEN_TAG: Parser._skip_token,
+    TokenType.CLOSE_TAG: Parser._skip_token,
     TokenType.OPEN_TAG_WITH_ECHO: Parser._parse_echo,
     TokenType.ECHO: Parser._parse_echo,
     TokenType.INLINE_HTML: Parser._parse_inline_html,
-    TokenType.CHAR: Parser._parse_char_statement,
+    ";": Parser._skip_token,
+    "{": Parser._parse_block,
     TokenType.IF: Parser._parse_if,
     TokenType.WHILE: Parser._parse_while,
     TokenType.DO: Parser._parse_do_while,

@@ -17,6 +17,7 @@ keeps the stream homogeneous while preserving PHP's "bare string" tokens.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -298,53 +299,19 @@ CASTS = {
 }
 
 
-class Token:
+class Token(NamedTuple):
     """One lexical token: the paper's ``[id, value, line]`` triple.
 
-    A hand-rolled immutable class rather than a frozen dataclass: token
-    streams are the analyzer's highest-volume allocation, so instances
-    are slotted, and the hash (tokens key dedup/memo dicts, but most
-    tokens are never hashed at all) is computed lazily on first use and
-    cached instead of being paid eagerly in ``__init__``.
+    A named tuple, so a token is immutable, hashable, comparable and
+    picklable by construction, and the lexer can build one entirely in
+    C with ``tuple.__new__(Token, (type, value, line))``: calling
+    ``Token(...)`` runs a Python ``__new__`` frame, and token streams
+    are the analyzer's highest-volume allocation.
     """
 
-    __slots__ = ("type", "value", "line", "_hash")
-
-    def __init__(
-        self, type: TokenType, value: str, line: int, _set=object.__setattr__
-    ) -> None:
-        # _set is a default-arg cache of object.__setattr__: this is the
-        # hottest constructor in the tool, and the custom __setattr__
-        # below forces every slot write through the object protocol
-        _set(self, "type", type)
-        _set(self, "value", value)
-        _set(self, "line", line)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Token is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Token is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Token:
-            return NotImplemented
-        return (
-            self.type is other.type
-            and self.value == other.value
-            and self.line == other.line
-        )
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.type, self.value, self.line))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __reduce__(self):  # __setattr__ blocks default slot unpickling
-        return (Token, (self.type, self.value, self.line))
+    type: TokenType
+    value: str
+    line: int
 
     def is_char(self, char: str) -> bool:
         """True when this is the bare one-character token ``char``."""

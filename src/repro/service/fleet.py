@@ -313,6 +313,10 @@ class LocalNodeProcess:
     injectors live here: :meth:`kill` (SIGKILL: node loss mid-job),
     :meth:`pause`/:meth:`resume` (SIGSTOP/SIGCONT: a straggler that is
     alive but not making progress).
+
+    The node starts in a session of its own, so it leads a process
+    group that its worker processes join: a SIGKILL goes to the whole
+    group, because a killed node cannot reap its workers itself.
     """
 
     def __init__(
@@ -361,6 +365,7 @@ class LocalNodeProcess:
             env=env,
             stdout=self._log,
             stderr=subprocess.STDOUT,
+            start_new_session=True,
         )
         self.paused = False
         self.killed = False
@@ -392,10 +397,19 @@ class LocalNodeProcess:
 
     def kill(self) -> None:
         """SIGKILL: abrupt node loss, no drain, no goodbye."""
-        if self.alive():
-            self.process.kill()
-            self.process.wait(timeout=30)
+        self._kill_group()
         self.killed = True
+
+    def _kill_group(self) -> None:
+        """SIGKILL the node's process group: the node and its workers.
+
+        Runs even after the node itself exited, since its workers may
+        still be running."""
+        try:
+            os.killpg(self.pid, signal_module.SIGKILL)
+        except ProcessLookupError:  # the whole group is already gone
+            pass
+        self.process.wait(timeout=30)
 
     def pause(self) -> None:
         """SIGSTOP: the node stops making progress but stays 'alive'."""
@@ -419,8 +433,7 @@ class LocalNodeProcess:
             try:
                 self.process.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait(timeout=30)
+                self._kill_group()
         try:
             self._log.close()
         except OSError:  # pragma: no cover - best effort

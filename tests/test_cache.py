@@ -19,6 +19,17 @@ class TestModelCache:
         PluginModel.build(plugin, cache=cache)
         assert cache.stats.hits == 1
 
+    def test_cached_model_without_index_is_reparsed(self):
+        # a model from a store that predates the parser-built index
+        cache = ModelCache()
+        source = "<?php function f() { g(); }"
+        plugin = Plugin(name="p", files={"a.php": source})
+        cached = PluginModel.build(plugin, cache=cache).files["a.php"]
+        cached.index = None
+        model = PluginModel.build(plugin, cache=cache)
+        assert model.files["a.php"] is not cached
+        assert "f" in model.functions and "g" in model.called_names
+
     def test_content_change_misses(self):
         cache = ModelCache()
         PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)

@@ -3,9 +3,12 @@
 Everything here runs in-process (LocalNodeClient over real
 AnalysisService instances with thread isolation) so the suite stays
 fast and deterministic; the out-of-process path is covered by
-``scripts/fleet_chaos.py`` / the ``fleet-chaos-smoke`` CI job.
+``scripts/fleet_chaos.py`` / the ``fleet-chaos-smoke`` CI job.  The one
+exception starts a real node to check that killing it leaves none of
+its processes behind.
 """
 
+import os
 import random
 import time
 import urllib.error
@@ -19,8 +22,10 @@ from repro.service import (
     BackgroundServer,
     FleetCoordinator,
     HashRing,
+    HttpNodeClient,
     JobQueue,
     LocalNodeClient,
+    LocalNodeProcess,
     NodeError,
     NodeHandle,
     RetryPolicy,
@@ -574,3 +579,52 @@ class TestSpecFingerprint:
         from repro.core import PhpSafe
 
         assert runs == {spec_fingerprint(ToolSpec.from_tool(PhpSafe()))}
+
+
+# ---------------------------------------------------------------------------
+# out-of-process node
+# ---------------------------------------------------------------------------
+
+
+def live_group_members(pgid):
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # the process exited meanwhile
+            continue
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_killed_node_leaves_no_process_of_its_group(tmp_path):
+    node = LocalNodeProcess(
+        "node0", data_dir=str(tmp_path / "node0"), store_dir=str(tmp_path / "store")
+    )
+    try:
+        node.wait_healthy()
+        client = HttpNodeClient(node.address, timeout=10.0)
+        plugin = vuln_plugin("orphan")
+        _status, body = client.submit(
+            {"name": plugin.name, "files": dict(plugin.files)}
+        )
+        deadline = time.time() + 60
+        while client.status(body["id"])[1]["state"] not in ("done", "failed"):
+            assert time.time() < deadline, "scan did not finish"
+            time.sleep(0.1)
+        # the node and the process-pool worker that ran the scan
+        assert len(live_group_members(node.pid)) >= 2
+    finally:
+        node.kill()
+        node.stop()  # closes the node's log
+    deadline = time.time() + 10
+    while live_group_members(node.pid):
+        assert time.time() < deadline, live_group_members(node.pid)
+        time.sleep(0.05)

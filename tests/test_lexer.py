@@ -225,6 +225,27 @@ class TestOperatorsAndCasts:
         assert TokenType.INT_CAST not in kinds
         assert kinds.count(TokenType.CHAR) >= 4  # parens survive
 
+    def test_tabs_pad_a_cast(self):
+        tokens = tokenize_significant("<?php $a = (\tint \t)$b;")
+        casts = [t.value for t in tokens if t.type is TokenType.INT_CAST]
+        assert casts == ["(\tint \t)"]
+
+    def test_newline_inside_parens_is_not_a_cast(self):
+        # PHP's scanner pads a cast with spaces and tabs only
+        tokens = tokenize_significant("<?php $a = (\nint\n) $b;\necho $c;")
+        assert [(t.name, t.value, t.line) for t in tokens[1:]] == [
+            ("T_VARIABLE", "$a", 1),
+            ("CHAR", "=", 1),
+            ("CHAR", "(", 1),
+            ("T_STRING", "int", 2),
+            ("CHAR", ")", 3),
+            ("T_VARIABLE", "$b", 3),
+            ("CHAR", ";", 3),
+            ("T_ECHO", "echo", 4),
+            ("T_VARIABLE", "$c", 4),
+            ("CHAR", ";", 4),
+        ]
+
 
 class TestLocCounter:
     def test_counts_code_lines_only(self):

@@ -1,5 +1,8 @@
 """Unit tests for the token taxonomy."""
 
+import pickle
+
+from repro.php.lexer import tokenize_significant
 from repro.php.tokens import CASTS, KEYWORDS, OPERATORS, TRIVIA, Token, TokenType
 
 
@@ -26,6 +29,30 @@ class TestToken:
             pass
         else:  # pragma: no cover
             raise AssertionError("Token should be frozen")
+
+    def test_pickle_round_trip(self):
+        token = Token(TokenType.VARIABLE, "$_GET", 7)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(token, protocol))
+            assert copy == token and type(copy) is Token
+            assert repr(copy) == "[T_VARIABLE, '$_GET', 7]"
+
+    def test_equal_tokens_hash_equal(self):
+        a = Token(TokenType.STRING, "foo", 3)
+        b = Token(TokenType.STRING, "".join(["f", "oo"]), 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Token(TokenType.STRING, "foo", 4)
+        assert a != Token(TokenType.VARIABLE, "foo", 3)
+
+    def test_lexer_tokens_are_tokens(self):
+        token = tokenize_significant("<?php $x;")[1]
+        assert type(token) is Token
+        assert token == Token(TokenType.VARIABLE, "$x", 1)
+        assert (token.name, token.type, token.value, token.line) == (
+            "T_VARIABLE", TokenType.VARIABLE, "$x", 1
+        )
+        assert tokenize_significant("<?php $x;")[2].is_char(";")
 
 
 class TestKeywordTable:
