@@ -154,8 +154,8 @@ def main():
         status, metrics = api(base, "/metrics")
         check(status == 200, "metrics endpoint returns 200")
         check(
-            metrics.get("schema") == "repro.batch.telemetry/v7",
-            "metrics on telemetry schema v6",
+            metrics.get("schema") == "repro.batch.telemetry/v8",
+            "metrics on telemetry schema v8",
         )
         check("service" in metrics and "queue" in metrics, "service + queue sections")
 

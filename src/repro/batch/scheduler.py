@@ -10,10 +10,10 @@ batch.
 
 Isolation mechanics:
 
-- *Exceptions* are caught inside the worker and returned as a failure
-  report.
-- *Deadlines* are enforced in the worker with a ``SIGALRM`` interval
-  timer, so a runaway plugin is interrupted mid-analysis.
+- *Exceptions* and *deadlines* are handled by the job routine every
+  executor shares (:func:`repro.batch.job.run_job`): a raising or
+  runaway plugin yields a failure report, and a ``SIGALRM`` interval
+  timer interrupts a runaway mid-analysis.
 - *Process death* (segfault, ``os._exit``) breaks the whole pool; the
   scheduler then restarts and re-runs each unresolved plugin in its own
   single-worker pool, which pins the crash on the guilty plugin while
@@ -22,29 +22,28 @@ Isolation mechanics:
 Workers are described by a picklable :class:`ToolSpec` (not a live tool
 instance) and share a persistent :class:`DiskModelCache` when a cache
 directory is configured, so repeated scans never re-parse unchanged
-files.  ``jobs=1`` runs the identical worker pipeline in-process — same
-findings, no pool overhead.
+files.  ``jobs=1`` runs the identical job routine in-process — same
+findings, no pool overhead, and no process-wide state left behind.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
-import signal
 import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.cache import ModelCache
 from ..core.phpsafe import PhpSafe, PhpSafeOptions
-from ..core.results import FileFailure, ToolReport, finding_signatures
-from ..incidents import Incident, IncidentSeverity, IncidentStage
+from ..core.results import ToolReport, finding_signatures
 from ..core.tool import AnalyzerTool
 from ..plugin import Plugin
 from .diskcache import DiskModelCache
-from .telemetry import PluginScanStats, ScanTelemetry
+from .job import JobRecord, init_worker, pool_job, run_job
+from .telemetry import ScanTelemetry
 
 #: profile names ToolSpec can rebuild from options alone; named base
 #: profiles + rule packs are also rebuildable (workers re-resolve them
@@ -89,6 +88,14 @@ class ToolSpec:
             return tool_cls()  # type: ignore[operator]
         raise ValueError(f"unknown tool spec {self.name!r}")
 
+    def build_job_tool(self, cache_dir: Optional[str] = None) -> AnalyzerTool:
+        """The tool every job executor runs.  phpSAFE gets the disk cache
+        under ``cache_dir`` (content-addressed, so concurrent workers
+        share it safely) or else a private memory cache."""
+        if self.name != "phpsafe":
+            return self.build()
+        return self.build(cache=DiskModelCache(cache_dir) if cache_dir else ModelCache())
+
     @classmethod
     def from_tool(cls, tool: AnalyzerTool) -> Optional["ToolSpec"]:
         """Capture a live tool instance, or ``None`` when it cannot be
@@ -130,175 +137,6 @@ class BatchOptions:
     cache_dir: Optional[str] = None
 
 
-# -- worker side (runs in the child processes) ------------------------------
-
-_worker_tool: Optional[AnalyzerTool] = None
-_worker_timeout: Optional[float] = None
-
-
-class _ScanDeadline(BaseException):
-    """Raised inside a worker when the per-plugin deadline fires.
-
-    Derives from ``BaseException`` so the fault-tolerant pipeline's
-    per-unit ``except Exception`` boundaries cannot swallow the alarm —
-    the deadline must abort the whole plugin scan, not degrade to a
-    recovered unit incident.
-    """
-
-
-def _on_alarm(signum, frame):  # pragma: no cover - fires asynchronously
-    raise _ScanDeadline()
-
-
-def _init_worker(spec: ToolSpec, options: BatchOptions) -> None:
-    """Pool initializer: build the tool once per worker process."""
-    global _worker_tool, _worker_timeout
-    cache: Optional[ModelCache] = None
-    if options.cache_dir:
-        cache = DiskModelCache(options.cache_dir)
-    elif spec.name == "phpsafe":
-        cache = ModelCache()
-    _worker_tool = spec.build(cache=cache)
-    _worker_timeout = options.timeout
-    signal.signal(signal.SIGALRM, _on_alarm)
-
-
-#: worker return value: (report, seconds, outcome, cache-stat delta of
-#: (hits, misses, disk_hits, corrupt, summary_hits, summary_misses,
-#: summary_stale))
-_TaskResult = Tuple[ToolReport, float, str, Tuple[int, ...]]
-
-
-def _failure_report(tool_name: str, plugin_slug: str, reason: str) -> ToolReport:
-    report = ToolReport(tool=tool_name, plugin=plugin_slug)
-    report.failures.append(
-        FileFailure(file="<plugin>", reason=reason, completed=False)
-    )
-    report.incidents.append(
-        Incident(
-            stage=IncidentStage.ANALYSIS,
-            severity=IncidentSeverity.FATAL,
-            file="<plugin>",
-            reason=reason,
-            recovered=False,
-        )
-    )
-    return report
-
-
-def _scan_one(payload: Tuple[str, str, Dict[str, str]]) -> _TaskResult:
-    """Analyze one plugin inside a worker, isolating failures."""
-    name, version, files = payload
-    plugin = Plugin(name=name, version=version, files=files)
-    tool = _worker_tool
-    assert tool is not None, "worker used before initialization"
-    cache = getattr(tool, "cache", None)
-    stats_before = _cache_stats(cache)
-    outcome = "ok"
-    start = time.perf_counter()
-    if _worker_timeout:
-        signal.setitimer(signal.ITIMER_REAL, _worker_timeout)
-    try:
-        report = tool.analyze(plugin)
-    except _ScanDeadline:
-        outcome = "timeout"
-        report = _failure_report(
-            tool.name,
-            plugin.slug,
-            f"scan deadline of {_worker_timeout:g}s exceeded",
-        )
-    except Exception as error:
-        outcome = "error"
-        report = _failure_report(
-            tool.name, plugin.slug, f"worker exception: {error!r}"
-        )
-    finally:
-        if _worker_timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    report.seconds = time.perf_counter() - start
-    # the reviewer variable dump is large and holds analysis-internal
-    # objects; don't ship it over the result pickle channel
-    report.variables = {}
-    stats_after = _cache_stats(cache)
-    delta = tuple(after - before for after, before in zip(stats_after, stats_before))
-    return report, report.seconds, outcome, delta
-
-
-#: rescan worker return value: ``_TaskResult`` plus the new per-file
-#: digest manifest and the rescan-stats dict
-_RescanResult = Tuple[
-    ToolReport, float, str, Tuple[int, ...], Optional[Dict[str, object]],
-    Dict[str, object],
-]
-
-
-def _rescan_one(
-    payload: Tuple[str, str, Dict[str, str], Optional[Dict[str, object]]]
-) -> _RescanResult:
-    """Diff-aware variant of :func:`_scan_one` for the service workers.
-
-    Runs :meth:`PhpSafe.rescan` against the prior manifest (``None``
-    forces a full tracked scan that still produces a manifest for the
-    next submission); tools without a rescan path analyze normally and
-    return no manifest.
-    """
-    name, version, files, manifest = payload
-    plugin = Plugin(name=name, version=version, files=files)
-    tool = _worker_tool
-    assert tool is not None, "worker used before initialization"
-    cache = getattr(tool, "cache", None)
-    stats_before = _cache_stats(cache)
-    outcome = "ok"
-    new_manifest: Optional[Dict[str, object]] = None
-    rescan_stats: Dict[str, object] = {}
-    start = time.perf_counter()
-    if _worker_timeout:
-        signal.setitimer(signal.ITIMER_REAL, _worker_timeout)
-    try:
-        if hasattr(tool, "rescan"):
-            report, new_manifest, stats = tool.rescan(plugin, manifest)
-            rescan_stats = stats.to_dict()
-        else:
-            report = tool.analyze(plugin)
-    except _ScanDeadline:
-        outcome = "timeout"
-        new_manifest = None
-        report = _failure_report(
-            tool.name,
-            plugin.slug,
-            f"scan deadline of {_worker_timeout:g}s exceeded",
-        )
-    except Exception as error:
-        outcome = "error"
-        new_manifest = None
-        report = _failure_report(
-            tool.name, plugin.slug, f"worker exception: {error!r}"
-        )
-    finally:
-        if _worker_timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-    report.seconds = time.perf_counter() - start
-    report.variables = {}
-    stats_after = _cache_stats(cache)
-    delta = tuple(after - before for after, before in zip(stats_after, stats_before))
-    return report, report.seconds, outcome, delta, new_manifest, rescan_stats
-
-
-def _cache_stats(cache: Optional[ModelCache]) -> Tuple[int, ...]:
-    """Current cache counters, parse tier then summary tier."""
-    if cache is None:
-        return (0,) * 7
-    return (
-        cache.stats.hits,
-        cache.stats.misses,
-        cache.stats.disk_hits,
-        cache.stats.corrupt,
-        cache.summary_stats.hits,
-        cache.summary_stats.misses,
-        cache.summary_stats.stale,
-    )
-
-
 # -- scheduler side ---------------------------------------------------------
 
 
@@ -338,118 +176,68 @@ class BatchScanner:
         telemetry = ScanTelemetry(jobs=max(1, self.options.jobs))
         start = time.perf_counter()
         if self.options.jobs <= 1:
-            results = self._scan_in_process(plugins)
+            # the identical job routine, no pool
+            tool = self.spec.build_job_tool(self.options.cache_dir)
+            records = [
+                run_job(tool, plugin, timeout=self.options.timeout)
+                for plugin in plugins
+            ]
         else:
-            results = self._scan_parallel(plugins, telemetry)
+            records = self._scan_parallel(plugins, telemetry)
         telemetry.wall_seconds = time.perf_counter() - start
-        reports: List[ToolReport] = []
-        for plugin, (report, seconds, outcome, delta) in zip(plugins, results):
-            if outcome == "timeout":
-                telemetry.timeouts += 1
-            elif outcome in ("crashed", "error"):
-                telemetry.crashes += 1
-            telemetry.record(
-                PluginScanStats(
-                    plugin=plugin.slug,
-                    seconds=seconds,
-                    files=report.files_analyzed,
-                    loc=report.loc_analyzed,
-                    findings=len(report.findings),
-                    failures=len(report.failures),
-                    incidents=len(report.incidents),
-                    recovered=report.recovered_count,
-                    files_skipped=report.files_skipped,
-                    loc_skipped=report.loc_skipped,
-                    cache_hits=delta[0],
-                    cache_misses=delta[1],
-                    disk_hits=delta[2],
-                    cache_corrupt=delta[3],
-                    summary_hits=delta[4] if len(delta) > 4 else 0,
-                    summary_misses=delta[5] if len(delta) > 5 else 0,
-                    summary_stale=delta[6] if len(delta) > 6 else 0,
-                    perf=dict(report.perf),
-                    outcome=outcome,
-                )
-            )
-            reports.append(report)
-        return BatchResult(reports=reports, telemetry=telemetry)
+        for record in records:
+            telemetry.record(record.stats())
+        return BatchResult(
+            reports=[record.report for record in records], telemetry=telemetry
+        )
 
-    # -- serial path -------------------------------------------------------
-
-    def _scan_in_process(self, plugins: Sequence[Plugin]) -> List[_TaskResult]:
-        """``jobs=1``: the identical worker pipeline, no pool."""
-        _init_worker(self.spec, self.options)
-        return [_scan_one(self._payload(plugin)) for plugin in plugins]
-
-    # -- parallel path -----------------------------------------------------
+    def _pool(self, workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=init_worker,
+            initargs=(self.spec, self.options.cache_dir, self.options.timeout),
+        )
 
     def _scan_parallel(
         self, plugins: Sequence[Plugin], telemetry: ScanTelemetry
-    ) -> List[_TaskResult]:
-        results: Dict[int, _TaskResult] = {}
-        unresolved = set(range(len(plugins)))
+    ) -> List[JobRecord]:
+        records: Dict[int, JobRecord] = {}
         pool_broken = False
-        with ProcessPoolExecutor(
-            max_workers=self.options.jobs,
-            initializer=_init_worker,
-            initargs=(self.spec, self.options),
-        ) as executor:
+        with self._pool(self.options.jobs) as executor:
             futures = {
-                executor.submit(_scan_one, self._payload(plugins[index])): index
-                for index in sorted(unresolved)
+                executor.submit(pool_job, plugin): index
+                for index, plugin in enumerate(plugins)
             }
             for future in as_completed(futures):
                 index = futures[future]
                 try:
-                    results[index] = future.result()
+                    records[index] = future.result()
                 except (BrokenProcessPool, CancelledError):
                     # a worker died; which task killed it is unknown yet
                     pool_broken = True
-                    continue
-                except Exception as error:  # pragma: no cover - defensive
-                    results[index] = self._crash_result(
+                except Exception as error:
+                    records[index] = self._crashed(
                         plugins[index], f"scheduler error: {error!r}"
                     )
-                unresolved.discard(index)
         if pool_broken:
             telemetry.worker_restarts += 1
-            self._isolate(plugins, sorted(unresolved), results, telemetry)
-        return [results[index] for index in range(len(plugins))]
+            for index, plugin in enumerate(plugins):
+                if index not in records:
+                    records[index] = self._isolate(plugin, telemetry)
+        return [records[index] for index in range(len(plugins))]
 
-    def _isolate(
-        self,
-        plugins: Sequence[Plugin],
-        indexes: Sequence[int],
-        results: Dict[int, _TaskResult],
-        telemetry: ScanTelemetry,
-    ) -> None:
-        """Re-run each unresolved plugin in its own single-worker pool so
+    def _isolate(self, plugin: Plugin, telemetry: ScanTelemetry) -> JobRecord:
+        """Re-run one unresolved plugin in its own single-worker pool so
         the crasher is identified and every innocent plugin completes."""
-        for index in indexes:
-            with ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_init_worker,
-                initargs=(self.spec, self.options),
-            ) as solo:
-                try:
-                    results[index] = solo.submit(
-                        _scan_one, self._payload(plugins[index])
-                    ).result()
-                except (BrokenProcessPool, CancelledError):
-                    telemetry.worker_restarts += 1
-                    results[index] = self._crash_result(
-                        plugins[index], "worker process died during analysis"
-                    )
+        with self._pool(1) as solo:
+            try:
+                return solo.submit(pool_job, plugin).result()
+            except (BrokenProcessPool, CancelledError):
+                telemetry.worker_restarts += 1
+                return self._crashed(plugin, "worker process died during analysis")
 
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _payload(plugin: Plugin) -> Tuple[str, str, Dict[str, str]]:
-        return plugin.name, plugin.version, dict(plugin.files)
-
-    def _crash_result(self, plugin: Plugin, reason: str) -> _TaskResult:
-        report = _failure_report(self.spec.display_name, plugin.slug, reason)
-        return report, 0.0, "crashed", (0,) * 7
+    def _crashed(self, plugin: Plugin, reason: str) -> JobRecord:
+        return JobRecord.crashed(self.spec.display_name, plugin.slug, reason)
 
 
 def scan_corpus(

@@ -4,8 +4,8 @@ Each batch run aggregates one :class:`PluginScanStats` per plugin
 (wall time, size, findings, cache counters, outcome) plus run-level
 incidents (worker restarts, deadline timeouts, crashes) into a
 :class:`ScanTelemetry` that serializes to a stable JSON schema
-(``schema`` key: ``repro.batch.telemetry/v5``) for CI dashboards and
-the performance benchmarks.
+(``schema`` key: :data:`SCHEMA`) for CI dashboards and the
+performance benchmarks.
 
 Schema history: v2 adds per-plugin typed-incident counts
 (``incidents``/``recovered``), skipped-coverage counters
@@ -30,18 +30,23 @@ documents of a sharded fleet into one fleet-wide view.  v7 adds the
 ``process_cache`` section: occupancy of the process-wide L1 artifact
 cache (entries/bytes against both caps, byte-pressure evictions), so
 long-lived fleet nodes surface artifact-memory growth instead of
-leaking models across jobs invisibly.
+leaking models across jobs invisibly.  v8 keeps the daemon's telemetry
+to running totals: ``GET /metrics`` no longer lists a row per job
+(``plugins``), which grew by about 0.9 KB per job served, and
+``service.waits_recorded`` counts the jobs the queue-wait sum covers.
+Batch documents are unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..perf import merge as merge_perf
 
-SCHEMA = "repro.batch.telemetry/v7"
+SCHEMA = "repro.batch.telemetry/v8"
 
 
 @dataclass
@@ -105,6 +110,7 @@ class ServiceStats:
             "failed": self.failed,
             "quarantined": self.quarantined,
             "queue_wait_seconds": round(self.queue_wait_seconds, 6),
+            "waits_recorded": self.waits_recorded,
             "mean_queue_wait": round(self.mean_queue_wait, 6),
             "uptime_seconds": round(self.uptime_seconds, 6),
             "jobs_per_minute": round(self.jobs_per_minute, 3),
@@ -246,11 +252,46 @@ def aggregate_fleet(
     }
 
 
+class CacheDelta(NamedTuple):
+    """Cache counters one job moved, parse tier then summary tier (the
+    field names are the keys of a telemetry ``cache`` section)."""
+
+    hits: int = 0
+    misses: int = 0
+    disk_hits: int = 0
+    #: corrupt disk-cache objects quarantined
+    corrupt: int = 0
+    #: function-summary cache counters (separate tier from the parse
+    #: cache; see :class:`repro.core.cache.SummaryCacheStats`)
+    summary_hits: int = 0
+    summary_misses: int = 0
+    summary_stale: int = 0
+
+    @classmethod
+    def read(cls, cache) -> "CacheDelta":
+        """The current counters of ``cache`` (zeros for no cache)."""
+        if cache is None:
+            return cls()
+        parse, summary = cache.stats, cache.summary_stats
+        return cls(
+            parse.hits, parse.misses, parse.disk_hits, parse.corrupt,
+            summary.hits, summary.misses, summary.stale,
+        )
+
+    def since(self, before: "CacheDelta") -> "CacheDelta":
+        return CacheDelta(*map(operator.sub, self, before))
+
+    def plus(self, other: "CacheDelta") -> "CacheDelta":
+        return CacheDelta(*map(operator.add, self, other))
+
+
 @dataclass
 class PluginScanStats:
-    """Per-plugin telemetry row."""
+    """Per-plugin telemetry row; :class:`ScanTelemetry` also keeps one as
+    the running totals of a run."""
 
-    plugin: str
+    #: the plugin's slug (empty for a run's totals)
+    plugin: str = ""
     seconds: float = 0.0
     files: int = 0
     loc: int = 0
@@ -263,16 +304,7 @@ class PluginScanStats:
     #: files/LOC the tool could not analyze (coverage denominator)
     files_skipped: int = 0
     loc_skipped: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    disk_hits: int = 0
-    #: corrupt disk-cache objects quarantined while scanning this plugin
-    cache_corrupt: int = 0
-    #: function-summary cache counters (separate tier from the parse
-    #: cache; see :class:`repro.core.cache.SummaryCacheStats`)
-    summary_hits: int = 0
-    summary_misses: int = 0
-    summary_stale: int = 0
+    cache: CacheDelta = CacheDelta()
     #: per-run perf counter delta (:data:`repro.perf.counters`)
     perf: Dict[str, float] = field(default_factory=dict)
     #: time the job waited queued before a worker claimed it (service
@@ -293,6 +325,13 @@ class PluginScanStats:
     def files_per_second(self) -> float:
         return self.files / self.seconds if self.seconds else 0.0
 
+    def add(self, other: "PluginScanStats") -> None:
+        """Sum ``other``'s counters into this row."""
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.cache = self.cache.plus(other.cache)
+        merge_perf(self.perf, other.perf)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "plugin": self.plugin,
@@ -306,15 +345,7 @@ class PluginScanStats:
             "files_skipped": self.files_skipped,
             "loc_skipped": self.loc_skipped,
             "files_per_second": round(self.files_per_second, 3),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "disk_hits": self.disk_hits,
-                "corrupt": self.cache_corrupt,
-                "summary_hits": self.summary_hits,
-                "summary_misses": self.summary_misses,
-                "summary_stale": self.summary_stale,
-            },
+            "cache": self.cache._asdict(),
             "perf": dict(self.perf),
             "queued_seconds": round(self.queued_seconds, 6),
             "outcome": self.outcome,
@@ -326,16 +357,37 @@ class PluginScanStats:
         }
 
 
+#: PluginScanStats fields that sum into a run's totals
+_SUMMED = (
+    "seconds", "files", "loc", "findings", "failures", "incidents",
+    "recovered", "files_skipped", "loc_skipped", "queued_seconds",
+    "rescan_roots_total", "rescan_roots_reused",
+)
+
+
 @dataclass
 class ScanTelemetry:
-    """Everything one batch scan measured."""
+    """Everything one batch scan (or one daemon's lifetime) measured.
+
+    :meth:`record` adds each row to ``totals`` as it arrives.  Batch
+    scans also keep the rows, because their JSON lists them; the
+    service passes ``plugins=None`` and keeps the totals only, so its
+    telemetry does not grow with the jobs it serves.
+    """
 
     jobs: int = 1
     wall_seconds: float = 0.0
     worker_restarts: int = 0
     timeouts: int = 0
     crashes: int = 0
-    plugins: List[PluginScanStats] = field(default_factory=list)
+    #: per-plugin rows in record order; ``None`` keeps no rows
+    plugins: Optional[List[PluginScanStats]] = field(default_factory=list)
+    #: running sums over every recorded row
+    totals: PluginScanStats = field(default_factory=PluginScanStats)
+    #: plugins whose rescan skipped at least one root without falling back
+    rescan_incremental_runs: int = 0
+    #: attempted incremental rescans that fell back to a full scan
+    rescan_fallbacks: int = 0
     #: daemon metrics; ``None`` for plain batch scans (schema v4)
     service: Optional[ServiceStats] = None
     #: process-cache occupancy override (schema v7); ``None`` samples
@@ -343,138 +395,62 @@ class ScanTelemetry:
     process_cache: Optional[Dict[str, object]] = None
 
     def record(self, stats: PluginScanStats) -> None:
-        self.plugins.append(stats)
+        self.totals.add(stats)
+        if stats.rescan_fallback:
+            self.rescan_fallbacks += 1
+        elif stats.rescan_roots_reused:
+            self.rescan_incremental_runs += 1
+        if stats.outcome == "timeout":
+            self.timeouts += 1
+        elif stats.outcome in ("crashed", "error"):
+            self.crashes += 1
+        if self.plugins is not None:
+            self.plugins.append(stats)
 
-    # -- aggregates --------------------------------------------------------
-
-    @property
-    def total_files(self) -> int:
-        return sum(stats.files for stats in self.plugins)
-
-    @property
-    def total_loc(self) -> int:
-        return sum(stats.loc for stats in self.plugins)
-
-    @property
-    def total_findings(self) -> int:
-        return sum(stats.findings for stats in self.plugins)
-
-    @property
-    def analysis_seconds(self) -> float:
-        """Summed per-plugin time (> wall time when workers overlap)."""
-        return sum(stats.seconds for stats in self.plugins)
+    # -- rates -------------------------------------------------------------
 
     @property
     def files_per_second(self) -> float:
-        return self.total_files / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(stats.cache_hits for stats in self.plugins)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(stats.cache_misses for stats in self.plugins)
-
-    @property
-    def disk_hits(self) -> int:
-        return sum(stats.disk_hits for stats in self.plugins)
-
-    @property
-    def cache_corrupt(self) -> int:
-        return sum(stats.cache_corrupt for stats in self.plugins)
-
-    @property
-    def summary_hits(self) -> int:
-        return sum(stats.summary_hits for stats in self.plugins)
-
-    @property
-    def summary_misses(self) -> int:
-        return sum(stats.summary_misses for stats in self.plugins)
-
-    @property
-    def summary_stale(self) -> int:
-        return sum(stats.summary_stale for stats in self.plugins)
-
-    @property
-    def summary_hit_rate(self) -> float:
-        total = self.summary_hits + self.summary_misses
-        return self.summary_hits / total if total else 0.0
-
-    def perf_totals(self) -> Dict[str, float]:
-        """Perf counter deltas summed over every plugin of the run."""
-        totals: Dict[str, float] = {}
-        for stats in self.plugins:
-            merge_perf(totals, stats.perf)
-        return totals
-
-    @property
-    def total_incidents(self) -> int:
-        return sum(stats.incidents for stats in self.plugins)
-
-    @property
-    def total_recovered(self) -> int:
-        return sum(stats.recovered for stats in self.plugins)
-
-    @property
-    def total_files_skipped(self) -> int:
-        return sum(stats.files_skipped for stats in self.plugins)
+        return self.totals.files / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
     def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        return _rate(self.totals.cache.hits, self.totals.cache.misses)
 
     @property
-    def rescan_roots_total(self) -> int:
-        return sum(stats.rescan_roots_total for stats in self.plugins)
-
-    @property
-    def rescan_roots_reused(self) -> int:
-        return sum(stats.rescan_roots_reused for stats in self.plugins)
-
-    @property
-    def rescan_incremental_runs(self) -> int:
-        """Plugins whose scan actually skipped at least one root."""
-        return sum(
-            1
-            for stats in self.plugins
-            if stats.rescan_roots_reused and not stats.rescan_fallback
-        )
-
-    @property
-    def rescan_fallbacks(self) -> int:
-        """Attempted incremental rescans that fell back to a full scan."""
-        return sum(1 for stats in self.plugins if stats.rescan_fallback)
+    def summary_hit_rate(self) -> float:
+        return _rate(self.totals.cache.summary_hits, self.totals.cache.summary_misses)
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
+        totals = self.totals
+        cache = totals.cache
         document: Dict[str, object] = {
             "schema": SCHEMA,
             "jobs": self.jobs,
             "wall_seconds": round(self.wall_seconds, 6),
-            "analysis_seconds": round(self.analysis_seconds, 6),
-            "files": self.total_files,
-            "loc": self.total_loc,
-            "findings": self.total_findings,
+            "analysis_seconds": round(totals.seconds, 6),
+            "files": totals.files,
+            "loc": totals.loc,
+            "findings": totals.findings,
             "files_per_second": round(self.files_per_second, 3),
-            "files_skipped": self.total_files_skipped,
+            "files_skipped": totals.files_skipped,
             "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "disk_hits": self.disk_hits,
+                "hits": cache.hits,
+                "misses": cache.misses,
+                "disk_hits": cache.disk_hits,
                 "hit_rate": round(self.cache_hit_rate, 4),
-                "corrupt": self.cache_corrupt,
-                "summary_hits": self.summary_hits,
-                "summary_misses": self.summary_misses,
-                "summary_stale": self.summary_stale,
+                "corrupt": cache.corrupt,
+                "summary_hits": cache.summary_hits,
+                "summary_misses": cache.summary_misses,
+                "summary_stale": cache.summary_stale,
                 "summary_hit_rate": round(self.summary_hit_rate, 4),
             },
-            "perf": self.perf_totals(),
+            "perf": dict(totals.perf),
             "rescan": {
-                "roots_total": self.rescan_roots_total,
-                "roots_reused": self.rescan_roots_reused,
+                "roots_total": totals.rescan_roots_total,
+                "roots_reused": totals.rescan_roots_reused,
                 "incremental_runs": self.rescan_incremental_runs,
                 "fallbacks": self.rescan_fallbacks,
             },
@@ -482,11 +458,12 @@ class ScanTelemetry:
                 "worker_restarts": self.worker_restarts,
                 "timeouts": self.timeouts,
                 "crashes": self.crashes,
-                "total": self.total_incidents,
-                "recovered": self.total_recovered,
+                "total": totals.incidents,
+                "recovered": totals.recovered,
             },
-            "plugins": [stats.to_dict() for stats in self.plugins],
         }
+        if self.plugins is not None:
+            document["plugins"] = [stats.to_dict() for stats in self.plugins]
         if self.process_cache is not None:
             document["process_cache"] = dict(self.process_cache)
         else:
@@ -508,3 +485,7 @@ class ScanTelemetry:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
             handle.write("\n")
+
+
+def _rate(hits: int, misses: int) -> float:
+    return hits / (hits + misses) if hits + misses else 0.0

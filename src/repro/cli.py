@@ -327,9 +327,10 @@ def _scan_batch(args: argparse.Namespace, tool, targets) -> int:
     )
     result = scanner.scan(targets)
     telemetry = result.telemetry
+    totals = telemetry.totals
     print(
         f"{tool.name}: batch of {len(targets)} plugin(s), jobs={telemetry.jobs}"
-        f" — {telemetry.total_files} files, {telemetry.total_loc} LOC,"
+        f" — {totals.files} files, {totals.loc} LOC,"
         f" {telemetry.wall_seconds:.2f}s wall"
     )
     total_failed = 0
@@ -350,13 +351,13 @@ def _scan_batch(args: argparse.Namespace, tool, targets) -> int:
             _print_incidents(report, indent="    ")
         total_failed += len(report.failed_files)
     print(
-        f"{telemetry.total_findings} finding(s), {total_failed} failed file(s), "
+        f"{totals.findings} finding(s), {total_failed} failed file(s), "
         f"cache hit rate {telemetry.cache_hit_rate:.0%}, "
-        f"summary cache {telemetry.summary_hits}/"
-        f"{telemetry.summary_hits + telemetry.summary_misses} hit(s)"
-        f" ({telemetry.summary_stale} stale), "
-        f"incidents: {telemetry.total_incidents} recorded"
-        f" ({telemetry.total_recovered} recovered) / {telemetry.timeouts} timeout(s)"
+        f"summary cache {totals.cache.summary_hits}/"
+        f"{totals.cache.summary_hits + totals.cache.summary_misses} hit(s)"
+        f" ({totals.cache.summary_stale} stale), "
+        f"incidents: {totals.incidents} recorded"
+        f" ({totals.recovered} recovered) / {telemetry.timeouts} timeout(s)"
         f" / {telemetry.crashes} crash(es)"
         f" / {telemetry.worker_restarts} restart(s)"
     )

@@ -39,12 +39,10 @@ _IDENT_START = re.compile(r"[A-Za-z_\x80-\xff]")
 _IDENT_FULL = re.compile(r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
 _VARIABLE = re.compile(r"\$[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
 _WHITESPACE = re.compile(r"[ \t\r\n]+")
-_LINE_COMMENT = re.compile(r"(?:#|//).*?(?=\?>|\n|$)", re.DOTALL)
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 _BIN = re.compile(r"0[bB][01]+")
 _FLOAT = re.compile(r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+")
 _INT = re.compile(r"\d+")
-_CAST = re.compile(r"\([ \t]*([A-Za-z]+)[ \t]*\)")
 _OPEN_TAG = re.compile(r"<\?(php\b|=)?", re.IGNORECASE)
 _HEREDOC_START = re.compile(r"<<<[ \t]*(['\"]?)([A-Za-z_][A-Za-z0-9_]*)\1\r?\n")
 _INTERP_INDEX = re.compile(r"\$[A-Za-z_][A-Za-z0-9_]*|\d+|[A-Za-z_][A-Za-z0-9_]*")
@@ -53,12 +51,6 @@ _INTERP_PROP = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: ``_new(Token, (type, value, line))`` builds a token in C, without the
 #: Python ``__new__`` frame that calling ``Token(...)`` runs
 _new = tuple.__new__
-
-#: identifier characters, used to build the dispatch table below
-_IDENT_CHARS = (
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-    + "".join(chr(c) for c in range(0x80, 0x100))
-)
 
 #: multi-character operators grouped by first character, longest first
 #: (inherits the ordering of :data:`OPERATORS`)
@@ -79,8 +71,9 @@ _OPERATOR_TYPES = dict(OPERATORS)
 #: operators and safe single-char tokens.  Constructs that need
 #: stateful handling — interpolated/unterminated strings, backtick,
 #: ``<`` (heredoc and the ``<``-family operators),
-#: ``$``-variable-variables, ``\`` — are deliberately absent so they
-#: fall through to the dispatch-table slow path (whitespace directly
+#: ``$``-variable-variables, ``\``, an unterminated ``/*`` — are
+#: deliberately absent so they fall through to the dispatch-table slow
+#: path (whitespace directly
 #: before such a construct falls through with it, which is why the
 #: whitespace dispatch handler still exists).  Alternative order is
 #: semantic: comments before the ``/`` operators, numbers before
@@ -106,7 +99,9 @@ _MASTER = re.compile(
     r"|(\?>)"  # 12: close tag
     r"|(>>=|===|!==|\.\.\.|\?\?=|\*\*|\?\?|==|!=|>=|&&|\|\||->|=>|::"
     r"|\+\+|--|\+=|-=|\*=|/=|\.=|%=|&=|\|=|\^=|>>)"  # 13: multi-char operator
-    r"|([;,{}()\[\]=+\-*%!&|^~:@>?./]))"  # 14: bare single-char token
+    # 14: bare single-char token; a ``/`` that opens ``/*`` is left to
+    # the slow path, which makes an unterminated comment run to EOF
+    r"|([;,{}()\[\]=+\-*%!&|^~:@>?.]|/(?!\*)))"
 )
 
 
@@ -348,15 +343,6 @@ class Lexer:
         self.pos = match.end()
         self.line += text.count("\n")
 
-    def _lex_slash(self) -> None:
-        source, pos = self.source, self.pos
-        if source.startswith("/*", pos):
-            self._lex_block_comment()
-        elif source.startswith("//", pos):
-            self._lex_line_comment()
-        else:
-            self._lex_operator_or_char("/")
-
     def _lex_dollar(self) -> None:
         nxt = self._peek(1)
         if nxt and _IDENT_START.match(nxt):
@@ -368,21 +354,6 @@ class Lexer:
         if self.source.startswith("<<<", self.pos) and self._lex_heredoc():
             return
         self._lex_operator_or_char("<")
-
-    def _lex_dot(self) -> None:
-        if self._peek(1).isdigit():
-            self._lex_number()
-        else:
-            self._lex_operator_or_char(".")
-
-    def _lex_open_paren(self) -> None:
-        cast = _CAST.match(self.source, self.pos)
-        if cast is not None and cast.group(1).lower() in CASTS:
-            self._emit(CASTS[cast.group(1).lower()], cast.group(0))
-            self._advance(cast.group(0))
-        else:
-            self._emit(TokenType.CHAR, "(")
-            self.pos += 1
 
     def _lex_backslash(self) -> None:
         self._emit(TokenType.NS_SEPARATOR, "\\")
@@ -405,19 +376,6 @@ class Lexer:
             self._emit(type_, text)
         self.pos += len(text)
         self.line += text.count("\n")
-
-    def _lex_line_comment(self) -> None:
-        # a line comment ends at newline or at ?> (which stays in the stream)
-        match = _LINE_COMMENT.match(self.source, self.pos)
-        assert match is not None
-        text = match.group(0)
-        # note: ".*?" is greedy-enough here because comments cannot span lines
-        newline_index = text.find("\n")
-        if newline_index != -1:  # pragma: no cover - regex stops at newline
-            text = text[:newline_index]
-        if not self.significant:
-            self._emit(TokenType.COMMENT, text)
-        self.pos += len(text)
 
     # -- simple tokens ------------------------------------------------------
 
@@ -771,21 +729,14 @@ def _heredoc_end_pattern(label: str) -> "re.Pattern":
 _DISPATCH = {}
 for _char in " \t\r\n":
     _DISPATCH[_char] = Lexer._lex_whitespace
-for _char in "0123456789":
-    _DISPATCH[_char] = Lexer._lex_number
-for _char in _IDENT_CHARS:
-    _DISPATCH[_char] = Lexer._lex_identifier
-_DISPATCH["/"] = Lexer._lex_slash
-_DISPATCH["#"] = Lexer._lex_line_comment
+del _char
+_DISPATCH["/"] = Lexer._lex_block_comment  # only an unterminated ``/*``
 _DISPATCH["$"] = Lexer._lex_dollar
 _DISPATCH["'"] = Lexer._lex_single_quoted
 _DISPATCH['"'] = Lexer._lex_double_quoted
 _DISPATCH["`"] = Lexer._lex_backtick
 _DISPATCH["<"] = Lexer._lex_lt
-_DISPATCH["."] = Lexer._lex_dot
-_DISPATCH["("] = Lexer._lex_open_paren
 _DISPATCH["\\"] = Lexer._lex_backslash
-del _char
 
 
 def tokenize(

@@ -1,23 +1,24 @@
 """Worker pool: drains the job queue into the batch analysis pipeline.
 
 Each worker is a dispatcher thread that claims jobs from the durable
-:class:`~repro.service.queue.JobQueue` and runs them through the exact
-worker pipeline the batch scanner uses (``repro.batch.scheduler``), so
-the daemon inherits everything that subsystem already provides: the
-persistent :class:`~repro.batch.DiskModelCache` parse/summary tiers
-(repeat submissions of mostly-unchanged plugins are near-free), the
-SIGALRM per-job deadline, and the typed incident taxonomy for
-timeouts/crashes.
+:class:`~repro.service.queue.JobQueue` and runs each one through the
+job routine the batch scanner uses (:func:`repro.batch.job.run_job`,
+as a diff-aware rescan), so the daemon inherits everything that
+subsystem already provides: the persistent
+:class:`~repro.batch.DiskModelCache` parse/summary tiers (repeat
+submissions of mostly-unchanged plugins are near-free), the SIGALRM
+per-job deadline, and the typed incident taxonomy for timeouts/crashes.
 
 Two isolation levels:
 
 ``process`` (default)
     Every dispatcher thread owns a single-process
-    ``ProcessPoolExecutor`` built with the batch scheduler's own
-    initializer.  A job that kills its worker process (segfault,
-    ``os._exit``) breaks only that executor: the job is failed with a
-    fatal incident, the executor is rebuilt, and the pool keeps
-    serving.  The worker process persists across jobs, keeping its
+    ``ProcessPoolExecutor`` built with the batch pool's initializer and
+    task.  A job that kills its worker process (segfault, ``os._exit``)
+    breaks only that executor: the job is failed with a fatal incident,
+    the executor is rebuilt, and the pool keeps serving.  Any other
+    executor error (a result that cannot be pickled back) fails the job
+    the same way.  The worker process persists across jobs, keeping its
     in-memory cache tiers warm.
 
 ``thread``
@@ -26,9 +27,10 @@ Two isolation levels:
     the engine's per-unit ``file_deadline`` and a hard crash would take
     the daemon down, which is why it is not the default.
 
-Per-job perf attribution uses :func:`repro.perf.scoped`, which is
-race-free under concurrent workers because the counters are
-thread-local.
+Per-job perf attribution uses :func:`repro.perf.scoped` inside the job
+routine, which is race-free under concurrent workers because the
+counters are thread-local.  The pool's telemetry keeps running totals
+only; per-job detail lives in each job's result document.
 """
 
 from __future__ import annotations
@@ -39,20 +41,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..batch.scheduler import (
-    BatchOptions,
-    ToolSpec,
-    _cache_stats,
-    _failure_report,
-    _init_worker,
-    _rescan_one,
-)
-from ..batch.telemetry import PluginScanStats, ScanTelemetry, ServiceStats
+from ..batch.job import JobRecord, init_worker, pool_job, run_job
+from ..batch.scheduler import ToolSpec
+from ..batch.telemetry import ScanTelemetry, ServiceStats
+from ..core.phpsafe import PhpSafeOptions
 from ..core.results import ToolReport
 from ..core.review import to_json
-from ..perf import scoped
+from ..core.tool import AnalyzerTool
 from ..plugin import Plugin
 from .queue import Job, JobQueue
 from .sarif import to_sarif
@@ -120,11 +117,10 @@ class WorkerPool:
         self.cache_dir = cache_dir
         self.isolation = isolation
         self.poll_interval = poll_interval
-        self.telemetry = ScanTelemetry(jobs=self.jobs)
-        self.telemetry.service = stats if stats is not None else ServiceStats()
-        self.stats = self.telemetry.service
-        self._batch_options = BatchOptions(
-            jobs=1, timeout=timeout, cache_dir=cache_dir
+        # running totals only: a row per job would grow without bound
+        self.stats = stats if stats is not None else ServiceStats()
+        self.telemetry = ScanTelemetry(
+            jobs=self.jobs, plugins=None, service=self.stats
         )
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -199,176 +195,68 @@ class WorkerPool:
         manifest = self.store.latest_manifest(
             plugin.name, job.fingerprint, exclude_digest=job.digest
         )
-        with scoped() as scope:
-            report, outcome, delta, new_manifest, rescan = self._scan(
-                plugin, state, manifest
-            )
-        document = result_document(job, report, outcome, rescan)
+        record = self._scan(plugin, state, manifest)
+        document = result_document(job, record.report, record.outcome, record.rescan)
         self.store.put_result(job.digest, job.fingerprint, document)
         # count the run before publishing its state: a poller that sees
         # the job finished must also see it in the stats
-        self._record(job, report, outcome, delta, scope.report(), rescan)
-        if outcome == "ok":
-            if new_manifest is not None:
-                self.store.put_manifest(job.digest, job.fingerprint, new_manifest)
-            self.store.record_lineage(plugin.name, job.digest)
-            self.queue.complete(job.id)
-        else:
-            self.queue.fail(job.id, f"analysis {outcome}")
-
-    def _record(
-        self,
-        job: Job,
-        report: ToolReport,
-        outcome: str,
-        delta: Tuple[int, ...],
-        scope_perf: Dict[str, float],
-        rescan: Optional[Dict[str, object]] = None,
-    ) -> None:
-        # process-isolated reports carry their own perf delta (computed
-        # inside the worker process); the dispatcher-side scope supplies
-        # it otherwise, race-free because counters are thread-local
-        perf = dict(report.perf) if report.perf else scope_perf
-        stats_row = PluginScanStats(
-            plugin=report.plugin,
-            seconds=report.seconds,
-            files=report.files_analyzed,
-            loc=report.loc_analyzed,
-            findings=len(report.findings),
-            failures=len(report.failures),
-            incidents=len(report.incidents),
-            recovered=report.recovered_count,
-            files_skipped=report.files_skipped,
-            loc_skipped=report.loc_skipped,
-            cache_hits=delta[0],
-            cache_misses=delta[1],
-            disk_hits=delta[2],
-            cache_corrupt=delta[3],
-            summary_hits=delta[4] if len(delta) > 4 else 0,
-            summary_misses=delta[5] if len(delta) > 5 else 0,
-            summary_stale=delta[6] if len(delta) > 6 else 0,
-            perf=perf,
-            queued_seconds=job.queued_seconds,
-            outcome=outcome,
-            rescan_roots_total=int((rescan or {}).get("roots_total", 0)),
-            rescan_roots_reused=int((rescan or {}).get("roots_reused", 0)),
-            rescan_fallback=str((rescan or {}).get("fallback_reason", "")),
-        )
+        row = record.stats(job.queued_seconds)
         with self._lock:
-            self.telemetry.record(stats_row)
+            self.telemetry.record(row)
             self.stats.queue_wait_seconds += job.queued_seconds
             self.stats.waits_recorded += 1
-            if outcome == "ok":
+            if record.outcome == "ok":
                 self.stats.completed += 1
             else:
                 self.stats.failed += 1
-            if outcome == "timeout":
-                self.telemetry.timeouts += 1
-            elif outcome in ("crashed", "error"):
-                self.telemetry.crashes += 1
+        if record.outcome == "ok":
+            if record.manifest is not None:
+                self.store.put_manifest(job.digest, job.fingerprint, record.manifest)
+            self.store.record_lineage(plugin.name, job.digest)
+            self.queue.complete(job.id)
+        else:
+            self.queue.fail(job.id, f"analysis {record.outcome}")
 
     # -- the scan itself ---------------------------------------------------
-
-    #: scan return value: report, outcome, cache delta, the new per-file
-    #: digest manifest (None on failure or manifest-less tools), and the
-    #: rescan-stats dict
-    _ScanResult = Tuple[
-        ToolReport, str, Tuple[int, ...], Optional[Dict[str, object]],
-        Dict[str, object],
-    ]
 
     def _scan(
         self,
         plugin: Plugin,
         state: _WorkerState,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
-        if self.isolation == "process":
-            return self._scan_process(plugin, state, manifest)
-        return self._scan_thread(plugin, state, manifest)
-
-    def _scan_process(
-        self,
-        plugin: Plugin,
-        state: _WorkerState,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
+        manifest: Optional[Dict[str, object]],
+    ) -> JobRecord:
+        if self.isolation == "thread":
+            if state.tool is None:
+                state.tool = self._thread_tool()
+            return run_job(state.tool, plugin, manifest, rescan=True)
         if state.executor is None:
             state.executor = ProcessPoolExecutor(
                 max_workers=1,
-                initializer=_init_worker,
-                initargs=(self.spec, self._batch_options),
+                initializer=init_worker,
+                initargs=(self.spec, self.cache_dir, self.timeout),
             )
-        payload = (plugin.name, plugin.version, dict(plugin.files), manifest)
         try:
-            report, _seconds, outcome, delta, new_manifest, rescan = (
-                state.executor.submit(_rescan_one, payload).result()
-            )
-            return report, outcome, delta, new_manifest, rescan
+            return state.executor.submit(pool_job, plugin, manifest, True).result()
         except BrokenProcessPool:
             state.executor.shutdown(wait=False)
             state.executor = None
             with self._lock:
                 self.telemetry.worker_restarts += 1
-            report = _failure_report(
-                self.spec.display_name,
-                plugin.slug,
-                "worker process died during analysis",
-            )
-            return report, "crashed", (0,) * 7, None, {}
-
-    def _scan_thread(
-        self,
-        plugin: Plugin,
-        state: _WorkerState,
-        manifest: Optional[Dict[str, object]] = None,
-    ) -> "_ScanResult":
-        if state.tool is None:
-            state.tool = self._build_thread_tool()
-        cache = getattr(state.tool, "cache", None)
-        before = _cache_stats(cache)
-        new_manifest: Optional[Dict[str, object]] = None
-        rescan: Dict[str, object] = {}
-        start = time.perf_counter()
-        try:
-            if hasattr(state.tool, "rescan"):
-                report, new_manifest, stats = state.tool.rescan(plugin, manifest)
-                rescan = stats.to_dict()
-            else:
-                report = state.tool.analyze(plugin)
-            outcome = "ok"
+            reason = "worker process died during analysis"
         except Exception as error:
-            report = _failure_report(
-                self.spec.display_name, plugin.slug, f"worker exception: {error!r}"
-            )
-            outcome = "error"
-            new_manifest = None
-        report.seconds = time.perf_counter() - start
-        report.variables = {}
-        after = _cache_stats(cache)
-        delta = tuple(b - a for a, b in zip(before, after))
-        return report, outcome, delta, new_manifest, rescan
+            # e.g. a report that cannot be pickled back: the worker
+            # lives on, the job fails, the dispatcher keeps serving
+            reason = f"scheduler error: {error!r}"
+        return JobRecord.crashed(self.spec.display_name, plugin.slug, reason)
 
-    def _build_thread_tool(self):
+    def _thread_tool(self) -> AnalyzerTool:
         spec = self.spec
         if spec.name == "phpsafe" and self.timeout:
             # no SIGALRM off the main thread: degrade the job deadline
             # to the engine's per-unit wall clock
-            from ..core.phpsafe import PhpSafeOptions
-
             options = spec.options or PhpSafeOptions()
             if options.file_deadline is None or options.file_deadline > self.timeout:
-                options = replace(options, file_deadline=self.timeout)
-            spec = ToolSpec(name=spec.name, options=options)
-        cache = None
-        if self.cache_dir:
-            from ..batch.diskcache import DiskModelCache
-
-            # per-thread instance: the memory LRU is not thread-safe,
-            # but the content-addressed disk tier is shared by design
-            cache = DiskModelCache(self.cache_dir)
-        elif spec.name == "phpsafe":
-            from ..core.cache import ModelCache
-
-            cache = ModelCache()
-        return spec.build(cache=cache)
+                spec = replace(spec, options=replace(options, file_deadline=self.timeout))
+        # per-thread instance: the memory LRU is not thread-safe, but
+        # the content-addressed disk tier is shared by design
+        return spec.build_job_tool(self.cache_dir)

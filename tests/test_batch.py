@@ -2,6 +2,9 @@
 
 import json
 import os
+import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -15,9 +18,11 @@ from repro.batch import (
 from repro.batch.telemetry import SCHEMA
 from repro.core import PhpSafe
 from repro.core.results import ToolReport
+from repro.core.review import to_json
 from repro.core.tool import AnalyzerTool
 from repro.corpus import build_corpus
 from repro.plugin import Plugin
+from repro.service import AnalysisService
 
 
 def small_plugins():
@@ -90,31 +95,6 @@ class TestParallelEqualsSerial:
         assert serial.telemetry.jobs == 1
 
 
-class TestCrashIsolation:
-    def test_dead_worker_becomes_file_failure(self):
-        spec = ToolSpec(name="tests.test_batch:CrashingTool")
-        result = scan_corpus(small_plugins(), jobs=2, spec=spec)
-        by_plugin = {report.plugin: report for report in result.reports}
-        crashed = by_plugin["beta"]
-        assert crashed.failures, "crash must surface as a robustness incident"
-        failure = crashed.failures[0]
-        assert failure.file == "<plugin>"
-        assert not failure.completed
-        # the batch itself survived: the other plugins completed
-        assert by_plugin["alpha"].files_analyzed == 1
-        assert by_plugin["gamma"].files_analyzed == 1
-        assert result.telemetry.worker_restarts >= 1
-        assert result.telemetry.crashes == 1
-
-    def test_worker_exception_is_isolated_without_restart(self):
-        spec = ToolSpec(name="tests.test_batch:RaisingTool")
-        result = scan_corpus(small_plugins(), jobs=2, spec=spec)
-        by_plugin = {report.plugin: report for report in result.reports}
-        assert "worker exception" in by_plugin["beta"].failures[0].reason
-        assert result.telemetry.worker_restarts == 0
-        assert result.telemetry.crashes == 1
-
-
 class RaisingTool(AnalyzerTool):
     name = "raiser"
 
@@ -124,17 +104,165 @@ class RaisingTool(AnalyzerTool):
         return ToolReport(tool=self.name, plugin=plugin.slug)
 
 
-class TestDeadline:
-    def test_timeout_becomes_file_failure(self):
-        spec = ToolSpec(name="tests.test_batch:SleepyTool")
-        result = scan_corpus(small_plugins(), jobs=2, timeout=0.3, spec=spec)
-        by_plugin = {report.plugin: report for report in result.reports}
-        failure = by_plugin["beta"].failures[0]
-        assert failure.file == "<plugin>"
-        assert not failure.completed
-        assert "deadline" in failure.reason
-        assert result.telemetry.timeouts == 1
-        assert not by_plugin["alpha"].failures
+#: every executor that runs a job: (scan path, isolation)
+EXECUTORS = ("in-process", "batch-pool", "service-process", "service-thread")
+#: a hard worker death is survivable only where the job has its own process
+JOB_CASES = [
+    (executor, case)
+    for executor in EXECUTORS
+    for case in ("ok", "raising", "deadline")
+] + [("batch-pool", "dead"), ("service-process", "dead")]
+
+
+def run_on(executor, tmp_path, plugins, spec=None, timeout=None):
+    """Scan ``plugins`` on one executor.  Returns ``{slug: (outcome,
+    report document)}`` and the executor's telemetry."""
+    if executor in ("in-process", "batch-pool"):
+        jobs = 1 if executor == "in-process" else 2
+        result = scan_corpus(plugins, jobs=jobs, timeout=timeout, spec=spec)
+        outcomes = [stats.outcome for stats in result.telemetry.plugins]
+        results = {
+            report.plugin: (outcome, json.loads(to_json(report)))
+            for report, outcome in zip(result.reports, outcomes)
+        }
+        return results, result.telemetry
+    service = AnalysisService(
+        data_dir=str(tmp_path / "svc"),
+        spec=spec,
+        jobs=1,
+        timeout=timeout,
+        isolation=executor.split("-")[1],
+    )
+    service.start()
+    try:
+        ids = [
+            service.submit({"name": plugin.name, "files": dict(plugin.files)})[1]["id"]
+            for plugin in plugins
+        ]
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            bodies = [service.job_status(job_id)[1] for job_id in ids]
+            if all(body["state"] in ("done", "failed") for body in bodies):
+                break
+            time.sleep(0.02)
+        else:
+            raise AssertionError(f"jobs did not finish: {bodies}")
+        results = {
+            plugin.slug: (body["result"]["outcome"], body["result"]["report"])
+            for plugin, body in zip(plugins, bodies)
+        }
+        return results, service.pool.telemetry
+    finally:
+        service.shutdown()
+
+
+def plugin_failure(document):
+    """The ``<plugin>`` failure of a failed job's report, checked fatal."""
+    (failure,) = document["failures"]
+    assert failure["file"] == "<plugin>" and not failure["completed"]
+    assert any(i["severity"] == "fatal" for i in document["incidents"])
+    return failure["reason"]
+
+
+class TestJobExecutors:
+    """One job routine behind every executor: the same outcome,
+    failure report and telemetry for each case."""
+
+    @pytest.mark.parametrize(
+        "executor,case", JOB_CASES, ids=[f"{e}-{c}" for e, c in JOB_CASES]
+    )
+    def test_job(self, executor, case, tmp_path):
+        plugins = small_plugins()
+        spec, timeout = None, None
+        if case == "raising":
+            spec = ToolSpec(name="tests.test_batch:RaisingTool")
+        elif case == "dead":
+            spec = ToolSpec(name="tests.test_batch:CrashingTool")
+        elif case == "deadline" and executor == "service-thread":
+            # no SIGALRM off the main thread: the deadline degrades to
+            # phpSAFE's per-unit wall clock, which only a long unit trips
+            plugins[1] = Plugin(
+                name="beta",
+                files={"index.php": "<?php\n" + "$a = 1;\n" * 800},
+            )
+            timeout = 1e-9
+        elif case == "deadline":
+            spec, timeout = ToolSpec(name="tests.test_batch:SleepyTool"), 0.3
+        results, telemetry = run_on(executor, tmp_path, plugins, spec, timeout)
+        assert set(results) == {"alpha", "beta", "gamma"}
+        outcome, beta = results["beta"]
+        for slug in ("alpha", "gamma"):
+            assert results[slug][0] == "ok"
+            assert results[slug][1]["failures"] == []
+        if case == "ok":
+            assert outcome == "ok" and beta["failures"] == []
+            assert [len(results[s][1]["findings"]) for s in sorted(results)] == [1, 1, 0]
+        elif case == "raising":
+            assert outcome == "error"
+            assert "worker exception" in plugin_failure(beta)
+            assert telemetry.crashes == 1
+        elif case == "deadline" and executor == "service-thread":
+            assert outcome == "ok"
+            assert any(
+                "deadline" in incident["reason"] and incident["recovered"]
+                for incident in beta["incidents"]
+            )
+        elif case == "deadline":
+            assert outcome == "timeout"
+            assert "deadline" in plugin_failure(beta)
+            assert telemetry.timeouts == 1
+        else:
+            assert outcome == "crashed"
+            assert "died" in plugin_failure(beta)
+            # the innocent jobs completed on a fresh worker
+            assert results["alpha"][1]["files_analyzed"] == 1
+            assert results["gamma"][1]["files_analyzed"] == 1
+            assert telemetry.crashes == 1
+        assert (telemetry.worker_restarts >= 1) == (case == "dead")
+
+
+class TestInProcessLeavesNoState:
+    """``jobs=1`` runs the job routine in the caller's process, so it
+    must leave that process as it found it."""
+
+    def test_sigalrm_handler_restored(self):
+        before = signal.getsignal(signal.SIGALRM)
+        scan_corpus(small_plugins(), jobs=1)
+        assert signal.getsignal(signal.SIGALRM) == before
+        scan_corpus(small_plugins(), jobs=1, timeout=30)
+        assert signal.getsignal(signal.SIGALRM) == before
+
+    def test_no_module_global_holds_the_tool(self):
+        scan_corpus(small_plugins(), jobs=1)
+        modules = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.batch")
+        ]
+        for module in modules:
+            held = [
+                name
+                for name, value in vars(module).items()
+                if isinstance(value, AnalyzerTool)
+            ]
+            assert held == [], f"{module.__name__} keeps {held}"
+
+    def test_runs_off_the_main_thread(self):
+        outcome = {}
+
+        def work():
+            try:
+                outcome["result"] = scan_corpus(small_plugins(), jobs=1)
+            except Exception as error:  # reported by the assert below
+                outcome["error"] = error
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        serial = [PhpSafe().analyze(plugin) for plugin in small_plugins()]
+        assert finding_keys(outcome["result"].reports) == finding_keys(serial)
 
 
 class TestPersistentCache:
@@ -144,7 +272,7 @@ class TestPersistentCache:
         cold = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         warm = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         assert warm.telemetry.cache_hit_rate > 0.9
-        assert warm.telemetry.cache_hits >= 4
+        assert warm.telemetry.totals.cache.hits >= 4
         assert finding_keys(cold.reports) == finding_keys(warm.reports)
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
@@ -153,6 +281,50 @@ class TestPersistentCache:
         scan_corpus(plugins, jobs=1, cache_dir=cache_dir)
         warm = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         assert warm.telemetry.cache_hit_rate > 0.9
+
+
+def key_paths(value, prefix=""):
+    """Dotted key paths of a JSON document in order (a list contributes
+    its first item's paths under ``name[]``; ``perf`` counter names are
+    not descended into)."""
+    if isinstance(value, list):
+        return key_paths(value[0], prefix + "[]") if value else []
+    if not isinstance(value, dict) or prefix.endswith("perf"):
+        return [prefix]
+    paths = []
+    for key, child in value.items():
+        paths += key_paths(child, f"{prefix}.{key}" if prefix else key)
+    return paths
+
+
+#: the key tree of a batch ``--telemetry`` document
+BATCH_TELEMETRY_KEYS = [
+    "schema", "jobs", "wall_seconds", "analysis_seconds", "files", "loc",
+    "findings", "files_per_second", "files_skipped",
+    "cache.hits", "cache.misses", "cache.disk_hits", "cache.hit_rate",
+    "cache.corrupt", "cache.summary_hits", "cache.summary_misses",
+    "cache.summary_stale", "cache.summary_hit_rate",
+    "perf",
+    "rescan.roots_total", "rescan.roots_reused", "rescan.incremental_runs",
+    "rescan.fallbacks",
+    "incidents.worker_restarts", "incidents.timeouts", "incidents.crashes",
+    "incidents.total", "incidents.recovered",
+    "plugins[].plugin", "plugins[].seconds", "plugins[].files",
+    "plugins[].loc", "plugins[].findings", "plugins[].failures",
+    "plugins[].incidents", "plugins[].recovered", "plugins[].files_skipped",
+    "plugins[].loc_skipped", "plugins[].files_per_second",
+    "plugins[].cache.hits", "plugins[].cache.misses",
+    "plugins[].cache.disk_hits", "plugins[].cache.corrupt",
+    "plugins[].cache.summary_hits", "plugins[].cache.summary_misses",
+    "plugins[].cache.summary_stale",
+    "plugins[].perf", "plugins[].queued_seconds", "plugins[].outcome",
+    "plugins[].rescan.roots_total", "plugins[].rescan.roots_reused",
+    "plugins[].rescan.fallback",
+    "process_cache.entries", "process_cache.max_entries",
+    "process_cache.bytes", "process_cache.max_bytes",
+    "process_cache.evictions", "process_cache.byte_evictions",
+    "process_cache.oversized",
+]
 
 
 class TestTelemetry:
@@ -170,10 +342,15 @@ class TestTelemetry:
         result.telemetry.write(str(out))
         assert json.loads(out.read_text())["schema"] == SCHEMA
 
+    def test_document_key_tree_is_pinned(self, tmp_path):
+        out = tmp_path / "telemetry.json"
+        scan_corpus(small_plugins(), jobs=1).telemetry.write(str(out))
+        assert key_paths(json.loads(out.read_text())) == BATCH_TELEMETRY_KEYS
+
     def test_wall_time_and_throughput(self):
         result = scan_corpus(small_plugins(), jobs=1)
         assert result.telemetry.wall_seconds > 0
-        assert result.telemetry.total_files == 4
+        assert result.telemetry.totals.files == 4
         assert result.telemetry.files_per_second > 0
 
 

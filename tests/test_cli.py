@@ -107,7 +107,7 @@ class TestBatchScan:
         capsys.readouterr()
         with open(warm_path) as handle:
             warm = json.load(handle)
-        assert warm["schema"] == "repro.batch.telemetry/v7"
+        assert warm["schema"] == "repro.batch.telemetry/v8"
         assert warm["cache"]["hit_rate"] > 0.9
         with open(cold_path) as handle:
             cold = json.load(handle)

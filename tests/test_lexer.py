@@ -3,7 +3,7 @@
 import pytest
 
 from repro.php import PhpLexError, tokenize, tokenize_significant
-from repro.php.lexer import count_loc
+from repro.php.lexer import Lexer, count_loc
 from repro.php.tokens import TokenType
 
 
@@ -103,6 +103,28 @@ class TestComments:
     def test_doc_comment(self):
         tokens = tokenize("<?php /** doc */ $a;")
         assert any(t.type is TokenType.DOC_COMMENT for t in tokens)
+
+    def test_unterminated_block_comment_runs_to_eof(self):
+        # PHP warns and makes the rest of the file one comment
+        source = "<?php $a = 1; /* open\n$b = $_GET[1]; echo $b;"
+        tokens = tokenize(source)
+        assert [(t.type, t.value, t.line) for t in tokens[-3:]] == [
+            (TokenType.CHAR, ";", 1),
+            (TokenType.WHITESPACE, " ", 1),
+            (TokenType.COMMENT, "/* open\n$b = $_GET[1]; echo $b;", 1),
+        ]
+        assert values(source + "\n") == ["<?php", "$a", "=", "1", ";"]
+        lexer = Lexer(source)
+        lexer.tokenize()
+        assert lexer.line == 2
+        assert tokenize("<?php /** open")[-1].type is TokenType.DOC_COMMENT
+
+    def test_unterminated_block_comment_is_no_parse_failure(self):
+        from repro.core import PhpSafe
+
+        source = "<?php $a = 1; /* open\n$b = $_GET[1]; echo $b;"
+        report = PhpSafe().analyze_source(source)
+        assert report.failures == [] and report.findings == []
 
     def test_significant_strips_trivia(self):
         kinds = types("<?php /* c */ $a; // t")

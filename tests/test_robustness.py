@@ -281,7 +281,7 @@ class TestBatchTelemetry:
         assert stats["broken"].recovered >= 1
         assert stats["clean"].incidents == 0
         document = telemetry.to_dict()
-        assert document["schema"] == "repro.batch.telemetry/v7"
+        assert document["schema"] == "repro.batch.telemetry/v8"
         assert document["incidents"]["total"] >= 1
         assert document["incidents"]["recovered"] >= 1
         assert "files_skipped" in document

@@ -232,7 +232,7 @@ class TestProcessCacheOccupancy:
     def test_telemetry_document_reports_process_cache(self):
         from repro.batch.telemetry import SCHEMA, ScanTelemetry
 
-        assert SCHEMA == "repro.batch.telemetry/v7"
+        assert SCHEMA == "repro.batch.telemetry/v8"
         document = ScanTelemetry().to_dict()
         assert document["schema"] == SCHEMA
         assert set(document["process_cache"]) == {

@@ -71,6 +71,18 @@ class CrashOnBomb(AnalyzerTool):
         return report
 
 
+class LockOnBomb(AnalyzerTool):
+    """Returns a report that cannot be pickled back for one plugin name."""
+
+    name = "lock-on-bomb"
+
+    def analyze(self, plugin: Plugin) -> ToolReport:
+        report = ToolReport(tool=self.name, plugin=plugin.slug)
+        if plugin.name == "bomb":
+            report.perf["lock"] = threading.Lock()
+        return report
+
+
 # ---------------------------------------------------------------------------
 # result store
 # ---------------------------------------------------------------------------
@@ -409,6 +421,32 @@ class TestServiceIntegration:
         finally:
             service.shutdown()
 
+    def test_executor_error_fails_job_and_dispatcher_keeps_serving(
+        self, tmp_path
+    ):
+        spec = ToolSpec(name="tests.test_service:LockOnBomb")
+        service = self.make_service(tmp_path, spec=spec, jobs=1, isolation="process")
+        service.start()
+        try:
+            bomb = submit_plugin(
+                service, Plugin(name="bomb", files={"index.php": "<?php 1;"})
+            )
+            innocent = submit_plugin(
+                service, Plugin(name="ok", files={"index.php": "<?php 2;"})
+            )
+            states = wait_done(service, [bomb["id"], innocent["id"]], timeout=60)
+            assert states == ["failed", "done"]
+            code, status = service.job_status(bomb["id"])
+            assert status["result"]["outcome"] == "crashed"
+            (failure,) = status["result"]["report"]["failures"]
+            assert failure["reason"].startswith("scheduler error: ")
+            incidents = status["result"]["report"]["incidents"]
+            assert any(i["severity"] == "fatal" for i in incidents)
+            # the worker process survived: no restart was needed
+            assert service.pool.telemetry.worker_restarts == 0
+        finally:
+            service.shutdown()
+
     def test_thread_failure_report_names_the_tool_like_a_good_job(
         self, tmp_path, monkeypatch
     ):
@@ -448,14 +486,35 @@ class TestServiceIntegration:
             wait_done(service, [job["id"]])
             code, document = service.metrics()
             assert code == 200
-            assert document["schema"] == SCHEMA == "repro.batch.telemetry/v7"
+            assert document["schema"] == SCHEMA == "repro.batch.telemetry/v8"
             assert document["service"]["completed"] == 1
             assert document["service"]["accepted"] == 1
             assert document["queue"]["done"] == 1
-            (row,) = document["plugins"]
-            assert row["queued_seconds"] >= 0
+            assert document["service"]["waits_recorded"] == 1
+            assert "plugins" not in document
         finally:
             service.shutdown()
+
+
+    def test_metrics_size_independent_of_jobs_served(self, tmp_path):
+        plugins = [
+            Plugin(name=f"p{i}", files={"index.php": f"<?php echo $_GET['q{i}'];"})
+            for i in range(20)
+        ]
+        service = self.make_service(tmp_path, jobs=1)
+        service.start()
+        try:
+            ids = [submit_plugin(service, plugins[0])["id"]]
+            wait_done(service, ids)
+            one = len(json.dumps(service.metrics()[1]))
+            ids += [submit_plugin(service, plugin)["id"] for plugin in plugins[1:]]
+            assert set(wait_done(service, ids)) == {"done"}
+            twenty = len(json.dumps(service.metrics()[1]))
+        finally:
+            service.shutdown()
+        # counters gain a digit here and there; a row per job would add
+        # about 0.9 KB for each of the 19 extra jobs
+        assert abs(twenty - one) < 256, (one, twenty)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +588,7 @@ class TestHttpServer:
     def test_metrics_over_http(self, http_service):
         code, document = http_service("GET", "/metrics")
         assert code == 200
-        assert document["schema"] == "repro.batch.telemetry/v7"
+        assert document["schema"] == "repro.batch.telemetry/v8"
         assert "service" in document and "queue" in document
 
 
