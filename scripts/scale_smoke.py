@@ -9,9 +9,9 @@ modes in isolated spawn subprocesses, asserting:
 2. both modes report the tier's expected seeded finding count, and
    the streamed finding *signatures* equal the committed golden file
    ``tests/golden/scale-smoke.json`` (seed 0);
-3. streaming and accumulating finding *signatures* are identical on
-   the paper corpus at scale 0.25 (the acceptance-criteria parity
-   proof, re-run here on every push);
+3. both paper corpus versions at scale 0.25, streamed in-process,
+   yield exactly the phpSAFE signatures of
+   ``tests/golden/paper-{2012,2014}.json``;
 
 and writes the measurements to ``BENCH_scale.json`` (uploaded as a CI
 artifact).  The full three-tier bench, including the ≥1M-LOC tier, is
@@ -33,19 +33,46 @@ import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
-GOLDEN = os.path.join(ROOT, "tests", "golden", "scale-smoke.json")
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
+#: the corpus scale the paper golden files pin
+PAPER_SCALE = 0.25
 
 
-def golden_signatures() -> set:
-    """The committed ``scale-smoke`` signatures (seed 0) as
-    ``(plugin slug, kind, file, line, sink)`` tuples."""
-    with open(GOLDEN, "r", encoding="utf-8") as handle:
+def golden_signatures(name: str) -> set:
+    """phpSAFE's committed signatures in ``tests/golden/<name>.json`` as
+    ``(plugin slug, kind, file, line, sink)`` tuples: the rows of a
+    stress-tier file, or the ``phpSAFE`` rows of a paper-corpus file."""
+    path = os.path.join(GOLDEN_DIR, f"{name}.json")
+    with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
+    if "plugins" in document:
+        plugins = document["plugins"]
+    else:
+        plugins = {
+            slug: row["findings"]
+            for slug, row in document["tools"]["phpSAFE"].items()
+        }
     return {
         (slug, kind, file, int(line), sink)
-        for slug, rows in document["plugins"].items()
+        for slug, rows in plugins.items()
         for kind, file, line, sink in rows
     }
+
+
+def check_golden(name: str, streamed: set, failures: list) -> None:
+    """Require the streamed signatures to equal golden file ``name``."""
+    golden = golden_signatures(name)
+    print(
+        f"golden: {len(streamed)} streamed signatures vs {len(golden)} in "
+        f"tests/golden/{name}.json — "
+        + ("identical" if streamed == golden else "DIFFERENT")
+    )
+    if streamed != golden:
+        failures.append(
+            f"streamed signatures differ from tests/golden/{name}.json: "
+            f"missing={sorted(golden - streamed)[:5]} "
+            f"unexpected={sorted(streamed - golden)[:5]}"
+        )
 
 
 def main(argv=None) -> int:
@@ -53,22 +80,27 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default="BENCH_scale.json", help="bench file to write"
     )
-    parser.add_argument(
-        "--parity-scale", type=float, default=0.25,
-        help="paper-corpus scale of the parity proof (default: 0.25)",
-    )
     args = parser.parse_args(argv)
 
-    from repro.benchscale import run_parity, run_scale_bench, sink_file, write_bench
+    from repro.batch.streaming import stream_scan, streaming_options
+    from repro.benchscale import run_scale_bench, sink_file, write_bench
     from repro.core.results import stream_signatures
+    from repro.corpus.generator import build_corpus
     from repro.corpus.stress import get_tier
 
     tier = get_tier("scale-smoke")
     failures = []
 
     with tempfile.TemporaryDirectory(prefix="scale-smoke-") as sink_dir:
-        section = run_scale_bench(["scale-smoke"], parity=False, sink_dir=sink_dir)
+        section = run_scale_bench(["scale-smoke"], sink_dir=sink_dir)
         streamed = stream_signatures(sink_file(sink_dir, "scale-smoke", "streaming"))
+        paper = {}
+        for version in ("2012", "2014"):
+            print(f"paper {version}: streaming at scale {PAPER_SCALE} ...", flush=True)
+            corpus = build_corpus(version, scale=PAPER_SCALE)
+            sink = os.path.join(sink_dir, f"paper-{version}.jsonl")
+            stream_scan(iter(corpus.plugins), sink, options=streaming_options())
+            paper[version] = stream_signatures(sink)
     row = section["tiers"]["scale-smoke"]
     streaming = row["streaming"]
     accumulating = row["accumulating"]
@@ -90,34 +122,9 @@ def main(argv=None) -> int:
                 f"{mode} found {measured['findings']} findings, expected "
                 f"{tier.expected_findings}"
             )
-    golden = golden_signatures()
-    print(
-        f"golden: {len(streamed)} streamed signatures vs {len(golden)} in "
-        "tests/golden/scale-smoke.json — "
-        + ("identical" if streamed == golden else "DIFFERENT")
-    )
-    if streamed != golden:
-        failures.append(
-            "streamed signatures differ from the golden file: "
-            f"missing={sorted(golden - streamed)[:5]} "
-            f"unexpected={sorted(streamed - golden)[:5]}"
-        )
-
-    print(f"parity: paper corpus at scale {args.parity_scale} ...", flush=True)
-    parity = run_parity(scale=args.parity_scale)
-    section["parity"] = parity
-    print(
-        f"parity: {parity['streaming_findings']} streaming vs "
-        f"{parity['accumulating_findings']} accumulating findings over "
-        f"{parity['loc']} LOC — "
-        + ("identical" if parity["identical"] else "DIVERGED")
-    )
-    if not parity["identical"]:
-        failures.append(
-            "streaming and accumulating finding signatures diverge: "
-            f"only-streaming={parity['only_streaming']} "
-            f"only-accumulating={parity['only_accumulating']}"
-        )
+    check_golden("scale-smoke", streamed, failures)
+    for version, signatures in paper.items():
+        check_golden(f"paper-{version}", signatures, failures)
 
     write_bench(args.out, section)
     print(f"bench written to {args.out}")

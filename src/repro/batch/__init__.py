@@ -2,13 +2,14 @@
 
 Fans per-plugin analysis out over worker processes with crash/timeout
 isolation (:mod:`.scheduler`), each plugin one job of the routine every
-executor shares (:mod:`.job`), backed by a disk-persistent parse cache
+executor shares (:mod:`.job`, whose one lazy loop runs jobs
+in-process), backed by a disk-persistent parse cache
 (:mod:`.diskcache`), and reports wall time, throughput, cache hit rate
 and robustness incidents as JSON telemetry (:mod:`.telemetry`).
 """
 
 from .diskcache import DiskModelCache
-from .job import JobRecord, run_job
+from .job import JobRecord, run_job, run_jobs
 from .scheduler import (
     BatchOptions,
     BatchResult,
@@ -30,5 +31,6 @@ __all__ = [
     "ServiceStats",
     "ToolSpec",
     "run_job",
+    "run_jobs",
     "scan_corpus",
 ]

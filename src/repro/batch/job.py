@@ -1,7 +1,8 @@
 """One plugin scan as one isolated job (paper Section V.E).
 
 Every executor runs a plugin through :func:`run_job`: the in-process
-``jobs=1`` batch path, the batch process pool, the service's
+loop :func:`run_jobs` (``jobs=1`` batch scans, the evaluation's serial
+runs and streaming scans), the batch process pool, the service's
 per-dispatcher worker process and its ``isolation="thread"`` mode.  A
 job that raises or overruns its deadline does not propagate: its
 report is a ``FileFailure(file="<plugin>", completed=False)`` with a
@@ -20,14 +21,14 @@ from __future__ import annotations
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import scoped
 from ..plugin import Plugin
-from .telemetry import CacheDelta, PluginScanStats
+from .telemetry import CacheDelta, PluginScanStats, ScanTelemetry
 
 
 class _JobDeadline(BaseException):
@@ -159,6 +160,31 @@ def run_job(
         new_manifest = None
     delta = CacheDelta.read(cache).since(before)
     return JobRecord(report, outcome, delta, new_manifest, rescan_stats)
+
+
+def run_jobs(
+    tool: AnalyzerTool,
+    plugins: Iterable[Plugin],
+    telemetry: ScanTelemetry,
+    timeout: Optional[float] = None,
+) -> Iterator[Tuple[Plugin, JobRecord]]:
+    """Run ``plugins`` in this process, one :func:`run_job` each, and
+    yield ``(plugin, record)`` after folding the record's row into
+    ``telemetry``.
+
+    ``plugins`` is pulled one plugin at a time, and the next one only
+    after the caller has handled the previous record, so a generator
+    corpus stays out of memory.  ``telemetry.wall_seconds`` is the
+    run's wall time, the caller's per-record work included.
+    """
+    start = time.perf_counter()
+    try:
+        for plugin in plugins:
+            record = run_job(tool, plugin, timeout=timeout)
+            telemetry.record(record.stats())
+            yield plugin, record
+    finally:
+        telemetry.wall_seconds = time.perf_counter() - start
 
 
 # -- pool worker side (runs in the worker processes) ------------------------

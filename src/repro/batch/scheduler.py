@@ -42,7 +42,7 @@ from ..core.results import ToolReport, finding_signatures
 from ..core.tool import AnalyzerTool
 from ..plugin import Plugin
 from .diskcache import DiskModelCache
-from .job import JobRecord, init_worker, pool_job, run_job
+from .job import JobRecord, init_worker, pool_job, run_jobs
 from .telemetry import ScanTelemetry
 
 #: profile names ToolSpec can rebuild from options alone; named base
@@ -172,21 +172,18 @@ class BatchScanner:
         self.options = options or BatchOptions()
 
     def scan(self, plugins: Sequence[Plugin]) -> BatchResult:
-        plugins = list(plugins)
         telemetry = ScanTelemetry(jobs=max(1, self.options.jobs))
-        start = time.perf_counter()
         if self.options.jobs <= 1:
             # the identical job routine, no pool
             tool = self.spec.build_job_tool(self.options.cache_dir)
-            records = [
-                run_job(tool, plugin, timeout=self.options.timeout)
-                for plugin in plugins
-            ]
+            run = run_jobs(tool, plugins, telemetry, self.options.timeout)
+            records = [record for _plugin, record in run]
         else:
-            records = self._scan_parallel(plugins, telemetry)
-        telemetry.wall_seconds = time.perf_counter() - start
-        for record in records:
-            telemetry.record(record.stats())
+            start = time.perf_counter()
+            records = self._scan_parallel(list(plugins), telemetry)
+            telemetry.wall_seconds = time.perf_counter() - start
+            for record in records:
+                telemetry.record(record.stats())
         return BatchResult(
             reports=[record.report for record in records], telemetry=telemetry
         )

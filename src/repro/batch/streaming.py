@@ -16,17 +16,21 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
   dropped; SARIF export and telemetry read the stream back
   plugin-at-a-time via :func:`~repro.core.results.stream_reports`.
 
+Each plugin is one :func:`~repro.batch.job.run_job` of the in-process
+loop :func:`~repro.batch.job.run_jobs`, so a plugin whose analysis
+raises becomes a ``<plugin>`` failure record and the scan goes on.
+
 Soundness: every cache tier is content-addressed, so eviction/spill can
-only cost recomputation, never change a result — the streaming-vs-
-accumulating parity test (identical finding signatures at scale 0.25)
-enforces this, and ``BENCH_scale.json`` (``phpsafe bench scale``)
-records the RSS bound it buys.  Streaming speed across commits is
-measured by perfbench's ``stress-stream`` workload.
+only cost recomputation, never change a result — tier-1 tests compare
+streamed and accumulated finding signatures, ``scripts/scale_smoke.py``
+checks the streamed ones against the golden files, and
+``BENCH_scale.json`` (``phpsafe bench scale``) records the RSS bound
+streaming buys.  Streaming speed across commits is measured by
+perfbench's ``stress-stream`` workload.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional
 
@@ -34,11 +38,15 @@ from ..core.cache import ModelCache, content_key
 from ..core.phpsafe import PhpSafe, PhpSafeOptions
 from ..core.results import JsonlFindingSink
 from ..plugin import Plugin
+from .job import run_jobs
+from .telemetry import ScanTelemetry
 
 #: default in-memory artifact budget for streaming scans (64 MB keeps a
 #: working set of warm models while staying far below any tier's RSS
 #: contract; raise it to trade memory for fewer re-parses)
 DEFAULT_MAX_CACHE_BYTES = 64 * 1024 * 1024
+#: entry cap of the default streaming cache (the byte cap is the bound)
+MAX_CACHE_ENTRIES = 4096
 
 
 def streaming_options(base: Optional[PhpSafeOptions] = None) -> PhpSafeOptions:
@@ -48,30 +56,41 @@ def streaming_options(base: Optional[PhpSafeOptions] = None) -> PhpSafeOptions:
     return replace(base or PhpSafeOptions())
 
 
+def _total(name: str) -> property:
+    return property(lambda self: getattr(self.telemetry.totals, name))
+
+
 @dataclass
 class StreamingSummary:
-    """Running totals of one streaming scan — O(1) memory by design.
-
-    This is deliberately *not* a :class:`ScanTelemetry`: per-plugin
-    telemetry rows would re-introduce linear growth in corpus size.
-    """
+    """What one streaming scan measured — O(1) memory by design: the
+    run's :class:`ScanTelemetry` keeps totals only, no per-plugin rows."""
 
     sink_path: str = ""
-    plugins: int = 0
-    files: int = 0
-    loc: int = 0
-    findings: int = 0
-    failures: int = 0
-    incidents: int = 0
-    files_skipped: int = 0
-    loc_skipped: int = 0
-    seconds: float = 0.0
+    telemetry: ScanTelemetry = field(
+        default_factory=lambda: ScanTelemetry(plugins=None)
+    )
     #: estimated bytes released by eager per-plugin spills
     spilled_bytes: int = 0
     #: high-water mark of the artifact cache's estimated bytes
     peak_cache_bytes: int = 0
     #: final cache occupancy snapshot (:meth:`ModelCache.occupancy`)
     cache: Dict[str, object] = field(default_factory=dict)
+
+    files = _total("files")
+    loc = _total("loc")
+    findings = _total("findings")
+    failures = _total("failures")
+    incidents = _total("incidents")
+    files_skipped = _total("files_skipped")
+    loc_skipped = _total("loc_skipped")
+
+    @property
+    def plugins(self) -> int:
+        return self.telemetry.recorded
+
+    @property
+    def seconds(self) -> float:
+        return self.telemetry.wall_seconds
 
     @property
     def loc_per_second(self) -> float:
@@ -101,7 +120,6 @@ def stream_scan(
     sink_path: str,
     options: Optional[PhpSafeOptions] = None,
     max_cache_bytes: int = DEFAULT_MAX_CACHE_BYTES,
-    max_cache_entries: int = 4096,
     cache: Optional[ModelCache] = None,
 ) -> StreamingSummary:
     """Scan ``plugins`` one at a time, streaming findings to
@@ -118,29 +136,14 @@ def stream_scan(
     if options is None:
         options = streaming_options()
     if cache is None:
-        cache = ModelCache(
-            max_entries=max_cache_entries, max_bytes=max_cache_bytes
-        )
+        cache = ModelCache(max_entries=MAX_CACHE_ENTRIES, max_bytes=max_cache_bytes)
     tool = PhpSafe(options=options, cache=cache, use_process_cache=False)
     variant = "recover" if options.recover else ""
 
     summary = StreamingSummary(sink_path=sink_path)
-    started = time.perf_counter()
     with JsonlFindingSink(sink_path, tool=tool.name) as sink:
-        for plugin in plugins:
-            report = tool.analyze(plugin)
-            # the reviewer variable dump is the report's heaviest field
-            # and has no streaming consumer — drop it before accounting
-            report.variables.clear()
-            sink.write_report(report)
-            summary.plugins += 1
-            summary.files += report.files_analyzed
-            summary.loc += report.loc_analyzed
-            summary.findings += len(report.findings)
-            summary.failures += len(report.failures)
-            summary.incidents += len(report.incidents)
-            summary.files_skipped += report.files_skipped
-            summary.loc_skipped += report.loc_skipped
+        for plugin, record in run_jobs(tool, plugins, summary.telemetry):
+            sink.write_report(record.report)
             summary.peak_cache_bytes = max(
                 summary.peak_cache_bytes, cache.current_bytes
             )
@@ -149,6 +152,5 @@ def stream_scan(
                 content_key(path, source, variant)
                 for path, source in plugin.iter_files()
             )
-    summary.seconds = time.perf_counter() - started
     summary.cache = cache.occupancy()
     return summary

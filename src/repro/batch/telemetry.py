@@ -382,6 +382,8 @@ class ScanTelemetry:
     crashes: int = 0
     #: per-plugin rows in record order; ``None`` keeps no rows
     plugins: Optional[List[PluginScanStats]] = field(default_factory=list)
+    #: rows recorded, kept even when the rows themselves are not
+    recorded: int = 0
     #: running sums over every recorded row
     totals: PluginScanStats = field(default_factory=PluginScanStats)
     #: plugins whose rescan skipped at least one root without falling back
@@ -395,6 +397,7 @@ class ScanTelemetry:
     process_cache: Optional[Dict[str, object]] = None
 
     def record(self, stats: PluginScanStats) -> None:
+        self.recorded += 1
         self.totals.add(stats)
         if stats.rescan_fallback:
             self.rescan_fallbacks += 1

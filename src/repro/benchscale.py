@@ -19,10 +19,8 @@ the harness itself.  The per-tier contract is
 accumulating is *expected* to exceed it on the largest tier (that gap
 is the point of the PR, and :func:`check_scale` gates on both).
 
-A ``parity`` section re-proves finding-signature equality of the two
-modes on the paper corpus at scale 0.25 (both versions), so the bench
-file is self-certifying: the speed/memory numbers come with the
-correctness witness attached.
+The findings themselves are pinned by the golden files:
+``scripts/scale_smoke.py`` checks the streamed signatures against them.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from .corpus.stress import TIERS, get_tier, iter_stress_plugins, stress_options
+from .corpus.stress import get_tier, iter_stress_plugins, stress_options
 
 BENCH_PATH = "BENCH_scale.json"
 
@@ -135,51 +133,9 @@ def run_tier_mode(
     return result
 
 
-def run_parity(scale: float = 0.25) -> Dict[str, object]:
-    """Streaming-vs-accumulating signature parity on the paper corpus.
-
-    Runs in-process (the parity claim is about findings, not memory).
-    Returns the witness that goes into ``BENCH_scale.json``.
-    """
-    from .batch.streaming import stream_scan, streaming_options
-    from .core.phpsafe import PhpSafe, PhpSafeOptions
-    from .core.results import finding_signatures, stream_signatures
-    from .corpus.generator import build_both
-
-    accumulated = set()
-    streamed = set()
-    total_loc = 0
-    with tempfile.TemporaryDirectory(prefix="parity-") as workdir:
-        for corpus in build_both(scale=scale):
-            tool = PhpSafe(options=PhpSafeOptions(), use_process_cache=False)
-            reports = [tool.analyze(plugin) for plugin in corpus.plugins]
-            accumulated |= finding_signatures(reports)
-            sink = os.path.join(workdir, f"stream-{corpus.version}.jsonl")
-            stream_scan(
-                iter(corpus.plugins), sink, options=streaming_options()
-            )
-            streamed |= stream_signatures(sink)
-            total_loc += corpus.total_loc
-    return {
-        "scale": scale,
-        "loc": total_loc,
-        "accumulating_findings": len(accumulated),
-        "streaming_findings": len(streamed),
-        "identical": accumulated == streamed,
-        "only_accumulating": sorted(
-            "|".join(map(str, sig)) for sig in accumulated - streamed
-        )[:10],
-        "only_streaming": sorted(
-            "|".join(map(str, sig)) for sig in streamed - accumulated
-        )[:10],
-    }
-
-
 def run_scale_bench(
     tier_names: Sequence[str],
     seed: int = 0,
-    parity: bool = True,
-    parity_scale: float = 0.25,
     sink_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """The ``BENCH_scale.json`` document.  Findings streams go to
@@ -212,14 +168,10 @@ def run_scale_bench(
             row["accumulating"]["peak_rss_mb"] <= tier.streaming_rss_mb  # type: ignore[index]
         )
         tiers[name] = row
-    section: Dict[str, object] = {
+    return {
         "tiers": tiers,
         "streaming_scan_seconds": round(streaming_total, 3),
     }
-    if parity:
-        print(f"bench scale: parity at scale {parity_scale} ...", flush=True)
-        section["parity"] = run_parity(scale=parity_scale)
-    return section
 
 
 def check_scale(data: Dict[str, object]) -> List[str]:
@@ -260,11 +212,6 @@ def check_scale(data: Dict[str, object]) -> List[str]:
             "no tier shows streaming under a bound accumulating exceeds "
             "(bench more tiers or lower the bound)"
         )
-    parity = data.get("parity")
-    if parity is not None and not parity.get("identical"):  # type: ignore[union-attr]
-        failures.append(
-            "parity: streaming and accumulating finding signatures differ"
-        )
     return failures
 
 
@@ -278,17 +225,10 @@ def write_bench(path: str, document: Dict[str, object]) -> None:
 def run_and_gate(
     tier_names: Sequence[str],
     path: str = BENCH_PATH,
-    quick: bool = False,
     seed: int = 0,
-    parity: bool = True,
 ) -> int:
     """CLI core: bench, write, gate; returns the exit code."""
-    document = run_scale_bench(
-        tier_names,
-        seed=seed,
-        parity=parity,
-        parity_scale=0.25 if not quick else 0.05,
-    )
+    document = run_scale_bench(tier_names, seed=seed)
     write_bench(path, document)
     failures = check_scale(document)
     for failure in failures:

@@ -258,6 +258,14 @@ def _scan_stream(args: argparse.Namespace) -> int:
 
     if args.tool != "phpsafe":
         raise SystemExit("--stream supports only --tool phpsafe")
+    for flag, given in (
+        ("--jobs", args.jobs != 1),
+        ("--cache-dir", args.cache_dir),
+        ("--timeout", args.timeout),
+        ("--baseline", args.baseline),
+    ):
+        if given:
+            raise SystemExit(f"--stream does not support {flag}")
     options = streaming_options(
         PhpSafeOptions(
             oop=not args.no_oop,
@@ -691,13 +699,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.action == "scale":
         from .benchscale import run_and_gate as run_scale
 
-        return run_scale(
-            args.tiers,
-            path=args.output,
-            quick=args.quick,
-            seed=args.seed,
-            parity=not args.no_parity,
-        )
+        return run_scale(args.tiers, path=args.output, seed=args.seed)
     from .service.chaos import config_from_args, run_and_gate
 
     assert args.action == "fleet"  # argparse enforces the choice
@@ -1087,16 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench file to write (default: BENCH_scale.json)",
     )
     scale.add_argument(
-        "--quick", action="store_true",
-        help="shrink the parity corpus scale to 0.05",
-    )
-    scale.add_argument(
         "--seed", type=int, default=0,
         help="stress-corpus noise seed (seeded flows are seed-invariant)",
-    )
-    scale.add_argument(
-        "--no-parity", action="store_true",
-        help="skip the streaming-vs-accumulating parity witness",
     )
     scale.set_defaults(func=cmd_bench)
 

@@ -264,7 +264,7 @@ class ToolReport:
 # dicts, and thousands of retained reports dominate peak RSS long after
 # each plugin's analysis finished.  Streaming mode writes every finding
 # to an append-only JSONL file the moment its plugin completes and drops
-# the report; SARIF export, telemetry and the parity harness consume the
+# the report; SARIF export, telemetry and the golden checks consume the
 # stream through the readers below instead of live report objects.
 
 #: schema tag of the findings stream (header record)
@@ -390,8 +390,9 @@ def read_finding_stream(path: str) -> Iterator[Dict[str, object]]:
 
 
 def stream_signatures(path: str) -> Set[FindingSignature]:
-    """Canonical signature set of a findings stream — the value the
-    streaming-vs-accumulating parity gate compares."""
+    """Canonical signature set of a findings stream — the value a
+    streamed run is compared by, with accumulated runs and the golden
+    files."""
     signatures: Set[FindingSignature] = set()
     for record in read_finding_stream(path):
         if record.get("record") != "finding":

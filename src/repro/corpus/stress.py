@@ -148,7 +148,7 @@ def stress_options():
 
     Identical to the defaults except the per-file analysis budget is
     raised so multi-hundred-KB single files are analyzed rather than
-    skipped.  Both evaluation modes of the parity/bench harnesses must
+    skipped.  Both evaluation modes of the scale bench must
     use these options — the comparison is streaming-vs-accumulating,
     not budget-vs-budget.
     """

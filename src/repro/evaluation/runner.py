@@ -9,11 +9,10 @@ conventions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..batch import BatchOptions, BatchScanner, ToolSpec
+from ..batch import BatchOptions, BatchScanner, ScanTelemetry, ToolSpec, run_jobs
 from ..config.vulnerability import VulnKind
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool
@@ -121,8 +120,10 @@ def run_tool(
 
     Public so the differential harness (:mod:`repro.difftest`) drives
     the exact execution paths the evaluation uses: ``jobs > 1`` or a
-    ``cache_dir`` routes through the batch scheduler, otherwise the
-    plugins are analyzed serially in-process."""
+    ``cache_dir`` routes through the batch scheduler, otherwise
+    :func:`~repro.batch.job.run_jobs` runs ``tool`` itself serially
+    in-process, so its caches persist across timing repetitions.  A
+    plugin whose analysis raises gets a ``<plugin>`` failure report."""
     if jobs > 1 or cache_dir:
         spec = ToolSpec.from_tool(tool)
         if spec is not None:
@@ -132,9 +133,10 @@ def run_tool(
             result = scanner.scan(plugins)
             return result.reports, result.telemetry.wall_seconds
         # unpicklable custom tool: fall through to the serial path
-    start = time.perf_counter()
-    reports = [tool.analyze(plugin) for plugin in plugins]
-    return reports, time.perf_counter() - start
+    telemetry = ScanTelemetry(plugins=None)
+    run = run_jobs(tool, plugins, telemetry)
+    reports = [record.report for _plugin, record in run]
+    return reports, telemetry.wall_seconds
 
 
 def evaluate_version(

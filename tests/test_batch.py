@@ -21,6 +21,7 @@ from repro.core.results import ToolReport
 from repro.core.review import to_json
 from repro.core.tool import AnalyzerTool
 from repro.corpus import build_corpus
+from repro.evaluation.runner import run_tool
 from repro.plugin import Plugin
 from repro.service import AnalysisService
 
@@ -106,17 +107,31 @@ class RaisingTool(AnalyzerTool):
 
 #: every executor that runs a job: (scan path, isolation)
 EXECUTORS = ("in-process", "batch-pool", "service-process", "service-thread")
-#: a hard worker death is survivable only where the job has its own process
+#: a hard worker death is survivable only where the job has its own
+#: process; the evaluation's serial run takes no deadline
 JOB_CASES = [
     (executor, case)
     for executor in EXECUTORS
     for case in ("ok", "raising", "deadline")
-] + [("batch-pool", "dead"), ("service-process", "dead")]
+] + [
+    ("batch-pool", "dead"),
+    ("service-process", "dead"),
+    ("evaluation-serial", "ok"),
+    ("evaluation-serial", "raising"),
+]
 
 
 def run_on(executor, tmp_path, plugins, spec=None, timeout=None):
     """Scan ``plugins`` on one executor.  Returns ``{slug: (outcome,
-    report document)}`` and the executor's telemetry."""
+    report document)}`` and the executor's telemetry; the evaluation's
+    serial run returns reports only, so its outcomes and telemetry are
+    ``None``."""
+    if executor == "evaluation-serial":
+        reports, _seconds = run_tool((spec or ToolSpec()).build(), plugins)
+        results = {
+            report.plugin: (None, json.loads(to_json(report))) for report in reports
+        }
+        return results, None
     if executor in ("in-process", "batch-pool"):
         jobs = 1 if executor == "in-process" else 2
         result = scan_corpus(plugins, jobs=jobs, timeout=timeout, spec=spec)
@@ -189,18 +204,22 @@ class TestJobExecutors:
         elif case == "deadline":
             spec, timeout = ToolSpec(name="tests.test_batch:SleepyTool"), 0.3
         results, telemetry = run_on(executor, tmp_path, plugins, spec, timeout)
+
+        def reported(outcome):
+            return outcome if telemetry is not None else None
+
         assert set(results) == {"alpha", "beta", "gamma"}
         outcome, beta = results["beta"]
         for slug in ("alpha", "gamma"):
-            assert results[slug][0] == "ok"
+            assert results[slug][0] == reported("ok")
             assert results[slug][1]["failures"] == []
         if case == "ok":
-            assert outcome == "ok" and beta["failures"] == []
+            assert outcome == reported("ok") and beta["failures"] == []
             assert [len(results[s][1]["findings"]) for s in sorted(results)] == [1, 1, 0]
         elif case == "raising":
-            assert outcome == "error"
+            assert outcome == reported("error")
             assert "worker exception" in plugin_failure(beta)
-            assert telemetry.crashes == 1
+            assert telemetry is None or telemetry.crashes == 1
         elif case == "deadline" and executor == "service-thread":
             assert outcome == "ok"
             assert any(
@@ -218,7 +237,8 @@ class TestJobExecutors:
             assert results["alpha"][1]["files_analyzed"] == 1
             assert results["gamma"][1]["files_analyzed"] == 1
             assert telemetry.crashes == 1
-        assert (telemetry.worker_restarts >= 1) == (case == "dead")
+        if telemetry is not None:
+            assert (telemetry.worker_restarts >= 1) == (case == "dead")
 
 
 class TestInProcessLeavesNoState:

@@ -183,6 +183,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--tool", "rips"],
+            ["--jobs", "2"],
+            ["--cache-dir", "cache"],
+            ["--timeout", "5"],
+            ["--baseline", "prior.sarif"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_stream_rejects_options_it_cannot_honour(self, plugin_dir, tmp_path, flag):
+        sink = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit, match=flag[0]):
+            main(["scan", plugin_dir, "--stream", str(sink), *flag])
+        assert not sink.exists()
+
 
 class TestReportCommand:
     def test_json_report(self, vulnerable_file, capsys):
