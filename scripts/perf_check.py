@@ -33,10 +33,10 @@ BENCHMARK = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json"
 )
 
-#: ``cold-corpus`` kLOC/s of commit 4867697 ("Cut per-node work from
-#: cold scans"): the change median recorded when that commit was
-#: accepted, in perfbench's host-normalized reference seconds.
-RECORDED_KLOC_PER_S = 22.49
+#: ``cold-corpus`` kLOC/s of the change that paused the cyclic garbage
+#: collector for each analysis: the change median of its ten recorded
+#: parent/change pairs, in perfbench's host-normalized reference seconds.
+RECORDED_KLOC_PER_S = 28.65
 
 
 def kloc_floor(benchmark: str = BENCHMARK) -> float:

@@ -31,7 +31,7 @@ from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
-from ..core.tool import AnalyzerTool
+from ..core.tool import AnalyzerTool, collector_paused
 from ..php.lexer import tokenize_significant
 from ..php.tokens import Token, TokenType
 from ..plugin import Plugin
@@ -81,6 +81,7 @@ class PixyLike(AnalyzerTool):
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
         self.profile = profile or pixy_2007()
 
+    @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         survivors = Plugin(name=plugin.name, version=plugin.version)

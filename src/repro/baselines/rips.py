@@ -28,7 +28,7 @@ from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
-from ..core.tool import AnalyzerTool
+from ..core.tool import AnalyzerTool, collector_paused
 from ..plugin import Plugin
 
 
@@ -40,6 +40,7 @@ class RipsLike(AnalyzerTool):
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
         self.profile = profile or generic_php("rips")
 
+    @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         # RIPS tolerates memory-heavy include chains phpSAFE chokes on:

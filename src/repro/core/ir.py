@@ -136,27 +136,30 @@ class IRProgram:
     codes: Tuple[Tuple[tuple, ...], ...]
 
 
+def _collect_literals(node: Optional[ast.Expr], parts: List[str]) -> bool:
+    """Append ``node``'s literals to ``parts`` in output order; False at
+    the first dynamic part."""
+    if node is None:
+        return False
+    if isinstance(node, ast.Literal):
+        parts.append(str(node.value) if node.value is not None else "")
+        return True
+    if isinstance(node, ast.Binary) and node.op == ".":
+        return _collect_literals(node.left, parts) and _collect_literals(
+            node.right, parts
+        )
+    if isinstance(node, ast.InterpolatedString):
+        for part in node.parts:
+            if not _collect_literals(part, parts):
+                return False
+        return True
+    return False
+
+
 def _literal_prefix(expr: Optional[ast.Expr]) -> str:
     """Concatenated literal markup before the first dynamic part."""
     parts: List[str] = []
-
-    def collect(node: Optional[ast.Expr]) -> bool:
-        """Append literals in output order; False at first dynamic part."""
-        if node is None:
-            return False
-        if isinstance(node, ast.Literal):
-            parts.append(str(node.value) if node.value is not None else "")
-            return True
-        if isinstance(node, ast.Binary) and node.op == ".":
-            return collect(node.left) and collect(node.right)
-        if isinstance(node, ast.InterpolatedString):
-            for part in node.parts:
-                if not collect(part):
-                    return False
-            return True
-        return False
-
-    collect(expr)
+    _collect_literals(expr, parts)
     return "".join(parts)
 
 

@@ -25,7 +25,7 @@ from .engine import EngineOptions, TaintEngine, summary_is_valid
 from .ir import IRTaintEngine
 from .model import PluginModel
 from .results import FileFailure, Finding, ToolReport
-from .tool import AnalyzerTool
+from .tool import AnalyzerTool, collector_paused
 
 
 @dataclass
@@ -258,6 +258,7 @@ class PhpSafe(AnalyzerTool):
             },
         )
 
+    @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:
         """Run the four stages on every file of ``plugin``."""
         report, _model, _engine = self._scan(plugin, self._engine_options())
@@ -363,6 +364,7 @@ class PhpSafe(AnalyzerTool):
         report.perf.update(derive(report.perf))
         return report, model, engine
 
+    @collector_paused()
     def rescan(
         self, plugin: Plugin, manifest: Optional[Dict[str, object]] = None
     ) -> "Tuple[ToolReport, Dict[str, object], RescanStats]":

@@ -11,7 +11,8 @@ _SPEC = importlib.util.spec_from_file_location("perf_check", _PATH)
 perf_check = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(perf_check)
 
-FLOOR = 16.87
+RECORDED = 28.65
+FLOOR = 21.49
 
 
 def untraced(kloc, correct=True):
@@ -39,17 +40,17 @@ def traced(correct=True):
 
 
 class TestCheck:
-    @pytest.mark.parametrize("kloc", [FLOOR, 22.49, 30.0])
+    @pytest.mark.parametrize("kloc", [FLOOR, RECORDED, 30.0])
     def test_correct_result_at_or_above_floor_passes(self, kloc):
         assert perf_check.check(untraced(kloc), FLOOR) == []
 
     def test_incorrect_result_fails(self):
-        (failure,) = perf_check.check(untraced(22.0, correct=False), FLOOR)
+        (failure,) = perf_check.check(untraced(RECORDED, correct=False), FLOOR)
         assert "not correct" in failure
 
     def test_kloc_below_floor_fails(self):
         (failure,) = perf_check.check(untraced(12.98), FLOOR)
-        assert "12.98" in failure and "16.87" in failure
+        assert "12.98" in failure and "21.49" in failure
 
     def test_traced_result_only_has_to_be_correct(self):
         assert perf_check.check(traced(), FLOOR) == []
@@ -65,7 +66,7 @@ class TestCheck:
 
 class TestFloorAndInput:
     def test_floor_is_recorded_median_less_benchmark_bound(self):
-        assert perf_check.kloc_floor() == pytest.approx(22.49 * 0.75)
+        assert perf_check.kloc_floor() == pytest.approx(RECORDED * 0.75)
         assert round(perf_check.kloc_floor(), 2) == FLOOR
 
     def test_floor_follows_the_benchmark_file(self, tmp_path):
@@ -74,7 +75,7 @@ class TestFloorAndInput:
             {"name": "setup_s", "bound": 0.5},
             {"name": "kloc_per_s", "bound": 0.1},
         ]}))
-        assert perf_check.kloc_floor(str(path)) == pytest.approx(22.49 * 0.9)
+        assert perf_check.kloc_floor(str(path)) == pytest.approx(RECORDED * 0.9)
 
     def test_reads_the_last_line_of_a_run(self):
         text = "# cold-corpus seed=1 trace=0\n#   kloc_per_s 20.0\n" + json.dumps(
@@ -84,7 +85,7 @@ class TestFloorAndInput:
 
     def test_main_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
-        good.write_text("# header\n" + json.dumps(untraced(21.0)) + "\n")
+        good.write_text("# header\n" + json.dumps(untraced(RECORDED)) + "\n")
         slow = tmp_path / "slow.txt"
         slow.write_text(json.dumps(untraced(12.98)) + "\n")
         assert perf_check.main([str(good)]) == 0
