@@ -6,7 +6,7 @@ the lost true positives:
 
 - ``oop=False``        loses the 179 OOP-mediated vulnerabilities;
 - ``analyze_uncalled=False`` loses the entry-point flows;
-- ``wordpress_config=False`` loses WP-source flows *and* OOP entries
+- ``profile_name="generic"`` loses WP-source flows *and* OOP entries
   (``$wpdb`` methods come from the WordPress profile).
 """
 
@@ -19,7 +19,7 @@ VARIANTS = {
     "full": PhpSafeOptions(),
     "no-oop": PhpSafeOptions(oop=False),
     "no-uncalled": PhpSafeOptions(analyze_uncalled=False),
-    "no-wordpress": PhpSafeOptions(wordpress_config=False),
+    "no-wordpress": PhpSafeOptions(profile_name="generic"),
     "no-summaries": PhpSafeOptions(use_summaries=False),
 }
 

@@ -3,24 +3,21 @@
 
 "this ability can be easily extended to other CMSs, by adding their
 input, filtering and sink functions to the configuration files" — the
-paper names Drupal and Joomla as future work.  This example builds a
-Drupal-7-style profile (its database API, sanitizers and known global
-objects) and shows phpSAFE finding flows a WordPress-only configuration
-would miss.
+paper names Drupal and Joomla as future work.  Here the configuration
+file is the rule pack ``custom_cms_pack.json`` beside this script: a
+Drupal-7-style database API, its sanitizers and known global objects.
+Loaded on top of the generic PHP profile, it lets phpSAFE find flows a
+WordPress-only configuration would miss.
 
 Run:  python examples/custom_cms_profile.py
 """
 
-from repro import PhpSafe, generic_php
-from repro.config import (
-    FilterSpec,
-    InputVector,
-    KnownInstance,
-    SinkSpec,
-    SourceSpec,
-    VulnKind,
-)
+import os
+
+from repro import PhpSafe
 from repro.core import PhpSafeOptions
+
+PACK = os.path.join(os.path.dirname(os.path.abspath(__file__)), "custom_cms_pack.json")
 
 DRUPAL_MODULE = """<?php
 // a Drupal-style module: hook functions called by core, not the module
@@ -43,36 +40,14 @@ function mymodule_search() {
 """
 
 
-def drupal_profile():
-    """Generic PHP knowledge + Drupal API entries."""
-    xss_only = frozenset({VulnKind.XSS})
-    sqli_only = frozenset({VulnKind.SQLI})
-    return generic_php("drupal-base").extended(
-        "drupal",
-        sources=[
-            SourceSpec("db_query", InputVector.DB),
-            SourceSpec("db_fetch_object", InputVector.DB),
-            SourceSpec("db_fetch_array", InputVector.DB),
-            SourceSpec("db_result", InputVector.DB),
-            SourceSpec("variable_get", InputVector.DB),
-        ],
-        filters=[
-            FilterSpec("check_plain", xss_only),
-            FilterSpec("check_markup", xss_only),
-            FilterSpec("filter_xss", xss_only),
-            FilterSpec("db_escape_string", sqli_only),
-        ],
-        sinks=[
-            SinkSpec("db_query", VulnKind.SQLI, tainted_args=(0,)),
-            SinkSpec("drupal_set_message", VulnKind.XSS, tainted_args=(0,)),
-        ],
-        instances=[KnownInstance("user", "stdClass", "the global $user object")],
-    )
+def drupal_options(**flags) -> PhpSafeOptions:
+    """Generic PHP knowledge + the Drupal API entries of the pack."""
+    return PhpSafeOptions(profile_name="generic", rule_packs=(PACK,), **flags)
 
 
 def main() -> None:
     wordpress_tool = PhpSafe()  # default WordPress profile
-    drupal_tool = PhpSafe(profile=drupal_profile())
+    drupal_tool = PhpSafe(options=drupal_options())
 
     for label, tool in (("WordPress profile", wordpress_tool),
                         ("Drupal profile", drupal_tool)):
@@ -93,9 +68,7 @@ def main() -> None:
     print("and stays silent on the check_plain()-escaped echo")
 
     # profiles also compose with the feature flags (ablation knobs)
-    no_uncalled = PhpSafe(
-        profile=drupal_profile(), options=PhpSafeOptions(analyze_uncalled=False)
-    )
+    no_uncalled = PhpSafe(options=drupal_options(analyze_uncalled=False))
     report = no_uncalled.analyze_source(DRUPAL_MODULE)
     assert not report.findings  # all flows live in hook functions
     print("(and with analyze_uncalled=False every hook-borne flow is missed)")

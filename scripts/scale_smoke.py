@@ -82,7 +82,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.batch.streaming import stream_scan, streaming_options
+    from repro.batch.streaming import stream_scan
     from repro.benchscale import run_scale_bench, sink_file, write_bench
     from repro.core.results import stream_signatures
     from repro.corpus.generator import build_corpus
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             print(f"paper {version}: streaming at scale {PAPER_SCALE} ...", flush=True)
             corpus = build_corpus(version, scale=PAPER_SCALE)
             sink = os.path.join(sink_dir, f"paper-{version}.jsonl")
-            stream_scan(iter(corpus.plugins), sink, options=streaming_options())
+            stream_scan(iter(corpus.plugins), sink)
             paper[version] = stream_signatures(sink)
     row = section["tiers"]["scale-smoke"]
     streaming = row["streaming"]

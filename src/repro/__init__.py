@@ -17,13 +17,14 @@ Quickstart::
 
 from .baselines import PixyLike, RipsLike
 from .batch import BatchScanner, DiskModelCache, ScanTelemetry, ToolSpec, scan_corpus
-from .config import AnalyzerProfile, InputVector, VulnKind, generic_php, wordpress
+from .config import AnalyzerProfile, InputVector, VulnKind
 from .core import Finding, PhpSafe, PhpSafeOptions, ToolReport
 from .corpus import GeneratedCorpus, build_both, build_corpus
 from .dynamic import ExploitConfirmer, confirm_findings
 from .history import ApprovalPolicy, HistoryStore, ScanRecord
 from .evaluation import evaluate_version
 from .plugin import Plugin
+from .rules import resolve_profile
 
 __version__ = "1.0.0"
 
@@ -52,7 +53,6 @@ __all__ = [
     "confirm_findings",
     "build_corpus",
     "evaluate_version",
-    "generic_php",
-    "wordpress",
+    "resolve_profile",
     "__version__",
 ]

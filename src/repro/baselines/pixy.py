@@ -5,7 +5,7 @@ Behavioural envelope of Pixy per the paper: a 2007-era Java tool with
 analysis" for XSS/SQLi that "does not parse Object Oriented constructs"
 and has not been updated since 2007.  Concretely:
 
-- generic PHP-4-era knowledge base (:func:`pixy_2007`): no ``mysqli``,
+- generic PHP-4-era knowledge base (the ``pixy-2007`` profile): no ``mysqli``,
   no ``filter_var``, no WordPress entries;
 - the ``register_globals = 1`` source model: an uninitialized global
   read is attacker-controllable — "half of the vulnerabilities it found
@@ -25,16 +25,18 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config.profiles import AnalyzerProfile, pixy_2007
+from ..config.profiles import AnalyzerProfile
 from ..config.vulnerability import PAPER_KINDS
 from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
+from ..core.phpsafe import PhpSafeOptions
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool, collector_paused
 from ..php.lexer import tokenize_significant
 from ..php.tokens import Token, TokenType
 from ..plugin import Plugin
+from ..rules import resolve_profile
 
 #: PHP-5-only constructs whose presence makes the Pixy-like parser fail.
 _FATAL_TOKENS = {
@@ -79,7 +81,9 @@ class PixyLike(AnalyzerTool):
     name = "Pixy"
 
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
-        self.profile = profile or pixy_2007()
+        self.profile = profile or resolve_profile(
+            PhpSafeOptions(profile_name="pixy-2007")
+        )
 
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config.profiles import AnalyzerProfile, generic_php
+from ..config.profiles import AnalyzerProfile
 from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
+from ..core.phpsafe import PhpSafeOptions
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool, collector_paused
 from ..plugin import Plugin
+from ..rules import resolve_profile
 
 
 class RipsLike(AnalyzerTool):
@@ -38,7 +40,9 @@ class RipsLike(AnalyzerTool):
     name = "RIPS"
 
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
-        self.profile = profile or generic_php("rips")
+        self.profile = profile or resolve_profile(
+            PhpSafeOptions(profile_name="generic")
+        )
 
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:

@@ -45,12 +45,6 @@ from .diskcache import DiskModelCache
 from .job import JobRecord, init_worker, pool_job, run_jobs
 from .telemetry import ScanTelemetry
 
-#: profile names ToolSpec can rebuild from options alone; named base
-#: profiles + rule packs are also rebuildable (workers re-resolve them
-#: from ``options.profile_name`` / ``options.rule_packs``)
-_REBUILDABLE_PHPSAFE_PROFILES = ("wordpress", "generic-php")
-
-
 @dataclass(frozen=True)
 class ToolSpec:
     """Picklable recipe for constructing an analyzer inside a worker.
@@ -99,30 +93,22 @@ class ToolSpec:
     @classmethod
     def from_tool(cls, tool: AnalyzerTool) -> Optional["ToolSpec"]:
         """Capture a live tool instance, or ``None`` when it cannot be
-        reconstructed in a worker (custom profile objects)."""
+        reconstructed in a worker (a hand-built profile object that the
+        tool's options do not compile to)."""
         from ..baselines import PixyLike, RipsLike
 
         if isinstance(tool, PhpSafe):
-            options = tool.options
-            if options.profile_name or options.rule_packs:
-                # options-driven profiles (named base + rule packs) are
-                # re-resolved in the worker; reject only hand-built
-                # profile objects that the options cannot reproduce
-                from ..rules import resolve_profile
-
-                expected = resolve_profile(options).name
-            else:
-                expected = (
-                    "wordpress" if options.wordpress_config else "generic-php"
-                )
-            if tool.profile.name != expected:
-                return None
-            return cls(name="phpsafe", options=options)
-        if isinstance(tool, RipsLike):
-            return cls(name="rips") if tool.profile.name == "rips" else None
-        if isinstance(tool, PixyLike):
-            return cls(name="pixy") if tool.profile.name == "pixy-2007" else None
-        return None
+            spec = cls(name="phpsafe", options=tool.options)
+        elif isinstance(tool, RipsLike):
+            spec = cls(name="rips")
+        elif isinstance(tool, PixyLike):
+            spec = cls(name="pixy")
+        else:
+            return None
+        rebuilt = spec.build().profile  # type: ignore[attr-defined]
+        if rebuilt.fingerprint() != tool.profile.fingerprint():
+            return None
+        return spec
 
 
 @dataclass

@@ -50,9 +50,10 @@ MAX_CACHE_ENTRIES = 4096
 
 
 def streaming_options(base: Optional[PhpSafeOptions] = None) -> PhpSafeOptions:
-    """Options of a streaming scan: a copy of ``base`` (default options
-    when omitted).  Streaming needs no analysis knob of its own — file
-    models are token-free everywhere."""
+    """A copy of ``base`` (default options when omitted).  Streaming
+    needs no analysis knob of its own, so nothing in the package calls
+    this; it stays only because ``perfbench/workloads.py`` does, and
+    goes when that harness next changes."""
     return replace(base or PhpSafeOptions())
 
 
@@ -127,14 +128,14 @@ def stream_scan(
 
     ``plugins`` may be any iterable — pass a generator to keep the
     corpus itself out of memory.  ``options`` defaults to
-    :func:`streaming_options`; an explicit options object is honoured
+    :class:`PhpSafeOptions`; an explicit options object is honoured
     as-is so harnesses control every analysis knob.
     ``cache`` overrides the default byte-capped in-memory cache (e.g.
     with a :class:`~repro.batch.diskcache.DiskModelCache` so spilled
     artifacts demote to disk instead of vanishing).
     """
     if options is None:
-        options = streaming_options()
+        options = PhpSafeOptions()
     if cache is None:
         cache = ModelCache(max_entries=MAX_CACHE_ENTRIES, max_bytes=max_cache_bytes)
     tool = PhpSafe(options=options, cache=cache, use_process_cache=False)

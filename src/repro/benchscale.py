@@ -49,12 +49,12 @@ def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> 
         tier = get_tier(tier_name)
         started = time.perf_counter()
         if mode == "streaming":
-            from .batch.streaming import stream_scan, streaming_options
+            from .batch.streaming import stream_scan
 
             summary = stream_scan(
                 iter_stress_plugins(tier, seed),
                 sink_path,
-                options=streaming_options(stress_options()),
+                options=stress_options(),
             )
             loc, findings, plugins = summary.loc, summary.findings, summary.plugins
         elif mode == "accumulating":

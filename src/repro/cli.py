@@ -66,6 +66,7 @@ from .evaluation import (
     vector_breakdown,
 )
 from .plugin import Plugin
+from .rules import PROFILES
 
 
 def _load_target(path: str) -> Plugin:
@@ -121,30 +122,29 @@ def _iter_targets(path: str):
         yield Plugin.load_from(path)
 
 
-def _make_tool(
-    name: str,
-    no_oop: bool = False,
-    generic: bool = False,
-    strict: bool = False,
-    profile: Optional[str] = None,
-    rule_packs: Sequence[str] = (),
-):
-    if name == "phpsafe":
-        options = PhpSafeOptions(
-            oop=not no_oop,
-            wordpress_config=not generic,
-            recover=not strict,
-            profile_name=profile,
-            rule_packs=tuple(rule_packs),
+def _phpsafe_options(args: argparse.Namespace) -> PhpSafeOptions:
+    options = PhpSafeOptions(
+        oop=not args.no_oop,
+        recover=not args.strict,
+        rule_packs=tuple(args.rule_pack),
+    )
+    if args.profile:
+        options.profile_name = args.profile
+    return options
+
+
+def _make_tool(args: argparse.Namespace):
+    if args.tool == "phpsafe":
+        return PhpSafe(options=_phpsafe_options(args))
+    if args.profile or args.rule_pack:
+        raise SystemExit(
+            f"--profile/--rule-pack require --tool phpsafe, not {args.tool}"
         )
-        return PhpSafe(options=options)
-    if profile or rule_packs:
-        raise SystemExit(f"--profile/--rule-pack require --tool phpsafe, not {name}")
-    if name == "rips":
+    if args.tool == "rips":
         return RipsLike()
-    if name == "pixy":
+    if args.tool == "pixy":
         return PixyLike()
-    raise SystemExit(f"unknown tool: {name}")
+    raise SystemExit(f"unknown tool: {args.tool}")
 
 
 def _print_incidents(report, indent: str = "  ") -> None:
@@ -197,14 +197,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_scan_impl(args: argparse.Namespace) -> int:
     if args.stream:
         return _scan_stream(args)
-    tool = _make_tool(
-        args.tool,
-        no_oop=args.no_oop,
-        generic=args.generic,
-        strict=args.strict,
-        profile=args.profile,
-        rule_packs=args.rule_pack,
-    )
+    tool = _make_tool(args)
     targets = _load_targets(args.path)
     batch_requested = (
         args.jobs != 1 or args.cache_dir or args.timeout or args.telemetry
@@ -254,7 +247,7 @@ def _scan_stream(args: argparse.Namespace) -> int:
     memory, and the artifact cache is byte-capped.  Only the phpSAFE
     tool streams (the baseline tools have no cache to bound).
     """
-    from .batch.streaming import stream_scan, streaming_options
+    from .batch.streaming import stream_scan
 
     if args.tool != "phpsafe":
         raise SystemExit("--stream supports only --tool phpsafe")
@@ -266,19 +259,10 @@ def _scan_stream(args: argparse.Namespace) -> int:
     ):
         if given:
             raise SystemExit(f"--stream does not support {flag}")
-    options = streaming_options(
-        PhpSafeOptions(
-            oop=not args.no_oop,
-            wordpress_config=not args.generic,
-            recover=not args.strict,
-            profile_name=args.profile,
-            rule_packs=tuple(args.rule_pack),
-        )
-    )
     summary = stream_scan(
         _iter_targets(args.path),
         args.stream,
-        options=options,
+        options=_phpsafe_options(args),
         max_cache_bytes=args.max_cache_bytes,
     )
     print(
@@ -604,14 +588,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .batch import ToolSpec
     from .service import AnalysisService, run_service
 
-    tool = _make_tool(
-        args.tool,
-        no_oop=args.no_oop,
-        generic=args.generic,
-        strict=args.strict,
-        profile=args.profile,
-        rule_packs=args.rule_pack,
-    )
+    tool = _make_tool(args)
     spec = ToolSpec.from_tool(tool)
     if spec is None:
         raise SystemExit(f"tool {tool.name} cannot run as a service")
@@ -778,6 +755,17 @@ def cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pack_entry_name(entry: dict) -> str:
+    if entry.get("class"):
+        return f"{entry['class']}::{entry['name']}"
+    return entry["name"]
+
+
+def _pack_entry_kinds(entry: dict) -> str:
+    kinds = entry.get("kinds", "*")
+    return kinds if isinstance(kinds, str) else ",".join(kinds)
+
+
 def cmd_rules(args: argparse.Namespace) -> int:
     from .rules import PackError, builtin_pack_names, load_pack
 
@@ -816,26 +804,38 @@ def cmd_rules(args: argparse.Namespace) -> int:
                 print(f"  title: {pack.title}")
             if pack.description:
                 print(f"  {pack.description}")
+            if pack.register_globals:
+                print("  register_globals: uninitialized globals are sources")
             for decl in pack.kinds:
-                print(f"  kind {decl.value}: {decl.title or decl.description}")
-            for sink in pack.sinks:
-                where = f"{sink.class_name}::{sink.name}" if sink.class_name else sink.name
-                argspec = (
-                    ",".join(str(i) for i in sink.args)
-                    if sink.args is not None
-                    else "*"
+                print(
+                    f"  kind {decl['value']}: "
+                    f"{decl.get('title') or decl.get('description', '')}"
                 )
-                note = f" — {sink.description}" if sink.description else ""
-                print(f"  sink {where}(args {argspec}) → {sink.kind}{note}")
+            for instance in pack.instances:
+                print(f"  instance ${instance['name']}: {instance['class']}")
+            for sink in pack.sinks:
+                args_ = sink.get("args")
+                argspec = "*" if args_ is None else ",".join(str(i) for i in args_)
+                note = f" — {sink['description']}" if sink.get("description") else ""
+                print(
+                    f"  sink {_pack_entry_name(sink)}(args {argspec}) → "
+                    f"{sink['kind']}{note}"
+                )
             for source in pack.sources:
-                label = "superglobal" if source.superglobal else source.vector
-                print(f"  source {source.name} [{label}] → {','.join(source.kinds)}")
-            for flt in pack.filters:
-                print(f"  filter {flt.name} → {','.join(flt.kinds) or '*'}")
-            for revert in pack.reverts:
-                print(f"  revert {revert.name} → {','.join(revert.kinds)}")
-            for prop in pack.propagation:
-                print(f"  propagation {prop.name} → {','.join(prop.kinds)}")
+                label = (
+                    "superglobal" if source.get("superglobal")
+                    else source.get("vector", "Function")
+                )
+                print(
+                    f"  source {_pack_entry_name(source)} [{label}] → "
+                    f"{_pack_entry_kinds(source)}"
+                )
+            for section in ("filters", "reverts", "propagation"):
+                for entry in getattr(pack, section):
+                    print(
+                        f"  {section.rstrip('s')} {_pack_entry_name(entry)} → "
+                        f"{_pack_entry_kinds(entry)}"
+                    )
             print(f"  totals: {summary}")
     return exit_code
 
@@ -851,9 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("path")
     scan.add_argument("--tool", choices=("phpsafe", "rips", "pixy"), default="phpsafe")
     scan.add_argument("--no-oop", action="store_true", help="disable OOP resolution")
-    scan.add_argument(
-        "--generic", action="store_true", help="generic PHP profile (no WordPress)"
-    )
     scan.add_argument("--trace", action="store_true", help="print flow traces")
     scan.add_argument(
         "--strict", action="store_true",
@@ -889,8 +886,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 64 MiB)",
     )
     scan.add_argument(
-        "--profile", choices=("wordpress", "drupal", "joomla", "generic"),
-        help="analyzer knowledge-base profile (overrides --generic)",
+        "--profile", choices=sorted(PROFILES),
+        help="analyzer knowledge-base profile (default: wordpress; "
+             "'generic' is plain PHP without WordPress)",
     )
     scan.add_argument(
         "--rule-pack", action="append", default=[], metavar="PACK",
@@ -1019,13 +1017,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="phpsafe")
     serve.add_argument("--no-oop", action="store_true",
                        help="disable OOP resolution")
-    serve.add_argument("--generic", action="store_true",
-                       help="generic PHP profile (no WordPress)")
     serve.add_argument("--strict", action="store_true",
                        help="disable error recovery")
     serve.add_argument(
-        "--profile", choices=("wordpress", "drupal", "joomla", "generic"),
-        help="analyzer knowledge-base profile (overrides --generic)",
+        "--profile", choices=sorted(PROFILES),
+        help="analyzer knowledge-base profile (default: wordpress; "
+             "'generic' is plain PHP without WordPress)",
     )
     serve.add_argument(
         "--rule-pack", action="append", default=[], metavar="PACK",

@@ -1,7 +1,9 @@
 """Knowledge-base package: the paper's configuration stage as data.
 
-Exports the vulnerability taxonomy, the entry dataclasses, and the
-profile factories (``wordpress()`` is phpSAFE's default configuration).
+Exports the vulnerability taxonomy, the entry dataclasses, and
+:class:`AnalyzerProfile`, the compiled form of a knowledge base.  The
+entries themselves ship as rule packs (:mod:`repro.rules`);
+``repro.rules.resolve_profile`` compiles a named profile from them.
 """
 
 from .entries import (
@@ -12,14 +14,7 @@ from .entries import (
     SinkSpec,
     SourceSpec,
 )
-from .profiles import (
-    AnalyzerProfile,
-    drupal,
-    generic_php,
-    joomla,
-    pixy_2007,
-    wordpress,
-)
+from .profiles import AnalyzerProfile
 from .vulnerability import ALL_KINDS, TABLE2_ROWS, InputVector, VulnKind
 
 __all__ = [
@@ -34,9 +29,4 @@ __all__ = [
     "SourceSpec",
     "TABLE2_ROWS",
     "VulnKind",
-    "drupal",
-    "generic_php",
-    "joomla",
-    "pixy_2007",
-    "wordpress",
 ]

@@ -2,14 +2,12 @@
 
 A profile is the loaded form of phpSAFE's configuration stage — the
 union of sources, filters, reverts and sinks a given tool consults while
-analyzing code.  ``wordpress()`` is phpSAFE's out-of-the-box profile;
-``generic_php()`` is what a CMS-unaware tool like RIPS effectively uses;
-``pixy_2007()`` is the dated subset Pixy ships with.
-
-Profiles are plain data: other CMSs (Drupal, Joomla — the paper's future
-work) are supported by building a profile with their API entries, and
-loadable rule packs (:mod:`repro.rules`) compile into the same shape.
-A pack's identity (name, version, content hash) is recorded on the
+analyzing code.  Every profile is compiled from rule packs
+(:func:`repro.rules.resolve_profile`): ``wordpress`` is phpSAFE's
+out-of-the-box profile, ``generic`` is what a CMS-unaware tool like RIPS
+effectively uses, ``pixy-2007`` is the dated subset Pixy ships with, and
+other CMSs (Drupal, Joomla — the paper's future work) are one more pack.
+Each pack's identity (name, version, content hash) is recorded on the
 profile and participates in :meth:`AnalyzerProfile.fingerprint`, so
 every cache tier keyed on the fingerprint invalidates when pack content
 changes.
@@ -19,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .entries import (
     FilterSpec,
@@ -29,16 +27,7 @@ from .entries import (
     SinkSpec,
     SourceSpec,
 )
-from .filters import GENERIC_FILTERS, GENERIC_REVERTS
-from .sinks import GENERIC_SINKS
-from .sources import GENERIC_SOURCES
 from .vulnerability import ALL_KINDS, VulnKind
-from .wordpress import (
-    WORDPRESS_FILTERS,
-    WORDPRESS_INSTANCES,
-    WORDPRESS_SINKS,
-    WORDPRESS_SOURCES,
-)
 
 #: Pack identity: (pack name, version, content hash).
 PackId = Tuple[str, str, str]
@@ -46,12 +35,19 @@ PackId = Tuple[str, str, str]
 _NO_SINKS: Tuple[SinkSpec, ...] = ()
 
 
-@dataclass
+def _index():
+    """A lookup table derived from the spec tuples in ``__post_init__``."""
+    return field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class AnalyzerProfile:
     """An assembled knowledge base consulted during analysis.
 
-    Lookup dictionaries are precomputed at construction: plain functions
-    and superglobals by name, methods by ``(class name, method name)``.
+    Frozen: ``resolve_profile`` hands one compiled profile to every
+    analyzer built from the same options.  Lookup dictionaries are
+    precomputed at construction: plain functions and superglobals by
+    name, methods by ``(class name, method name)``.
     A name may carry *several* sinks of different kinds (rule packs sink
     ``file_get_contents`` for both SSRF and path traversal), so sink
     lookups return tuples.
@@ -70,29 +66,18 @@ class AnalyzerProfile:
     #: into :meth:`fingerprint` so pack edits invalidate every cache.
     packs: Tuple[PackId, ...] = ()
 
-    _function_sources: Dict[str, SourceSpec] = field(default_factory=dict, repr=False)
-    _superglobal_sources: Dict[str, SourceSpec] = field(default_factory=dict, repr=False)
-    _method_sources: Dict[Tuple[str, str], SourceSpec] = field(
-        default_factory=dict, repr=False
-    )
-    _function_filters: Dict[str, FilterSpec] = field(default_factory=dict, repr=False)
-    _method_filters: Dict[Tuple[str, str], FilterSpec] = field(
-        default_factory=dict, repr=False
-    )
-    _reverts: Dict[str, RevertSpec] = field(default_factory=dict, repr=False)
-    _function_sinks: Dict[str, Tuple[SinkSpec, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    _method_sinks: Dict[Tuple[str, str], Tuple[SinkSpec, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    _function_propagation: Dict[str, PropagationSpec] = field(
-        default_factory=dict, repr=False
-    )
-    _method_propagation: Dict[Tuple[str, str], PropagationSpec] = field(
-        default_factory=dict, repr=False
-    )
-    _instances: Dict[str, KnownInstance] = field(default_factory=dict, repr=False)
+    _function_sources: Dict[str, SourceSpec] = _index()
+    _superglobal_sources: Dict[str, SourceSpec] = _index()
+    _method_sources: Dict[Tuple[str, str], SourceSpec] = _index()
+    _function_filters: Dict[str, FilterSpec] = _index()
+    _method_filters: Dict[Tuple[str, str], FilterSpec] = _index()
+    _reverts: Dict[str, RevertSpec] = _index()
+    _function_sinks: Dict[str, Tuple[SinkSpec, ...]] = _index()
+    _method_sinks: Dict[Tuple[str, str], Tuple[SinkSpec, ...]] = _index()
+    _function_propagation: Dict[str, PropagationSpec] = _index()
+    _method_propagation: Dict[Tuple[str, str], PropagationSpec] = _index()
+    _instances: Dict[str, KnownInstance] = _index()
+    _fingerprint: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for spec in self.sources:
@@ -125,6 +110,9 @@ class AnalyzerProfile:
                 self._function_propagation[spec.name.lower()] = spec
         for instance in self.instances:
             self._instances[instance.var_name] = instance
+        # every cached analysis keys on the digest; the profile is
+        # frozen, so it is computed once here rather than per analysis
+        object.__setattr__(self, "_fingerprint", self._digest())
 
     # -- lookups ------------------------------------------------------------
 
@@ -147,18 +135,9 @@ class AnalyzerProfile:
     def revert(self, name: str) -> Optional[RevertSpec]:
         return self._reverts.get(name.lower())
 
-    def function_sink(self, name: str) -> Optional[SinkSpec]:
-        """First sink registered for ``name`` (legacy single-sink view)."""
-        specs = self._function_sinks.get(name.lower())
-        return specs[0] if specs else None
-
     def function_sinks(self, name: str) -> Tuple[SinkSpec, ...]:
         """Every sink registered for ``name`` (possibly several kinds)."""
         return self._function_sinks.get(name.lower(), _NO_SINKS)
-
-    def method_sink(self, class_name: str, method: str) -> Optional[SinkSpec]:
-        specs = self._method_sinks.get((class_name.lower(), method.lower()))
-        return specs[0] if specs else None
 
     def method_sinks(self, class_name: str, method: str) -> Tuple[SinkSpec, ...]:
         return self._method_sinks.get((class_name.lower(), method.lower()), _NO_SINKS)
@@ -212,6 +191,9 @@ class AnalyzerProfile:
         produces a new one.  Frozensets are sorted before hashing so the
         digest is stable across processes (``PYTHONHASHSEED``).
         """
+        return self._fingerprint
+
+    def _digest(self) -> str:
         parts = [f"register_globals={int(self.register_globals)}"]
         for spec in self.sources:
             parts.append(
@@ -256,138 +238,3 @@ class AnalyzerProfile:
             parts.append("pak|%s|%s|%s" % (pack_name, version, content_hash))
         parts.sort()
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:16]
-
-    # -- composition ------------------------------------------------------------
-
-    def extended(
-        self,
-        name: str,
-        sources: Iterable[SourceSpec] = (),
-        filters: Iterable[FilterSpec] = (),
-        reverts: Iterable[RevertSpec] = (),
-        sinks: Iterable[SinkSpec] = (),
-        propagation: Iterable[PropagationSpec] = (),
-        instances: Iterable[KnownInstance] = (),
-        packs: Iterable[PackId] = (),
-    ) -> "AnalyzerProfile":
-        """A new profile with extra entries — how "data for other CMSs can
-        be easily added to the configuration" (paper III.A)."""
-        return AnalyzerProfile(
-            name=name,
-            sources=self.sources + tuple(sources),
-            filters=self.filters + tuple(filters),
-            reverts=self.reverts + tuple(reverts),
-            sinks=self.sinks + tuple(sinks),
-            propagation=self.propagation + tuple(propagation),
-            instances=self.instances + tuple(instances),
-            register_globals=self.register_globals,
-            packs=self.packs + tuple(packs),
-        )
-
-
-def generic_php(name: str = "generic-php") -> AnalyzerProfile:
-    """Generic XSS/SQLi knowledge for plain PHP (RIPS-level configuration)."""
-    return AnalyzerProfile(
-        name=name,
-        sources=GENERIC_SOURCES,
-        filters=GENERIC_FILTERS,
-        reverts=GENERIC_REVERTS,
-        sinks=GENERIC_SINKS,
-    )
-
-
-def wordpress() -> AnalyzerProfile:
-    """phpSAFE's out-of-the-box profile: generic PHP + WordPress API."""
-    return generic_php("wordpress").extended(
-        "wordpress",
-        sources=WORDPRESS_SOURCES,
-        filters=WORDPRESS_FILTERS,
-        sinks=WORDPRESS_SINKS,
-        instances=WORDPRESS_INSTANCES,
-    )
-
-
-def drupal() -> AnalyzerProfile:
-    """Generic PHP + the Drupal module API (paper Section VI)."""
-    from .drupal import (
-        DRUPAL_FILTERS,
-        DRUPAL_INSTANCES,
-        DRUPAL_SINKS,
-        DRUPAL_SOURCES,
-    )
-
-    return generic_php("drupal").extended(
-        "drupal",
-        sources=DRUPAL_SOURCES,
-        filters=DRUPAL_FILTERS,
-        sinks=DRUPAL_SINKS,
-        instances=DRUPAL_INSTANCES,
-    )
-
-
-def joomla() -> AnalyzerProfile:
-    """Generic PHP + the Joomla extension API (paper Section VI)."""
-    from .joomla import (
-        JOOMLA_FILTERS,
-        JOOMLA_INSTANCES,
-        JOOMLA_SINKS,
-        JOOMLA_SOURCES,
-    )
-
-    return generic_php("joomla").extended(
-        "joomla",
-        sources=JOOMLA_SOURCES,
-        filters=JOOMLA_FILTERS,
-        sinks=JOOMLA_SINKS,
-        instances=JOOMLA_INSTANCES,
-    )
-
-
-def pixy_2007() -> AnalyzerProfile:
-    """The dated knowledge base of a tool unmaintained since 2007.
-
-    No mysqli/filter_var era functions, no WordPress entries, and the
-    ``register_globals`` source model that produced half of Pixy's
-    findings in the paper's study.
-    """
-    old_filters = tuple(
-        spec
-        for spec in GENERIC_FILTERS
-        if spec.name
-        in {
-            "intval",
-            "floatval",
-            "doubleval",
-            "htmlentities",
-            "htmlspecialchars",
-            "strip_tags",
-            "mysql_escape_string",
-            "mysql_real_escape_string",
-            "addslashes",
-            "md5",
-            "strlen",
-            "count",
-            "urlencode",
-        }
-    )
-    old_sources = tuple(
-        spec
-        for spec in GENERIC_SOURCES
-        if not spec.name.startswith("mysqli")
-        and spec.name not in {"getallheaders", "parse_ini_file", "scandir", "glob"}
-    )
-    old_sinks = tuple(
-        spec
-        for spec in GENERIC_SINKS
-        if not spec.name.startswith("mysqli")
-        and not spec.name.startswith("pg_")
-        and spec.kind in (VulnKind.XSS, VulnKind.SQLI)  # Pixy: XSS/SQLi only
-    )
-    return AnalyzerProfile(
-        name="pixy-2007",
-        sources=old_sources,
-        filters=old_filters,
-        reverts=tuple(spec for spec in GENERIC_REVERTS if spec.name == "stripslashes"),
-        sinks=old_sinks,
-        register_globals=True,
-    )

@@ -4,7 +4,7 @@ form, and the executor that runs the taint fixed-point over it.
 The fixed-point visits every body several times (branch snapshots, two
 loop passes, summary re-analysis), and what each visit would otherwise
 recompute — ``isinstance`` dispatch, knowledge-base dict probes
-(``function_sink`` & co. per call site), f-string trace construction
+(``function_sinks`` & co. per call site), f-string trace construction
 (``"$x assigned at file:line"`` per assignment) — is invariant per
 *syntax site*.  So this module lowers each body once into flat tuples of
 integer-opcode instructions with every invariant pre-resolved:

@@ -16,10 +16,11 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
-from ..config.profiles import AnalyzerProfile, generic_php, wordpress
+from ..config.profiles import AnalyzerProfile
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import counters, derive
 from ..plugin import Plugin
+from ..rules import resolve_profile
 from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
 from .engine import EngineOptions, TaintEngine, summary_is_valid
 from .ir import IRTaintEngine
@@ -32,16 +33,14 @@ from .tool import AnalyzerTool, collector_paused
 class PhpSafeOptions:
     """Feature flags — also the ablation knobs of experiment A1."""
 
-    #: Load the WordPress-specific configuration (sources/filters/sinks
-    #: and known instances like ``$wpdb``) on top of generic PHP.
-    wordpress_config: bool = True
-    #: Named base profile (``wordpress``, ``drupal``, ``joomla``,
-    #: ``generic``); ``None`` keeps the legacy ``wordpress_config``
-    #: switch semantics.  Resolved through ``repro.rules``.
-    profile_name: Optional[str] = None
-    #: Rule packs layered onto the base profile: shipped pack names
-    #: (``ssrf``) or filesystem paths.  Pack content hashes flow into
-    #: the profile fingerprint, hence into every cache key.
+    #: Named profile (a key of ``repro.rules.PROFILES``): ``wordpress``
+    #: loads the WordPress configuration (sources/filters/sinks and
+    #: known instances like ``$wpdb``) on top of generic PHP; the A1
+    #: ablation's "no WordPress configuration" is ``generic``.
+    profile_name: str = "wordpress"
+    #: Rule packs compiled after the profile's own packs: shipped pack
+    #: names (``ssrf``) or filesystem paths.  Pack content hashes flow
+    #: into the profile fingerprint, hence into every cache key.
     rule_packs: Tuple[str, ...] = ()
     #: Parse OOP constructs: properties, methods, ``new``, ``$this``.
     oop: bool = True
@@ -131,17 +130,7 @@ class PhpSafe(AnalyzerTool):
         #: is the process-wide L1, ``use_process_cache=False`` disables
         #: caching entirely (cold-measurement harnesses)
         self.cache = cache
-        if profile is not None:
-            self.profile = profile
-        elif self.options.profile_name or self.options.rule_packs:
-            # late import: rules builds on config, core builds on both
-            from ..rules import resolve_profile
-
-            self.profile = resolve_profile(self.options)
-        elif self.options.wordpress_config:
-            self.profile = wordpress()
-        else:
-            self.profile = generic_php()
+        self.profile = profile or resolve_profile(self.options)
 
     def _summary_fingerprint(self, engine_options: EngineOptions) -> str:
         """Configuration identity of the persistent summary cache: the

@@ -1,23 +1,25 @@
 """Declarative rule packs: the paper's configuration stage as data files.
 
-phpSAFE's knowledge base (Section III.A) ships as Python constants in
-:mod:`repro.config`; this package generalizes it into loadable,
-versioned *rule packs* — JSON (or TOML on Python 3.11+) documents
-declaring taint kinds, sources, sinks, sanitizers, reverts, and
-per-argument propagation specs, following semgrep's taint-mode
-propagation taxonomy (``SrcToSink`` = sources, ``ArgToSink`` = sinks,
-``ArgToReturn`` = propagation).
+phpSAFE's knowledge base (Section III.A) is three configuration files
+of input, filter and output functions.  Here every knowledge base is a
+loadable, versioned *rule pack* — a JSON (or TOML on Python 3.11+)
+document declaring taint kinds, known instances, sources, sinks,
+sanitizers, reverts, and per-argument propagation specs, following
+semgrep's taint-mode propagation taxonomy (``SrcToSink`` = sources,
+``ArgToSink`` = sinks, ``ArgToReturn`` = propagation).  The named
+profiles (generic PHP, WordPress, Drupal, Joomla, Pixy's 2007 subset)
+ship as packs under ``packs/profiles/``; the vulnerability-class packs
+``--rule-pack`` loads ship under ``packs/``.
 
-Packs compile into the existing :class:`~repro.config.AnalyzerProfile`
-machinery, so the taint engine executes them unchanged, and each
-pack's identity (name, version, content hash)
-lands in :meth:`AnalyzerProfile.fingerprint` — summary, IR, and disk
-cache keys plus the service analyzer fingerprint all change when pack
-content changes, making stale cached results across pack versions
-impossible.
+Packs compile into :class:`~repro.config.AnalyzerProfile`, so the taint
+engine executes them unchanged, and each pack's identity (name,
+version, content hash) lands in :meth:`AnalyzerProfile.fingerprint` —
+summary, IR, and disk cache keys plus the service analyzer fingerprint
+all change when pack content changes, making stale cached results
+across pack versions impossible.
 """
 
-from .compiler import compile_packs, resolve_profile
+from .compiler import PROFILES, compile_packs, resolve_profile
 from .loader import (
     PACK_SCHEMA_VERSION,
     builtin_pack_dir,
@@ -26,11 +28,11 @@ from .loader import (
     resolve_pack_path,
     validate_pack_data,
 )
-from .model import KindDecl, PackError, PackIssue, RulePack
+from .model import PackError, PackIssue, RulePack
 
 __all__ = [
     "PACK_SCHEMA_VERSION",
-    "KindDecl",
+    "PROFILES",
     "PackError",
     "PackIssue",
     "RulePack",

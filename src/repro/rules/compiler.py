@@ -1,270 +1,228 @@
-"""Compile validated rule packs into :class:`AnalyzerProfile` form.
+"""Compile rule packs into an :class:`AnalyzerProfile`.
 
-The load→compile→fingerprint flow:
+Every knowledge base is data: a named profile is an ordered list of
+packs in :data:`PROFILES` (``wordpress`` is the ``generic`` pack then
+the ``wordpress`` pack), and ``--rule-pack`` refs are appended to that
+list.  The load→compile→fingerprint flow:
 
-1. **load** (:mod:`repro.rules.loader`): parse + validate the pack file,
-   hash its raw bytes into a 16-hex content hash.
-2. **compile** (this module): intern the pack's kinds into the open
-   :class:`VulnKind` registry, widen the base profile's ``ALL_KINDS``
-   entries to the new kind universe (so ``$_GET`` carries SSRF taint
-   once an SSRF pack is loaded), merge collision entries (a pack adding
-   a ``traversal`` kind to ``basename`` unions with the builtin LFI
-   filter instead of shadowing it), and append the pack's own specs.
+1. **load** (:mod:`repro.rules.loader`): read the pack files, parse and
+   validate them, hash each file's raw bytes into a 16-hex content hash.
+2. **compile** (this module), in one pass over every pack: intern the
+   packs' kinds into the open :class:`VulnKind` registry, expand each
+   ``"*"`` to the resulting kind universe (so ``$_GET`` carries SSRF
+   taint once an SSRF pack is loaded), and merge collisions (a pack
+   adding a ``traversal`` kind to ``basename`` unions with the generic
+   LFI filter instead of shadowing it).
 3. **fingerprint**: the compiled profile records each pack's
    ``(name, version, content_hash)``; ``AnalyzerProfile.fingerprint()``
    folds those in, so summary/IR/disk cache keys and the service
    analyzer fingerprint all shift whenever pack content shifts.
 
-``resolve_profile`` is the single entry point both ``PhpSafe`` and the
-service fingerprint use, so an analyzer and the cache keys protecting
-its results can never disagree about what was loaded.
+``resolve_profile`` is the single entry point: ``PhpSafe``, the
+baselines, the batch scheduler and the service fingerprint all call it,
+so an analyzer and the cache keys protecting its results can never
+disagree about what was loaded.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..config.entries import (
     FilterSpec,
+    KnownInstance,
     PropagationSpec,
     RevertSpec,
     SinkSpec,
     SourceSpec,
 )
-from ..config.profiles import (
-    AnalyzerProfile,
-    drupal,
-    generic_php,
-    joomla,
-    pixy_2007,
-    wordpress,
-)
+from ..config.profiles import AnalyzerProfile
 from ..config.vulnerability import ALL_KINDS, InputVector, VulnKind
-from .loader import load_pack
+from .loader import builtin_pack_dir, parse_pack, read_pack
 from .model import PackError, PackIssue, RulePack
 
-#: Named base profiles selectable via ``--profile`` (CLI and service).
-BASE_PROFILES = {
-    "wordpress": wordpress,
-    "drupal": drupal,
-    "joomla": joomla,
-    "generic": generic_php,
-    "generic-php": generic_php,
-    "pixy-2007": pixy_2007,
+#: Named profiles selectable via ``--profile``: the packs each compiles,
+#: in order, from ``packs/profiles/``.
+PROFILES: Dict[str, Tuple[str, ...]] = {
+    "generic": ("generic",),
+    "generic-php": ("generic",),
+    "wordpress": ("generic", "wordpress"),
+    "drupal": ("generic", "drupal"),
+    "joomla": ("generic", "joomla"),
+    "pixy-2007": ("pixy-2007",),
 }
 
 
-def base_profile(name: str) -> AnalyzerProfile:
-    """Build the named base profile, or raise a typed :class:`PackError`."""
+def _profile_pack_paths(profile_name: str) -> Tuple[str, ...]:
     try:
-        factory = BASE_PROFILES[name]
+        packs = PROFILES[profile_name]
     except KeyError:
         raise PackError(
             [
                 PackIssue(
-                    name,
+                    profile_name,
                     "<profile>",
-                    "unknown profile; expected one of "
-                    + ", ".join(sorted(BASE_PROFILES)),
+                    "unknown profile; expected one of " + ", ".join(sorted(PROFILES)),
                 )
             ]
         ) from None
-    return factory()
+    directory = os.path.join(builtin_pack_dir(), "profiles")
+    return tuple(os.path.join(directory, name + ".json") for name in packs)
 
 
-def compile_packs(
-    base: AnalyzerProfile, packs: Sequence[RulePack]
-) -> AnalyzerProfile:
-    """Layer ``packs`` onto ``base``, returning a new profile."""
-    if not packs:
-        return base
-
-    # 1. intern the packs' kinds (metadata lands on the registry, where
-    # the SARIF exporter picks it up; identity is value-only)
-    extra_kinds: List[VulnKind] = []
+def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
+    """Compile ``packs``, in order, into one profile called ``name``."""
+    extra_kinds = set()
     for pack in packs:
         for decl in pack.kinds:
-            kind = VulnKind.register(decl.value, decl.title, decl.description)
-            if kind not in ALL_KINDS and kind not in extra_kinds:
-                extra_kinds.append(kind)
-    universe = (
-        ALL_KINDS if not extra_kinds else frozenset(ALL_KINDS | set(extra_kinds))
-    )
+            kind = VulnKind.register(
+                decl["value"], decl.get("title", ""), decl.get("description", "")
+            )
+            if kind not in ALL_KINDS:
+                extra_kinds.add(kind)
+    # ``ALL_KINDS`` itself when no pack adds a kind: TaintState.from_label
+    # has an identity fast path on it
+    universe = frozenset(ALL_KINDS | extra_kinds) if extra_kinds else ALL_KINDS
 
-    def expand(kind_values: Tuple[str, ...]) -> frozenset:
-        if "*" in kind_values:
+    def kinds_of(entry: dict) -> frozenset:
+        value = entry.get("kinds", "*")
+        if "*" in value:
             return universe
-        return frozenset(VulnKind(value) for value in kind_values)
+        kinds = frozenset(VulnKind(item) for item in value)
+        return universe if kinds == universe else kinds
 
-    # 2. widen: base entries declared over the full builtin set meant
-    # "every kind there is" — keep that meaning under the larger universe
-    sources = list(base.sources)
-    filters = list(base.filters)
-    reverts = list(base.reverts)
-    sinks = list(base.sinks)
-    propagation = list(base.propagation)
-    if extra_kinds:
-        sources = [
-            replace(spec, kinds=universe) if spec.kinds == ALL_KINDS else spec
-            for spec in sources
-        ]
-        filters = [
-            replace(spec, kinds=universe) if spec.kinds == ALL_KINDS else spec
-            for spec in filters
-        ]
-        reverts = [
-            replace(spec, kinds=universe) if spec.kinds == ALL_KINDS else spec
-            for spec in reverts
-        ]
-        propagation = [
-            replace(spec, kinds=universe) if spec.kinds == ALL_KINDS else spec
-            for spec in propagation
-        ]
+    def union(old: frozenset, new: frozenset) -> frozenset:
+        kinds = old | new
+        return universe if kinds == universe else kinds
 
-    def source_key(spec: SourceSpec) -> Tuple[str, str, bool]:
-        return (
-            (spec.class_name or "").lower(),
-            spec.name.lower(),
-            spec.is_superglobal,
-        )
+    def key(entry: dict) -> Tuple[str, str]:
+        return ((entry.get("class") or "").lower(), entry["name"].lower())
 
-    def name_key(spec) -> Tuple[str, str]:
-        return ((getattr(spec, "class_name", None) or "").lower(), spec.name.lower())
+    def args_of(entry: dict):
+        value = entry.get("args")
+        return None if value is None else tuple(value)
 
-    source_index: Dict[Tuple[str, str, bool], int] = {
-        source_key(spec): index for index, spec in enumerate(sources)
-    }
-    filter_index: Dict[Tuple[str, str], int] = {
-        name_key(spec): index for index, spec in enumerate(filters)
-    }
-    revert_index: Dict[str, int] = {
-        spec.name.lower(): index for index, spec in enumerate(reverts)
-    }
-    propagation_index: Dict[Tuple[str, str], int] = {
-        name_key(spec): index for index, spec in enumerate(propagation)
-    }
-    sink_identities = {
-        (name_key(spec), spec.kind) for spec in sinks
-    }
-
-    # 3. merge each pack's entries; collisions union kinds rather than
-    # shadowing, so a pack can *extend* a builtin filter or source
+    sources: Dict[Tuple[str, str, bool], SourceSpec] = {}
+    filters: Dict[Tuple[str, str], FilterSpec] = {}
+    reverts: Dict[str, RevertSpec] = {}
+    propagation: Dict[Tuple[str, str], PropagationSpec] = {}
+    sinks: Dict[Tuple[Tuple[str, str], VulnKind], SinkSpec] = {}
+    instances: List[KnownInstance] = []
+    # collisions union kinds rather than shadowing, so a pack can
+    # *extend* an earlier pack's filter or source
     for pack in packs:
-        for decl in pack.sources:
-            kinds = expand(decl.kinds)
-            key = ((decl.class_name or "").lower(), decl.name.lower(), decl.superglobal)
-            at = source_index.get(key)
-            if at is not None:
-                existing = sources[at]
-                sources[at] = replace(existing, kinds=existing.kinds | kinds)
+        for entry in pack.sources:
+            superglobal = entry.get("superglobal", False)
+            skey = key(entry) + (superglobal,)
+            kinds = kinds_of(entry)
+            if skey in sources:
+                old = sources[skey]
+                sources[skey] = replace(old, kinds=union(old.kinds, kinds))
                 continue
-            spec = SourceSpec(
-                name=decl.name,
-                vector=InputVector(decl.vector),
+            sources[skey] = SourceSpec(
+                name=entry["name"],
+                vector=InputVector(entry.get("vector", "Function")),
                 kinds=kinds,
-                class_name=decl.class_name,
-                is_superglobal=decl.superglobal,
-                description=decl.description,
+                class_name=entry.get("class") or None,
+                is_superglobal=superglobal,
+                description=entry.get("description", ""),
             )
-            source_index[key] = len(sources)
-            sources.append(spec)
-        for decl in pack.sinks:
-            kind = VulnKind(decl.kind)
-            identity = (((decl.class_name or "").lower(), decl.name.lower()), kind)
-            if identity in sink_identities:
-                continue  # base already sinks this name for this kind
-            sink_identities.add(identity)
-            sinks.append(
-                SinkSpec(
-                    name=decl.name,
-                    kind=kind,
-                    class_name=decl.class_name,
-                    tainted_args=decl.args,
-                    description=decl.description,
-                )
+        for entry in pack.sinks:
+            sink_key = (key(entry), VulnKind(entry["kind"]))
+            if sink_key in sinks:
+                continue  # an earlier pack already sinks this name for this kind
+            sinks[sink_key] = SinkSpec(
+                name=entry["name"],
+                kind=sink_key[1],
+                class_name=entry.get("class") or None,
+                tainted_args=args_of(entry),
+                description=entry.get("description", ""),
             )
-        for decl in pack.filters:
-            kinds = expand(decl.kinds)
-            key = ((decl.class_name or "").lower(), decl.name.lower())
-            at = filter_index.get(key)
-            if at is not None:
-                existing = filters[at]
-                filters[at] = replace(existing, kinds=existing.kinds | kinds)
+        for entry in pack.filters:
+            fkey, kinds = key(entry), kinds_of(entry)
+            if fkey in filters:
+                old = filters[fkey]
+                filters[fkey] = replace(old, kinds=union(old.kinds, kinds))
                 continue
-            filter_index[key] = len(filters)
-            filters.append(
-                FilterSpec(
-                    name=decl.name,
-                    kinds=kinds,
-                    class_name=decl.class_name,
-                    description=decl.description,
-                )
+            filters[fkey] = FilterSpec(
+                name=entry["name"],
+                kinds=kinds,
+                class_name=entry.get("class") or None,
+                description=entry.get("description", ""),
             )
-        for decl in pack.reverts:
-            kinds = expand(decl.kinds)
-            at = revert_index.get(decl.name.lower())
-            if at is not None:
-                existing = reverts[at]
-                reverts[at] = replace(existing, kinds=existing.kinds | kinds)
+        for entry in pack.reverts:
+            rkey, kinds = entry["name"].lower(), kinds_of(entry)
+            if rkey in reverts:
+                old = reverts[rkey]
+                reverts[rkey] = replace(old, kinds=union(old.kinds, kinds))
                 continue
-            revert_index[decl.name.lower()] = len(reverts)
-            reverts.append(
-                RevertSpec(
-                    name=decl.name, kinds=kinds, description=decl.description
-                )
+            reverts[rkey] = RevertSpec(
+                name=entry["name"], kinds=kinds, description=entry.get("description", "")
             )
-        for decl in pack.propagation:
-            kinds = expand(decl.kinds)
-            key = ((decl.class_name or "").lower(), decl.name.lower())
-            at = propagation_index.get(key)
-            if at is not None:
-                existing = propagation[at]
-                propagation[at] = replace(existing, kinds=existing.kinds | kinds)
+        for entry in pack.propagation:
+            pkey, kinds = key(entry), kinds_of(entry)
+            if pkey in propagation:
+                old = propagation[pkey]
+                propagation[pkey] = replace(old, kinds=union(old.kinds, kinds))
                 continue
-            propagation_index[key] = len(propagation)
-            propagation.append(
-                PropagationSpec(
-                    name=decl.name,
-                    kinds=kinds,
-                    arg_indices=decl.args,
-                    class_name=decl.class_name,
-                    description=decl.description,
+            propagation[pkey] = PropagationSpec(
+                name=entry["name"],
+                kinds=kinds,
+                arg_indices=args_of(entry),
+                class_name=entry.get("class") or None,
+                description=entry.get("description", ""),
+            )
+        for entry in pack.instances:
+            instances.append(
+                KnownInstance(
+                    entry["name"], entry["class"], entry.get("description", "")
                 )
             )
 
     return AnalyzerProfile(
-        name=base.name + "+" + ",".join(pack.name for pack in packs),
-        sources=tuple(sources),
-        filters=tuple(filters),
-        reverts=tuple(reverts),
-        sinks=tuple(sinks),
-        propagation=tuple(propagation),
-        instances=base.instances,
-        register_globals=base.register_globals,
-        packs=base.packs + tuple(pack.pack_id for pack in packs),
+        name=name,
+        sources=tuple(sources.values()),
+        filters=tuple(filters.values()),
+        reverts=tuple(reverts.values()),
+        sinks=tuple(sinks.values()),
+        propagation=tuple(propagation.values()),
+        instances=tuple(instances),
+        register_globals=any(pack.register_globals for pack in packs),
+        packs=tuple(pack.pack_id for pack in packs),
     )
 
 
-def resolve_profile(options) -> AnalyzerProfile:
-    """The profile an analyzer configured with ``options`` will consult.
+@functools.lru_cache(maxsize=32)
+def _compiled(
+    profile_name: str, files: Tuple[Tuple[str, bytes], ...], extra: int
+) -> AnalyzerProfile:
+    """Compile the pack ``files`` (path, raw bytes) of one profile; the
+    last ``extra`` of them are ``--rule-pack`` refs.  Memoized on the raw
+    bytes, so an edited pack always compiles anew."""
+    packs = [parse_pack(path, raw) for path, raw in files]
+    name = profile_name
+    if extra:
+        name += "+" + ",".join(pack.name for pack in packs[-extra:])
+    return compile_packs(name, packs)
 
-    Reads ``options.profile_name`` (named base profile; falls back to
-    the legacy ``wordpress_config`` switch) and ``options.rule_packs``
-    (shipped names or file paths).  Both ``PhpSafe.__init__`` and the
-    service's analyzer fingerprint call this, so cache keys and the
-    running analyzer are derived from the same resolution and can never
-    drift apart.  Raises :class:`PackError` (typed issues, no
-    tracebacks) for unknown profiles or invalid packs.
+
+def resolve_profile(options) -> AnalyzerProfile:
+    """The profile an analyzer configured with ``options`` consults.
+
+    Reads ``options.profile_name`` (a key of :data:`PROFILES`) and
+    ``options.rule_packs`` (shipped pack names or file paths), reads
+    every pack file and returns the compiled profile — the same object
+    for as long as the bytes of every pack stay the same, so building an
+    analyzer per plugin does not recompile the knowledge base.  Raises
+    :class:`PackError` (typed issues, no tracebacks) for unknown
+    profiles or invalid packs.
     """
-    profile_name: Optional[str] = getattr(options, "profile_name", None)
-    pack_refs = tuple(getattr(options, "rule_packs", ()) or ())
-    if profile_name:
-        base = base_profile(profile_name)
-    elif getattr(options, "wordpress_config", True):
-        base = wordpress()
-    else:
-        base = generic_php()
-    if not pack_refs:
-        return base
-    return compile_packs(base, [load_pack(ref) for ref in pack_refs])
+    profile_name = options.profile_name
+    pack_refs = tuple(options.rule_packs)
+    files = tuple(
+        read_pack(ref) for ref in _profile_pack_paths(profile_name) + pack_refs
+    )
+    return _compiled(profile_name, files, len(pack_refs))

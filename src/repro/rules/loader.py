@@ -9,7 +9,10 @@ and returns a :class:`~repro.rules.model.RulePack`.  Every failure mode
 
 Shipped packs live next to this module under ``packs/``;
 ``resolve_pack_path`` maps a bare pack name (``ssrf``) onto that
-directory and passes filesystem paths through untouched.
+directory and passes filesystem paths through untouched.  The packs of
+the named profiles sit in ``packs/profiles/``, which neither
+``builtin_pack_names`` nor ``resolve_pack_path`` looks into: they are
+reached through ``repro.rules.PROFILES``.
 """
 
 from __future__ import annotations
@@ -18,20 +21,11 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config.vulnerability import ALL_KINDS, InputVector
-from .model import (
-    FilterDecl,
-    KindDecl,
-    PackError,
-    PackIssue,
-    PropagationDecl,
-    RevertDecl,
-    RulePack,
-    SinkDecl,
-    SourceDecl,
-)
+from .model import PackError, PackIssue, RulePack
 
 #: current pack document schema version
 PACK_SCHEMA_VERSION = 1
@@ -49,6 +43,8 @@ _TOP_LEVEL_KEYS = {
     "filters",
     "reverts",
     "propagation",
+    "instances",
+    "register_globals",
 }
 _VECTOR_VALUES = {vector.value for vector in InputVector}
 _BUILTIN_KIND_VALUES = {kind.value for kind in ALL_KINDS}
@@ -137,30 +133,31 @@ def _str_field(
     return value
 
 
-def _kind_list(
+def _check_kinds(
     entry: Dict[str, Any],
     where: str,
     declared: set,
     issues: List[PackIssue],
     path: str,
-    default: Tuple[str, ...] = ("*",),
     required: bool = False,
-) -> Tuple[str, ...]:
+) -> None:
+    """``kinds`` is absent (``"*"``), ``"*"``, or a non-empty list of
+    builtin or pack-declared kind values."""
     value = entry.get("kinds", None)
     if value is None:
         if required:
             issues.append(PackIssue(path, where, "missing required field 'kinds'"))
-        return default
+        return
     if value == "*":
-        return ("*",)
+        return
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         issues.append(
             PackIssue(path, f"{where}.kinds", "must be \"*\" or a list of kind values")
         )
-        return default
+        return
     if not value:
         issues.append(PackIssue(path, f"{where}.kinds", "must not be empty"))
-        return default
+        return
     for item in value:
         if item != "*" and item not in declared and item not in _BUILTIN_KIND_VALUES:
             issues.append(
@@ -171,15 +168,14 @@ def _kind_list(
                     f"not declared in this pack's 'kinds' section",
                 )
             )
-    return tuple(value)
 
 
-def _arg_list(
+def _check_args(
     entry: Dict[str, Any], where: str, issues: List[PackIssue], path: str
-) -> Optional[Tuple[int, ...]]:
+) -> None:
     value = entry.get("args", None)
     if value is None:
-        return None
+        return
     if (
         not isinstance(value, list)
         or not value
@@ -191,8 +187,6 @@ def _arg_list(
                 path, f"{where}.args", "must be a non-empty list of argument indexes >= 0"
             )
         )
-        return None
-    return tuple(value)
 
 
 def _entries(
@@ -253,13 +247,18 @@ def validate_pack_data(
     version = _str_field(data, "version", "<pack>", issues, path, required=True)
     title = _str_field(data, "title", "<pack>", issues, path)
     description = _str_field(data, "description", "<pack>", issues, path)
+    register_globals = data.get("register_globals", False)
+    if not isinstance(register_globals, bool):
+        issues.append(PackIssue(path, "register_globals", "must be a boolean"))
 
     declared: set = set()
-    kinds: List[KindDecl] = []
+    kinds: List[Dict[str, Any]] = []
     for entry, where in _entries(
         data, "kinds", {"value", "title", "description"}, issues, path
     ):
         value = _str_field(entry, "value", where, issues, path, required=True)
+        _str_field(entry, "title", where, issues, path)
+        _str_field(entry, "description", where, issues, path)
         if not value:
             continue
         if not _SLUG.match(value):
@@ -279,15 +278,19 @@ def validate_pack_data(
             issues.append(PackIssue(path, f"{where}.value", f"duplicate kind '{value}'"))
             continue
         declared.add(value)
-        kinds.append(
-            KindDecl(
-                value=value,
-                title=_str_field(entry, "title", where, issues, path),
-                description=_str_field(entry, "description", where, issues, path),
-            )
-        )
+        kinds.append(entry)
 
-    sources: List[SourceDecl] = []
+    instances: List[Dict[str, Any]] = []
+    for entry, where in _entries(
+        data, "instances", {"name", "class", "description"}, issues, path
+    ):
+        iname = _str_field(entry, "name", where, issues, path, required=True)
+        iclass = _str_field(entry, "class", where, issues, path, required=True)
+        _str_field(entry, "description", where, issues, path)
+        if iname and iclass:
+            instances.append(entry)
+
+    sources: List[Dict[str, Any]] = []
     for entry, where in _entries(
         data,
         "sources",
@@ -306,23 +309,15 @@ def validate_pack_data(
                     + ", ".join(sorted(_VECTOR_VALUES)),
                 )
             )
-        superglobal = entry.get("superglobal", False)
-        if not isinstance(superglobal, bool):
+        if not isinstance(entry.get("superglobal", False), bool):
             issues.append(PackIssue(path, f"{where}.superglobal", "must be a boolean"))
-            superglobal = False
+        _check_kinds(entry, where, declared, issues, path)
+        _str_field(entry, "class", where, issues, path)
+        _str_field(entry, "description", where, issues, path)
         if sname:
-            sources.append(
-                SourceDecl(
-                    name=sname,
-                    vector=vector,
-                    kinds=_kind_list(entry, where, declared, issues, path),
-                    class_name=_str_field(entry, "class", where, issues, path) or None,
-                    superglobal=superglobal,
-                    description=_str_field(entry, "description", where, issues, path),
-                )
-            )
+            sources.append(entry)
 
-    sinks: List[SinkDecl] = []
+    sinks: List[Dict[str, Any]] = []
     seen_sinks: set = set()
     for entry, where in _entries(
         data, "sinks", {"name", "kind", "class", "args", "description"}, issues, path
@@ -338,71 +333,53 @@ def validate_pack_data(
                     f"not declared in this pack's 'kinds' section",
                 )
             )
-        class_name = _str_field(entry, "class", where, issues, path) or None
+        class_name = _str_field(entry, "class", where, issues, path)
         if sname and kind:
-            dedup = (class_name or "", sname.lower(), kind)
+            dedup = (class_name, sname.lower(), kind)
             if dedup in seen_sinks:
                 issues.append(
                     PackIssue(path, where, f"duplicate sink '{sname}' for kind '{kind}'")
                 )
                 continue
             seen_sinks.add(dedup)
-            sinks.append(
-                SinkDecl(
-                    name=sname,
-                    kind=kind,
-                    class_name=class_name,
-                    args=_arg_list(entry, where, issues, path),
-                    description=_str_field(entry, "description", where, issues, path),
-                )
-            )
+            _check_args(entry, where, issues, path)
+            _str_field(entry, "description", where, issues, path)
+            sinks.append(entry)
 
-    filters: List[FilterDecl] = []
+    filters: List[Dict[str, Any]] = []
     for entry, where in _entries(
         data, "filters", {"name", "kinds", "class", "description"}, issues, path
     ):
         sname = _str_field(entry, "name", where, issues, path, required=True)
+        _check_kinds(entry, where, declared, issues, path, required=True)
+        _str_field(entry, "class", where, issues, path)
+        _str_field(entry, "description", where, issues, path)
         if sname:
-            filters.append(
-                FilterDecl(
-                    name=sname,
-                    kinds=_kind_list(entry, where, declared, issues, path, required=True),
-                    class_name=_str_field(entry, "class", where, issues, path) or None,
-                    description=_str_field(entry, "description", where, issues, path),
-                )
-            )
+            filters.append(entry)
 
-    reverts: List[RevertDecl] = []
+    reverts: List[Dict[str, Any]] = []
     for entry, where in _entries(
         data, "reverts", {"name", "kinds", "description"}, issues, path
     ):
         sname = _str_field(entry, "name", where, issues, path, required=True)
+        _check_kinds(entry, where, declared, issues, path)
+        _str_field(entry, "description", where, issues, path)
         if sname:
-            reverts.append(
-                RevertDecl(
-                    name=sname,
-                    kinds=_kind_list(entry, where, declared, issues, path),
-                    description=_str_field(entry, "description", where, issues, path),
-                )
-            )
+            reverts.append(entry)
 
-    propagation: List[PropagationDecl] = []
+    propagation: List[Dict[str, Any]] = []
     for entry, where in _entries(
         data, "propagation", {"name", "kinds", "args", "class", "description"}, issues, path
     ):
         sname = _str_field(entry, "name", where, issues, path, required=True)
+        _check_kinds(entry, where, declared, issues, path)
+        _check_args(entry, where, issues, path)
+        _str_field(entry, "class", where, issues, path)
+        _str_field(entry, "description", where, issues, path)
         if sname:
-            propagation.append(
-                PropagationDecl(
-                    name=sname,
-                    kinds=_kind_list(entry, where, declared, issues, path),
-                    args=_arg_list(entry, where, issues, path),
-                    class_name=_str_field(entry, "class", where, issues, path) or None,
-                    description=_str_field(entry, "description", where, issues, path),
-                )
-            )
+            propagation.append(entry)
 
-    if not (sources or sinks or filters or reverts or propagation or kinds):
+    if not (sources or sinks or filters or reverts or propagation or kinds or instances):
         issues.append(PackIssue(path, "<pack>", "pack declares no entries at all"))
 
     if issues:
@@ -418,51 +395,51 @@ def validate_pack_data(
             content_hash=content_hash,
             title=title,
             description=description,
+            register_globals=register_globals,
             kinds=tuple(kinds),
             sources=tuple(sources),
             sinks=tuple(sinks),
             filters=tuple(filters),
             reverts=tuple(reverts),
             propagation=tuple(propagation),
+            instances=tuple(instances),
         ),
         [],
     )
 
 
-def load_pack(ref: str) -> RulePack:
-    """Load and validate the pack at ``ref`` (name or path).
+def read_pack(ref: str) -> Tuple[str, bytes]:
+    """Resolve ``ref`` (name or path) and read the pack file's raw bytes.
 
-    Raises :class:`PackError` carrying every issue found.  The content
-    hash is computed over the raw file bytes, so any edit — including
-    whitespace — produces a new pack identity and therefore new cache
-    keys everywhere downstream.
+    Raises :class:`PackError` when the file cannot be read.
     """
     path = resolve_pack_path(ref)
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            return path, handle.read()
     except OSError as exc:
         raise PackError(
             [PackIssue(str(ref), "<file>", f"cannot read pack: {exc}")]
         ) from None
+
+
+def parse_pack(path: str, raw: bytes) -> RulePack:
+    """Parse and validate the raw bytes of the pack file at ``path``.
+
+    Raises :class:`PackError` carrying every issue found.  The content
+    hash is computed over the raw bytes, so any edit — including
+    whitespace — produces a new pack identity and therefore new cache
+    keys everywhere downstream.
+    """
     data, issues = _parse_bytes(raw, path)
     if issues:
         raise PackError(issues)
     pack, issues = validate_pack_data(data, path)
     if issues:
         raise PackError(issues)
-    content_hash = hashlib.sha256(raw).hexdigest()[:16]
-    return RulePack(
-        name=pack.name,
-        version=pack.version,
-        path=path,
-        content_hash=content_hash,
-        title=pack.title,
-        description=pack.description,
-        kinds=pack.kinds,
-        sources=pack.sources,
-        sinks=pack.sinks,
-        filters=pack.filters,
-        reverts=pack.reverts,
-        propagation=pack.propagation,
-    )
+    return replace(pack, content_hash=hashlib.sha256(raw).hexdigest()[:16])
+
+
+def load_pack(ref: str) -> RulePack:
+    """Load and validate the pack at ``ref`` (name or path)."""
+    return parse_pack(*read_pack(ref))

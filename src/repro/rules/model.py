@@ -1,11 +1,13 @@
 """Typed shapes for rule packs: the parsed document and its errors.
 
-A :class:`RulePack` is the validated in-memory form of a pack file.  It
-deliberately stores *plain data* (strings, ints) rather than compiled
-:mod:`repro.config` specs: compilation against a base profile — kind
-interning, ``"*"`` widening, collision merging — happens in
-:mod:`repro.rules.compiler`, so a pack can be loaded, listed and
-validated without touching the analyzer at all.
+A :class:`RulePack` is the validated in-memory form of a pack file.  Its
+entries are the document's own objects, checked against the schema but
+not converted: a ``"*"`` kind list means "every kind the compiled
+profile knows", which only the compiler can expand once every pack of
+the profile is in hand (:mod:`repro.rules.compiler` builds the
+:mod:`repro.config` specs straight from these entries).  A pack can
+therefore be loaded, listed and validated without touching the
+analyzer at all.
 
 Malformed packs never raise bare exceptions out of the loader: every
 problem becomes a :class:`PackIssue`, and :class:`PackError` carries the
@@ -15,8 +17,8 @@ full list plus a conversion to the repo-wide typed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 
@@ -60,58 +62,6 @@ class PackError(Exception):
 
 
 @dataclass(frozen=True)
-class KindDecl:
-    """A vulnerability kind a pack introduces (or documents)."""
-
-    value: str
-    title: str = ""
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class SourceDecl:
-    name: str
-    vector: str = "Function"
-    kinds: Tuple[str, ...] = ("*",)
-    class_name: Optional[str] = None
-    superglobal: bool = False
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class SinkDecl:
-    name: str
-    kind: str = ""
-    class_name: Optional[str] = None
-    args: Optional[Tuple[int, ...]] = None
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class FilterDecl:
-    name: str
-    kinds: Tuple[str, ...] = ()
-    class_name: Optional[str] = None
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class RevertDecl:
-    name: str
-    kinds: Tuple[str, ...] = ("*",)
-    description: str = ""
-
-
-@dataclass(frozen=True)
-class PropagationDecl:
-    name: str
-    kinds: Tuple[str, ...] = ("*",)
-    args: Optional[Tuple[int, ...]] = None
-    class_name: Optional[str] = None
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class RulePack:
     """A validated rule pack document."""
 
@@ -124,12 +74,17 @@ class RulePack:
     content_hash: str
     title: str = ""
     description: str = ""
-    kinds: Tuple[KindDecl, ...] = ()
-    sources: Tuple[SourceDecl, ...] = ()
-    sinks: Tuple[SinkDecl, ...] = ()
-    filters: Tuple[FilterDecl, ...] = ()
-    reverts: Tuple[RevertDecl, ...] = ()
-    propagation: Tuple[PropagationDecl, ...] = field(default=())
+    #: Pixy-era PHP: uninitialized globals are attacker-settable.
+    register_globals: bool = False
+    #: Validated entries of each section, in document order, keyed as
+    #: in the pack schema (``name``, ``class``, ``kinds``, ``args``...).
+    kinds: Tuple[Dict[str, Any], ...] = ()
+    sources: Tuple[Dict[str, Any], ...] = ()
+    sinks: Tuple[Dict[str, Any], ...] = ()
+    filters: Tuple[Dict[str, Any], ...] = ()
+    reverts: Tuple[Dict[str, Any], ...] = ()
+    propagation: Tuple[Dict[str, Any], ...] = ()
+    instances: Tuple[Dict[str, Any], ...] = ()
 
     @property
     def pack_id(self) -> Tuple[str, str, str]:
@@ -138,11 +93,10 @@ class RulePack:
         return (self.name, self.version, self.content_hash)
 
     def entry_counts(self) -> dict:
-        return {
-            "kinds": len(self.kinds),
-            "sources": len(self.sources),
-            "sinks": len(self.sinks),
-            "filters": len(self.filters),
-            "reverts": len(self.reverts),
-            "propagation": len(self.propagation),
-        }
+        return {section: len(getattr(self, section)) for section in SECTIONS}
+
+
+#: The entry sections of a pack document, in display order.
+SECTIONS = (
+    "kinds", "instances", "sources", "sinks", "filters", "reverts", "propagation"
+)

@@ -51,7 +51,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..batch.scheduler import ToolSpec
 from ..batch.telemetry import ServiceStats
+from ..core.phpsafe import PhpSafeOptions
 from ..plugin import Plugin
+from ..rules import resolve_profile
 from .queue import DONE, FAILED, JobQueue, QueueFull
 from .store import ResultStore
 from .workers import WorkerPool
@@ -115,19 +117,15 @@ def spec_fingerprint(spec: ToolSpec) -> str:
     fleet nodes, coordinator) so they key results identically — and
     deterministic across processes (see :func:`_canonical`).
 
-    Beyond the options dataclass, the fingerprint folds in the
-    *resolved* knowledge-base fingerprint whenever the options name a
-    profile or rule packs: ``_canonical`` only sees pack *references*
-    (paths/names), but editing a pack file changes its content hash and
-    must invalidate stored results and dedup decisions too."""
+    Beyond the options dataclass, a phpSAFE spec folds in the *resolved*
+    knowledge-base fingerprint: ``_canonical`` only sees pack
+    *references* (profile names, pack paths), but editing a pack file
+    changes its content hash and must invalidate stored results and
+    dedup decisions too."""
     parts: Tuple[object, ...] = (spec.name, _canonical(spec.options))
-    options = spec.options
-    if options is not None and (
-        getattr(options, "profile_name", None) or getattr(options, "rule_packs", ())
-    ):
-        from ..rules import resolve_profile
-
-        parts = parts + (resolve_profile(options).fingerprint(),)
+    if spec.name == "phpsafe":
+        profile = resolve_profile(spec.options or PhpSafeOptions())
+        parts = parts + (profile.fingerprint(),)
     return sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 
 

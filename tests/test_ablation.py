@@ -5,8 +5,8 @@ phpSAFE's performance; each test verifies the capability's signature
 flow is found with the flag on and missed with it off.
 """
 
-from repro.config import generic_php
 from repro.core import PhpSafe, PhpSafeOptions
+from repro.rules import resolve_profile
 from repro.config.vulnerability import VulnKind
 
 from tests.helpers import findings_of
@@ -52,22 +52,24 @@ class TestUncalledFlag:
 
 class TestWordpressConfigFlag:
     def test_off_misses_wp_sources(self):
-        tool = PhpSafe(options=PhpSafeOptions(wordpress_config=False))
+        tool = PhpSafe(options=PhpSafeOptions(profile_name="generic"))
         assert not found(WP_SOURCE_FLOW, tool)
         assert not found(WPDB_FLOW, tool)
 
     def test_off_keeps_generic_php(self):
-        tool = PhpSafe(options=PhpSafeOptions(wordpress_config=False))
+        tool = PhpSafe(options=PhpSafeOptions(profile_name="generic"))
         assert found(PLAIN_FLOW, tool)
 
     def test_off_does_not_fp_on_wp_filters(self):
         # without WP config, esc_html is unknown and unknown calls are
         # trusted (phpSAFE's unknown-call policy) — still no FP
-        tool = PhpSafe(options=PhpSafeOptions(wordpress_config=False))
+        tool = PhpSafe(options=PhpSafeOptions(profile_name="generic"))
         assert not found(WP_FILTER_FLOW, tool)
 
     def test_explicit_profile_overrides_flag(self):
-        tool = PhpSafe(profile=generic_php())
+        generic = resolve_profile(PhpSafeOptions(profile_name="generic"))
+        tool = PhpSafe(profile=generic, options=PhpSafeOptions())
+        assert tool.options.profile_name == "wordpress"
         assert not found(WP_SOURCE_FLOW, tool)
 
 
@@ -90,7 +92,7 @@ class TestCombinedAblation:
         reach on OOP, minus its unknown-call pessimism)."""
         tool = PhpSafe(
             options=PhpSafeOptions(
-                oop=False, analyze_uncalled=False, wordpress_config=False
+                oop=False, analyze_uncalled=False, profile_name="generic"
             )
         )
         assert found(PLAIN_FLOW, tool)
@@ -104,6 +106,6 @@ class TestCombinedAblation:
         )
         for options in (
             PhpSafeOptions(oop=False),
-            PhpSafeOptions(wordpress_config=False),
+            PhpSafeOptions(profile_name="generic"),
         ):
             assert not findings_of(flow, PhpSafe(options=options))

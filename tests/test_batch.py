@@ -16,7 +16,7 @@ from repro.batch import (
     scan_corpus,
 )
 from repro.batch.telemetry import SCHEMA
-from repro.core import PhpSafe
+from repro.core import PhpSafe, PhpSafeOptions
 from repro.core.results import ToolReport
 from repro.core.review import to_json
 from repro.core.tool import AnalyzerTool
@@ -384,9 +384,10 @@ class TestToolSpec:
         assert rebuilt.options == tool.options
 
     def test_from_tool_rejects_custom_profile(self):
-        from repro.config import generic_php
+        from repro.rules import resolve_profile
 
-        tool = PhpSafe(profile=generic_php("custom-cms"))
+        custom = resolve_profile(PhpSafeOptions(profile_name="generic"))
+        tool = PhpSafe(profile=custom)  # options still say wordpress
         assert ToolSpec.from_tool(tool) is None
 
     def test_baseline_specs(self):

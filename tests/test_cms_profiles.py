@@ -1,8 +1,8 @@
 """Tests for the shipped Drupal and Joomla profiles (Section VI)."""
 
-from repro.config import drupal, joomla, wordpress
 from repro.config.vulnerability import VulnKind
-from repro.core import PhpSafe
+from repro.core import PhpSafe, PhpSafeOptions
+from repro.rules import resolve_profile
 
 from tests.helpers import findings_of
 
@@ -11,6 +11,18 @@ def kinds(source, profile):
     return sorted(
         f.kind.value for f in findings_of(source, PhpSafe(profile=profile))
     )
+
+
+def drupal():
+    return resolve_profile(PhpSafeOptions(profile_name="drupal"))
+
+
+def joomla():
+    return resolve_profile(PhpSafeOptions(profile_name="joomla"))
+
+
+def wordpress():
+    return resolve_profile(PhpSafeOptions(profile_name="wordpress"))
 
 
 class TestDrupalProfile:

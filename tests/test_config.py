@@ -1,17 +1,15 @@
 """Unit tests for the knowledge base (configuration stage)."""
 
-from repro.config import (
-    AnalyzerProfile,
-    FilterSpec,
-    InputVector,
-    SinkSpec,
-    SourceSpec,
-    VulnKind,
-    generic_php,
-    pixy_2007,
-    wordpress,
-)
+import json
+
+from repro.config import InputVector, SourceSpec, VulnKind
 from repro.config.vulnerability import TABLE2_ROWS
+from repro.core import PhpSafeOptions
+from repro.rules import resolve_profile
+
+
+def profile_named(name, rule_packs=()):
+    return resolve_profile(PhpSafeOptions(profile_name=name, rule_packs=rule_packs))
 
 
 class TestInputVector:
@@ -39,43 +37,43 @@ class TestInputVector:
 
 class TestGenericProfile:
     def test_superglobals_are_sources(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         for name in ("_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"):
             assert profile.superglobal_source(name) is not None
         assert profile.superglobal_source("not_a_superglobal") is None
 
     def test_file_and_db_sources(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         assert profile.function_source("fgets").vector is InputVector.FILE
         assert profile.function_source("mysql_fetch_assoc").vector is InputVector.DB
 
     def test_lookups_case_insensitive(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         assert profile.function_filter("HTMLEntities") is not None
-        assert profile.function_sink("MYSQL_QUERY") is not None
+        assert profile.function_sinks("MYSQL_QUERY")
 
     def test_filter_kinds(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         assert profile.function_filter("htmlentities").kinds == frozenset({VulnKind.XSS})
         assert VulnKind.SQLI in profile.function_filter("intval").kinds
         assert profile.function_filter("addslashes").kinds == frozenset({VulnKind.SQLI})
 
     def test_reverts(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         assert profile.revert("stripslashes") is not None
         assert profile.revert("htmlentities") is None
 
     def test_sink_kinds_and_args(self):
-        profile = generic_php()
-        assert profile.function_sink("echo").kind is VulnKind.XSS
-        query = profile.function_sink("mysqli_query")
+        profile = profile_named("generic")
+        assert profile.function_sinks("echo")[0].kind is VulnKind.XSS
+        (query,) = profile.function_sinks("mysqli_query")
         assert query.kind is VulnKind.SQLI
         assert query.arg_is_sensitive(1)
         assert not query.arg_is_sensitive(0)
-        assert profile.function_sink("print_r").arg_is_sensitive(0)
+        assert profile.function_sinks("print_r")[0].arg_is_sensitive(0)
 
     def test_no_wordpress_knowledge(self):
-        profile = generic_php()
+        profile = profile_named("generic")
         assert profile.function_filter("esc_html") is None
         assert profile.method_source("wpdb", "get_results") is None
         assert profile.known_instance("wpdb") is None
@@ -83,69 +81,78 @@ class TestGenericProfile:
 
 class TestWordpressProfile:
     def test_wpdb_methods(self):
-        profile = wordpress()
+        profile = profile_named("wordpress")
         assert profile.method_source("wpdb", "get_results") is not None
-        assert profile.method_sink("wpdb", "query").kind is VulnKind.SQLI
+        assert profile.method_sinks("wpdb", "query")[0].kind is VulnKind.SQLI
         assert profile.method_filter("wpdb", "prepare") is not None
 
     def test_known_instances(self):
-        profile = wordpress()
+        profile = profile_named("wordpress")
         assert profile.known_instance("wpdb").class_name == "wpdb"
 
     def test_wp_escaping_functions(self):
-        profile = wordpress()
+        profile = profile_named("wordpress")
         assert profile.function_filter("esc_html").kinds == frozenset({VulnKind.XSS})
         assert VulnKind.SQLI in profile.function_filter("absint").kinds
         assert profile.function_filter("esc_sql").kinds == frozenset({VulnKind.SQLI})
 
     def test_wp_sources(self):
-        profile = wordpress()
+        profile = profile_named("wordpress")
         assert profile.function_source("get_option").vector is InputVector.DB
         assert profile.function_source("get_post_meta") is not None
 
     def test_includes_generic_entries_too(self):
-        profile = wordpress()
+        profile = profile_named("wordpress")
         assert profile.function_filter("htmlentities") is not None
         assert profile.superglobal_source("_GET") is not None
 
 
 class TestPixyProfile:
     def test_register_globals_enabled(self):
-        assert pixy_2007().register_globals
-        assert not generic_php().register_globals
+        assert profile_named("pixy-2007").register_globals
+        assert not profile_named("generic").register_globals
 
     def test_no_mysqli_era_functions(self):
-        profile = pixy_2007()
+        profile = profile_named("pixy-2007")
         assert profile.function_source("mysqli_fetch_assoc") is None
-        assert profile.function_sink("mysqli_query") is None
+        assert profile.function_sinks("mysqli_query") == ()
         assert profile.function_source("mysql_fetch_assoc") is not None
 
     def test_reduced_filters(self):
-        profile = pixy_2007()
+        profile = profile_named("pixy-2007")
         assert profile.function_filter("htmlentities") is not None
         assert profile.function_filter("filter_var") is None
 
     def test_no_wordpress(self):
-        assert pixy_2007().function_filter("esc_html") is None
+        assert profile_named("pixy-2007").function_filter("esc_html") is None
 
 
 class TestProfileComposition:
-    def test_extended_adds_entries(self):
-        base = generic_php()
-        drupal = base.extended(
-            "drupal",
-            sources=[SourceSpec("drupal_get_query", InputVector.GET)],
-            filters=[FilterSpec("check_plain", frozenset({VulnKind.XSS}))],
-            sinks=[SinkSpec("drupal_render_echo", VulnKind.XSS)],
-        )
+    DRUPAL_PACK = {
+        "schema": 1,
+        "name": "drupal-bits",
+        "version": "1.0.0",
+        "sources": [{"name": "drupal_get_query", "vector": "GET"}],
+        "filters": [{"name": "check_plain", "kinds": ["xss"]}],
+        "sinks": [{"name": "drupal_render_echo", "kind": "xss"}],
+    }
+
+    def _pack(self, tmp_path):
+        path = tmp_path / "drupal-bits.json"
+        path.write_text(json.dumps(self.DRUPAL_PACK), encoding="utf-8")
+        return str(path)
+
+    def test_extended_adds_entries(self, tmp_path):
+        base = profile_named("generic")
+        drupal = profile_named("generic", rule_packs=(self._pack(tmp_path),))
         assert drupal.function_source("drupal_get_query") is not None
         assert drupal.function_filter("check_plain") is not None
-        assert drupal.function_sink("drupal_render_echo") is not None
+        assert drupal.function_sinks("drupal_render_echo")
         # base profile untouched
         assert base.function_source("drupal_get_query") is None
 
-    def test_extended_preserves_base(self):
-        drupal = generic_php().extended("drupal")
+    def test_extended_preserves_base(self, tmp_path):
+        drupal = profile_named("generic", rule_packs=(self._pack(tmp_path),))
         assert drupal.function_filter("htmlentities") is not None
 
     def test_qualified_names(self):

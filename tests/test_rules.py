@@ -2,18 +2,20 @@
 
 import copy
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.batch import ToolSpec
 from repro.config import ALL_KINDS, VulnKind
-from repro.config.profiles import drupal, joomla, wordpress
 from repro.core import PhpSafe, PhpSafeOptions
 from repro.core.cache import ir_key, summary_key
 from repro.plugin import Plugin
 from repro.rules import (
+    PROFILES,
     PackError,
+    builtin_pack_dir,
     builtin_pack_names,
     compile_packs,
     load_pack,
@@ -97,7 +99,7 @@ class TestPackLoading:
     def test_load_by_path(self, tmp_path):
         pack = load_pack(_write_pack(tmp_path, MINIMAL))
         assert pack.name == "mini"
-        assert pack.sinks[0].name == "readfile"
+        assert pack.sinks[0]["name"] == "readfile"
 
     def test_content_hash_tracks_bytes_not_semantics(self, tmp_path):
         first = load_pack(_write_pack(tmp_path, MINIMAL, "a.json"))
@@ -169,6 +171,22 @@ class TestPackValidation:
         data = {"schema": 1, "name": "empty", "version": "1"}
         assert any("no entries" in m.lower() for m in self._issues(data))
 
+    def test_register_globals_must_be_boolean(self):
+        assert any(
+            "boolean" in m for m in self._issues({**MINIMAL, "register_globals": 1})
+        )
+
+    def test_instances_need_name_and_class(self):
+        for instance in (
+            {"name": "db"},
+            {"class": "JDatabase"},
+            {"name": "db", "class": 3},
+        ):
+            assert self._issues({**MINIMAL, "instances": [instance]})
+        assert self._issues(
+            {**MINIMAL, "instances": [{"name": "db", "class": "C", "var": "db"}]}
+        )
+
     def test_malformed_json_never_raises_bare(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -198,7 +216,7 @@ class TestCompilation:
         assert {"lfi", "traversal"} <= {kind.value for kind in spec.kinds}
 
     def test_kind_universe_widens_only_with_pack_kinds(self):
-        base = wordpress()
+        base = resolve_profile(PhpSafeOptions())
         assert base.kind_universe() is ALL_KINDS
         packed = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
         universe = packed.kind_universe()
@@ -208,12 +226,47 @@ class TestCompilation:
     def test_profile_name_records_packs(self):
         profile = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
         assert profile.name == "wordpress+ssrf"
-        assert [pack_id[0] for pack_id in profile.packs] == ["ssrf"]
+        assert [pack_id[0] for pack_id in profile.packs] == [
+            "generic",
+            "wordpress",
+            "ssrf",
+        ]
 
     def test_base_profiles_resolve_by_name(self):
-        for name in ("wordpress", "drupal", "joomla", "generic"):
+        for name in ("wordpress", "drupal", "joomla", "generic", "pixy-2007"):
             profile = resolve_profile(PhpSafeOptions(profile_name=name))
-            assert profile.packs == ()
+            assert profile.name == name
+            assert [pack_id[0] for pack_id in profile.packs] == list(PROFILES[name])
+
+    def test_instances_and_register_globals_compile(self, tmp_path):
+        path = _write_pack(
+            tmp_path,
+            {
+                "schema": 1,
+                "name": "legacy",
+                "version": "1.0.0",
+                "register_globals": True,
+                "instances": [{"name": "db", "class": "LegacyDb"}],
+            },
+        )
+        options = PhpSafeOptions(profile_name="generic", rule_packs=(path,))
+        profile = resolve_profile(options)
+        assert profile.register_globals
+        assert profile.known_instance("db").class_name == "LegacyDb"
+        assert not resolve_profile(PhpSafeOptions(profile_name="generic")).register_globals
+
+    def test_star_expands_to_the_final_kind_universe(self):
+        # no pack declares a kind: "*" is the ALL_KINDS object itself,
+        # which TaintState.from_label's fast path recognizes by identity
+        base = resolve_profile(PhpSafeOptions())
+        assert base.superglobal_source("_GET").kinds is ALL_KINDS
+        assert base.function_filter("intval").kinds is ALL_KINDS
+        # an ssrf pack widens every "*" entry of the profile's own packs
+        packed = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
+        widened = packed.superglobal_source("_GET").kinds
+        assert widened == packed.kind_universe() > ALL_KINDS
+        assert packed.function_filter("intval").kinds is widened
+        assert packed.function_filter("esc_html").kinds == frozenset({VulnKind.XSS})
 
     def test_unknown_base_profile_is_typed(self):
         with pytest.raises(PackError):
@@ -221,15 +274,26 @@ class TestCompilation:
 
     def test_cms_profile_fingerprints_differ(self):
         fingerprints = {
-            profile().fingerprint() for profile in (wordpress, drupal, joomla)
+            resolve_profile(PhpSafeOptions(profile_name=name)).fingerprint()
+            for name in ("wordpress", "drupal", "joomla")
         }
         assert len(fingerprints) == 3
 
     def test_pack_free_fingerprint_is_unchanged_by_engine(self):
-        # compiling zero packs is the identity: same object, same
-        # fingerprint, so pre-pack caches stay valid
-        base = wordpress()
-        assert compile_packs(base, []) is base
+        # with no --rule-pack the compiled profile is memoized: the same
+        # object, hence the same fingerprint, for every analyzer
+        profile = resolve_profile(PhpSafeOptions())
+        assert resolve_profile(PhpSafeOptions(rule_packs=())) is profile
+        assert PhpSafe().profile is profile
+        # the packs' own entries compile to the same knowledge base
+        recompiled = compile_packs(
+            "wordpress",
+            [
+                load_pack(os.path.join(builtin_pack_dir(), "profiles", name + ".json"))
+                for name in PROFILES["wordpress"]
+            ],
+        )
+        assert recompiled.fingerprint() == profile.fingerprint()
 
 
 class TestFingerprintInvalidation:

@@ -11,11 +11,7 @@ import json
 import pytest
 
 from repro.batch import DiskModelCache
-from repro.batch.streaming import (
-    DEFAULT_MAX_CACHE_BYTES,
-    stream_scan,
-    streaming_options,
-)
+from repro.batch.streaming import DEFAULT_MAX_CACHE_BYTES, stream_scan
 from repro.core import ModelCache, PhpSafe
 from repro.core.cache import (
     MEMORY_TIER_MAX_BYTES,
@@ -408,7 +404,7 @@ class TestStreamingScan:
         summary = stream_scan(
             iter_stress_plugins(MINI),
             sink,
-            options=streaming_options(stress_options()),
+            options=stress_options(),
         )
         assert summary.plugins == MINI.plugin_count
         assert summary.findings == MINI.expected_findings
@@ -424,7 +420,7 @@ class TestStreamingScan:
         summary = stream_scan(
             iter_stress_plugins(MINI),
             str(tmp_path / "findings.jsonl"),
-            options=streaming_options(stress_options()),
+            options=stress_options(),
             max_cache_bytes=cap,
         )
         assert summary.peak_cache_bytes <= cap
@@ -438,11 +434,10 @@ class TestStreamingScan:
                 model = PluginModel.build(plugin, cache=cache)
                 assert model.files
                 assert not any(hasattr(fm, "tokens") for fm in model.files.values())
-        assert streaming_options(stress_options()) == stress_options()
         tool = PhpSafe(options=stress_options(), use_process_cache=False)
         accumulated = finding_signatures([tool.analyze(p) for p in plugins])
         sink = str(tmp_path / "stream.jsonl")
-        stream_scan(iter(plugins), sink, options=streaming_options(stress_options()))
+        stream_scan(iter(plugins), sink, options=stress_options())
         assert stream_signatures(sink) == accumulated
 
     def test_streaming_accumulating_parity_paper_corpus(self, tmp_path):
@@ -455,7 +450,7 @@ class TestStreamingScan:
             [tool.analyze(plugin) for plugin in corpus.plugins]
         )
         sink = str(tmp_path / "stream.jsonl")
-        stream_scan(iter(corpus.plugins), sink, options=streaming_options())
+        stream_scan(iter(corpus.plugins), sink)
         assert stream_signatures(sink) == accumulated
         assert accumulated  # the corpus seeds real findings
 
@@ -466,9 +461,7 @@ class TestStreamingScan:
             [tool.analyze(plugin) for plugin in plugins]
         )
         sink = str(tmp_path / "stream.jsonl")
-        stream_scan(
-            iter(plugins), sink, options=streaming_options(stress_options())
-        )
+        stream_scan(iter(plugins), sink, options=stress_options())
         assert stream_signatures(sink) == accumulated
 
 
@@ -484,7 +477,7 @@ class TestStreamingScan:
         monkeypatch.setattr(PhpSafe, "analyze", raising_on_middle)
         sink = str(tmp_path / "findings.jsonl")
         summary = stream_scan(
-            iter(plugins), sink, options=streaming_options(stress_options())
+            iter(plugins), sink, options=stress_options()
         )
         records = [
             record for record in read_finding_stream(sink)

@@ -105,9 +105,9 @@ class TestFingerprintSeparation:
     def test_profile_change_misses(self):
         cache = ModelCache()
         files = {"main.php": MAIN, "lib.php": LIB}
-        scan(files, cache=cache, options=PhpSafeOptions(wordpress_config=True))
+        scan(files, cache=cache, options=PhpSafeOptions(profile_name="wordpress"))
         hits_before = cache.summary_stats.hits
-        scan(files, cache=cache, options=PhpSafeOptions(wordpress_config=False))
+        scan(files, cache=cache, options=PhpSafeOptions(profile_name="generic"))
         assert cache.summary_stats.hits == hits_before
 
     def test_oop_option_change_misses(self):
