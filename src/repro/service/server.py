@@ -51,9 +51,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..batch.scheduler import ToolSpec
 from ..batch.telemetry import ServiceStats
-from ..core.phpsafe import PhpSafeOptions
 from ..plugin import Plugin
-from ..rules import resolve_profile
 from .queue import DONE, FAILED, JobQueue, QueueFull
 from .store import ResultStore
 from .workers import WorkerPool
@@ -117,14 +115,15 @@ def spec_fingerprint(spec: ToolSpec) -> str:
     fleet nodes, coordinator) so they key results identically — and
     deterministic across processes (see :func:`_canonical`).
 
-    Beyond the options dataclass, a phpSAFE spec folds in the *resolved*
-    knowledge-base fingerprint: ``_canonical`` only sees pack
-    *references* (profile names, pack paths), but editing a pack file
+    Beyond the options dataclass, the fingerprint folds in the
+    knowledge base the spec's tool consults: ``_canonical`` only sees
+    pack *references* (profile names, pack paths), and the baselines'
+    profiles are not in their spec at all, but editing a pack file
     changes its content hash and must invalidate stored results and
     dedup decisions too."""
     parts: Tuple[object, ...] = (spec.name, _canonical(spec.options))
-    if spec.name == "phpsafe":
-        profile = resolve_profile(spec.options or PhpSafeOptions())
+    profile = getattr(spec.build(), "profile", None)
+    if profile is not None:
         parts = parts + (profile.fingerprint(),)
     return sha256(repr(parts).encode("utf-8")).hexdigest()[:16]
 

@@ -56,7 +56,7 @@ def test_build_ships_every_pack(tmp_path):
         os.path.relpath(os.path.join(dirpath, name), builtin_pack_dir())
         for dirpath, _dirs, files in os.walk(builtin_pack_dir())
         for name in files
-        if name.endswith((".json", ".toml"))
+        if name.endswith(".json")
     }
     assert {name + ".json" for name in builtin_pack_names()} <= shipped
     for packs_of_profile in PROFILES.values():

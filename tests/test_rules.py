@@ -363,6 +363,19 @@ class TestFingerprintInvalidation:
         _write_pack(tmp_path, self.V2)
         assert spec_fingerprint(spec) != before
 
+    def test_service_fingerprint_tracks_baseline_profiles(self, monkeypatch):
+        # RIPS and Pixy specs carry no options; their stored results must
+        # still follow the packs their profiles compile from
+        from repro.rules import compiler
+
+        before = {
+            name: spec_fingerprint(ToolSpec(name=name)) for name in ("rips", "pixy")
+        }
+        monkeypatch.setitem(compiler.PROFILES, "generic", ("pixy-2007",))
+        monkeypatch.setitem(compiler.PROFILES, "pixy-2007", ("generic",))
+        for name, fingerprint in before.items():
+            assert spec_fingerprint(ToolSpec(name=name)) != fingerprint
+
     def test_service_fingerprint_differs_across_profiles(self):
         prints = {
             spec_fingerprint(
