@@ -30,7 +30,6 @@ from ..config.vulnerability import PAPER_KINDS
 from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
-from ..core.phpsafe import PhpSafeOptions
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool, collector_paused
 from ..php.lexer import tokenize_significant
@@ -81,9 +80,7 @@ class PixyLike(AnalyzerTool):
     name = "Pixy"
 
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
-        self.profile = profile or resolve_profile(
-            PhpSafeOptions(profile_name="pixy-2007")
-        )
+        self.profile = profile or resolve_profile("pixy-2007")
 
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:

@@ -27,7 +27,6 @@ from ..config.profiles import AnalyzerProfile
 from ..core.engine import EngineOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
-from ..core.phpsafe import PhpSafeOptions
 from ..core.results import FileFailure, ToolReport
 from ..core.tool import AnalyzerTool, collector_paused
 from ..plugin import Plugin
@@ -40,9 +39,7 @@ class RipsLike(AnalyzerTool):
     name = "RIPS"
 
     def __init__(self, profile: Optional[AnalyzerProfile] = None) -> None:
-        self.profile = profile or resolve_profile(
-            PhpSafeOptions(profile_name="generic")
-        )
+        self.profile = profile or resolve_profile("generic")
 
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:

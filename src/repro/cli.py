@@ -66,7 +66,10 @@ from .evaluation import (
     vector_breakdown,
 )
 from .plugin import Plugin
-from .rules import PROFILES
+
+#: ``--profile`` values: the named profiles phpSAFE users select (the
+#: baselines resolve their own, e.g. Pixy's ``pixy-2007``)
+SCAN_PROFILES = ("wordpress", "drupal", "joomla", "generic")
 
 
 def _load_target(path: str) -> Plugin:
@@ -756,14 +759,9 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 
 def _pack_entry_name(entry: dict) -> str:
-    if entry.get("class"):
+    if entry["class"]:
         return f"{entry['class']}::{entry['name']}"
     return entry["name"]
-
-
-def _pack_entry_kinds(entry: dict) -> str:
-    kinds = entry.get("kinds", "*")
-    return kinds if isinstance(kinds, str) else ",".join(kinds)
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
@@ -807,34 +805,28 @@ def cmd_rules(args: argparse.Namespace) -> int:
             if pack.register_globals:
                 print("  register_globals: uninitialized globals are sources")
             for decl in pack.kinds:
-                print(
-                    f"  kind {decl['value']}: "
-                    f"{decl.get('title') or decl.get('description', '')}"
-                )
+                print(f"  kind {decl['value']}: {decl['title'] or decl['description']}")
             for instance in pack.instances:
                 print(f"  instance ${instance['name']}: {instance['class']}")
             for sink in pack.sinks:
-                args_ = sink.get("args")
+                args_ = sink["args"]
                 argspec = "*" if args_ is None else ",".join(str(i) for i in args_)
-                note = f" — {sink['description']}" if sink.get("description") else ""
+                note = f" — {sink['description']}" if sink["description"] else ""
                 print(
                     f"  sink {_pack_entry_name(sink)}(args {argspec}) → "
                     f"{sink['kind']}{note}"
                 )
             for source in pack.sources:
-                label = (
-                    "superglobal" if source.get("superglobal")
-                    else source.get("vector", "Function")
-                )
+                label = "superglobal" if source["superglobal"] else source["vector"]
                 print(
                     f"  source {_pack_entry_name(source)} [{label}] → "
-                    f"{_pack_entry_kinds(source)}"
+                    f"{','.join(source['kinds'])}"
                 )
             for section in ("filters", "reverts", "propagation"):
                 for entry in getattr(pack, section):
                     print(
                         f"  {section.rstrip('s')} {_pack_entry_name(entry)} → "
-                        f"{_pack_entry_kinds(entry)}"
+                        f"{','.join(entry['kinds'])}"
                     )
             print(f"  totals: {summary}")
     return exit_code
@@ -886,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 64 MiB)",
     )
     scan.add_argument(
-        "--profile", choices=sorted(PROFILES),
+        "--profile", choices=SCAN_PROFILES,
         help="analyzer knowledge-base profile (default: wordpress; "
              "'generic' is plain PHP without WordPress)",
     )
@@ -1020,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--strict", action="store_true",
                        help="disable error recovery")
     serve.add_argument(
-        "--profile", choices=sorted(PROFILES),
+        "--profile", choices=SCAN_PROFILES,
         help="analyzer knowledge-base profile (default: wordpress; "
              "'generic' is plain PHP without WordPress)",
     )

@@ -130,7 +130,9 @@ class PhpSafe(AnalyzerTool):
         #: is the process-wide L1, ``use_process_cache=False`` disables
         #: caching entirely (cold-measurement harnesses)
         self.cache = cache
-        self.profile = profile or resolve_profile(self.options)
+        self.profile = profile or resolve_profile(
+            self.options.profile_name, self.options.rule_packs
+        )
 
     def _summary_fingerprint(self, engine_options: EngineOptions) -> str:
         """Configuration identity of the persistent summary cache: the

@@ -48,7 +48,6 @@ from .model import PackError, PackIssue, RulePack
 #: in order, from ``packs/profiles/``.
 PROFILES: Dict[str, Tuple[str, ...]] = {
     "generic": ("generic",),
-    "generic-php": ("generic",),
     "wordpress": ("generic", "wordpress"),
     "drupal": ("generic", "drupal"),
     "joomla": ("generic", "joomla"),
@@ -78,9 +77,7 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
     extra_kinds = set()
     for pack in packs:
         for decl in pack.kinds:
-            kind = VulnKind.register(
-                decl["value"], decl.get("title", ""), decl.get("description", "")
-            )
+            kind = VulnKind.register(decl["value"], decl["title"], decl["description"])
             if kind not in ALL_KINDS:
                 extra_kinds.add(kind)
     # ``ALL_KINDS`` itself when no pack adds a kind: TaintState.from_label
@@ -88,10 +85,9 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
     universe = frozenset(ALL_KINDS | extra_kinds) if extra_kinds else ALL_KINDS
 
     def kinds_of(entry: dict) -> frozenset:
-        value = entry.get("kinds", "*")
-        if "*" in value:
+        if "*" in entry["kinds"]:
             return universe
-        kinds = frozenset(VulnKind(item) for item in value)
+        kinds = frozenset(VulnKind(item) for item in entry["kinds"])
         return universe if kinds == universe else kinds
 
     def union(old: frozenset, new: frozenset) -> frozenset:
@@ -99,11 +95,7 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
         return universe if kinds == universe else kinds
 
     def key(entry: dict) -> Tuple[str, str]:
-        return ((entry.get("class") or "").lower(), entry["name"].lower())
-
-    def args_of(entry: dict):
-        value = entry.get("args")
-        return None if value is None else tuple(value)
+        return ((entry["class"] or "").lower(), entry["name"].lower())
 
     sources: Dict[Tuple[str, str, bool], SourceSpec] = {}
     filters: Dict[Tuple[str, str], FilterSpec] = {}
@@ -115,8 +107,7 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
     # *extend* an earlier pack's filter or source
     for pack in packs:
         for entry in pack.sources:
-            superglobal = entry.get("superglobal", False)
-            skey = key(entry) + (superglobal,)
+            skey = key(entry) + (entry["superglobal"],)
             kinds = kinds_of(entry)
             if skey in sources:
                 old = sources[skey]
@@ -124,11 +115,11 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
                 continue
             sources[skey] = SourceSpec(
                 name=entry["name"],
-                vector=InputVector(entry.get("vector", "Function")),
+                vector=InputVector(entry["vector"]),
                 kinds=kinds,
-                class_name=entry.get("class") or None,
-                is_superglobal=superglobal,
-                description=entry.get("description", ""),
+                class_name=entry["class"],
+                is_superglobal=entry["superglobal"],
+                description=entry["description"],
             )
         for entry in pack.sinks:
             sink_key = (key(entry), VulnKind(entry["kind"]))
@@ -137,9 +128,9 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
             sinks[sink_key] = SinkSpec(
                 name=entry["name"],
                 kind=sink_key[1],
-                class_name=entry.get("class") or None,
-                tainted_args=args_of(entry),
-                description=entry.get("description", ""),
+                class_name=entry["class"],
+                tainted_args=entry["args"],
+                description=entry["description"],
             )
         for entry in pack.filters:
             fkey, kinds = key(entry), kinds_of(entry)
@@ -150,8 +141,8 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
             filters[fkey] = FilterSpec(
                 name=entry["name"],
                 kinds=kinds,
-                class_name=entry.get("class") or None,
-                description=entry.get("description", ""),
+                class_name=entry["class"],
+                description=entry["description"],
             )
         for entry in pack.reverts:
             rkey, kinds = entry["name"].lower(), kinds_of(entry)
@@ -160,7 +151,7 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
                 reverts[rkey] = replace(old, kinds=union(old.kinds, kinds))
                 continue
             reverts[rkey] = RevertSpec(
-                name=entry["name"], kinds=kinds, description=entry.get("description", "")
+                name=entry["name"], kinds=kinds, description=entry["description"]
             )
         for entry in pack.propagation:
             pkey, kinds = key(entry), kinds_of(entry)
@@ -171,15 +162,13 @@ def compile_packs(name: str, packs: Sequence[RulePack]) -> AnalyzerProfile:
             propagation[pkey] = PropagationSpec(
                 name=entry["name"],
                 kinds=kinds,
-                arg_indices=args_of(entry),
-                class_name=entry.get("class") or None,
-                description=entry.get("description", ""),
+                arg_indices=entry["args"],
+                class_name=entry["class"],
+                description=entry["description"],
             )
         for entry in pack.instances:
             instances.append(
-                KnownInstance(
-                    entry["name"], entry["class"], entry.get("description", "")
-                )
+                KnownInstance(entry["name"], entry["class"], entry["description"])
             )
 
     return AnalyzerProfile(
@@ -209,19 +198,19 @@ def _compiled(
     return compile_packs(name, packs)
 
 
-def resolve_profile(options) -> AnalyzerProfile:
-    """The profile an analyzer configured with ``options`` consults.
+def resolve_profile(
+    profile_name: str, rule_packs: Sequence[str] = ()
+) -> AnalyzerProfile:
+    """The profile ``profile_name`` (a key of :data:`PROFILES`) compiles
+    to with ``rule_packs`` (shipped pack names or file paths) on top.
 
-    Reads ``options.profile_name`` (a key of :data:`PROFILES`) and
-    ``options.rule_packs`` (shipped pack names or file paths), reads
-    every pack file and returns the compiled profile — the same object
-    for as long as the bytes of every pack stay the same, so building an
-    analyzer per plugin does not recompile the knowledge base.  Raises
-    :class:`PackError` (typed issues, no tracebacks) for unknown
-    profiles or invalid packs.
+    Reads every pack file and returns the compiled profile — the same
+    object for as long as the bytes of every pack stay the same, so
+    building an analyzer per plugin does not recompile the knowledge
+    base.  Raises :class:`PackError` (typed issues, no tracebacks) for
+    unknown profiles or invalid packs.
     """
-    profile_name = options.profile_name
-    pack_refs = tuple(options.rule_packs)
+    pack_refs = tuple(rule_packs)
     files = tuple(
         read_pack(ref) for ref in _profile_pack_paths(profile_name) + pack_refs
     )

@@ -49,6 +49,41 @@ _TOP_LEVEL_KEYS = {
 _VECTOR_VALUES = {vector.value for vector in InputVector}
 _BUILTIN_KIND_VALUES = {kind.value for kind in ALL_KINDS}
 
+#: The value of each optional entry field a pack leaves out, per
+#: section.  Validated entries carry every field, so the compiler and
+#: ``rules show`` read plain keys: ``kinds`` is a tuple (``("*",)`` for
+#: every kind the compiled profile knows), ``args`` a tuple or ``None``
+#: (every argument), ``class`` a name or ``None`` (a plain function).
+_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "kinds": {"title": "", "description": ""},
+    "instances": {"description": ""},
+    "sources": {
+        "vector": "Function",
+        "kinds": "*",
+        "class": None,
+        "superglobal": False,
+        "description": "",
+    },
+    "sinks": {"class": None, "args": None, "description": ""},
+    "filters": {"class": None, "description": ""},
+    "reverts": {"kinds": "*", "class": None, "description": ""},
+    "propagation": {"kinds": "*", "args": None, "class": None, "description": ""},
+}
+
+
+def _filled(section: str, entry: Dict[str, Any]) -> Dict[str, Any]:
+    """A validated ``entry`` of ``section`` with its defaults filled in
+    (a new dict: the document, and so its content hash, stays as read)."""
+    filled = {**_DEFAULTS[section], **entry}
+    if "kinds" in filled:
+        kinds = filled["kinds"]
+        filled["kinds"] = (kinds,) if isinstance(kinds, str) else tuple(kinds)
+    if filled.get("args") is not None:
+        filled["args"] = tuple(filled["args"])
+    if "class" in filled:
+        filled["class"] = filled["class"] or None
+    return filled
+
 
 def builtin_pack_dir() -> str:
     """Directory holding the packs shipped with the reproduction."""
@@ -278,7 +313,7 @@ def validate_pack_data(
             issues.append(PackIssue(path, f"{where}.value", f"duplicate kind '{value}'"))
             continue
         declared.add(value)
-        kinds.append(entry)
+        kinds.append(_filled("kinds", entry))
 
     instances: List[Dict[str, Any]] = []
     for entry, where in _entries(
@@ -288,7 +323,7 @@ def validate_pack_data(
         iclass = _str_field(entry, "class", where, issues, path, required=True)
         _str_field(entry, "description", where, issues, path)
         if iname and iclass:
-            instances.append(entry)
+            instances.append(_filled("instances", entry))
 
     sources: List[Dict[str, Any]] = []
     for entry, where in _entries(
@@ -299,7 +334,10 @@ def validate_pack_data(
         path,
     ):
         sname = _str_field(entry, "name", where, issues, path, required=True)
-        vector = _str_field(entry, "vector", where, issues, path, default="Function")
+        vector = _str_field(
+            entry, "vector", where, issues, path,
+            default=_DEFAULTS["sources"]["vector"],
+        )
         if vector not in _VECTOR_VALUES:
             issues.append(
                 PackIssue(
@@ -315,7 +353,7 @@ def validate_pack_data(
         _str_field(entry, "class", where, issues, path)
         _str_field(entry, "description", where, issues, path)
         if sname:
-            sources.append(entry)
+            sources.append(_filled("sources", entry))
 
     sinks: List[Dict[str, Any]] = []
     seen_sinks: set = set()
@@ -344,7 +382,7 @@ def validate_pack_data(
             seen_sinks.add(dedup)
             _check_args(entry, where, issues, path)
             _str_field(entry, "description", where, issues, path)
-            sinks.append(entry)
+            sinks.append(_filled("sinks", entry))
 
     filters: List[Dict[str, Any]] = []
     for entry, where in _entries(
@@ -355,7 +393,7 @@ def validate_pack_data(
         _str_field(entry, "class", where, issues, path)
         _str_field(entry, "description", where, issues, path)
         if sname:
-            filters.append(entry)
+            filters.append(_filled("filters", entry))
 
     reverts: List[Dict[str, Any]] = []
     for entry, where in _entries(
@@ -365,7 +403,7 @@ def validate_pack_data(
         _check_kinds(entry, where, declared, issues, path)
         _str_field(entry, "description", where, issues, path)
         if sname:
-            reverts.append(entry)
+            reverts.append(_filled("reverts", entry))
 
     propagation: List[Dict[str, Any]] = []
     for entry, where in _entries(
@@ -377,7 +415,7 @@ def validate_pack_data(
         _str_field(entry, "class", where, issues, path)
         _str_field(entry, "description", where, issues, path)
         if sname:
-            propagation.append(entry)
+            propagation.append(_filled("propagation", entry))
 
     if not (sources or sinks or filters or reverts or propagation or kinds or instances):
         issues.append(PackIssue(path, "<pack>", "pack declares no entries at all"))

@@ -1,8 +1,9 @@
 """Typed shapes for rule packs: the parsed document and its errors.
 
 A :class:`RulePack` is the validated in-memory form of a pack file.  Its
-entries are the document's own objects, checked against the schema but
-not converted: a ``"*"`` kind list means "every kind the compiled
+entries are the document's own fields, checked against the schema, with
+every optional field the document leaves out filled in by the loader
+(lists become tuples).  A ``"*"`` kind list is left as it is: it means "every kind the compiled
 profile knows", which only the compiler can expand once every pack of
 the profile is in hand (:mod:`repro.rules.compiler` builds the
 :mod:`repro.config` specs straight from these entries).  A pack can
@@ -77,7 +78,8 @@ class RulePack:
     #: Pixy-era PHP: uninitialized globals are attacker-settable.
     register_globals: bool = False
     #: Validated entries of each section, in document order, keyed as
-    #: in the pack schema (``name``, ``class``, ``kinds``, ``args``...).
+    #: in the pack schema (``name``, ``class``, ``kinds``, ``args``...),
+    #: every optional field present (the loader fills in its default).
     kinds: Tuple[Dict[str, Any], ...] = ()
     sources: Tuple[Dict[str, Any], ...] = ()
     sinks: Tuple[Dict[str, Any], ...] = ()

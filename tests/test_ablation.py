@@ -67,7 +67,7 @@ class TestWordpressConfigFlag:
         assert not found(WP_FILTER_FLOW, tool)
 
     def test_explicit_profile_overrides_flag(self):
-        generic = resolve_profile(PhpSafeOptions(profile_name="generic"))
+        generic = resolve_profile("generic")
         tool = PhpSafe(profile=generic, options=PhpSafeOptions())
         assert tool.options.profile_name == "wordpress"
         assert not found(WP_SOURCE_FLOW, tool)

@@ -386,7 +386,7 @@ class TestToolSpec:
     def test_from_tool_rejects_custom_profile(self):
         from repro.rules import resolve_profile
 
-        custom = resolve_profile(PhpSafeOptions(profile_name="generic"))
+        custom = resolve_profile("generic")
         tool = PhpSafe(profile=custom)  # options still say wordpress
         assert ToolSpec.from_tool(tool) is None
 

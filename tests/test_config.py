@@ -4,12 +4,7 @@ import json
 
 from repro.config import InputVector, SourceSpec, VulnKind
 from repro.config.vulnerability import TABLE2_ROWS
-from repro.core import PhpSafeOptions
 from repro.rules import resolve_profile
-
-
-def profile_named(name, rule_packs=()):
-    return resolve_profile(PhpSafeOptions(profile_name=name, rule_packs=rule_packs))
 
 
 class TestInputVector:
@@ -37,34 +32,34 @@ class TestInputVector:
 
 class TestGenericProfile:
     def test_superglobals_are_sources(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         for name in ("_GET", "_POST", "_COOKIE", "_REQUEST", "_SERVER"):
             assert profile.superglobal_source(name) is not None
         assert profile.superglobal_source("not_a_superglobal") is None
 
     def test_file_and_db_sources(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.function_source("fgets").vector is InputVector.FILE
         assert profile.function_source("mysql_fetch_assoc").vector is InputVector.DB
 
     def test_lookups_case_insensitive(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.function_filter("HTMLEntities") is not None
         assert profile.function_sinks("MYSQL_QUERY")
 
     def test_filter_kinds(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.function_filter("htmlentities").kinds == frozenset({VulnKind.XSS})
         assert VulnKind.SQLI in profile.function_filter("intval").kinds
         assert profile.function_filter("addslashes").kinds == frozenset({VulnKind.SQLI})
 
     def test_reverts(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.revert("stripslashes") is not None
         assert profile.revert("htmlentities") is None
 
     def test_sink_kinds_and_args(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.function_sinks("echo")[0].kind is VulnKind.XSS
         (query,) = profile.function_sinks("mysqli_query")
         assert query.kind is VulnKind.SQLI
@@ -73,7 +68,7 @@ class TestGenericProfile:
         assert profile.function_sinks("print_r")[0].arg_is_sensitive(0)
 
     def test_no_wordpress_knowledge(self):
-        profile = profile_named("generic")
+        profile = resolve_profile("generic")
         assert profile.function_filter("esc_html") is None
         assert profile.method_source("wpdb", "get_results") is None
         assert profile.known_instance("wpdb") is None
@@ -81,50 +76,50 @@ class TestGenericProfile:
 
 class TestWordpressProfile:
     def test_wpdb_methods(self):
-        profile = profile_named("wordpress")
+        profile = resolve_profile("wordpress")
         assert profile.method_source("wpdb", "get_results") is not None
         assert profile.method_sinks("wpdb", "query")[0].kind is VulnKind.SQLI
         assert profile.method_filter("wpdb", "prepare") is not None
 
     def test_known_instances(self):
-        profile = profile_named("wordpress")
+        profile = resolve_profile("wordpress")
         assert profile.known_instance("wpdb").class_name == "wpdb"
 
     def test_wp_escaping_functions(self):
-        profile = profile_named("wordpress")
+        profile = resolve_profile("wordpress")
         assert profile.function_filter("esc_html").kinds == frozenset({VulnKind.XSS})
         assert VulnKind.SQLI in profile.function_filter("absint").kinds
         assert profile.function_filter("esc_sql").kinds == frozenset({VulnKind.SQLI})
 
     def test_wp_sources(self):
-        profile = profile_named("wordpress")
+        profile = resolve_profile("wordpress")
         assert profile.function_source("get_option").vector is InputVector.DB
         assert profile.function_source("get_post_meta") is not None
 
     def test_includes_generic_entries_too(self):
-        profile = profile_named("wordpress")
+        profile = resolve_profile("wordpress")
         assert profile.function_filter("htmlentities") is not None
         assert profile.superglobal_source("_GET") is not None
 
 
 class TestPixyProfile:
     def test_register_globals_enabled(self):
-        assert profile_named("pixy-2007").register_globals
-        assert not profile_named("generic").register_globals
+        assert resolve_profile("pixy-2007").register_globals
+        assert not resolve_profile("generic").register_globals
 
     def test_no_mysqli_era_functions(self):
-        profile = profile_named("pixy-2007")
+        profile = resolve_profile("pixy-2007")
         assert profile.function_source("mysqli_fetch_assoc") is None
         assert profile.function_sinks("mysqli_query") == ()
         assert profile.function_source("mysql_fetch_assoc") is not None
 
     def test_reduced_filters(self):
-        profile = profile_named("pixy-2007")
+        profile = resolve_profile("pixy-2007")
         assert profile.function_filter("htmlentities") is not None
         assert profile.function_filter("filter_var") is None
 
     def test_no_wordpress(self):
-        assert profile_named("pixy-2007").function_filter("esc_html") is None
+        assert resolve_profile("pixy-2007").function_filter("esc_html") is None
 
 
 class TestProfileComposition:
@@ -143,8 +138,8 @@ class TestProfileComposition:
         return str(path)
 
     def test_extended_adds_entries(self, tmp_path):
-        base = profile_named("generic")
-        drupal = profile_named("generic", rule_packs=(self._pack(tmp_path),))
+        base = resolve_profile("generic")
+        drupal = resolve_profile("generic", rule_packs=(self._pack(tmp_path),))
         assert drupal.function_source("drupal_get_query") is not None
         assert drupal.function_filter("check_plain") is not None
         assert drupal.function_sinks("drupal_render_echo")
@@ -152,7 +147,7 @@ class TestProfileComposition:
         assert base.function_source("drupal_get_query") is None
 
     def test_extended_preserves_base(self, tmp_path):
-        drupal = profile_named("generic", rule_packs=(self._pack(tmp_path),))
+        drupal = resolve_profile("generic", rule_packs=(self._pack(tmp_path),))
         assert drupal.function_filter("htmlentities") is not None
 
     def test_qualified_names(self):

@@ -18,14 +18,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHECK = """
 import sys
 import repro
-from repro.core import PhpSafe, PhpSafeOptions
+from repro.core import PhpSafe
 from repro.rules import PROFILES, builtin_pack_names, load_pack, resolve_profile
 assert repro.__file__.startswith(sys.argv[1]), repro.__file__
 names = builtin_pack_names()
 for name in names:
     load_pack(name)
 for profile in PROFILES:
-    resolve_profile(PhpSafeOptions(profile_name=profile, rule_packs=names))
+    resolve_profile(profile, names)
 report = PhpSafe().analyze_source("<?php $r = $wpdb->get_var('q'); echo $r;")
 assert report.findings, "default profile lost the WordPress knowledge base"
 print(",".join(names))

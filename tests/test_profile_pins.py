@@ -13,13 +13,12 @@ from dataclasses import replace
 import pytest
 
 from repro.baselines import PixyLike, RipsLike
-from repro.core import PhpSafe, PhpSafeOptions
+from repro.core import PhpSafe
 from repro.rules import resolve_profile
 
 #: fingerprint of each named profile with ``packs=()``
 PINNED = {
     "generic": "3371ef9300dab1b8",
-    "generic-php": "3371ef9300dab1b8",
     "wordpress": "a61f877a0a767266",
     "drupal": "3557186341e013c7",
     "joomla": "1198038e9ccb15b0",
@@ -36,7 +35,6 @@ WORDPRESS_INSTANCES = {
 #: known global instances of each named profile
 INSTANCES = {
     "generic": set(),
-    "generic-php": set(),
     "wordpress": WORDPRESS_INSTANCES,
     "drupal": {("user", "stdClass")},
     "joomla": {
@@ -50,28 +48,24 @@ INSTANCES = {
 }
 
 
-def _profile(name):
-    return resolve_profile(PhpSafeOptions(profile_name=name))
-
-
 def _pack_free_fingerprint(profile):
     return replace(profile, packs=()).fingerprint()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_profile_fingerprint_is_pinned(name):
-    assert _pack_free_fingerprint(_profile(name)) == PINNED[name]
+    assert _pack_free_fingerprint(resolve_profile(name)) == PINNED[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_profile_instances_are_pinned(name):
-    profile = _profile(name)
+    profile = resolve_profile(name)
     assert {(i.var_name, i.class_name) for i in profile.instances} == INSTANCES[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_only_pixy_models_register_globals(name):
-    assert _profile(name).register_globals is (name == "pixy-2007")
+    assert resolve_profile(name).register_globals is (name == "pixy-2007")
 
 
 def test_default_phpsafe_profile_is_wordpress():

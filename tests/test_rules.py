@@ -101,6 +101,32 @@ class TestPackLoading:
         assert pack.name == "mini"
         assert pack.sinks[0]["name"] == "readfile"
 
+    def test_loader_fills_entry_defaults(self, tmp_path):
+        document = dict(
+            MINIMAL,
+            sources=[{"name": "get_input"}],
+            reverts=[{"name": "undo", "kinds": ["xss"]}],
+        )
+        pack = load_pack(_write_pack(tmp_path, document))
+        assert pack.sources == (
+            {
+                "name": "get_input",
+                "vector": "Function",
+                "kinds": ("*",),
+                "class": None,
+                "superglobal": False,
+                "description": "",
+            },
+        )
+        assert pack.sinks[0]["args"] == (0,)
+        assert pack.sinks[0]["class"] is None
+        assert pack.reverts[0]["kinds"] == ("xss",)
+        assert pack.kinds[0] == MINIMAL["kinds"][0]
+        # the document is not rewritten: its hash is that of the bytes read
+        assert load_pack(_write_pack(tmp_path, document)).content_hash == (
+            pack.content_hash
+        )
+
     def test_content_hash_tracks_bytes_not_semantics(self, tmp_path):
         first = load_pack(_write_pack(tmp_path, MINIMAL, "a.json"))
         reformatted = tmp_path / "b.json"
@@ -203,9 +229,7 @@ class TestPackValidation:
 
 class TestCompilation:
     def test_compiled_profile_merges_collisions(self):
-        profile = resolve_profile(
-            PhpSafeOptions(rule_packs=tuple(builtin_pack_names()))
-        )
+        profile = resolve_profile("wordpress", tuple(builtin_pack_names()))
         # two packs sink file_get_contents: ssrf and traversal
         kinds = {
             sink.kind.value for sink in profile.function_sinks("file_get_contents")
@@ -216,15 +240,15 @@ class TestCompilation:
         assert {"lfi", "traversal"} <= {kind.value for kind in spec.kinds}
 
     def test_kind_universe_widens_only_with_pack_kinds(self):
-        base = resolve_profile(PhpSafeOptions())
+        base = resolve_profile("wordpress")
         assert base.kind_universe() is ALL_KINDS
-        packed = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
+        packed = resolve_profile("wordpress", ("ssrf",))
         universe = packed.kind_universe()
         assert ALL_KINDS < universe
         assert VulnKind("ssrf") in universe
 
     def test_profile_name_records_packs(self):
-        profile = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
+        profile = resolve_profile("wordpress", ("ssrf",))
         assert profile.name == "wordpress+ssrf"
         assert [pack_id[0] for pack_id in profile.packs] == [
             "generic",
@@ -234,7 +258,7 @@ class TestCompilation:
 
     def test_base_profiles_resolve_by_name(self):
         for name in ("wordpress", "drupal", "joomla", "generic", "pixy-2007"):
-            profile = resolve_profile(PhpSafeOptions(profile_name=name))
+            profile = resolve_profile(name)
             assert profile.name == name
             assert [pack_id[0] for pack_id in profile.packs] == list(PROFILES[name])
 
@@ -249,20 +273,19 @@ class TestCompilation:
                 "instances": [{"name": "db", "class": "LegacyDb"}],
             },
         )
-        options = PhpSafeOptions(profile_name="generic", rule_packs=(path,))
-        profile = resolve_profile(options)
+        profile = resolve_profile("generic", (path,))
         assert profile.register_globals
         assert profile.known_instance("db").class_name == "LegacyDb"
-        assert not resolve_profile(PhpSafeOptions(profile_name="generic")).register_globals
+        assert not resolve_profile("generic").register_globals
 
     def test_star_expands_to_the_final_kind_universe(self):
         # no pack declares a kind: "*" is the ALL_KINDS object itself,
         # which TaintState.from_label's fast path recognizes by identity
-        base = resolve_profile(PhpSafeOptions())
+        base = resolve_profile("wordpress")
         assert base.superglobal_source("_GET").kinds is ALL_KINDS
         assert base.function_filter("intval").kinds is ALL_KINDS
         # an ssrf pack widens every "*" entry of the profile's own packs
-        packed = resolve_profile(PhpSafeOptions(rule_packs=("ssrf",)))
+        packed = resolve_profile("wordpress", ("ssrf",))
         widened = packed.superglobal_source("_GET").kinds
         assert widened == packed.kind_universe() > ALL_KINDS
         assert packed.function_filter("intval").kinds is widened
@@ -270,11 +293,11 @@ class TestCompilation:
 
     def test_unknown_base_profile_is_typed(self):
         with pytest.raises(PackError):
-            resolve_profile(PhpSafeOptions(profile_name="no-such-cms"))
+            resolve_profile("no-such-cms")
 
     def test_cms_profile_fingerprints_differ(self):
         fingerprints = {
-            resolve_profile(PhpSafeOptions(profile_name=name)).fingerprint()
+            resolve_profile(name).fingerprint()
             for name in ("wordpress", "drupal", "joomla")
         }
         assert len(fingerprints) == 3
@@ -282,8 +305,8 @@ class TestCompilation:
     def test_pack_free_fingerprint_is_unchanged_by_engine(self):
         # with no --rule-pack the compiled profile is memoized: the same
         # object, hence the same fingerprint, for every analyzer
-        profile = resolve_profile(PhpSafeOptions())
-        assert resolve_profile(PhpSafeOptions(rule_packs=())) is profile
+        profile = resolve_profile("wordpress")
+        assert resolve_profile("wordpress", ()) is profile
         assert PhpSafe().profile is profile
         # the packs' own entries compile to the same knowledge base
         recompiled = compile_packs(
@@ -317,10 +340,9 @@ class TestFingerprintInvalidation:
 
     def test_pack_edit_shifts_profile_fingerprint_and_cache_keys(self, tmp_path):
         path = _write_pack(tmp_path, self.V1)
-        options = PhpSafeOptions(rule_packs=(path,))
-        before = resolve_profile(options).fingerprint()
+        before = resolve_profile("wordpress", (path,)).fingerprint()
         _write_pack(tmp_path, self.V2)
-        after = resolve_profile(options).fingerprint()
+        after = resolve_profile("wordpress", (path,)).fingerprint()
         assert before != after
         # the per-tier cache keys embed the fingerprint, so one edited
         # sink misses the summary, IR, and disk tiers at once
@@ -538,6 +560,16 @@ class TestRulesCli:
         assert "TRAVERSAL" in capsys.readouterr().out
         # drupal profile has no traversal sink knowledge at all
         assert main(["scan", str(target), "--profile", "drupal"]) == 0
+
+    def test_profile_flag_offers_phpsafe_profiles_only(self, tmp_path):
+        from repro.cli import SCAN_PROFILES, main
+
+        assert set(SCAN_PROFILES) < set(PROFILES)
+        target = tmp_path / "p.php"
+        target.write_text("<?php echo 1;", encoding="utf-8")
+        with pytest.raises(SystemExit):
+            main(["scan", str(target), "--profile", "pixy-2007"])
+        assert main(["scan", str(target), "--profile", "generic"]) == 0
 
     def test_rule_pack_rejected_for_baseline_tools(self, tmp_path):
         from repro.cli import main
