@@ -1,15 +1,15 @@
 """Batch scanning subsystem (paper Section VI performance work).
 
-Fans per-plugin analysis out over worker processes with crash/timeout
-isolation (:mod:`.scheduler`), each plugin one job of the routine every
-executor shares (:mod:`.job`, whose one lazy loop runs jobs
-in-process), backed by a disk-persistent parse cache
-(:mod:`.diskcache`), and reports wall time, throughput, cache hit rate
-and robustness incidents as JSON telemetry (:mod:`.telemetry`).
+Every plugin is one job (:mod:`.job`) on a job slot: :func:`.run_jobs`
+runs jobs in-process, and :mod:`.scheduler` fans a corpus out over
+worker-process slots with crash/timeout isolation.  A disk-persistent
+parse cache (:mod:`.diskcache`) backs both, and :mod:`.telemetry`
+reports wall time, throughput, cache hit rate and robustness incidents
+as JSON.
 """
 
 from .diskcache import DiskModelCache
-from .job import JobRecord, run_job, run_jobs
+from .job import JobRecord, JobSlot, run_job, run_jobs
 from .scheduler import (
     BatchOptions,
     BatchResult,
@@ -25,6 +25,7 @@ __all__ = [
     "BatchScanner",
     "DiskModelCache",
     "JobRecord",
+    "JobSlot",
     "PluginScanStats",
     "SCHEMA",
     "ScanTelemetry",

@@ -1,25 +1,28 @@
 """One plugin scan as one isolated job (paper Section V.E).
 
-Every executor runs a plugin through :func:`run_job`: the in-process
-loop :func:`run_jobs` (``jobs=1`` batch scans, the evaluation's serial
-runs and streaming scans), the batch process pool, the service's
-per-dispatcher worker process and its ``isolation="thread"`` mode.  A
-job that raises or overruns its deadline does not propagate: its
-report is a ``FileFailure(file="<plugin>", completed=False)`` with a
-fatal incident, and its :class:`JobRecord` says which outcome it had.
-Batch and service jobs differ only in whether the tool is asked for a
+Every plugin is one :func:`run_job`, run on a :class:`JobSlot`: inline
+on a tool (:func:`run_jobs`, the one in-process loop; the service's
+``isolation="thread"``), or in a worker process (``jobs=N`` batch
+scans, the service's default).  A job that raises, overruns its
+deadline or kills its worker does not propagate: its report is a
+``FileFailure(file="<plugin>", completed=False)`` with a fatal
+incident, and its :class:`JobRecord` says which outcome it had.  Batch
+and service jobs differ only in whether the tool is asked for a
 manifest (``rescan=True``, the service's diff-aware rescan).
 
 Deadlines use a ``SIGALRM`` interval timer that is armed only while a
 job with a timeout runs; the previous handler is restored afterwards.
-Signals belong to a process's main thread, so only that thread can run
-a job with a timeout.
+Signals belong to a process's main thread, so only that thread (or a
+slot's worker) can run a job with a timeout.
 """
 
 from __future__ import annotations
 
 import signal
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
@@ -65,7 +68,7 @@ def _failure_report(tool_name: str, plugin_slug: str, reason: str) -> ToolReport
 
 @dataclass
 class JobRecord:
-    """Everything one job produced; the process pools pickle it back."""
+    """Everything one job produced; a process slot pickles it back."""
 
     report: ToolReport
     #: "ok" | "timeout" | "error" | "crashed"
@@ -81,11 +84,6 @@ class JobRecord:
     @property
     def seconds(self) -> float:
         return self.report.seconds
-
-    @classmethod
-    def crashed(cls, tool_name: str, plugin_slug: str, reason: str) -> "JobRecord":
-        """A job whose worker died or whose result never came back."""
-        return cls(_failure_report(tool_name, plugin_slug, reason), "crashed")
 
     def stats(self, queued_seconds: float = 0.0) -> PluginScanStats:
         """This job's telemetry row."""
@@ -162,50 +160,98 @@ def run_job(
     return JobRecord(report, outcome, delta, new_manifest, rescan_stats)
 
 
+#: held while a slot submits a job, which forks its worker when it has
+#: none: a worker forked while another slot's fork is half done keeps
+#: that worker's death pipe open, and the other slot never sees it die
+_FORK_LOCK = threading.Lock()
+
+
+class JobSlot:
+    """Runs one :func:`run_job` at a time: inline on ``tool``, or else
+    in one worker process that builds its tool from the picklable
+    ``spec`` once and keeps it, warm caches included, across jobs.
+
+    A job that kills the worker comes back ``crashed`` and adds one to
+    :attr:`restarts`; the next job starts a fresh worker.  Any other
+    executor error (a report that cannot be pickled back) fails the job
+    the same way and keeps the worker.
+    """
+
+    def __init__(self, tool=None, timeout=None, spec=None, cache_dir=None) -> None:
+        self.tool = tool
+        self.timeout = timeout
+        self.spec = spec
+        self.cache_dir = cache_dir
+        #: worker processes this slot lost to a job
+        self.restarts = 0
+        self._worker: Optional[ProcessPoolExecutor] = None
+
+    def run(self, plugin: Plugin, manifest=None, rescan: bool = False) -> JobRecord:
+        if self.tool is not None:
+            return run_job(self.tool, plugin, manifest, self.timeout, rescan)
+        if self._worker is None:
+            self._worker = ProcessPoolExecutor(
+                1, initializer=_init_worker, initargs=(self.spec, self.cache_dir)
+            )
+        try:
+            with _FORK_LOCK:
+                future = self._worker.submit(
+                    _worker_job, plugin, manifest, self.timeout, rescan
+                )
+            return future.result()
+        except BrokenProcessPool:
+            self.close()
+            self.restarts += 1
+            reason = "worker process died during analysis"
+        except Exception as error:
+            reason = f"scheduler error: {error!r}"
+        report = _failure_report(self.spec.display_name, plugin.slug, reason)
+        return JobRecord(report, "crashed")
+
+    def close(self) -> None:
+        """Stop and reap the worker process, if one is running."""
+        if self._worker is not None:
+            self._worker.shutdown()
+            self._worker = None
+
+
 def run_jobs(
     tool: AnalyzerTool,
     plugins: Iterable[Plugin],
     telemetry: ScanTelemetry,
     timeout: Optional[float] = None,
 ) -> Iterator[Tuple[Plugin, JobRecord]]:
-    """Run ``plugins`` in this process, one :func:`run_job` each, and
-    yield ``(plugin, record)`` after folding the record's row into
-    ``telemetry``.
+    """Run ``plugins`` in this process, one :func:`run_job` each on an
+    inline :class:`JobSlot`, and yield ``(plugin, record)`` after
+    folding the record's row into ``telemetry``.
 
     ``plugins`` is pulled one plugin at a time, and the next one only
     after the caller has handled the previous record, so a generator
     corpus stays out of memory.  ``telemetry.wall_seconds`` is the
     run's wall time, the caller's per-record work included.
     """
+    slot = JobSlot(tool, timeout)
     start = time.perf_counter()
     try:
         for plugin in plugins:
-            record = run_job(tool, plugin, timeout=timeout)
+            record = slot.run(plugin)
             telemetry.record(record.stats())
             yield plugin, record
     finally:
         telemetry.wall_seconds = time.perf_counter() - start
 
 
-# -- pool worker side (runs in the worker processes) ------------------------
+# -- worker side (runs in a process slot's worker) --------------------------
 
-#: a pool worker process's tool and deadline, set by the pool
-#: initializer :func:`init_worker`; the submitting process never sets them
-_pool_tool: Optional[AnalyzerTool] = None
-_pool_timeout: Optional[float] = None
-
-
-def init_worker(spec, cache_dir: Optional[str], timeout: Optional[float]) -> None:
-    """Pool initializer: build the worker process's tool once."""
-    global _pool_tool, _pool_timeout
-    _pool_tool = spec.build_job_tool(cache_dir)
-    _pool_timeout = timeout
+#: a slot worker's tool, built once by :func:`_init_worker`; the process
+#: that owns the slot never sets it
+_worker_tool: Optional[AnalyzerTool] = None
 
 
-def pool_job(
-    plugin: Plugin,
-    manifest: Optional[Dict[str, object]] = None,
-    rescan: bool = False,
-) -> JobRecord:
-    """The process-pool task: one job on this worker's tool."""
-    return run_job(_pool_tool, plugin, manifest, _pool_timeout, rescan)  # type: ignore[arg-type]
+def _init_worker(spec, cache_dir: Optional[str]) -> None:
+    global _worker_tool
+    _worker_tool = spec.build_job_tool(cache_dir)
+
+
+def _worker_job(plugin: Plugin, manifest, timeout, rescan: bool) -> JobRecord:
+    return run_job(_worker_tool, plugin, manifest, timeout, rescan)  # type: ignore[arg-type]

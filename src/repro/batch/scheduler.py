@@ -1,12 +1,13 @@
 """Parallel batch scanning with per-plugin crash/timeout isolation.
 
 Per-plugin analysis is embarrassingly parallel (every plugin is an
-independent file set), so the scheduler fans a corpus out over a
-``ProcessPoolExecutor`` of analyzer workers.  Robustness follows the
-paper's Section V.E incident taxonomy: a worker that raises, exceeds
-its deadline or dies outright yields a ``FileFailure(file="<plugin>",
-completed=False)`` on that plugin's report instead of aborting the
-batch.
+independent file set), so ``jobs=N`` hands a corpus to N process job
+slots (:class:`~repro.batch.job.JobSlot`), each plugin to whichever
+slot is free, and returns the records in input order.  Robustness
+follows the paper's Section V.E incident taxonomy: a job that raises,
+exceeds its deadline or kills its worker yields a
+``FileFailure(file="<plugin>", completed=False)`` on that plugin's
+report instead of aborting the batch.
 
 Isolation mechanics:
 
@@ -14,27 +15,27 @@ Isolation mechanics:
   executor shares (:func:`repro.batch.job.run_job`): a raising or
   runaway plugin yields a failure report, and a ``SIGALRM`` interval
   timer interrupts a runaway mid-analysis.
-- *Process death* (segfault, ``os._exit``) breaks the whole pool; the
-  scheduler then restarts and re-runs each unresolved plugin in its own
-  single-worker pool, which pins the crash on the guilty plugin while
-  every innocent one still completes.
+- *Process death* (segfault, ``os._exit``) costs only the job that
+  caused it: its slot reports it ``crashed``, counts one worker
+  restart, and starts a fresh worker for its next plugin while the
+  other slots keep running.
 
 Workers are described by a picklable :class:`ToolSpec` (not a live tool
 instance) and share a persistent :class:`DiskModelCache` when a cache
 directory is configured, so repeated scans never re-parse unchanged
 files.  ``jobs=1`` runs the identical job routine in-process — same
-findings, no pool overhead, and no process-wide state left behind.
+findings, no worker overhead, and no process-wide state left behind.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import queue
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.cache import ModelCache
 from ..core.phpsafe import PhpSafe, PhpSafeOptions
@@ -42,7 +43,7 @@ from ..core.results import ToolReport, finding_signatures
 from ..core.tool import AnalyzerTool
 from ..plugin import Plugin
 from .diskcache import DiskModelCache
-from .job import JobRecord, init_worker, pool_job, run_jobs
+from .job import JobRecord, JobSlot, run_jobs
 from .telemetry import ScanTelemetry
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class ToolSpec:
 class BatchOptions:
     """Knobs of one batch scan."""
 
-    #: worker processes; 1 = run the worker pipeline in-process
+    #: worker processes; 1 = run the job routine in-process
     jobs: int = 1
     #: per-plugin deadline in seconds (None = no deadline)
     timeout: Optional[float] = None
@@ -160,67 +161,49 @@ class BatchScanner:
     def scan(self, plugins: Sequence[Plugin]) -> BatchResult:
         telemetry = ScanTelemetry(jobs=max(1, self.options.jobs))
         if self.options.jobs <= 1:
-            # the identical job routine, no pool
+            # the identical job routine, no worker process
             tool = self.spec.build_job_tool(self.options.cache_dir)
             run = run_jobs(tool, plugins, telemetry, self.options.timeout)
             records = [record for _plugin, record in run]
         else:
-            start = time.perf_counter()
-            records = self._scan_parallel(list(plugins), telemetry)
-            telemetry.wall_seconds = time.perf_counter() - start
-            for record in records:
-                telemetry.record(record.stats())
+            records = self._scan_parallel(plugins, telemetry)
         return BatchResult(
             reports=[record.report for record in records], telemetry=telemetry
-        )
-
-    def _pool(self, workers: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=init_worker,
-            initargs=(self.spec, self.options.cache_dir, self.options.timeout),
         )
 
     def _scan_parallel(
         self, plugins: Sequence[Plugin], telemetry: ScanTelemetry
     ) -> List[JobRecord]:
-        records: Dict[int, JobRecord] = {}
-        pool_broken = False
-        with self._pool(self.options.jobs) as executor:
-            futures = {
-                executor.submit(pool_job, plugin): index
-                for index, plugin in enumerate(plugins)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    records[index] = future.result()
-                except (BrokenProcessPool, CancelledError):
-                    # a worker died; which task killed it is unknown yet
-                    pool_broken = True
-                except Exception as error:
-                    records[index] = self._crashed(
-                        plugins[index], f"scheduler error: {error!r}"
-                    )
-        if pool_broken:
-            telemetry.worker_restarts += 1
-            for index, plugin in enumerate(plugins):
-                if index not in records:
-                    records[index] = self._isolate(plugin, telemetry)
-        return [records[index] for index in range(len(plugins))]
+        """Run each plugin on whichever of ``jobs`` process slots is
+        free; the records come back in input order."""
+        timeout, cache_dir = self.options.timeout, self.options.cache_dir
+        slots = [
+            JobSlot(timeout=timeout, spec=self.spec, cache_dir=cache_dir)
+            for _ in range(self.options.jobs)
+        ]
+        free: "queue.SimpleQueue[JobSlot]" = queue.SimpleQueue()
+        for slot in slots:
+            free.put(slot)
 
-    def _isolate(self, plugin: Plugin, telemetry: ScanTelemetry) -> JobRecord:
-        """Re-run one unresolved plugin in its own single-worker pool so
-        the crasher is identified and every innocent plugin completes."""
-        with self._pool(1) as solo:
+        def run(plugin: Plugin) -> JobRecord:
+            slot = free.get()
             try:
-                return solo.submit(pool_job, plugin).result()
-            except (BrokenProcessPool, CancelledError):
-                telemetry.worker_restarts += 1
-                return self._crashed(plugin, "worker process died during analysis")
+                return slot.run(plugin)
+            finally:
+                free.put(slot)
 
-    def _crashed(self, plugin: Plugin, reason: str) -> JobRecord:
-        return JobRecord.crashed(self.spec.display_name, plugin.slug, reason)
+        start = time.perf_counter()
+        try:
+            with ThreadPoolExecutor(len(slots)) as threads:
+                records = list(threads.map(run, plugins))
+        finally:
+            for slot in slots:
+                slot.close()
+        telemetry.wall_seconds = time.perf_counter() - start
+        telemetry.worker_restarts = sum(slot.restarts for slot in slots)
+        for record in records:
+            telemetry.record(record.stats())
+        return records
 
 
 def scan_corpus(

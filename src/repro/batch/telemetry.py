@@ -184,6 +184,7 @@ _FLEET_SUMMED = (
     "failed",
     "quarantined",
     "queue_wait_seconds",
+    "waits_recorded",
 )
 
 
@@ -230,7 +231,7 @@ def aggregate_fleet(
             "uptime_seconds": service.get("uptime_seconds", 0.0),
         }
     waits = service_totals.pop("queue_wait_seconds")
-    completed = service_totals["completed"]
+    recorded = service_totals["waits_recorded"]
     return {
         "schema": SCHEMA,
         "nodes": {
@@ -241,7 +242,7 @@ def aggregate_fleet(
         "service": {
             **{key: round(value, 6) for key, value in service_totals.items()},
             "queue_wait_seconds": round(waits, 6),
-            "mean_queue_wait": round(waits / completed, 6) if completed else 0.0,
+            "mean_queue_wait": round(waits / recorded, 6) if recorded else 0.0,
             "jobs_per_minute": round(jobs_per_minute, 3),
         },
         "queue": queue_totals,

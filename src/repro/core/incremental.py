@@ -223,7 +223,7 @@ class RescanStats:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON/pickle-friendly form (service result documents,
-        process-pool result channel)."""
+        a process slot's result channel)."""
         return {
             "roots_total": self.roots_total,
             "roots_reused": self.roots_reused,

@@ -13,7 +13,7 @@ file, read the findings off the returned report.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from ..config.profiles import AnalyzerProfile
@@ -55,11 +55,17 @@ class PhpSafeOptions:
     #: recovery plus per-unit engine isolation.  ``False`` (the CLI's
     #: ``--strict``) reproduces the historical all-or-nothing behaviour.
     recover: bool = True
-    #: Per-file wall-clock deadline, in seconds, for the serial path
-    #: (the batch path gets its timeout from SIGALRM).  Only honoured
-    #: with ``recover=True``; overrides ``engine.unit_deadline``.
+    #: Wall-clock deadline, in seconds, per analysis unit (the batch
+    #: path gets its per-plugin timeout from SIGALRM).  Only honoured
+    #: with ``recover=True``.
     file_deadline: Optional[float] = None
-    engine: EngineOptions = field(default_factory=EngineOptions)
+    #: Engine budgets, as documented on
+    #: :class:`~repro.core.engine.EngineOptions`.
+    step_budget: int = 4_000_000
+    max_include_depth: int = 16
+    max_trace: int = 12
+    unit_step_budget: Optional[int] = None
+    max_eval_depth: int = 500
 
 
 #: Process-wide L1 artifact cache: parse models, lowered IR and function
@@ -225,28 +231,21 @@ class PhpSafe(AnalyzerTool):
         track_units: bool = False,
         reuse_roots: FrozenSet[str] = frozenset(),
     ) -> EngineOptions:
-        unit_deadline = self.options.engine.unit_deadline
-        if self.options.file_deadline is not None:
-            unit_deadline = self.options.file_deadline
+        options = self.options
         return EngineOptions(
-            oop=self.options.oop,
-            analyze_uncalled=self.options.analyze_uncalled,
+            oop=options.oop,
+            analyze_uncalled=options.analyze_uncalled,
             analyze_methods_standalone=True,
-            use_summaries=self.options.use_summaries,
-            recover=self.options.recover,
-            unit_deadline=unit_deadline,
+            use_summaries=options.use_summaries,
+            step_budget=options.step_budget,
+            max_include_depth=options.max_include_depth,
+            max_trace=options.max_trace,
+            recover=options.recover,
+            unit_step_budget=options.unit_step_budget,
+            unit_deadline=options.file_deadline,
+            max_eval_depth=options.max_eval_depth,
             track_units=track_units,
             reuse_roots=reuse_roots,
-            **{
-                key: getattr(self.options.engine, key)
-                for key in (
-                    "step_budget",
-                    "max_include_depth",
-                    "max_trace",
-                    "unit_step_budget",
-                    "max_eval_depth",
-                )
-            },
         )
 
     @collector_paused()

@@ -42,8 +42,8 @@ def collector_paused() -> Iterator[None]:
 
     Assumes no process forks while an analysis is running: a forked
     child would inherit a disabled collector and a depth it can never
-    bring back to zero.  No batch pool or service executor forks inside
-    an analysis.
+    bring back to zero.  No job slot forks its worker inside an
+    analysis.
     """
     global _pause_depth, _pause_resume
     with _pause_lock:

@@ -9,23 +9,24 @@ subsystem already provides: the persistent
 submissions of mostly-unchanged plugins are near-free), the SIGALRM
 per-job deadline, and the typed incident taxonomy for timeouts/crashes.
 
-Two isolation levels:
+Every dispatcher thread owns one :class:`~repro.batch.job.JobSlot`,
+the executor the batch scanner runs its jobs on too.  Two isolation
+levels pick its kind:
 
 ``process`` (default)
-    Every dispatcher thread owns a single-process
-    ``ProcessPoolExecutor`` built with the batch pool's initializer and
-    task.  A job that kills its worker process (segfault, ``os._exit``)
-    breaks only that executor: the job is failed with a fatal incident,
-    the executor is rebuilt, and the pool keeps serving.  Any other
-    executor error (a result that cannot be pickled back) fails the job
-    the same way.  The worker process persists across jobs, keeping its
-    in-memory cache tiers warm.
+    A process slot.  A job that kills its worker process (segfault,
+    ``os._exit``) is failed with a fatal incident and counts one worker
+    restart; the slot starts a fresh worker for the next job and the
+    pool keeps serving.  Any other executor error (a result that cannot
+    be pickled back) fails the job the same way.  The worker process
+    persists across jobs, keeping its in-memory cache tiers warm.
 
 ``thread``
-    The analysis runs inside the dispatcher thread itself — no fork,
-    used by tests and fork-hostile environments.  Deadlines degrade to
-    the engine's per-unit ``file_deadline`` and a hard crash would take
-    the daemon down, which is why it is not the default.
+    An inline slot: the analysis runs inside the dispatcher thread
+    itself — no fork, used by tests and fork-hostile environments.
+    Deadlines degrade to the engine's per-unit ``file_deadline`` and a
+    hard crash would take the daemon down, which is why it is not the
+    default.
 
 Per-job perf attribution uses :func:`repro.perf.scoped` inside the job
 routine, which is race-free under concurrent workers because the
@@ -38,19 +39,15 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from ..batch.job import JobRecord, init_worker, pool_job, run_job
+from ..batch.job import JobSlot
 from ..batch.scheduler import ToolSpec
 from ..batch.telemetry import ScanTelemetry, ServiceStats
 from ..core.phpsafe import PhpSafeOptions
 from ..core.results import ToolReport
 from ..core.review import to_json
-from ..core.tool import AnalyzerTool
-from ..plugin import Plugin
 from .queue import Job, JobQueue
 from .sarif import to_sarif
 from .store import ResultStore
@@ -82,14 +79,6 @@ def result_document(
         "report": json.loads(to_json(report)),
         "sarif": to_sarif(report),
     }
-
-
-class _WorkerState:
-    """Per-dispatcher-thread lazily built scan machinery."""
-
-    def __init__(self) -> None:
-        self.executor: Optional[ProcessPoolExecutor] = None
-        self.tool = None  # thread-isolation analyzer instance
 
 
 class WorkerPool:
@@ -169,7 +158,7 @@ class WorkerPool:
     # -- dispatcher loop ---------------------------------------------------
 
     def _run(self) -> None:
-        state = _WorkerState()
+        slot = self._slot()
         try:
             while not self._stop.is_set():
                 job = self.queue.claim()
@@ -177,12 +166,11 @@ class WorkerPool:
                     # nothing queued: idle until work or shutdown
                     self._stop.wait(self.poll_interval)
                     continue
-                self._execute(job, state)
+                self._execute(job, slot)
         finally:
-            if state.executor is not None:
-                state.executor.shutdown(wait=False)
+            slot.close()
 
-    def _execute(self, job: Job, state: _WorkerState) -> None:
+    def _execute(self, job: Job, slot: JobSlot) -> None:
         plugin = self.store.load_plugin(job.digest)
         if plugin is None:
             self.queue.fail(job.id, "plugin payload missing from store")
@@ -195,7 +183,8 @@ class WorkerPool:
         manifest = self.store.latest_manifest(
             plugin.name, job.fingerprint, exclude_digest=job.digest
         )
-        record = self._scan(plugin, state, manifest)
+        restarts = slot.restarts
+        record = slot.run(plugin, manifest, rescan=True)
         document = result_document(job, record.report, record.outcome, record.rescan)
         self.store.put_result(job.digest, job.fingerprint, document)
         # count the run before publishing its state: a poller that sees
@@ -203,6 +192,7 @@ class WorkerPool:
         row = record.stats(job.queued_seconds)
         with self._lock:
             self.telemetry.record(row)
+            self.telemetry.worker_restarts += slot.restarts - restarts
             self.stats.queue_wait_seconds += job.queued_seconds
             self.stats.waits_recorded += 1
             if record.outcome == "ok":
@@ -217,39 +207,14 @@ class WorkerPool:
         else:
             self.queue.fail(job.id, f"analysis {record.outcome}")
 
-    # -- the scan itself ---------------------------------------------------
+    # -- the slot ----------------------------------------------------------
 
-    def _scan(
-        self,
-        plugin: Plugin,
-        state: _WorkerState,
-        manifest: Optional[Dict[str, object]],
-    ) -> JobRecord:
-        if self.isolation == "thread":
-            if state.tool is None:
-                state.tool = self._thread_tool()
-            return run_job(state.tool, plugin, manifest, rescan=True)
-        if state.executor is None:
-            state.executor = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=init_worker,
-                initargs=(self.spec, self.cache_dir, self.timeout),
+    def _slot(self) -> JobSlot:
+        """This dispatcher thread's job slot."""
+        if self.isolation == "process":
+            return JobSlot(
+                timeout=self.timeout, spec=self.spec, cache_dir=self.cache_dir
             )
-        try:
-            return state.executor.submit(pool_job, plugin, manifest, True).result()
-        except BrokenProcessPool:
-            state.executor.shutdown(wait=False)
-            state.executor = None
-            with self._lock:
-                self.telemetry.worker_restarts += 1
-            reason = "worker process died during analysis"
-        except Exception as error:
-            # e.g. a report that cannot be pickled back: the worker
-            # lives on, the job fails, the dispatcher keeps serving
-            reason = f"scheduler error: {error!r}"
-        return JobRecord.crashed(self.spec.display_name, plugin.slug, reason)
-
-    def _thread_tool(self) -> AnalyzerTool:
         spec = self.spec
         if spec.name == "phpsafe" and self.timeout:
             # no SIGALRM off the main thread: degrade the job deadline
@@ -259,4 +224,4 @@ class WorkerPool:
                 spec = replace(spec, options=replace(options, file_deadline=self.timeout))
         # per-thread instance: the memory LRU is not thread-safe, but
         # the content-addressed disk tier is shared by design
-        return spec.build_job_tool(self.cache_dir)
+        return JobSlot(spec.build_job_tool(self.cache_dir))

@@ -1,6 +1,7 @@
 """Batch scanning subsystem: scheduler, isolation, telemetry, disk cache."""
 
 import json
+import multiprocessing
 import os
 import signal
 import sys
@@ -57,6 +58,22 @@ class CrashingTool(AnalyzerTool):
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         report.files_analyzed = plugin.file_count
         return report
+
+
+class LoggingCrasher(AnalyzerTool):
+    """Appends each plugin it starts to the file named by
+    ``$SCAN_LOG``, then dies hard on ``p1`` and takes a while on every
+    other plugin, so a death overlaps the other worker's job."""
+
+    name = "logger"
+
+    def analyze(self, plugin: Plugin) -> ToolReport:
+        with open(os.environ["SCAN_LOG"], "a") as log:
+            log.write(plugin.name + "\n")
+        if plugin.name == "p1":
+            os._exit(13)
+        time.sleep(0.2)
+        return ToolReport(tool=self.name, plugin=plugin.slug)
 
 
 class SleepyTool(AnalyzerTool):
@@ -135,6 +152,8 @@ def run_on(executor, tmp_path, plugins, spec=None, timeout=None):
     if executor in ("in-process", "batch-pool"):
         jobs = 1 if executor == "in-process" else 2
         result = scan_corpus(plugins, jobs=jobs, timeout=timeout, spec=spec)
+        # no worker outlives the scan, whatever happened to its jobs
+        assert multiprocessing.active_children() == []
         outcomes = [stats.outcome for stats in result.telemetry.plugins]
         results = {
             report.plugin: (outcome, json.loads(to_json(report)))
@@ -238,7 +257,30 @@ class TestJobExecutors:
             assert results["gamma"][1]["files_analyzed"] == 1
             assert telemetry.crashes == 1
         if telemetry is not None:
-            assert (telemetry.worker_restarts >= 1) == (case == "dead")
+            # one worker death is one restart
+            assert telemetry.worker_restarts == (1 if case == "dead" else 0)
+
+
+class TestWorkerDeath:
+    def test_death_loses_only_its_own_job(self, tmp_path, monkeypatch):
+        """A worker death costs the job that caused it and nothing
+        else: every other plugin is analyzed exactly once."""
+        log = tmp_path / "scans.log"
+        monkeypatch.setenv("SCAN_LOG", str(log))
+        plugins = [
+            Plugin(name=f"p{index}", files={"index.php": "<?php 1;"})
+            for index in range(6)
+        ]
+        spec = ToolSpec(name="tests.test_batch:LoggingCrasher")
+        result = scan_corpus(plugins, jobs=2, spec=spec)
+        outcomes = [stats.outcome for stats in result.telemetry.plugins]
+        assert outcomes == ["ok", "crashed", "ok", "ok", "ok", "ok"]
+        scanned = log.read_text().split()
+        for plugin in plugins:
+            if plugin.name != "p1":
+                assert scanned.count(plugin.name) == 1, scanned
+        assert result.telemetry.worker_restarts == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestInProcessLeavesNoState:

@@ -158,9 +158,8 @@ class TestResilience:
 
     def test_step_budget_aborts_gracefully(self):
         from repro.core import PhpSafeOptions
-        from repro.core.engine import EngineOptions
 
-        options = PhpSafeOptions(engine=EngineOptions(step_budget=50))
+        options = PhpSafeOptions(step_budget=50)
         report = analyze("<?php " + "echo 'x';" * 100, PhpSafe(options=options))
         assert any("budget" in failure.reason for failure in report.failures)
 

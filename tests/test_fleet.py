@@ -33,6 +33,7 @@ from repro.service import (
 from repro.service.fleet import DOWN, UP
 from repro.service.server import spec_fingerprint
 from repro.batch import ToolSpec
+from repro.batch.telemetry import ServiceStats, aggregate_fleet
 
 VULN = "<?php echo $_GET['q'];"
 
@@ -500,6 +501,15 @@ class TestFleetCoordinator:
             assert metrics["fleet"]["dispatched"] >= 1
         finally:
             stop_fleet(coordinator, services)
+        # the fleet's mean wait divides by the waits summed, which
+        # cover failed jobs too, exactly as each node's own mean does
+        node = ServiceStats(
+            completed=1, failed=2, queue_wait_seconds=3.0, waits_recorded=3
+        )
+        document = {"service": node.to_dict()}
+        fleet = aggregate_fleet({"node0": document, "node1": None})["service"]
+        assert node.mean_queue_wait == fleet["mean_queue_wait"] == 1.0
+        assert fleet["waits_recorded"] == 3
 
 
 class _Unreachable:

@@ -18,7 +18,6 @@ from repro.core import (
     PhpSafe,
     PhpSafeOptions,
 )
-from repro.core.engine import EngineOptions
 from repro.core.model import PluginModel
 from repro.php import PhpParseError, parse_source
 from repro.php import ast_nodes as ast
@@ -152,7 +151,7 @@ class TestEngineIsolation:
 
     def test_unit_budget_isolates_heavy_function(self):
         """One budget-exhausting function must not stop the others."""
-        options = PhpSafeOptions(engine=EngineOptions(unit_step_budget=300))
+        options = PhpSafeOptions(unit_step_budget=300)
         report = PhpSafe(options=options).analyze(self.heavy_plugin())
         assert any(f.file == "vuln.php" for f in report.findings)
         faults = [i for i in report.incidents if "step budget" in i.reason]
@@ -179,7 +178,7 @@ class TestEngineIsolation:
                 "vuln.php": "<?php echo $_GET['q'];\n",
             },
         )
-        options = PhpSafeOptions(engine=EngineOptions(max_eval_depth=20))
+        options = PhpSafeOptions(max_eval_depth=20)
         report = PhpSafe(options=options).analyze(plugin)
         # the deep unit degrades to a recovered incident; the other
         # file's finding survives
@@ -189,7 +188,7 @@ class TestEngineIsolation:
         )
 
     def test_global_budget_still_fatal(self):
-        options = PhpSafeOptions(engine=EngineOptions(step_budget=50))
+        options = PhpSafeOptions(step_budget=50)
         report = PhpSafe(options=options).analyze(self.heavy_plugin())
         assert any(
             i.severity is IncidentSeverity.FATAL for i in report.incidents

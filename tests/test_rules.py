@@ -353,10 +353,10 @@ class TestFingerprintInvalidation:
         path = _write_pack(tmp_path, self.V1)
         options = PhpSafeOptions(rule_packs=(path,))
         tool_v1 = PhpSafe(options=options, use_process_cache=False)
-        first = tool_v1._summary_fingerprint(tool_v1.options.engine)
+        first = tool_v1._summary_fingerprint(tool_v1._engine_options())
         _write_pack(tmp_path, self.V2)
         tool_v2 = PhpSafe(options=options, use_process_cache=False)
-        second = tool_v2._summary_fingerprint(tool_v2.options.engine)
+        second = tool_v2._summary_fingerprint(tool_v2._engine_options())
         assert first != second
 
     def test_disk_cache_not_reused_across_pack_edits(self, tmp_path):

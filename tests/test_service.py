@@ -417,7 +417,7 @@ class TestServiceIntegration:
             assert status["result"]["outcome"] == "crashed"
             incidents = status["result"]["report"]["incidents"]
             assert any(i["severity"] == "fatal" for i in incidents)
-            assert service.pool.telemetry.worker_restarts >= 1
+            assert service.pool.telemetry.worker_restarts == 1
         finally:
             service.shutdown()
 
