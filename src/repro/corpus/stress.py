@@ -42,10 +42,12 @@ class StressTier:
     ``BENCH_scale.json`` records.  It is a *contract*, not a
     measurement: streaming evaluation must hold peak RSS under it at
     this tier regardless of corpus size, which accumulating mode cannot
-    promise.  The catalog pins the same 256 MB budget on every tier
+    promise.  The catalog pins the same 176 MB budget on every tier
     deliberately — flat memory across a 16x corpus-size range is the
     streaming claim, and the entry-bounded accumulating path breaks
-    the shared budget once the corpus crosses a million LOC.
+    the shared budget once the corpus crosses a million LOC.  The
+    budget keeps about 80 MB of headroom over the largest streaming
+    peak, so a change that grows every peak trips it.
     """
 
     name: str
@@ -100,7 +102,7 @@ TIERS: Dict[str, StressTier] = {
             chain_loc=50,
             huge_plugins=4,
             huge_loc=9000,
-            streaming_rss_mb=256,
+            streaming_rss_mb=176,
         ),
         StressTier(
             name="scale-quarter",
@@ -111,7 +113,7 @@ TIERS: Dict[str, StressTier] = {
             chain_loc=50,
             huge_plugins=18,
             huge_loc=9000,
-            streaming_rss_mb=256,
+            streaming_rss_mb=176,
         ),
         StressTier(
             name="scale-1m",
@@ -122,7 +124,7 @@ TIERS: Dict[str, StressTier] = {
             chain_loc=50,
             huge_plugins=60,
             huge_loc=12000,
-            streaming_rss_mb=256,
+            streaming_rss_mb=176,
         ),
     )
 }

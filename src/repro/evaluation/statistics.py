@@ -15,15 +15,9 @@ produces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
-
-import numpy
-
-try:  # pragma: no cover - environment probe
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
+from typing import Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,9 +46,15 @@ def bootstrap_rate(
     confidence: float = 0.95,
     seed: int = 20150622,  # DSN 2015 conference date: determinism
 ) -> Interval:
-    """CI for a binomial rate (precision = TP over reported, etc.)."""
+    """CI for a binomial rate (precision = TP over reported, etc.).
+
+    Needs numpy (the ``stats`` extra); it is imported here, not at
+    module load, so that importing :mod:`repro` stays dependency-free.
+    """
     if total == 0:
         return Interval(point=0.0, low=0.0, high=0.0, confidence=confidence)
+    import numpy
+
     rng = numpy.random.default_rng(seed)
     outcomes = numpy.zeros(total)
     outcomes[:successes] = 1.0
@@ -80,7 +80,7 @@ class PairedComparison:
     only_a: int
     only_b: int
     neither: int
-    p_value: Optional[float]
+    p_value: float
 
     @property
     def discordant(self) -> int:
@@ -88,28 +88,28 @@ class PairedComparison:
 
     @property
     def significant(self) -> bool:
-        return self.p_value is not None and self.p_value < 0.05
+        return self.p_value < 0.05
 
     def __str__(self) -> str:
-        p_text = f"p={self.p_value:.2g}" if self.p_value is not None else "p=n/a"
         return (
             f"{self.tool_a} vs {self.tool_b}: both={self.both} "
             f"only-{self.tool_a}={self.only_a} only-{self.tool_b}={self.only_b} "
-            f"neither={self.neither} ({p_text})"
+            f"neither={self.neither} (p={self.p_value:.2g})"
         )
 
 
-def _mcnemar_p(only_a: int, only_b: int) -> Optional[float]:
-    """Exact binomial McNemar p-value on the discordant pairs."""
+def _mcnemar_p(only_a: int, only_b: int) -> float:
+    """Exact binomial McNemar p-value on the discordant pairs.
+
+    The two-sided binomial test at p = 1/2 is symmetric, so its p-value
+    is twice the lower tail up to the smaller discordant count, capped
+    at 1: ``min(1, 2 * sum(C(n, i) for i <= k) / 2**n)``.  The sum is
+    an exact integer; the one division rounds once.
+    """
     discordant = only_a + only_b
-    if discordant == 0:
-        return 1.0
-    if _scipy_stats is not None:
-        result = _scipy_stats.binomtest(
-            min(only_a, only_b), discordant, 0.5, alternative="two-sided"
-        )
-        return float(result.pvalue)
-    return None  # pragma: no cover - scipy is an install-time dependency
+    smaller = min(only_a, only_b)
+    tail = sum(math.comb(discordant, i) for i in range(smaller + 1))
+    return min(1.0, 2 * tail / 2**discordant)
 
 
 def compare_tools(

@@ -16,3 +16,12 @@ def analyze(source: str, tool=None):
 
 def findings_of(source: str, tool=None):
     return analyze(source, tool).findings
+
+
+#: Prefix for a subprocess script: from here on ``import numpy`` and
+#: ``import scipy`` raise ImportError, so the script runs as if only the
+#: declared runtime dependencies (none) were installed.
+WITHOUT_OPTIONAL_PACKAGES = (
+    "import sys\n"
+    'sys.modules["numpy"] = sys.modules["scipy"] = None\n'
+)

@@ -3,7 +3,9 @@
 Every named profile is compiled from packs under ``repro/rules/packs``,
 so a build that copied only ``.py`` files would install an analyzer
 without its default knowledge base.  The test builds the project into a
-temporary directory and runs the built copy, not the source tree.
+temporary directory and runs the built copy, not the source tree, with
+numpy and scipy blocked: the built copy must run on its declared
+dependencies alone.
 """
 
 import os
@@ -12,11 +14,11 @@ import subprocess
 import sys
 
 from repro.rules import PROFILES, builtin_pack_dir, builtin_pack_names
+from tests.helpers import WITHOUT_OPTIONAL_PACKAGES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-CHECK = """
-import sys
+CHECK = WITHOUT_OPTIONAL_PACKAGES + """
 import repro
 from repro.core import PhpSafe
 from repro.rules import PROFILES, builtin_pack_names, load_pack, resolve_profile

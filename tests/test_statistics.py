@@ -1,11 +1,13 @@
 """Tests for the evaluation statistics (bootstrap CIs, McNemar)."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.evaluation.statistics import (
     Interval,
     bootstrap_rate,
+    _mcnemar_p,
     compare_tools,
     pairwise_comparisons,
     tool_intervals,
@@ -78,6 +80,31 @@ class TestMcNemar:
     def test_str(self):
         comparison = compare_tools("A", {"x"}, "B", set(), {"x"})
         assert "A vs B" in str(comparison)
+
+
+class TestExactMcNemarP:
+    def test_one_sided_discordance(self):
+        # 10 discordant pairs all one way: 2 * C(10, 0) / 2**10
+        assert _mcnemar_p(0, 10) == 2 / 1024
+        assert _mcnemar_p(10, 0) == 2 / 1024
+
+    def test_balanced_discordance_is_one(self):
+        for count in range(0, 40):
+            assert _mcnemar_p(count, count) == 1.0
+
+    def test_matches_scipy_binomtest(self):
+        stats = pytest.importorskip("scipy.stats")
+        for discordant in range(1, 201):
+            # the test is symmetric in (only_a, only_b): half the splits
+            for smaller in range(discordant // 2 + 1):
+                expected = stats.binomtest(smaller, discordant, 0.5).pvalue
+                for only_a in (smaller, discordant - smaller):
+                    assert _mcnemar_p(
+                        only_a, discordant - only_a
+                    ) == pytest.approx(expected, rel=1e-12, abs=0.0), (
+                        only_a,
+                        discordant,
+                    )
 
 
 class TestOnEvaluation:
