@@ -13,7 +13,9 @@ Exercises the diff-aware workflow CI cares about, through the real CLI:
 4. revert the mutation and prove the gate passes again,
 5. drive ``PhpSafe.rescan`` directly on the mutated plugin and prove
    the incremental path reused prior analysis units and produced the
-   same findings as a cold scan.
+   same findings as a cold scan,
+6. repeat step 5 in strict mode (``recover=False``): strict scans run
+   the same analysis units, so they reuse roots too.
 
 Stdlib only; run from the repo root::
 
@@ -29,7 +31,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cli import main as cli_main  # noqa: E402
-from repro.core import ModelCache, PhpSafe  # noqa: E402
+from repro.core import ModelCache, PhpSafe, PhpSafeOptions  # noqa: E402
 from repro.core.results import finding_signatures  # noqa: E402
 from repro.corpus.generator import build_corpus  # noqa: E402
 
@@ -107,26 +109,36 @@ def main():
     check(code == 0, "reverted plugin passes --fail-on new again")
 
     # 5. the incremental engine path itself: manifest-driven rescan of a
-    #    one-file change reuses units and matches the cold scan exactly
-    tool = PhpSafe(cache=ModelCache())
-    _report, manifest, _stats = tool.rescan(plugin)
+    #    one-file change reuses units and matches the cold scan exactly;
+    # 6. the same in strict mode; the edit closes the PHP block first so
+    #    the strict parser accepts it too
     mutated_files = dict(plugin.files)
-    mutated_files[target] += "\n<?php echo $_GET['rescan_smoke_mutation'];\n"
+    mutated_files[target] += "\n?><?php echo $_GET['rescan_smoke_mutation'];\n"
     import dataclasses
 
     mutated = dataclasses.replace(plugin, files=mutated_files)
-    warm_report, _manifest2, stats = tool.rescan(mutated, manifest)
-    cold_report = PhpSafe().analyze(mutated)
-    check(stats.incremental, "rescan took the incremental path")
-    check(stats.roots_reused > 0, "rescan reused prior analysis roots")
-    check(
-        finding_signatures([warm_report]) == finding_signatures([cold_report]),
-        "incremental findings identical to cold scan",
-    )
-    print(
-        f"rescan smoke ok — {stats.roots_reused}/{stats.roots_total} roots"
-        f" reused on a one-file change"
-    )
+    for mode, options in (
+        ("", PhpSafeOptions()),
+        ("strict ", PhpSafeOptions(recover=False)),
+    ):
+        tool = PhpSafe(options=options, cache=ModelCache())
+        _report, manifest, _stats = tool.rescan(plugin)
+        warm_report, _manifest2, stats = tool.rescan(mutated, manifest)
+        cold_report = PhpSafe(options=options).analyze(mutated)
+        check(target not in cold_report.failed_files, f"{mode}edit parses")
+        check(stats.incremental, f"{mode}rescan took the incremental path")
+        check(
+            0 < stats.roots_reused < stats.roots_total,
+            f"{mode}rescan reused prior analysis roots and re-ran the edit",
+        )
+        check(
+            finding_signatures([warm_report]) == finding_signatures([cold_report]),
+            f"{mode}incremental findings identical to cold {mode}scan",
+        )
+        print(
+            f"{mode}rescan smoke ok — {stats.roots_reused}/{stats.roots_total}"
+            f" roots reused on a one-file change"
+        )
 
 
 if __name__ == "__main__":

@@ -121,7 +121,6 @@ class PixyLike(AnalyzerTool):
         options = EngineOptions(
             oop=False,
             analyze_uncalled=False,
-            analyze_methods_standalone=False,
             unknown_call_policy="propagate",
             construct_kinds=PAPER_KINDS,  # Pixy: XSS and SQLi only
         )

@@ -52,7 +52,6 @@ class RipsLike(AnalyzerTool):
         options = EngineOptions(
             oop=False,
             analyze_uncalled=True,
-            analyze_methods_standalone=True,
             unknown_call_policy="propagate",
         )
         engine = IRTaintEngine(model, self.profile, options)

@@ -846,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--trace", action="store_true", help="print flow traces")
     scan.add_argument(
         "--strict", action="store_true",
-        help="disable error recovery (a parse error skips the whole file)",
+        help="disable error recovery (a parse error skips the whole file, "
+        "a unit fault fails the scan)",
     )
     scan.add_argument(
         "--show-incidents", action="store_true",

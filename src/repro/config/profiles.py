@@ -27,7 +27,7 @@ from .entries import (
     SinkSpec,
     SourceSpec,
 )
-from .vulnerability import ALL_KINDS, VulnKind
+from .vulnerability import ALL_KINDS
 
 #: Pack identity: (pack name, version, content hash).
 PackId = Tuple[str, str, str]
@@ -175,12 +175,6 @@ class AnalyzerProfile:
         if len(kinds) == len(ALL_KINDS):
             return ALL_KINDS
         return frozenset(kinds)
-
-    def sink_kinds(self) -> Tuple[VulnKind, ...]:
-        """Kinds that can actually produce findings under this profile
-        (a sink exists), in registry order — drives SARIF rule arrays."""
-        present = {snk.kind for snk in self.sinks}
-        return tuple(kind for kind in VulnKind.registered() if kind in present)
 
     def fingerprint(self) -> str:
         """Stable digest of the knowledge base's semantics.

@@ -77,18 +77,11 @@ class EngineOptions:
     oop: bool = True
     #: Analyze functions never called from plugin code (entry points).
     analyze_uncalled: bool = True
-    #: When analyzing uncalled code, include class methods (RIPS scans
-    #: method bodies procedurally; Pixy skips them entirely).
-    analyze_methods_standalone: bool = True
     #: Memoize function summaries (paper: "every function is analyzed
     #: only the first time it is called").  Off = re-analyze per call.
     use_summaries: bool = True
     #: Node-visit budget per plugin; exceeding aborts remaining analysis.
     step_budget: int = 4_000_000
-    #: Maximum include nesting depth followed inline.
-    max_include_depth: int = 16
-    #: Cap on flow-trace length kept per value (reporting only).
-    max_trace: int = 12
     #: Kinds checked at language-construct sinks (backticks, include):
     #: a 2007-era tool like Pixy never looks beyond XSS/SQLi.
     construct_kinds: frozenset = ALL_KINDS
@@ -99,23 +92,23 @@ class EngineOptions:
     #: like ``echo esc_html($_GET[...])`` are still reported — the
     #: false-positive population Table I measures for RIPS).
     unknown_call_policy: str = "clean"
-    #: Per-unit fault isolation (paper Section V.E robustness): each
+    #: What a unit fault does (paper Section V.E robustness).  Every
     #: analysis unit — a function summary or a top-level file walk —
-    #: runs inside its own fault boundary, so one pathological unit
-    #: degrades to a recorded incident instead of aborting the plugin.
-    #: ``False`` reproduces the historical all-or-nothing behaviour.
+    #: runs inside its own fault boundary; with ``recover`` a faulting
+    #: unit degrades to a recorded incident and the rest continue,
+    #: without it the fault fails the whole scan.  An exhausted
+    #: plugin-wide ``step_budget`` stops the remaining units either way.
     recover: bool = False
     #: Step-budget slice per analysis unit (None = only the plugin-wide
-    #: ``step_budget`` applies).  Only honoured with ``recover=True``.
+    #: ``step_budget`` applies).
     unit_step_budget: Optional[int] = None
     #: Wall-clock deadline per analysis unit, in seconds (None = no
     #: deadline).  Gives the serial path the timeout the batch path gets
-    #: from SIGALRM.  Only honoured with ``recover=True``.
+    #: from SIGALRM.
     unit_deadline: Optional[float] = None
-    #: Nesting cap on executed statements and expressions under
-    #: ``recover=True``: degenerate nesting (one-line concat chains of
-    #: thousands of terms) trips a unit fault instead of a
-    #: ``RecursionError`` deep in the stack.
+    #: Nesting cap on executed statements and expressions: degenerate
+    #: nesting (one-line concat chains of thousands of terms) trips a
+    #: unit fault instead of a ``RecursionError`` deep in the stack.
     max_eval_depth: int = 500
     #: Record per-unit state footprints (globals/properties/statics read
     #: and written, dependency files) for incremental rescans.  Off by
@@ -123,10 +116,14 @@ class EngineOptions:
     track_units: bool = False
     #: Root files whose analysis units are skipped because a prior scan
     #: manifest proved them unchanged and uncoupled; their findings are
-    #: carried forward by the incremental driver.  Requires
-    #: ``recover=True`` (the unit structure is what gets skipped).
+    #: carried forward by the incremental driver.
     reuse_roots: FrozenSet[str] = frozenset()
 
+
+#: Cap on the flow-trace length kept per value (reporting only).
+MAX_TRACE = 12
+#: Maximum include nesting depth followed inline.
+MAX_INCLUDE_DEPTH = 16
 
 #: the interned all-clean taint state, hoisted for Value's default — a
 #: function-call default_factory is measurable at Value-construction rates
@@ -180,7 +177,7 @@ def _merge_trace(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[str, ..
     for step in right:
         if step not in merged:
             merged.append(step)
-    return tuple(merged[-12:])
+    return tuple(merged[-MAX_TRACE:])
 
 
 @dataclass
@@ -252,14 +249,6 @@ class FunctionSummary:
     prop_reads: Set[str] = field(default_factory=set)
     #: "static:<owner>" slots the body touched
     static_tokens: Set[str] = field(default_factory=set)
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # summaries pickled by older versions lack the state-coupling
-        # sets; default them so cached objects stay loadable
-        self.__dict__.update(state)
-        for name in ("global_reads", "global_writes", "prop_reads", "static_tokens"):
-            if name not in self.__dict__:
-                self.__dict__[name] = set()
 
 
 def summary_is_valid(summary: FunctionSummary, model: PluginModel,
@@ -425,7 +414,8 @@ class UnitFault(Exception):
 
     Raised inside a per-unit fault boundary when the unit's step-budget
     slice, wall-clock deadline, or evaluation-depth cap trips.  Caught
-    at the unit boundary and converted into a recovered incident.
+    at the unit boundary: a recovered incident under ``recover``, a
+    failed scan otherwise.
     """
 
     def __init__(self, reason: str) -> None:
@@ -496,89 +486,71 @@ class TaintEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> List[Finding]:
-        """Analyze the whole plugin and return deduplicated findings."""
+        """Analyze the whole plugin and return deduplicated findings.
+
+        Runs the paper's order: "phpSAFE starts by executing an
+        inter-procedural parsing of the functions that are not called
+        from the source code of the plugin", then walks each file.
+        Called functions are summarized lazily at their first call site
+        so globals carry their call-time state.  Every analysis unit —
+        an entry-point summary, a top-level file walk, a late summary —
+        runs under :meth:`_run_unit`; an exhausted plugin-wide step
+        budget stops the remaining units.
+
+        The late pass summarizes every function still without a summary
+        (covering corner cases like a function only reachable through
+        its own recursion), then reports the source→sink flows inside
+        all summaries: flows that depend on the unknown parameters of
+        an entry point are dropped (no caller exists inside the plugin
+        to bind them), and events already emitted at real call sites
+        deduplicate by sink line.
+        """
         start = time.perf_counter()
         steps_before = self._steps
         try:
-            if self.options.recover:
-                return self._run_isolated()
-            return self._run_strict()
+            reuse = self.options.reuse_roots
+            if self.options.analyze_uncalled:
+                for info in self.model.uncalled_functions():
+                    if self.aborted:
+                        break
+                    if info.file in reuse:
+                        continue
+                    self._run_unit(
+                        f"function {info.key}",
+                        info.file,
+                        lambda info=info: self._summarize(info),
+                        summary_key=info.key,
+                    )
+            for path, file_model in sorted(self.model.files.items()):
+                if self.aborted:
+                    break
+                if path in reuse:
+                    continue
+
+                def run_file(path=path, file_model=file_model):
+                    self._current_file = path
+                    self._include_stack = [path]
+                    self._exec_block(file_model.tree.statements, self.globals)
+
+                self._run_unit("<main>", path, run_file)
+            if self.options.analyze_uncalled:
+                for key, info in sorted(self.model.functions.items()):
+                    if self.aborted:
+                        break
+                    if key in self.summaries or info.file in reuse:
+                        continue
+                    self._run_unit(
+                        f"function {key}",
+                        info.file,
+                        lambda info=info: self._summarize(info),
+                        summary_key=key,
+                    )
+                # even a degraded run reports what its summaries did find
+                self._collect_summary_events()
+            return self._finalize_findings()
         finally:
             counters.analysis_seconds += time.perf_counter() - start
             counters.engine_steps += self._steps - steps_before
-
-    def _run_strict(self) -> List[Finding]:
-        """Historical all-or-nothing analysis (``recover=False``)."""
-        try:
-            if self.options.analyze_uncalled:
-                self._summarize_all_functions()
-            for path, file_model in sorted(self.model.files.items()):
-                self._current_file = path
-                self._include_stack = [path]
-                self._exec_block(file_model.tree.statements, self.globals)
-            if self.options.analyze_uncalled:
-                self._emit_uncalled_events()
-        except BudgetExceeded:
-            self.aborted = True
-        return self._finalize_findings()
-
-    def _run_isolated(self) -> List[Finding]:
-        """Fault-isolated analysis: every unit in its own boundary.
-
-        Analysis units — entry-point function summaries, top-level file
-        walks, and the late summaries of :meth:`_emit_uncalled_events` —
-        each run under :meth:`_run_unit`, so one pathological unit
-        degrades to an incident while the rest complete.  Only the
-        plugin-wide step budget (``BudgetExceeded``) still stops the
-        remaining units, mirroring the strict path.
-        """
-        standalone = self.options.oop or self.options.analyze_methods_standalone
-        reuse = self.options.reuse_roots
-        if self.options.analyze_uncalled:
-            for info in self.model.uncalled_functions():
-                if self.aborted:
-                    break
-                if info.is_method and not standalone:
-                    continue
-                if info.file in reuse:
-                    continue
-                self._run_unit(
-                    f"function {info.key}",
-                    info.file,
-                    lambda info=info: self._summarize(info),
-                    summary_key=info.key,
-                )
-        for path, file_model in sorted(self.model.files.items()):
-            if self.aborted:
-                break
-            if path in reuse:
-                continue
-
-            def run_file(path=path, file_model=file_model):
-                self._current_file = path
-                self._include_stack = [path]
-                self._exec_block(file_model.tree.statements, self.globals)
-
-            self._run_unit("<main>", path, run_file)
-        if self.options.analyze_uncalled:
-            for key, info in sorted(self.model.functions.items()):
-                if self.aborted:
-                    break
-                if key in self.summaries:
-                    continue
-                if info.is_method and not standalone:
-                    continue
-                if info.file in reuse:
-                    continue
-                self._run_unit(
-                    f"function {key}",
-                    info.file,
-                    lambda info=info: self._summarize(info),
-                    summary_key=key,
-                )
-            # even a degraded run reports what its summaries did find
-            self._collect_summary_events()
-        return self._finalize_findings()
 
     def _run_unit(
         self,
@@ -589,10 +561,13 @@ class TaintEngine:
     ) -> bool:
         """Run one analysis unit inside a fault boundary.
 
-        Returns True when the unit completed.  On failure the unit's
-        partial work is kept (taint joins are monotone), the fault is
-        recorded as an incident, and — for function units — an empty
-        summary is stored so call sites do not re-run the failing body.
+        Returns True when the unit completed.  An exhausted plugin-wide
+        step budget sets :attr:`aborted` and records a fatal incident.
+        Any other fault fails the scan unless ``recover`` is set; then
+        the unit's partial work is kept (taint joins are monotone), the
+        fault is recorded as an incident, and — for function units — an
+        empty summary is stored so call sites do not re-run the failing
+        body.
         """
         if self.options.unit_step_budget is not None:
             self._unit_limit = self._steps + self.options.unit_step_budget
@@ -622,37 +597,23 @@ class TaintEngine:
                     unit=unit,
                 )
             )
-        except UnitFault as fault:
-            self.incidents.append(
-                Incident(
-                    stage=IncidentStage.ANALYSIS,
-                    severity=IncidentSeverity.ERROR,
-                    file=file,
-                    reason=fault.reason,
-                    recovered=True,
-                    unit=unit,
-                )
-            )
-        except RecursionError:
-            self.incidents.append(
-                Incident(
-                    stage=IncidentStage.ANALYSIS,
-                    severity=IncidentSeverity.ERROR,
-                    file=file,
-                    reason="recursion limit exceeded",
-                    recovered=True,
-                    unit=unit,
-                )
-            )
         except Exception as error:
+            if not self.options.recover:
+                raise
             # catch-all fault boundary: an engine bug on one unit must
             # not zero out the findings of every other unit
+            if isinstance(error, UnitFault):
+                reason = error.reason
+            elif isinstance(error, RecursionError):
+                reason = "recursion limit exceeded"
+            else:
+                reason = f"internal analysis error: {error!r}"
             self.incidents.append(
                 Incident(
                     stage=IncidentStage.ANALYSIS,
                     severity=IncidentSeverity.ERROR,
                     file=file,
-                    reason=f"internal analysis error: {error!r}",
+                    reason=reason,
                     recovered=True,
                     unit=unit,
                 )
@@ -712,38 +673,6 @@ class TaintEngine:
             if name not in records and (strict or prior != self._CLEAN_EFFECT):
                 footprint.writes.add(name)
 
-    def _summarize_all_functions(self) -> None:
-        """Pre-analyze plugin entry points (paper: "phpSAFE starts by
-        executing an inter-procedural parsing of the functions that are
-        not called from the source code of the plugin").
-
-        Called functions are summarized lazily at their first call site
-        so globals carry their call-time state."""
-        for info in self.model.uncalled_functions():
-            if info.is_method and not (
-                self.options.oop or self.options.analyze_methods_standalone
-            ):
-                continue
-            self._summarize(info)
-
-    def _emit_uncalled_events(self) -> None:
-        """Report source→sink flows inside never-called functions.
-
-        Every computed summary is scanned (covering corner cases like a
-        function only reachable through its own recursion); flows that
-        depend on the unknown parameters of an entry point are dropped
-        (no caller exists inside the plugin to bind them), and events
-        already emitted at real call sites deduplicate by sink line.
-        """
-        for key, info in sorted(self.model.functions.items()):
-            if key not in self.summaries:
-                if info.is_method and not (
-                    self.options.oop or self.options.analyze_methods_standalone
-                ):
-                    continue
-                self._summarize(info)
-        self._collect_summary_events()
-
     def _collect_summary_events(self) -> None:
         """Promote summary-local sink events to plugin-level events."""
         for key, summary in sorted(self.summaries.items()):
@@ -793,7 +722,7 @@ class TaintEngine:
             sink=event.sink,
             variable=event.variable,
             vectors=vectors,
-            trace=trace[: self.options.max_trace],
+            trace=trace[:MAX_TRACE],
             via_oop=via_oop,
             markup_context=event.markup_context,
         )
@@ -1326,7 +1255,7 @@ class TaintEngine:
         if (
             resolved is None
             or resolved in self._include_stack
-            or len(self._include_stack) > self.options.max_include_depth
+            or len(self._include_stack) > MAX_INCLUDE_DEPTH
         ):
             return Value.clean()
         file_model = self.model.files.get(resolved)

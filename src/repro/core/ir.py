@@ -49,6 +49,7 @@ from ..php.printer import print_expr
 from .cache import ir_key
 from .engine import (
     CLEAN_FUNCTIONS,
+    MAX_TRACE,
     PASSTHROUGH_FUNCTIONS,
     BudgetExceeded,
     EngineOptions,
@@ -207,10 +208,6 @@ class _Lowerer:
             else _NOP_INSTR
             for stmt in statements
         )
-
-    def lower_stmt(self, node: ast.Statement) -> tuple:
-        handler = self._STMT_DISPATCH.get(node.__class__)
-        return handler(self, node) if handler is not None else _NOP_INSTR
 
     def _lower_expr_stmt(self, node: ast.ExpressionStatement) -> tuple:
         return (S_EXPR, self.lower_expr(node.expr))
@@ -724,7 +721,7 @@ class IRTaintEngine(TaintEngine):
 
     Soundness of pre-computation rests on one invariant of the engine:
     **a body always executes with ``_current_file`` equal to its
-    defining file** (``_run_strict``/``_run_unit`` set it per file,
+    defining file** (``run`` sets it per file walk,
     ``_summarize`` sets it to ``info.file``, ``_include`` pushes and
     pops it).  Every pre-formatted trace/label/site string relies on it.
     """
@@ -748,11 +745,8 @@ class IRTaintEngine(TaintEngine):
         self._lowered_files: set = set()
         # hot-loop invariants hoisted out of the instruction loop
         self._budget = self.options.step_budget
-        self._depth_cap = (
-            self.options.max_eval_depth if self.options.recover else None
-        )
+        self._depth_cap = self.options.max_eval_depth
         self._oop = self.options.oop
-        self._max_trace = self.options.max_trace
 
     # -- lowering / memoization --------------------------------------------
 
@@ -824,16 +818,16 @@ class IRTaintEngine(TaintEngine):
         dispatch.  There is no try/finally around the depth bookkeeping
         — every exception that can unwind from here (``BudgetExceeded``,
         ``UnitFault``, ``RecursionError``) lands in ``_run_unit``,
-        whose ``finally`` resets ``_depth`` to 0 (the strict path never
-        consults depth, since ``recover=False`` leaves the cap unset).
+        whose ``finally`` resets ``_depth`` to 0.
         """
         table = self._ST
         for instr in code:
             depth = self._depth + 1
             self._depth = depth
-            cap = self._depth_cap
-            if cap is not None and depth > cap:
-                raise UnitFault(f"evaluation depth limit ({cap}) exceeded")
+            if depth > self._depth_cap:
+                raise UnitFault(
+                    f"evaluation depth limit ({self._depth_cap}) exceeded"
+                )
             steps = self._steps + 1
             self._steps = steps
             if steps > self._budget:
@@ -858,9 +852,8 @@ class IRTaintEngine(TaintEngine):
         as in :meth:`_exec_code`, then dispatch on the opcode."""
         depth = self._depth + 1
         self._depth = depth
-        cap = self._depth_cap
-        if cap is not None and depth > cap:
-            raise UnitFault(f"evaluation depth limit ({cap}) exceeded")
+        if depth > self._depth_cap:
+            raise UnitFault(f"evaluation depth limit ({self._depth_cap}) exceeded")
         steps = self._steps + 1
         self._steps = steps
         if steps > self._budget:
@@ -1224,7 +1217,7 @@ class IRTaintEngine(TaintEngine):
             line=line,
             taint=value.taint,
             class_name=value.class_name or None,
-            trace=trace[-self._max_trace:],
+            trace=trace[-MAX_TRACE:],
         )
         records[name] = record
         if was_global_alias:

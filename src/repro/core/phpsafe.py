@@ -52,18 +52,16 @@ class PhpSafeOptions:
     #: reproduces the paper's memory-exhaustion failures (Section V.E).
     include_budget: int = 120_000
     #: Fault-tolerant pipeline (Section V.E): panic-mode lexer/parser
-    #: recovery plus per-unit engine isolation.  ``False`` (the CLI's
-    #: ``--strict``) reproduces the historical all-or-nothing behaviour.
+    #: recovery, and a faulting analysis unit degrades to an incident.
+    #: ``False`` (the CLI's ``--strict``) fails a file on its first
+    #: syntax error and the whole scan on any unit fault.
     recover: bool = True
     #: Wall-clock deadline, in seconds, per analysis unit (the batch
-    #: path gets its per-plugin timeout from SIGALRM).  Only honoured
-    #: with ``recover=True``.
+    #: path gets its per-plugin timeout from SIGALRM).
     file_deadline: Optional[float] = None
     #: Engine budgets, as documented on
     #: :class:`~repro.core.engine.EngineOptions`.
     step_budget: int = 4_000_000
-    max_include_depth: int = 16
-    max_trace: int = 12
     unit_step_budget: Optional[int] = None
     max_eval_depth: int = 500
 
@@ -151,12 +149,9 @@ class PhpSafe(AnalyzerTool):
             self.profile.fingerprint(),
             engine_options.oop,
             engine_options.analyze_uncalled,
-            engine_options.analyze_methods_standalone,
             engine_options.recover,
             tuple(sorted(kind.value for kind in engine_options.construct_kinds)),
             engine_options.unknown_call_policy,
-            engine_options.max_include_depth,
-            engine_options.max_trace,
         )
         return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()[:16]
 
@@ -235,11 +230,8 @@ class PhpSafe(AnalyzerTool):
         return EngineOptions(
             oop=options.oop,
             analyze_uncalled=options.analyze_uncalled,
-            analyze_methods_standalone=True,
             use_summaries=options.use_summaries,
             step_budget=options.step_budget,
-            max_include_depth=options.max_include_depth,
-            max_trace=options.max_trace,
             recover=options.recover,
             unit_step_budget=options.unit_step_budget,
             unit_deadline=options.file_deadline,
@@ -395,12 +387,7 @@ class PhpSafe(AnalyzerTool):
             recover=self.options.recover,
             digests=digests,
         )
-        if self.options.recover:
-            plan = plan_rescan(manifest, fingerprint, digests, model)
-        else:
-            # the skip machinery works on recover-mode analysis units
-            plan = plan_rescan(None, fingerprint, digests, model)
-            plan.reason = "strict mode has no skippable units"
+        plan = plan_rescan(manifest, fingerprint, digests, model)
         stats = RescanStats(
             changed_files=sorted(plan.changed_files),
             fallback_reason="",

@@ -218,12 +218,6 @@ class TaintState:
     def labels(self, kind: VulnKind) -> FrozenSet[Label]:
         return frozenset(self.active.get(kind, ()))
 
-    def all_labels(self) -> FrozenSet[Label]:
-        out: Set[Label] = set()
-        for labels in self.active.values():
-            out |= labels
-        return frozenset(out)
-
     def vectors(self, kind: VulnKind) -> Tuple[InputVector, ...]:
         """Distinct input vectors of the concrete labels, sorted stably."""
         vectors = {

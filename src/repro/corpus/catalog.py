@@ -250,10 +250,3 @@ def build_specs(version: str) -> List[SeededSpec]:
                     )
                 )
     return specs
-
-
-def plugin_by_slug(slug: str) -> PluginEntry:
-    for plugin in PLUGINS:
-        if plugin.slug == slug:
-            return plugin
-    raise KeyError(slug)

@@ -60,10 +60,6 @@ class FileBuilder:
         self.lines.append("")
         return sink_line
 
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
-
     def source(self) -> str:
         return "\n".join(self.lines).rstrip() + "\n"
 

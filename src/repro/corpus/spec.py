@@ -78,10 +78,6 @@ class SeededSpec:
         return self.region in OOP_REGIONS
 
     @property
-    def detectors(self) -> FrozenSet[str]:
-        return REGION_DETECTORS[self.region]
-
-    @property
     def needs_failed_file(self) -> bool:
         """Must live in a file phpSAFE cannot analyze (regions d and f)."""
         return self.region in ("d", "f")
@@ -132,9 +128,6 @@ class GroundTruth:
 
     def vulnerable_count(self) -> int:
         return sum(1 for _ in self.vulnerabilities())
-
-    def of_plugin(self, plugin: str) -> List[GroundTruthEntry]:
-        return [entry for entry in self.entries if entry.plugin == plugin]
 
     def carried_ids(self) -> FrozenSet[str]:
         return frozenset(

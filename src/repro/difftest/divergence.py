@@ -3,8 +3,8 @@
 The analyzer has five independent configuration axes that must not
 change *what* is found, only *how* it is found:
 
-* ``recover`` — strict all-or-nothing pipeline vs fault-tolerant
-  recovery (identical on cleanly-parseable input),
+* ``recover`` — strict pipeline vs fault-tolerant recovery (identical
+  on cleanly-parseable input),
 * ``cache`` — summary/parse disk cache cold vs warm,
 * ``jobs`` — serial in-process scan vs parallel worker processes,
 * ``summaries`` — function-summary memoization on vs off,

@@ -66,9 +66,6 @@ class VersionEvaluation:
     def version(self) -> str:
         return self.corpus.version
 
-    def tool_names(self) -> List[str]:
-        return list(self.tools)
-
     def union_detected(self, kind: Optional[VulnKind] = None) -> Set[str]:
         """Distinct vulnerable spec ids detected by at least one tool
         (the paper's "real set of vulnerabilities the plugin have")."""

@@ -23,15 +23,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .config.vulnerability import VulnKind
-from .core.results import Finding, ToolReport
+from .core.results import ToolReport
 
 #: Cross-version matching identity for a finding.  Line numbers shift
 #: between releases, so findings match on (kind, file, sink, variable).
 FindingKey = Tuple[str, str, str, str]
-
-
-def finding_key(finding: Finding) -> FindingKey:
-    return (finding.kind.value, finding.file, finding.sink, finding.variable)
 
 
 @dataclass(frozen=True)
@@ -213,9 +209,6 @@ class HistoryStore:
 
     def plugins(self) -> List[str]:
         return sorted(self._scans)
-
-    def scans_of(self, plugin: str) -> List[ScanRecord]:
-        return list(self._scans.get(plugin, []))
 
     def latest(self, plugin: str) -> Optional[ScanRecord]:
         scans = self._scans.get(plugin)

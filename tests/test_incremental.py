@@ -105,15 +105,23 @@ class TestRescanParity:
         assert stats.changed_files == ["c.php"]
         assert finding_signatures([warm]) == finding_signatures([cold])
 
-    def test_strict_mode_always_full(self):
+    def test_strict_mode_rescan_parity(self):
         from repro.core.phpsafe import PhpSafeOptions
 
-        tool = PhpSafe(options=PhpSafeOptions(recover=False))
+        strict = PhpSafeOptions(recover=False)
+        tool = PhpSafe(options=strict, cache=ModelCache())
         plugin = three_file_plugin()
-        _report, manifest, _ = tool.rescan(plugin)
-        _again, _m2, stats = tool.rescan(plugin, manifest)
-        assert not stats.incremental
-        assert stats.roots_reused == 0
+        report, manifest, _ = tool.rescan(plugin)
+        again, manifest2, stats = tool.rescan(plugin, manifest)
+        assert stats.incremental
+        assert stats.roots_reused == stats.roots_total
+        assert finding_signatures([again]) == finding_signatures([report])
+        updated = mutate(plugin, "b.php", "echo $_COOKIE['extra'];\n")
+        warm, _m3, stats = tool.rescan(updated, manifest2)
+        cold = PhpSafe(options=strict).analyze(updated)
+        assert stats.incremental
+        assert stats.roots_reused == stats.roots_total - 1
+        assert finding_signatures([warm]) == finding_signatures([cold])
 
     def test_coupled_roots_rerun_together(self):
         # writer.php taints a global that reader.php echoes: changing

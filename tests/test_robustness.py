@@ -196,6 +196,64 @@ class TestEngineIsolation:
         assert any(f.file == "<plugin>" for f in report.failures)
 
 
+class TestStrictMode:
+    """``recover=False`` runs the same analysis units under the same
+    limits; a unit fault fails the whole scan instead of degrading."""
+
+    def many_functions_plugin(self):
+        body = "\n".join(
+            f"function f{index}() {{ $a = $_GET['x']; echo $a; }}"
+            for index in range(300)
+        )
+        return Plugin(name="many", files={"many.php": f"<?php\n{body}\n"})
+
+    def test_deadline_fails_the_job(self):
+        # a thread-isolated service slot turns its job timeout into
+        # file_deadline: a strict job must not outlive it and report ok
+        from repro.batch.job import run_job
+
+        options = PhpSafeOptions(recover=False, file_deadline=1e-9)
+        record = run_job(PhpSafe(options=options), self.many_functions_plugin())
+        assert record.outcome != "ok"
+        assert record.report.findings == []
+
+    def test_eval_depth_cap_raises(self):
+        from repro.core.engine import UnitFault
+
+        nested = "$x = " + " . ".join(["'a'"] * 100) + ";"
+        plugin = Plugin(
+            name="p",
+            files={
+                "deep.php": f"<?php\n{nested}\n",
+                "vuln.php": "<?php echo $_GET['q'];\n",
+            },
+        )
+        options = PhpSafeOptions(recover=False, max_eval_depth=20)
+        with pytest.raises(UnitFault, match="depth limit"):
+            PhpSafe(options=options).analyze(plugin)
+
+    def test_step_budget_keeps_finished_units(self):
+        # the uncalled function's unit completes before the file walk
+        # exhausts the plugin budget: its findings are still reported
+        heavy = "\n".join("$a = 1;" for _ in range(800))
+        plugin = Plugin(
+            name="p",
+            files={
+                "cb.php": "<?php\nfunction cb() { echo $_GET['a'];\n"
+                "echo $_GET['b']; }\n",
+                "heavy.php": f"<?php\n{heavy}\n",
+            },
+        )
+        options = PhpSafeOptions(recover=False, step_budget=20)
+        report = PhpSafe(options=options).analyze(plugin)
+        assert sorted(f.line for f in report.findings) == [2, 3]
+        fatal = [
+            i for i in report.incidents if i.severity is IncidentSeverity.FATAL
+        ]
+        assert [(i.file, i.unit) for i in fatal] == [("heavy.php", "<main>")]
+        assert any(f.file == "<plugin>" for f in report.failures)
+
+
 class TestBudgetFailures:
     def test_budget_exhaustion_is_first_class(self):
         big = "<?php\n" + "$pad = 'x';\n" * 4000
