@@ -174,10 +174,12 @@ def main():
         check("service stopped" in output, "daemon announced graceful stop")
 
         conn = sqlite3.connect(os.path.join(data_dir, "jobs.sqlite"))
+        integrity = conn.execute("PRAGMA integrity_check").fetchone()[0]
         rows = dict(
             conn.execute("SELECT state, COUNT(*) FROM jobs GROUP BY state").fetchall()
         )
         conn.close()
+        check(integrity == "ok", f"spool integrity_check ok (got {integrity!r})")
         total = sum(rows.values())
         check(rows.get("running", 0) == 0, "no job stranded in running")
         check(rows.get("failed", 0) == 0, f"no job failed ({rows})")

@@ -558,11 +558,11 @@ class TaintEngine:
         file: str,
         body,
         summary_key: Optional[str] = None,
-    ) -> bool:
+    ) -> None:
         """Run one analysis unit inside a fault boundary.
 
-        Returns True when the unit completed.  An exhausted plugin-wide
-        step budget sets :attr:`aborted` and records a fatal incident.
+        An exhausted plugin-wide step budget sets :attr:`aborted` and
+        records a fatal incident.
         Any other fault fails the scan unless ``recover`` is set; then
         the unit's partial work is kept (taint joins are monotone), the
         fault is recorded as an incident, and — for function units — an
@@ -584,7 +584,7 @@ class TaintEngine:
             }
         try:
             body()
-            return True
+            return
         except BudgetExceeded:
             self.aborted = True
             self.incidents.append(
@@ -636,7 +636,6 @@ class TaintEngine:
             self.summaries[summary_key] = FunctionSummary(
                 key=summary_key, faulted=True
             )
-        return False
 
     #: the "no record" effective value for the unit-boundary diff —
     #: creating a clean, class-free binding is not an observable write

@@ -144,12 +144,14 @@ class PhpSafe(AnalyzerTool):
         function summary contains.  Resource budgets are excluded — a
         summary is the same analysis result regardless of how much
         budget was left when it was computed (faulted placeholder
-        summaries are never persisted)."""
+        summaries are never persisted).  So is ``recover``: strict and
+        recovering scans compute summaries through one unit loop, and a
+        file only a recovering parse reads is absent from a strict
+        model, so dependency validation rejects what was built on it."""
         spec = (
             self.profile.fingerprint(),
             engine_options.oop,
             engine_options.analyze_uncalled,
-            engine_options.recover,
             tuple(sorted(kind.value for kind in engine_options.construct_kinds)),
             engine_options.unknown_call_policy,
         )
@@ -379,7 +381,11 @@ class PhpSafe(AnalyzerTool):
             old_files: Dict[str, str] = manifest.get("files") or {}  # type: ignore
             self.cache.spill_versions(set(old_files.values()) - set(digests.values()))
         base_options = self._engine_options(track_units=True)
-        fingerprint = self._summary_fingerprint(base_options)
+        # unlike the summary key, a manifest keeps the parse variant: it
+        # carries the findings of files only a recovering parse reads
+        fingerprint = (
+            f"{self._summary_fingerprint(base_options)}:{int(self.options.recover)}"
+        )
         model = PluginModel.build(
             plugin,
             include_budget=self.options.include_budget,

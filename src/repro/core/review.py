@@ -70,9 +70,9 @@ def fix_hint(finding: Finding) -> str:
 # ---------------------------------------------------------------------------
 
 
-def to_json(report: ToolReport, indent: Optional[int] = 1) -> str:
-    """Machine-readable report (stable schema for CI pipelines)."""
-    document = {
+def report_document(report: ToolReport) -> Dict[str, object]:
+    """The report as the plain dict :func:`to_json` renders."""
+    return {
         "tool": report.tool,
         "plugin": report.plugin,
         "files_analyzed": report.files_analyzed,
@@ -106,7 +106,11 @@ def to_json(report: ToolReport, indent: Optional[int] = 1) -> str:
         "loc_skipped": report.loc_skipped,
         "coverage": round(report.coverage, 4),
     }
-    return json.dumps(document, indent=indent)
+
+
+def to_json(report: ToolReport, indent: Optional[int] = 1) -> str:
+    """Machine-readable report (stable schema for CI pipelines)."""
+    return json.dumps(report_document(report), indent=indent)
 
 
 # ---------------------------------------------------------------------------

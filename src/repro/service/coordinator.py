@@ -187,6 +187,7 @@ class FleetCoordinator(StoreReadMixin):
                 break
             time.sleep(0.05)
         self._stop.set()
+        self.queue.wake()
         for thread in self._threads:
             thread.join(timeout=10)
         return drained
@@ -382,11 +383,12 @@ class FleetCoordinator(StoreReadMixin):
             self._stop.wait(max(0.2, self.lease_seconds / 10.0))
 
     def _dispatch_loop(self, owner: str) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim(owner=owner, lease_seconds=self.lease_seconds)
-            if job is None:
-                self._stop.wait(0.05)
-                continue
+        # blocks while the ledger is empty; None means stopping
+        while (
+            job := self.queue.claim(
+                owner=owner, lease_seconds=self.lease_seconds, stop=self._stop
+            )
+        ) is not None:
             try:
                 self._run_job(job)
             except Exception as error:  # pragma: no cover - defensive

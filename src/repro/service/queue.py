@@ -33,6 +33,10 @@ uses the same queue as its dispatch ledger):
 Thread safety: one shared connection guarded by a lock.  Queue
 operations are tiny row updates, so serializing them costs nothing
 next to the seconds-long analyses they bracket.
+Every change that makes a row ``queued`` notifies one condition on
+that lock, which a blocking :meth:`claim` waits on; a spool belongs to
+one process, so the condition sees every write.  WAL journaling with
+``synchronous`` at its default (FULL) keeps each commit durable.
 """
 
 from __future__ import annotations
@@ -146,9 +150,11 @@ class JobQueue:
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._lock = threading.Lock()
+        self._queued = threading.Condition(self._lock)
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         with self._lock:
+            self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             present = {
                 row["name"]
@@ -212,6 +218,8 @@ class JobQueue:
                 ),
             )
             self._conn.commit()
+            if not cached:
+                self._queued.notify()
             return self._get_locked(job_id), True
 
     # -- worker side -------------------------------------------------------
@@ -220,23 +228,34 @@ class JobQueue:
         self,
         owner: str = "",
         lease_seconds: Optional[float] = None,
+        stop: Optional[threading.Event] = None,
     ) -> Optional[Job]:
         """Atomically move the oldest queued job to ``running``.
+
+        Without ``stop`` this returns None when nothing is queued; with
+        it, it blocks until a row is queued or ``stop`` is set (a blocked
+        caller notices that on :meth:`wake`).
 
         ``owner``/``lease_seconds`` attach a lease to the claim: if the
         claimer stops extending it (crash, wedge, straggler node), the
         row becomes stealable via :meth:`expire_leases`.
         """
-        now = time.time()
-        expires = now + lease_seconds if lease_seconds else None
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT id FROM jobs WHERE state = ?"
-                " ORDER BY submitted_at, id LIMIT 1",
-                (QUEUED,),
-            ).fetchone()
-            if row is None:
-                return None
+        with self._queued:
+            while True:
+                if stop is not None and stop.is_set():
+                    return None
+                row = self._conn.execute(
+                    "SELECT id FROM jobs WHERE state = ?"
+                    " ORDER BY submitted_at, id LIMIT 1",
+                    (QUEUED,),
+                ).fetchone()
+                if row is not None:
+                    break
+                if stop is None:
+                    return None
+                self._queued.wait()
+            now = time.time()
+            expires = now + lease_seconds if lease_seconds else None
             self._conn.execute(
                 "UPDATE jobs SET state = ?, started_at = ?,"
                 " attempts = attempts + 1, lease_owner = ?,"
@@ -245,6 +264,11 @@ class JobQueue:
             )
             self._conn.commit()
             return self._get_locked(row["id"])
+
+    def wake(self) -> None:
+        """Wake every blocked :meth:`claim` so it rechecks its ``stop``."""
+        with self._queued:
+            self._queued.notify_all()
 
     def extend_lease(self, job_id: str, lease_seconds: float) -> None:
         """Push a running job's lease expiry out (healthy heartbeat)."""
@@ -284,6 +308,7 @@ class JobQueue:
                 (QUEUED, job_id, RUNNING),
             )
             self._conn.commit()
+            self._queued.notify()
 
     def steal(self, job_id: str, reason: str = "lease expired") -> str:
         """Take a running job away from its (dead/wedged) worker.
@@ -303,7 +328,9 @@ class JobQueue:
         with self._lock:
             return self._steal_locked(job_id, reason)
 
-    def _steal_locked(self, job_id: str, reason: str) -> str:
+    def _steal_locked(
+        self, job_id: str, reason: str, verdict: str = "quarantined"
+    ) -> str:
         row = self._conn.execute(
             "SELECT state, attempts FROM jobs WHERE id = ?", (job_id,)
         ).fetchone()
@@ -316,7 +343,7 @@ class JobQueue:
                 (
                     FAILED,
                     time.time(),
-                    f"quarantined after {row['attempts']} attempt(s): {reason}",
+                    f"{verdict} after {row['attempts']} attempt(s): {reason}",
                     job_id,
                 ),
             )
@@ -328,6 +355,7 @@ class JobQueue:
             (QUEUED, job_id),
         )
         self._conn.commit()
+        self._queued.notify()
         return "stolen"
 
     def expire_leases(self, now: Optional[float] = None) -> List[Tuple[Job, str]]:
@@ -367,39 +395,20 @@ class JobQueue:
         """Requeue jobs interrupted by a crash; returns how many.
 
         Rows still ``running`` when the daemon starts belong to a
-        previous process that died mid-analysis.  Each goes back to
-        ``queued`` unless its claim attempts are exhausted, in which
-        case it is failed for good (a reliably worker-killing input
-        must not crash-loop the daemon).
+        previous process that died mid-analysis.  Each is stolen back
+        like a lapsed lease, so once its claim attempts are exhausted it
+        is failed for good (a reliably worker-killing input must not
+        crash-loop the daemon).
         """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT id, attempts FROM jobs WHERE state = ?", (RUNNING,)
+                "SELECT id FROM jobs WHERE state = ?", (RUNNING,)
             ).fetchall()
-            requeued = 0
-            for row in rows:
-                if row["attempts"] >= self.max_attempts:
-                    self._conn.execute(
-                        "UPDATE jobs SET state = ?, finished_at = ?, error = ?"
-                        " WHERE id = ?",
-                        (
-                            FAILED,
-                            time.time(),
-                            f"abandoned after {row['attempts']} interrupted"
-                            " attempt(s)",
-                            row["id"],
-                        ),
-                    )
-                else:
-                    self._conn.execute(
-                        "UPDATE jobs SET state = ?, started_at = NULL,"
-                        " lease_owner = NULL, lease_expires = NULL"
-                        " WHERE id = ?",
-                        (QUEUED, row["id"]),
-                    )
-                    requeued += 1
-            self._conn.commit()
-            return requeued
+            outcomes = [
+                self._steal_locked(row["id"], "interrupted by a restart", "abandoned")
+                for row in rows
+            ]
+            return outcomes.count("stolen")
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -437,6 +446,7 @@ class JobQueue:
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+            self._queued.notify_all()
 
     # -- helpers -----------------------------------------------------------
 

@@ -255,7 +255,7 @@ class AnalysisService(StoreReadMixin):
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
         self.spec = spec or ToolSpec()
-        self.fingerprint = self._spec_fingerprint(self.spec)
+        self.fingerprint = spec_fingerprint(self.spec)
         #: fleet identity of this node (None outside a fleet)
         self.node_name = node_name
         #: Retry-After hint attached to 429/503 answers
@@ -286,10 +286,6 @@ class AnalysisService(StoreReadMixin):
         self.accepting = True
         self._started_at = time.monotonic()
 
-    #: kept as a method for callers/tests; the shared implementation is
-    #: :func:`spec_fingerprint`
-    _spec_fingerprint = staticmethod(spec_fingerprint)
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
@@ -312,7 +308,7 @@ class AnalysisService(StoreReadMixin):
                 "retry_after": self.retry_after,
             }
         try:
-            plugin = self._plugin_from_payload(payload)
+            plugin = plugin_from_payload(self.store, payload)
         except ValueError as error:
             return 400, {"error": str(error)}
         digest = self.store.put_plugin(plugin)
@@ -342,9 +338,6 @@ class AnalysisService(StoreReadMixin):
         body = job.to_dict()
         body["coalesced"] = not created
         return 202, body
-
-    def _plugin_from_payload(self, payload: Dict[str, object]) -> Plugin:
-        return plugin_from_payload(self.store, payload)
 
     # -- reads (status/SARIF lookups come from StoreReadMixin) -------------
 

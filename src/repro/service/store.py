@@ -221,7 +221,7 @@ class ResultStore:
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=1)
+                handle.write(json.dumps(document))
             os.replace(tmp_path, path)
         except Exception:
             try:

@@ -36,7 +36,6 @@ only; per-job detail lives in each job's result document.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import replace
@@ -47,7 +46,7 @@ from ..batch.scheduler import ToolSpec
 from ..batch.telemetry import ScanTelemetry, ServiceStats
 from ..core.phpsafe import PhpSafeOptions
 from ..core.results import ToolReport
-from ..core.review import to_json
+from ..core.review import report_document
 from .queue import Job, JobQueue
 from .sarif import to_sarif
 from .store import ResultStore
@@ -76,7 +75,7 @@ def result_document(
         "queued_seconds": round(job.queued_seconds, 6),
         "seconds": round(report.seconds, 6),
         "rescan": dict(rescan or {}),
-        "report": json.loads(to_json(report)),
+        "report": report_document(report),
         "sarif": to_sarif(report),
     }
 
@@ -94,7 +93,6 @@ class WorkerPool:
         cache_dir: Optional[str] = None,
         isolation: str = "process",
         stats: Optional[ServiceStats] = None,
-        poll_interval: float = 0.05,
     ) -> None:
         if isolation not in ("process", "thread"):
             raise ValueError(f"unknown isolation level {isolation!r}")
@@ -105,7 +103,6 @@ class WorkerPool:
         self.timeout = timeout
         self.cache_dir = cache_dir
         self.isolation = isolation
-        self.poll_interval = poll_interval
         # running totals only: a row per job would grow without bound
         self.stats = stats if stats is not None else ServiceStats()
         self.telemetry = ScanTelemetry(
@@ -138,6 +135,7 @@ class WorkerPool:
         within ``timeout``.
         """
         self._stop.set()
+        self.queue.wake()
         drained = True
         for thread in self._threads:
             thread.join(timeout=timeout)
@@ -160,12 +158,8 @@ class WorkerPool:
     def _run(self) -> None:
         slot = self._slot()
         try:
-            while not self._stop.is_set():
-                job = self.queue.claim()
-                if job is None:
-                    # nothing queued: idle until work or shutdown
-                    self._stop.wait(self.poll_interval)
-                    continue
+            # blocks while the queue is empty; None means stopping
+            while (job := self.queue.claim(stop=self._stop)) is not None:
                 self._execute(job, slot)
         finally:
             slot.close()

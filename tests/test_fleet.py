@@ -316,6 +316,22 @@ def stop_fleet(coordinator, services):
 
 
 class TestFleetCoordinator:
+    def test_idle_dispatchers_shut_down(self, tmp_path):
+        coordinator, services, _ = make_fleet(tmp_path, node_count=2)
+        dispatchers = [
+            thread for thread in coordinator._threads
+            if thread.name.startswith("fleet-dispatch")
+        ]
+        deadline = time.monotonic() + 5
+        while len(coordinator.queue._queued._waiters) < len(dispatchers):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        try:
+            assert coordinator.shutdown(timeout=5) is True
+            assert not any(thread.is_alive() for thread in dispatchers)
+        finally:
+            stop_fleet(coordinator, services)
+
     def test_shards_jobs_and_matches_single_node_results(self, tmp_path):
         coordinator, services, _ = make_fleet(tmp_path, node_count=3)
         try:

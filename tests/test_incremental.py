@@ -123,6 +123,25 @@ class TestRescanParity:
         assert stats.roots_reused == stats.roots_total - 1
         assert finding_signatures([warm]) == finding_signatures([cold])
 
+    def test_strict_rescan_ignores_recover_manifest(self):
+        # the recovering parse reads findings out of a file the strict
+        # parse rejects: its manifest must not carry them into a strict
+        # rescan
+        from repro.core.phpsafe import PhpSafeOptions
+
+        plugin = Plugin(name="p", files={
+            "main.php": "<?php echo $_GET['a'];\n",
+            "broken.php": "<?php echo $_GET['b'];\nfunction ( {\n",
+        })
+        cache = ModelCache()
+        recover = PhpSafe(options=PhpSafeOptions(recover=True), cache=cache)
+        _report, manifest, _ = recover.rescan(plugin)
+        strict = PhpSafeOptions(recover=False)
+        warm, _m, stats = PhpSafe(options=strict, cache=cache).rescan(plugin, manifest)
+        cold = PhpSafe(options=strict).analyze(plugin)
+        assert stats.fallback_reason == "analyzer configuration changed"
+        assert finding_signatures([warm]) == finding_signatures([cold])
+
     def test_coupled_roots_rerun_together(self):
         # writer.php taints a global that reader.php echoes: changing
         # the writer must re-run the reader too, and findings must

@@ -220,6 +220,92 @@ class TestJobQueue:
         assert back.state == "queued" and back.attempts == 0
 
 
+class BlockedClaimer:
+    """A ``claim(stop=...)`` blocked on another thread."""
+
+    def __init__(self, queue):
+        self.queue = queue
+        self.stop = threading.Event()
+        self.claimed = []
+        self.thread = threading.Thread(
+            target=lambda: self.claimed.append(queue.claim(stop=self.stop)),
+            daemon=True,
+        )
+        self.thread.start()
+        deadline = time.monotonic() + 5
+        while not queue._queued._waiters:  # parked on the condition
+            assert time.monotonic() < deadline, "claimer never blocked"
+            time.sleep(0.001)
+
+    def result(self):
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive(), "claimer was not woken"
+        return self.claimed[0]
+
+
+class TestBlockingClaim:
+    """Each change that queues a row wakes a blocked claimer; nothing
+    else does.  The 5 s joins bound a hang, they time nothing."""
+
+    def test_submit_wakes(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        claimer = BlockedClaimer(queue)
+        job, _ = queue.submit("d1")
+        assert claimer.result().id == job.id
+
+    def test_release_wakes(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        job, _ = queue.submit("d1")
+        queue.claim()
+        claimer = BlockedClaimer(queue)
+        queue.release(job.id)
+        assert claimer.result().id == job.id
+
+    def test_stolen_lease_wakes(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        job, _ = queue.submit("d1")
+        queue.claim(owner="a", lease_seconds=1)
+        claimer = BlockedClaimer(queue)
+        expired = queue.expire_leases(now=time.time() + 60)
+        assert [outcome for _job, outcome in expired] == ["stolen"]
+        assert claimer.result().id == job.id
+
+    def test_recover_wakes(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        job, _ = queue.submit("d1")
+        queue.claim()
+        claimer = BlockedClaimer(queue)
+        assert queue.recover() == 1
+        assert claimer.result().id == job.id
+
+    def test_cached_submit_does_not_wake(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        claimer = BlockedClaimer(queue)
+        queue.submit("d-cached", cached=True)
+        claimer.thread.join(timeout=0.2)
+        assert claimer.thread.is_alive()
+        job, _ = queue.submit("d-fresh")
+        assert claimer.result().id == job.id
+
+    def test_stop_and_wake_return_none(self, tmp_path):
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        claimer = BlockedClaimer(queue)
+        claimer.stop.set()
+        queue.wake()
+        assert claimer.result() is None
+        # a stopping claimer leaves queued rows alone
+        queue.submit("d1")
+        assert queue.claim(stop=claimer.stop) is None
+        assert queue.depth() == 1
+
+    def test_spool_stays_durable(self, tmp_path):
+        """WAL for cheap commits, but ``synchronous`` stays FULL (2):
+        a committed row survives power loss before the 202 goes out."""
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        assert queue._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert queue._conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # SARIF export
 # ---------------------------------------------------------------------------
@@ -360,6 +446,18 @@ class TestServiceIntegration:
             {"name": plugins[0].name, "files": dict(plugins[0].files)}
         )
         assert code == 202 and body["coalesced"] is True
+
+    def test_idle_pool_stops_promptly(self, tmp_path):
+        service = self.make_service(tmp_path, jobs=2)
+        service.start()
+        deadline = time.monotonic() + 5
+        # both dispatchers parked in the blocking claim
+        while len(service.queue._queued._waiters) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert service.pool.stop(timeout=5) is True
+        assert not service.pool.running
+        service.close()
 
     def test_shutdown_drains_without_losing_jobs(self, tmp_path):
         plugins = small_plugins() * 3  # 12 submissions, mostly coalesced

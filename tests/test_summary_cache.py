@@ -118,13 +118,26 @@ class TestFingerprintSeparation:
         scan(files, cache=cache, options=PhpSafeOptions(oop=False))
         assert cache.summary_stats.hits == hits_before
 
-    def test_recover_mode_change_misses(self):
+    def test_recover_mode_change_hits(self):
+        """Strict and recovering scans compute summaries and lowered IR
+        through one unit loop, so a strict scan reuses both tiers from
+        recovering scans of the same plugins."""
         cache = ModelCache()
-        files = {"main.php": MAIN, "lib.php": LIB}
-        scan(files, cache=cache, options=PhpSafeOptions(recover=True))
-        hits_before = cache.summary_stats.hits
-        scan(files, cache=cache, options=PhpSafeOptions(recover=False))
-        assert cache.summary_stats.hits == hits_before
+        plugins = [
+            {"main.php": MAIN, "lib.php": LIB},
+            {"a.php": "<?php include 'b.php'; show($_POST['x']);",
+             "b.php": "<?php function show($v) { print $v; }"},
+        ]
+        recovered = [
+            scan(files, cache=cache, options=PhpSafeOptions(recover=True))
+            for files in plugins
+        ]
+        for files, prior in zip(plugins, recovered):
+            strict = scan(files, cache=cache, options=PhpSafeOptions(recover=False))
+            assert strict.perf["summary_cache_hits"] >= 1
+            assert strict.perf["ir_cache_hits"] >= 1
+            assert strict.perf["ir_cache_misses"] == 0
+            assert keys(strict) == keys(prior) != []
 
     def test_same_options_fresh_tool_hits(self):
         cache = ModelCache()
