@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..config.profiles import AnalyzerProfile
 from ..config.vulnerability import PAPER_KINDS
-from ..core.engine import EngineOptions
+from ..core.engine import PhpSafeOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
@@ -118,13 +118,13 @@ class PixyLike(AnalyzerTool):
         model = PluginModel.build(survivors, include_budget=2**63)
         for path, error in sorted(model.parse_failures.items()):
             report.failures.append(FileFailure(file=path, reason=str(error), is_error=True))
-        options = EngineOptions(
-            oop=False,
-            analyze_uncalled=False,
+        engine = IRTaintEngine(
+            model,
+            self.profile,
+            PhpSafeOptions(oop=False, analyze_uncalled=False, recover=False),
             unknown_call_policy="propagate",
             construct_kinds=PAPER_KINDS,  # Pixy: XSS and SQLi only
         )
-        engine = IRTaintEngine(model, self.profile, options)
         for finding in engine.run():
             report.add_finding(finding)
         report.files_analyzed = len(model.files)

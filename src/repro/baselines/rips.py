@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config.profiles import AnalyzerProfile
-from ..core.engine import EngineOptions
+from ..core.engine import PhpSafeOptions
 from ..core.ir import IRTaintEngine
 from ..core.model import PluginModel
 from ..core.results import FileFailure, ToolReport
@@ -49,12 +49,12 @@ class RipsLike(AnalyzerTool):
         model = PluginModel.build(plugin, include_budget=2**63)
         for path, error in sorted(model.parse_failures.items()):
             report.failures.append(FileFailure(file=path, reason=str(error)))
-        options = EngineOptions(
-            oop=False,
-            analyze_uncalled=True,
+        engine = IRTaintEngine(
+            model,
+            self.profile,
+            PhpSafeOptions(oop=False, analyze_uncalled=True, recover=False),
             unknown_call_policy="propagate",
         )
-        engine = IRTaintEngine(model, self.profile, options)
         for finding in engine.run():
             report.add_finding(finding)
         report.files_analyzed = len(model.files)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional
 
 from ..core.cache import ModelCache, content_key
+from ..core.model import parse_variant
 from ..core.phpsafe import PhpSafe, PhpSafeOptions
 from ..core.results import JsonlFindingSink
 from ..plugin import Plugin
@@ -139,7 +140,7 @@ def stream_scan(
     if cache is None:
         cache = ModelCache(max_entries=MAX_CACHE_ENTRIES, max_bytes=max_cache_bytes)
     tool = PhpSafe(options=options, cache=cache, use_process_cache=False)
-    variant = "recover" if options.recover else ""
+    variant = parse_variant(options.recover)
 
     summary = StreamingSummary(sink_path=sink_path)
     with JsonlFindingSink(sink_path, tool=tool.name) as sink:

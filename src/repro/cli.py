@@ -126,14 +126,13 @@ def _iter_targets(path: str):
 
 
 def _phpsafe_options(args: argparse.Namespace) -> PhpSafeOptions:
-    options = PhpSafeOptions(
+    profile = {"profile_name": args.profile} if args.profile else {}
+    return PhpSafeOptions(
         oop=not args.no_oop,
         recover=not args.strict,
         rule_packs=tuple(args.rule_pack),
+        **profile,
     )
-    if args.profile:
-        options.profile_name = args.profile
-    return options
 
 
 def _make_tool(args: argparse.Namespace):

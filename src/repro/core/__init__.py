@@ -8,7 +8,7 @@ run by the :mod:`.ir` executor), results processing (:mod:`.results`).  :class:`
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from .autofix import FixProposal, apply_fixes, propose_fix, verify_fix
 from .cache import CacheStats, ModelCache
-from .engine import EngineOptions, TaintEngine
+from .engine import TaintEngine
 from .model import ClassInfo, FileModel, FunctionInfo, PluginModel
 from .phpsafe import PhpSafe, PhpSafeOptions
 from .results import FileFailure, Finding, ToolReport
@@ -30,7 +30,6 @@ __all__ = [
     "verify_fix",
     "ClassInfo",
     "ConcreteSource",
-    "EngineOptions",
     "FileFailure",
     "FileModel",
     "Finding",

@@ -14,8 +14,9 @@ analysis units, OOP dispatch, includes and sinks.  Statements and
 expressions are executed by :class:`repro.core.ir.IRTaintEngine` over
 the lowered IR; it is the only executor.
 
-The same engine, parameterized by :class:`EngineOptions`, also powers
-the RIPS-like and Pixy-like baselines: their capability envelopes are
+The same engine, parameterized by :class:`PhpSafeOptions` (the one
+options record; phpSAFE's facade re-exports it), also powers the
+RIPS-like and Pixy-like baselines: their capability envelopes are
 expressed as option/profile differences rather than separate engines,
 which keeps the comparison experiments about *capabilities*, not
 implementation accidents.
@@ -24,7 +25,7 @@ implementation accidents.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..config.entries import PropagationSpec
@@ -69,55 +70,75 @@ CLEAN_FUNCTIONS = frozenset(
 )
 
 
-@dataclass
-class EngineOptions:
-    """Capability envelope switches (also the ablation knobs of A1)."""
+def _option(default: object, role: str):
+    """A :class:`PhpSafeOptions` field and its role; every cache key
+    derives from the roles.  ``result`` fields change what a scan
+    reports, so they key summaries, lowered IR and rescan manifests.
+    ``parse`` fields pick the model tier's parse variant
+    (:func:`~repro.core.model.parse_variant`), which also suffixes a
+    rescan manifest's key.  ``cost`` fields bound or memoize the work a
+    scan does; summaries and IR are the same whatever budget was left (a
+    faulted summary is never persisted), so only the service's stored
+    results, which fold in every field, key on them."""
+    return field(default=default, metadata={"role": role})
 
+
+@dataclass(frozen=True)
+class PhpSafeOptions:
+    """The analyzer's options: feature flags (also the ablation knobs of
+    experiment A1), the parse mode and the resource budgets.
+
+    Field order and names are part of the service's stored-result key
+    (``spec_fingerprint``): reordering or renaming a field rolls it."""
+
+    #: Named profile (a key of ``repro.rules.PROFILES``): ``wordpress``
+    #: loads the WordPress configuration (sources/filters/sinks and
+    #: known instances like ``$wpdb``) on top of generic PHP; the A1
+    #: ablation's "no WordPress configuration" is ``generic``.
+    profile_name: str = _option("wordpress", "result")
+    #: Rule packs compiled after the profile's own packs: shipped pack
+    #: names (``ssrf``) or filesystem paths.  Pack content hashes flow
+    #: into the profile fingerprint, hence into every cache key.
+    rule_packs: Tuple[str, ...] = _option((), "result")
     #: Resolve OOP: method calls, ``$this``, properties, known instances.
-    oop: bool = True
+    oop: bool = _option(True, "result")
     #: Analyze functions never called from plugin code (entry points).
-    analyze_uncalled: bool = True
+    analyze_uncalled: bool = _option(True, "result")
     #: Memoize function summaries (paper: "every function is analyzed
     #: only the first time it is called").  Off = re-analyze per call.
-    use_summaries: bool = True
-    #: Node-visit budget per plugin; exceeding aborts remaining analysis.
-    step_budget: int = 4_000_000
-    #: Kinds checked at language-construct sinks (backticks, include):
-    #: a 2007-era tool like Pixy never looks beyond XSS/SQLi.
-    construct_kinds: frozenset = ALL_KINDS
-    #: What an unknown function call returns: "clean" trusts unknown
-    #: code (phpSAFE: unknown CMS helpers are assumed safe, keeping
-    #: false positives low), "propagate" forwards argument taint (RIPS:
-    #: unknown functions are not sanitizers, so WordPress-escaped flows
-    #: like ``echo esc_html($_GET[...])`` are still reported — the
-    #: false-positive population Table I measures for RIPS).
-    unknown_call_policy: str = "clean"
-    #: What a unit fault does (paper Section V.E robustness).  Every
-    #: analysis unit — a function summary or a top-level file walk —
-    #: runs inside its own fault boundary; with ``recover`` a faulting
-    #: unit degrades to a recorded incident and the rest continue,
-    #: without it the fault fails the whole scan.  An exhausted
-    #: plugin-wide ``step_budget`` stops the remaining units either way.
-    recover: bool = False
-    #: Step-budget slice per analysis unit (None = only the plugin-wide
-    #: ``step_budget`` applies).
-    unit_step_budget: Optional[int] = None
+    use_summaries: bool = _option(True, "cost")
+    #: Cumulative include-closure budget per file, in source bytes;
+    #: reproduces the paper's memory-exhaustion failures (Section V.E).
+    #: A file over budget leaves the model, so this keys results.
+    include_budget: int = _option(120_000, "result")
+    #: Fault-tolerant pipeline (Section V.E): panic-mode lexer/parser
+    #: recovery, and a faulting analysis unit degrades to an incident
+    #: while the rest continue.  ``False`` (the CLI's ``--strict``) fails
+    #: a file on its first syntax error and the whole scan on any unit
+    #: fault.  An exhausted plugin-wide ``step_budget`` stops the
+    #: remaining units either way.
+    recover: bool = _option(True, "parse")
     #: Wall-clock deadline per analysis unit, in seconds (None = no
     #: deadline).  Gives the serial path the timeout the batch path gets
     #: from SIGALRM.
-    unit_deadline: Optional[float] = None
+    file_deadline: Optional[float] = _option(None, "cost")
+    #: Node-visit budget per plugin; exceeding aborts remaining analysis.
+    step_budget: int = _option(4_000_000, "cost")
+    #: Step-budget slice per analysis unit (None = only the plugin-wide
+    #: ``step_budget`` applies).
+    unit_step_budget: Optional[int] = _option(None, "cost")
     #: Nesting cap on executed statements and expressions: degenerate
     #: nesting (one-line concat chains of thousands of terms) trips a
     #: unit fault instead of a ``RecursionError`` deep in the stack.
-    max_eval_depth: int = 500
-    #: Record per-unit state footprints (globals/properties/statics read
-    #: and written, dependency files) for incremental rescans.  Off by
-    #: default: plain scans pay nothing for the bookkeeping.
-    track_units: bool = False
-    #: Root files whose analysis units are skipped because a prior scan
-    #: manifest proved them unchanged and uncoupled; their findings are
-    #: carried forward by the incremental driver.
-    reuse_roots: FrozenSet[str] = frozenset()
+    max_eval_depth: int = _option(500, "cost")
+
+    def role_values(self, role: str) -> Tuple[Tuple[str, object], ...]:
+        """``(name, value)`` of every field declared with ``role``."""
+        return tuple(
+            (item.name, getattr(self, item.name))
+            for item in fields(self)
+            if item.metadata["role"] == role
+        )
 
 
 #: Cap on the flow-trace length kept per value (reporting only).
@@ -194,7 +215,7 @@ class SinkEvent:
     via_oop: bool = False
     markup_context: str = ""
     #: root file of the analysis unit that produced the event (only
-    #: populated under ``track_units``); incremental rescans carry a
+    #: populated on tracked runs); incremental rescans carry a
     #: skipped root's findings forward by this attribution
     unit: str = ""
 
@@ -271,10 +292,11 @@ def summary_is_valid(summary: FunctionSummary, model: PluginModel,
 class UnitFootprint:
     """What the units rooted at one file touched outside themselves.
 
-    Recorded only under ``EngineOptions.track_units``.  The incremental
-    planner intersects read/write sets across scans: a root whose file
-    digest, dependency files, and state couplings are all unchanged can
-    be skipped on rescan with its findings carried forward.
+    Recorded only on tracked runs (an engine given ``reuse_roots``).
+    The incremental planner intersects read/write sets across scans: a
+    root whose file digest, dependency files, and state couplings are
+    all unchanged can be skipped on rescan with its findings carried
+    forward.
     """
 
     #: files whose definitions the units consulted (callee bodies,
@@ -435,11 +457,34 @@ class TaintEngine:
         self,
         model: PluginModel,
         profile: AnalyzerProfile,
-        options: Optional[EngineOptions] = None,
+        options: Optional[PhpSafeOptions] = None,
+        *,
+        construct_kinds: frozenset = ALL_KINDS,
+        unknown_call_policy: str = "clean",
+        reuse_roots: Optional[FrozenSet[str]] = None,
     ) -> None:
+        """The baselines' envelope settings (phpSAFE keeps the
+        defaults): ``construct_kinds`` are the kinds checked at
+        language-construct sinks (backticks, include) — a 2007-era tool
+        like Pixy never looks beyond XSS/SQLi; ``unknown_call_policy``
+        is what an unknown function call returns: "clean" trusts unknown
+        code (phpSAFE: unknown CMS helpers are assumed safe), "propagate"
+        forwards argument taint (RIPS: unknown functions are not
+        sanitizers, so ``echo esc_html($_GET[...])`` is still reported —
+        the false-positive population Table I measures for RIPS).
+
+        ``reuse_roots`` makes the run a tracked one (incremental
+        rescans): per-unit state footprints are recorded, and the units
+        of these root files, which a prior manifest proved unchanged and
+        uncoupled, are skipped.  An empty set tracks and reuses nothing;
+        ``None`` (plain scans) pays nothing for the bookkeeping.
+        """
         self.model = model
         self.profile = profile
-        self.options = options or EngineOptions()
+        self.options = options or PhpSafeOptions()
+        self.construct_kinds = construct_kinds
+        self.unknown_call_policy = unknown_call_policy
+        self.reuse_roots: FrozenSet[str] = reuse_roots or frozenset()
         #: every kind this profile's specs mention; ``ALL_KINDS`` itself
         #: (same object — the ``from_label`` fast path is identity-based)
         #: unless rule packs introduced extra kinds
@@ -470,8 +515,8 @@ class TaintEngine:
         self._unit_limit: Optional[int] = None
         self._deadline_at: Optional[float] = None
         self._depth = 0
-        #: incremental-rescan bookkeeping (``track_units`` only)
-        self.track = bool(self.options.track_units)
+        #: incremental-rescan bookkeeping (tracked runs only)
+        self.track = reuse_roots is not None
         #: per-root-file aggregated state footprints
         self.footprints: Dict[str, UnitFootprint] = {}
         self._unit_fp: Optional[UnitFootprint] = None
@@ -508,7 +553,7 @@ class TaintEngine:
         start = time.perf_counter()
         steps_before = self._steps
         try:
-            reuse = self.options.reuse_roots
+            reuse = self.reuse_roots
             if self.options.analyze_uncalled:
                 for info in self.model.uncalled_functions():
                     if self.aborted:
@@ -571,8 +616,8 @@ class TaintEngine:
         """
         if self.options.unit_step_budget is not None:
             self._unit_limit = self._steps + self.options.unit_step_budget
-        if self.options.unit_deadline is not None:
-            self._deadline_at = time.monotonic() + self.options.unit_deadline
+        if self.options.file_deadline is not None:
+            self._deadline_at = time.monotonic() + self.options.file_deadline
         self._depth = 0
         globals_before: Optional[Dict[str, Tuple[TaintState, str]]] = None
         if self.track:
@@ -764,7 +809,7 @@ class TaintEngine:
 
     def findings_by_unit(self) -> Dict[str, List[Finding]]:
         """Finalized findings grouped by the root file that produced
-        them (``track_units`` runs only; events emitted outside any unit
+        them (tracked runs only; events emitted outside any unit
         group under ``""``).  Each group is deduplicated independently —
         the cross-group min-merge happens when groups are recombined."""
         grouped: Dict[str, List[Finding]] = {}
@@ -1229,7 +1274,7 @@ class TaintEngine:
         A tainted include path is also a file-inclusion sink (extension
         kind ``VulnKind.LFI``)."""
         if (
-            VulnKind.LFI in self.options.construct_kinds
+            VulnKind.LFI in self.construct_kinds
             and path_value.taint.active.get(VulnKind.LFI)
         ):
             self._emit(

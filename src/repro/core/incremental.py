@@ -1,6 +1,6 @@
 """Diff-aware incremental rescans (paper Section VI future work).
 
-A scan run under ``EngineOptions.track_units`` records, per *root file*
+A tracked scan (an engine given ``reuse_roots``) records, per *root file*
 (the file owning each analysis unit), a :class:`~repro.core.engine.
 UnitFootprint`: which files its results were computed from, which
 global variables / class properties / static slots it read and wrote,
@@ -12,7 +12,7 @@ and the finalized findings its events produced.  That record set — the
    re-runs when its own file changed, a dependency file changed, a
    previously failed lookup now resolves, or its state footprint
    couples (read∩write in either direction) with an affected root.
-   Everything else is skipped via ``EngineOptions.reuse_roots`` and its
+   Everything else is skipped via the engine's ``reuse_roots`` and its
    findings are carried forward from the manifest.
 2. :func:`validate_rescan` re-checks the couplings after the run with
    the *actual* footprints of the executed units (the plan only had

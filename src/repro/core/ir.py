@@ -52,7 +52,7 @@ from .engine import (
     MAX_TRACE,
     PASSTHROUGH_FUNCTIONS,
     BudgetExceeded,
-    EngineOptions,
+    PhpSafeOptions,
     Scope,
     SinkEvent,
     TaintEngine,
@@ -180,16 +180,18 @@ class _Lowerer:
     One instance per (file, analyzer configuration): everything baked
     into the instructions — trace strings, source labels, profile specs,
     the unknown-call policy — is either file-scoped or covered by the
-    analyzer fingerprint the IR cache is keyed under.
+    analyzer fingerprint the IR cache is keyed under.  The baselines'
+    envelope settings (construct kinds, unknown-call policy) are not in
+    that fingerprint: only the baselines change them, and they run
+    without an IR store.
     """
 
-    def __init__(self, profile, options: EngineOptions, file: str) -> None:
-        self.profile = profile
-        self.options = options
+    def __init__(self, engine: TaintEngine, file: str) -> None:
+        self.profile = engine.profile
         self.file = file
-        self.oop = options.oop
-        self.construct_kinds = options.construct_kinds
-        self.unknown_call_policy = options.unknown_call_policy
+        self.oop = engine.options.oop
+        self.construct_kinds = engine.construct_kinds
+        self.unknown_call_policy = engine.unknown_call_policy
 
     # -- statements --------------------------------------------------------
     #
@@ -730,11 +732,12 @@ class IRTaintEngine(TaintEngine):
         self,
         model,
         profile,
-        options: Optional[EngineOptions] = None,
+        options: Optional[PhpSafeOptions] = None,
         ir_store=None,
         ir_fingerprint: str = "",
+        **engine_args,
     ) -> None:
-        super().__init__(model, profile, options)
+        super().__init__(model, profile, options, **engine_args)
         self._ir_store = ir_store
         self._ir_fingerprint = ir_fingerprint
         #: id(statement list) -> lowered instruction tuple
@@ -766,7 +769,7 @@ class IRTaintEngine(TaintEngine):
         # a body outside any known file program (synthetic statement
         # lists, `<unknown>` contexts): lower it standalone and pin it
         start = time.perf_counter()
-        lowerer = _Lowerer(self.profile, self.options, path)
+        lowerer = _Lowerer(self, path)
         code = lowerer.lower_block(statements)
         counters.ir_lower_seconds += time.perf_counter() - start
         counters.ir_bodies_lowered += 1
@@ -797,7 +800,7 @@ class IRTaintEngine(TaintEngine):
                 counters.ir_cache_misses += 1
         if program is None:
             start = time.perf_counter()
-            lowerer = _Lowerer(self.profile, self.options, path)
+            lowerer = _Lowerer(self, path)
             codes = tuple(lowerer.lower_block(body) for body in bodies)
             counters.ir_lower_seconds += time.perf_counter() - start
             counters.ir_bodies_lowered += len(bodies)

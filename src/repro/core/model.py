@@ -29,6 +29,13 @@ from ..plugin import Plugin
 from .cache import source_digest
 
 
+def parse_variant(recover: bool) -> str:
+    """The parse mode's cache-key component: model-tier entries and
+    rescan manifests key on it, because a recovering parse reads files
+    (and their findings) a strict parse rejects."""
+    return "recover" if recover else ""
+
+
 @dataclass
 class FunctionInfo:
     """A user-defined function or method known to the model."""
@@ -129,7 +136,7 @@ class PluginModel:
         hashed the sources, so no file is hashed twice.
         """
         model = cls(plugin)
-        variant = "recover" if recover else ""
+        variant = parse_variant(recover)
         for path, source in plugin.iter_files():
             digest = (digests or {}).get(path) or source_digest(source)
             if cache is not None:

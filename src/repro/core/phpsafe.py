@@ -13,7 +13,6 @@ file, read the findings off the returned report.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from ..config.profiles import AnalyzerProfile
@@ -22,48 +21,11 @@ from ..perf import counters, derive
 from ..plugin import Plugin
 from ..rules import resolve_profile
 from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
-from .engine import EngineOptions, TaintEngine, summary_is_valid
+from .engine import PhpSafeOptions, TaintEngine, summary_is_valid
 from .ir import IRTaintEngine
-from .model import PluginModel
+from .model import PluginModel, parse_variant
 from .results import FileFailure, Finding, ToolReport
 from .tool import AnalyzerTool, collector_paused
-
-
-@dataclass
-class PhpSafeOptions:
-    """Feature flags — also the ablation knobs of experiment A1."""
-
-    #: Named profile (a key of ``repro.rules.PROFILES``): ``wordpress``
-    #: loads the WordPress configuration (sources/filters/sinks and
-    #: known instances like ``$wpdb``) on top of generic PHP; the A1
-    #: ablation's "no WordPress configuration" is ``generic``.
-    profile_name: str = "wordpress"
-    #: Rule packs compiled after the profile's own packs: shipped pack
-    #: names (``ssrf``) or filesystem paths.  Pack content hashes flow
-    #: into the profile fingerprint, hence into every cache key.
-    rule_packs: Tuple[str, ...] = ()
-    #: Parse OOP constructs: properties, methods, ``new``, ``$this``.
-    oop: bool = True
-    #: Analyze functions never called from plugin code (entry points).
-    analyze_uncalled: bool = True
-    #: Memoize function summaries (parse each function only once).
-    use_summaries: bool = True
-    #: Cumulative include-closure budget per file, in source bytes;
-    #: reproduces the paper's memory-exhaustion failures (Section V.E).
-    include_budget: int = 120_000
-    #: Fault-tolerant pipeline (Section V.E): panic-mode lexer/parser
-    #: recovery, and a faulting analysis unit degrades to an incident.
-    #: ``False`` (the CLI's ``--strict``) fails a file on its first
-    #: syntax error and the whole scan on any unit fault.
-    recover: bool = True
-    #: Wall-clock deadline, in seconds, per analysis unit (the batch
-    #: path gets its per-plugin timeout from SIGALRM).
-    file_deadline: Optional[float] = None
-    #: Engine budgets, as documented on
-    #: :class:`~repro.core.engine.EngineOptions`.
-    step_budget: int = 4_000_000
-    unit_step_budget: Optional[int] = None
-    max_eval_depth: int = 500
 
 
 #: Process-wide L1 artifact cache: parse models, lowered IR and function
@@ -137,31 +99,24 @@ class PhpSafe(AnalyzerTool):
         self.profile = profile or resolve_profile(
             self.options.profile_name, self.options.rule_packs
         )
-
-    def _summary_fingerprint(self, engine_options: EngineOptions) -> str:
-        """Configuration identity of the persistent summary cache: the
-        knowledge base plus every engine option that changes what a
-        function summary contains.  Resource budgets are excluded — a
-        summary is the same analysis result regardless of how much
-        budget was left when it was computed (faulted placeholder
-        summaries are never persisted).  So is ``recover``: strict and
-        recovering scans compute summaries through one unit loop, and a
-        file only a recovering parse reads is absent from a strict
-        model, so dependency validation rejects what was built on it."""
-        spec = (
-            self.profile.fingerprint(),
-            engine_options.oop,
-            engine_options.analyze_uncalled,
-            tuple(sorted(kind.value for kind in engine_options.construct_kinds)),
-            engine_options.unknown_call_policy,
-        )
-        return hashlib.sha256(repr(spec).encode("utf-8")).hexdigest()[:16]
+        #: configuration identity of persisted summaries, lowered IR and
+        #: rescan manifests: the knowledge base plus every ``result``
+        #: option.  ``cost`` options are left out (a summary is the same
+        #: whatever budget was left; faulted ones are never persisted),
+        #: and so is ``recover``: strict and recovering scans compute
+        #: summaries through one unit loop, and a file only a recovering
+        #: parse reads is absent from a strict model, so dependency
+        #: validation rejects what was built on it.
+        self.summary_fingerprint = hashlib.sha256(
+            repr(
+                (self.profile.fingerprint(),) + self.options.role_values("result")
+            ).encode("utf-8")
+        ).hexdigest()[:16]
 
     def _preload_summaries(
         self,
         engine: TaintEngine,
         model: PluginModel,
-        fingerprint: str,
         digests: Dict[str, str],
     ) -> Set[str]:
         """Install valid cross-run summaries before the engine runs.
@@ -174,7 +129,9 @@ class PhpSafe(AnalyzerTool):
             digest = digests.get(info.file)
             if not digest:
                 continue
-            cached = self.cache.lookup_summary(summary_key(fingerprint, key, digest))
+            cached = self.cache.lookup_summary(
+                summary_key(self.summary_fingerprint, key, digest)
+            )
             if cached is None:
                 counters.summary_cache_misses += 1
                 continue
@@ -191,7 +148,6 @@ class PhpSafe(AnalyzerTool):
         self,
         engine: TaintEngine,
         model: PluginModel,
-        fingerprint: str,
         digests: Dict[str, str],
         preloaded: Set[str],
     ) -> None:
@@ -220,45 +176,28 @@ class PhpSafe(AnalyzerTool):
             else:
                 summary.dep_digests = dep_digests
                 self.cache.store_summary(
-                    summary_key(fingerprint, key, digest), summary
+                    summary_key(self.summary_fingerprint, key, digest), summary
                 )
-
-    def _engine_options(
-        self,
-        track_units: bool = False,
-        reuse_roots: FrozenSet[str] = frozenset(),
-    ) -> EngineOptions:
-        options = self.options
-        return EngineOptions(
-            oop=options.oop,
-            analyze_uncalled=options.analyze_uncalled,
-            use_summaries=options.use_summaries,
-            step_budget=options.step_budget,
-            recover=options.recover,
-            unit_step_budget=options.unit_step_budget,
-            unit_deadline=options.file_deadline,
-            max_eval_depth=options.max_eval_depth,
-            track_units=track_units,
-            reuse_roots=reuse_roots,
-        )
 
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:
         """Run the four stages on every file of ``plugin``."""
-        report, _model, _engine = self._scan(plugin, self._engine_options())
+        report, _model, _engine = self._scan(plugin)
         return report
 
     def _scan(
         self,
         plugin: Plugin,
-        engine_options: EngineOptions,
         model: Optional[PluginModel] = None,
+        reuse_roots: Optional[FrozenSet[str]] = None,
         carried: Sequence[Finding] = (),
     ) -> Tuple[ToolReport, PluginModel, TaintEngine]:
         """The shared scan core behind :meth:`analyze` and
         :meth:`rescan`: build (or accept) the model, run the engine,
-        shape the report.  ``carried`` findings from a prior manifest
-        are min-merged with the live ones before deduplication."""
+        shape the report.  ``reuse_roots`` makes the run a tracked one
+        (see :class:`TaintEngine`); ``carried`` findings from a prior
+        manifest are min-merged with the live ones before
+        deduplication."""
         perf_before = counters.snapshot()
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         if model is None:
@@ -278,22 +217,20 @@ class PhpSafe(AnalyzerTool):
             report.failures.append(
                 FileFailure(file=path, reason=str(error), is_error=False)
             )
-        fingerprint = ""
-        if self.cache is not None:
-            fingerprint = self._summary_fingerprint(engine_options)
         engine = IRTaintEngine(
             model,
             self.profile,
-            engine_options,
+            self.options,
             ir_store=self.cache,
-            ir_fingerprint=fingerprint,
+            ir_fingerprint=self.summary_fingerprint,
+            reuse_roots=reuse_roots,
         )
-        use_summary_cache = self.cache is not None and engine_options.use_summaries
+        use_summary_cache = self.cache is not None and self.options.use_summaries
         digests: Dict[str, str] = {}
         preloaded: Set[str] = set()
         if use_summary_cache:
             digests = model.file_digests()
-            preloaded = self._preload_summaries(engine, model, fingerprint, digests)
+            preloaded = self._preload_summaries(engine, model, digests)
         live = engine.run()
         if carried:
             merged = TaintEngine.dedupe_findings(list(live) + list(carried))
@@ -302,7 +239,7 @@ class PhpSafe(AnalyzerTool):
         for finding in merged:
             report.add_finding(finding)
         if use_summary_cache:
-            self._store_summaries(engine, model, fingerprint, digests, preloaded)
+            self._store_summaries(engine, model, digests, preloaded)
         report.incidents = list(model.incidents) + list(engine.incidents)
         # recovered incidents map to "error message but analysis
         # completed" failures (the Pixy column of the paper's table)
@@ -380,12 +317,9 @@ class PhpSafe(AnalyzerTool):
             # (they stay on disk); a digest still in use is kept
             old_files: Dict[str, str] = manifest.get("files") or {}  # type: ignore
             self.cache.spill_versions(set(old_files.values()) - set(digests.values()))
-        base_options = self._engine_options(track_units=True)
         # unlike the summary key, a manifest keeps the parse variant: it
         # carries the findings of files only a recovering parse reads
-        fingerprint = (
-            f"{self._summary_fingerprint(base_options)}:{int(self.options.recover)}"
-        )
+        fingerprint = f"{self.summary_fingerprint}:{parse_variant(self.options.recover)}"
         model = PluginModel.build(
             plugin,
             include_budget=self.options.include_budget,
@@ -399,13 +333,10 @@ class PhpSafe(AnalyzerTool):
             fallback_reason="",
         )
         if not plan.full and manifest is not None:
-            options = self._engine_options(
-                track_units=True, reuse_roots=plan.reuse_roots
-            )
             report, model, engine = self._scan(
                 plugin,
-                options,
                 model=model,
+                reuse_roots=plan.reuse_roots,
                 carried=carried_findings(manifest, plan.reuse_roots),
             )
             violation = validate_rescan(manifest, plan, engine, model)
@@ -423,7 +354,7 @@ class PhpSafe(AnalyzerTool):
             stats.fallback_reason = violation
         elif plan.reason:
             stats.fallback_reason = plan.reason
-        report, model, engine = self._scan(plugin, base_options, model=model)
+        report, model, engine = self._scan(plugin, model=model, reuse_roots=frozenset())
         new_manifest = build_manifest(fingerprint, digests, engine)
         stats.roots_total = len(new_manifest["roots"])  # type: ignore[arg-type]
         stats.roots_reused = 0

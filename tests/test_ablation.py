@@ -3,9 +3,14 @@
 Each feature flag removes one capability the paper credits for
 phpSAFE's performance; each test verifies the capability's signature
 flow is found with the flag on and missed with it off.
+:class:`TestCorpusAblation` pins EXPERIMENTS.md's A1 table on the 2014
+corpus.
 """
 
+import pytest
+
 from repro.core import PhpSafe, PhpSafeOptions
+from repro.evaluation.matching import MatchResult, accumulate_report
 from repro.rules import resolve_profile
 from repro.config.vulnerability import VulnKind
 
@@ -109,3 +114,69 @@ class TestCombinedAblation:
             PhpSafeOptions(profile_name="generic"),
         ):
             assert not findings_of(flow, PhpSafe(options=options))
+
+
+#: A1's variants: one capability removed each (EXPERIMENTS.md)
+VARIANTS = {
+    "full": PhpSafeOptions(),
+    "no-oop": PhpSafeOptions(oop=False),
+    "no-uncalled": PhpSafeOptions(analyze_uncalled=False),
+    "no-wordpress": PhpSafeOptions(profile_name="generic"),
+    "no-summaries": PhpSafeOptions(use_summaries=False),
+}
+
+
+@pytest.fixture(scope="module")
+def ablation(corpus_2014):
+    """Variant name -> true-positive vulnerability ids on the 2014 corpus."""
+    detected = {}
+    for variant, options in VARIANTS.items():
+        tool = PhpSafe(options=options)
+        match = MatchResult(tool=variant, version="2014")
+        for plugin in corpus_2014.plugins:
+            accumulate_report(
+                match, tool.analyze(plugin), corpus_2014.truth, plugin.name
+            )
+        detected[variant] = set(match.detected_ids)
+    return detected
+
+
+class TestCorpusAblation:
+    """The A1 table: TP 387 / 208 / 137 / 106 / 387."""
+
+    def test_true_positives_per_variant(self, ablation):
+        assert {variant: len(ids) for variant, ids in ablation.items()} == {
+            "full": 387,
+            "no-oop": 208,
+            "no-wordpress": 137,
+            "no-uncalled": 106,
+            "no-summaries": 387,
+        }
+
+    def test_shape(self, ablation, corpus_2014):
+        full = ablation["full"]
+        vulnerabilities = list(corpus_2014.truth.vulnerabilities())
+        oop_ids = {entry.spec.spec_id for entry in vulnerabilities if entry.spec.via_oop}
+        wpdb_ids = {
+            entry.spec.spec_id
+            for entry in vulnerabilities
+            if entry.spec.via_oop and entry.spec.vector.value == "DB"
+        }
+        assert (len(oop_ids), len(wpdb_ids)) == (179, 150)
+        # removing OOP loses exactly the OOP population of E6
+        assert full - ablation["no-oop"] == oop_ids
+        # removing uncalled-function analysis loses the entry-point flows
+        assert ablation["no-uncalled"] < full
+        # removing the WordPress profile loses the $wpdb-mediated flows
+        # but keeps pure property flows ($_COOKIE -> $this->prop -> echo
+        # needs only OOP resolution)
+        assert wpdb_ids & ablation["no-wordpress"] == set()
+        sqli_ids = {
+            entry.spec.spec_id
+            for entry in vulnerabilities
+            if entry.spec.region == "e_sqli"
+        }
+        assert oop_ids - wpdb_ids - sqli_ids <= ablation["no-wordpress"]
+        assert len(ablation["no-wordpress"]) < len(ablation["no-oop"])
+        # summaries are a pure optimization: same detections
+        assert ablation["no-summaries"] == full

@@ -142,6 +142,24 @@ class TestRescanParity:
         assert stats.fallback_reason == "analyzer configuration changed"
         assert finding_signatures([warm]) == finding_signatures([cold])
 
+    def test_include_budget_change_ignores_manifest(self, corpus_2014):
+        # a tighter include budget drops files from the model, so a
+        # manifest built under a looser one must not carry their
+        # findings into the rescan
+        from repro.core.phpsafe import PhpSafeOptions
+
+        cache = ModelCache()
+        loose = PhpSafe(options=PhpSafeOptions(include_budget=10**12), cache=cache)
+        tight_options = PhpSafeOptions(include_budget=2_000)
+        tight = PhpSafe(options=tight_options, cache=cache)
+        for plugin in corpus_2014.plugins:
+            _report, manifest, _ = loose.rescan(plugin)
+            warm, _m, _stats = tight.rescan(plugin, manifest)
+            cold = PhpSafe(options=tight_options, use_process_cache=False)
+            assert finding_signatures([warm]) == finding_signatures(
+                [cold.analyze(plugin)]
+            ), plugin.name
+
     def test_coupled_roots_rerun_together(self):
         # writer.php taints a global that reader.php echoes: changing
         # the writer must re-run the reader too, and findings must

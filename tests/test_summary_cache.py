@@ -7,8 +7,15 @@ file the summary was computed from.  These tests pin down the
 invalidation contract: reuse only when it cannot change the findings.
 """
 
+import dataclasses
+
+import pytest
+
 from repro.core import ModelCache, PhpSafe
 from repro.core.phpsafe import PhpSafeOptions
+from repro.core.results import finding_signatures
+from repro.difftest import SLICES
+from repro.difftest.slices import pack_enabled_phpsafe
 from repro.plugin import Plugin
 
 MAIN = "<?php include 'lib.php'; page($_GET['q']);"
@@ -166,3 +173,68 @@ class TestPersistenceExclusions:
         assert all("render" not in key for key in summary_keys)
         second = scan(files, cache=cache)
         assert keys(first) == keys(second)
+
+
+#: a second value for every ``PhpSafeOptions`` field, grouped by role
+SECOND_VALUES = {
+    "result": {
+        "profile_name": "generic",
+        "rule_packs": ("ssrf",),
+        "oop": False,
+        "analyze_uncalled": False,
+        "include_budget": 2_000,
+    },
+    "parse": {"recover": False},
+    "cost": {
+        "use_summaries": False,
+        "file_deadline": 3600.0,
+        "step_budget": 40_000_000,
+        "unit_step_budget": 40_000_000,
+        "max_eval_depth": 700,
+    },
+}
+
+
+def roles():
+    return {
+        item.name: item.metadata.get("role")
+        for item in dataclasses.fields(PhpSafeOptions)
+    }
+
+
+class TestOptionRoles:
+    """Every cache key derives from the roles the option fields declare,
+    so a field without a role, or a role that is wrong, fails here."""
+
+    def test_every_field_has_exactly_one_role(self):
+        assert {
+            name: role for role, group in SECOND_VALUES.items() for name in group
+        } == roles()
+
+    def test_result_fields_and_only_they_change_the_summary_key(self):
+        base = PhpSafe(use_process_cache=False).summary_fingerprint
+        for role, group in SECOND_VALUES.items():
+            for name, value in group.items():
+                options = PhpSafeOptions(**{name: value})
+                tool = PhpSafe(options=options, use_process_cache=False)
+                assert (tool.summary_fingerprint != base) is (role == "result"), name
+
+    def test_options_record_is_frozen_and_hashable(self):
+        options = PhpSafeOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.oop = False  # type: ignore[misc]
+        assert hash(options) == hash(PhpSafeOptions())
+
+    def test_cost_fields_leave_slice_signatures_identical(self):
+        """No summaries and every budget raised: a cost field that
+        changed results while staying out of the summary key shows up
+        as a slice whose signatures move."""
+        base = pack_enabled_phpsafe().options
+        costly = dataclasses.replace(base, **SECOND_VALUES["cost"])
+        for piece in SLICES:
+            plugin = Plugin(name=f"slice-{piece.name}", files={"slice.php": piece.code})
+            expected = PhpSafe(options=base, use_process_cache=False).analyze(plugin)
+            actual = PhpSafe(options=costly, use_process_cache=False).analyze(plugin)
+            assert finding_signatures([actual]) == finding_signatures(
+                [expected]
+            ), piece.name
