@@ -9,7 +9,9 @@ Exercises the full out-of-process path CI cares about:
 4. fetch the SARIF report and validate its 2.1.0 shape,
 5. load the queue with more submissions, SIGTERM the daemon mid-run,
    and prove the graceful sequence lost zero accepted jobs (every row
-   in the sqlite spool is ``done`` or ``queued``, never ``running``).
+   in the sqlite spool is ``done`` or ``queued``, never ``running``)
+   and left both the spool and the workers' ``cache/objects.sqlite``
+   artifact store passing ``PRAGMA integrity_check``.
 
 Stdlib only; run from the repo root::
 
@@ -188,6 +190,14 @@ def main():
             f"all {accepted} accepted jobs persisted (spool has {total})",
         )
         print(f"queue after SIGTERM: {rows}")
+
+        # the workers' shared artifact store must survive the SIGTERM too
+        conn = sqlite3.connect(os.path.join(data_dir, "cache", "objects.sqlite"))
+        integrity = conn.execute("PRAGMA integrity_check").fetchone()[0]
+        objects = conn.execute("SELECT COUNT(*) FROM objects").fetchone()[0]
+        conn.close()
+        check(integrity == "ok", f"cache integrity_check ok (got {integrity!r})")
+        check(objects > 0, f"cache persisted artifacts ({objects} rows)")
         print("PASS: serve smoke complete")
         return 0
     finally:

@@ -2,33 +2,30 @@
 
 The in-memory :class:`~repro.core.cache.ModelCache` dies with the
 process, so CI runs, the history workflow and ``timing_repetitions``
-all re-parse every unchanged file.  :class:`DiskModelCache` layers a
-content-addressed pickle store under the memory LRU: every parsed file
-model (and every cached parse *failure*) is also written to
-``cache_dir/objects/<aa>/<sha256>.pkl``, and a memory miss probes disk
-before re-parsing.  Because objects are keyed by a content digest, the
-store needs no invalidation — a changed file simply hashes to a new
-object — and writes are atomic (temp file + ``os.replace``), so any
-number of worker processes can share one cache directory.
-
-The memory tier is an LRU bounded by estimated heap bytes — the same
-:data:`~repro.core.cache.MEMORY_TIER_MAX_BYTES` ceiling as the
-process-wide cache, with no entry-count cap, so a corpus's small
-summaries never crowd its file models out; the disk tier is unbounded
-and survives across runs (``clear()`` drops both).  An entry too large
-for the memory budget still lands on disk, so it is served persistently
-without ever being pinned in RAM.
+would re-parse every unchanged file.  :class:`DiskModelCache` also
+pickles every cached artifact into one row of
+``cache_dir/objects.sqlite``, keyed by its cache key, and a memory miss
+probes that table before re-parsing.  Keys carry a content digest, so
+the store needs no invalidation; WAL mode with autocommit makes each
+store visible at once to every process sharing the directory.  The
+memory tier is bounded by estimated heap bytes
+(:data:`~repro.core.cache.MEMORY_TIER_MAX_BYTES`); the disk tier is
+unbounded, survives across runs and also keeps entries too large for
+the memory budget (``clear()`` drops both tiers).
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
-import tempfile
-from typing import Optional
+import sqlite3
+from typing import List, Optional
 
 from ..core.cache import MEMORY_TIER_MAX_BYTES, ModelCache, _Slot
+
+#: connections a forked child inherited: SQLite must not use or close a
+#: connection across ``fork()``, so the child keeps them, unused
+_INHERITED: List[sqlite3.Connection] = []
 
 
 class DiskModelCache(ModelCache):
@@ -42,8 +39,10 @@ class DiskModelCache(ModelCache):
     ) -> None:
         super().__init__(max_entries=max_entries, max_bytes=max_bytes)
         self.cache_dir = cache_dir
-        self._objects_dir = os.path.join(cache_dir, "objects")
-        os.makedirs(self._objects_dir, exist_ok=True)
+        os.makedirs(cache_dir, exist_ok=True)
+        self._db_path = os.path.join(cache_dir, "objects.sqlite")
+        self._db: Optional[sqlite3.Connection] = None
+        self._db_pid = 0
 
     # -- tiering -----------------------------------------------------------
 
@@ -51,73 +50,73 @@ class DiskModelCache(ModelCache):
         slot = super()._load(key)
         if slot is not None:
             return slot
-        slot = self._read_object(key)
-        if slot is not None:
-            self.stats.disk_hits += 1
-            # promote into the memory LRU without re-writing the object
-            super()._insert(key, slot)
-        return slot
+        row = self._execute("SELECT slot FROM objects WHERE key = ?", key)
+        if row is None:
+            return None
+        try:
+            model, error = pickle.loads(row[0])
+        except Exception:
+            # truncated/corrupted/stale-format row: delete it so the
+            # next store rewrites it, and count it for batch telemetry
+            self.stats.corrupt += 1
+            self._execute("DELETE FROM objects WHERE key = ?", key)
+            return None
+        self.stats.disk_hits += 1
+        # promote into the memory LRU without re-writing the object
+        super()._insert(key, (model, error))
+        return model, error
 
     def _insert(self, key: str, slot: _Slot) -> None:
         super()._insert(key, slot)
-        self._write_object(key, slot)
+        try:
+            blob = pickle.dumps(tuple(slot), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return  # unpicklable model: keep the memory entry only
+        self._execute("INSERT OR REPLACE INTO objects VALUES (?, ?)", key, blob)
 
     def clear(self) -> None:
         """Drop the memory tier *and* the persistent objects."""
         super().clear()
-        for dirpath, _dirnames, filenames in os.walk(self._objects_dir):
-            for filename in filenames:
-                try:
-                    os.remove(os.path.join(dirpath, filename))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
+        self._execute("DELETE FROM objects")
 
     def disk_len(self) -> int:
         """Number of objects currently persisted."""
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self._objects_dir):
-            count += sum(1 for name in filenames if name.endswith(".pkl"))
-        return count
+        row = self._execute("SELECT COUNT(*) FROM objects")
+        return row[0] if row else 0
 
-    # -- object store ------------------------------------------------------
-
-    def _object_path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return os.path.join(self._objects_dir, digest[:2], digest + ".pkl")
-
-    def _read_object(self, key: str) -> Optional[_Slot]:
-        path = self._object_path(key)
-        try:
-            with open(path, "rb") as handle:
-                model, error = pickle.load(handle)
-            return model, error
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # truncated/corrupted/stale-format object: quarantine it
-            # (unlink so the next store rewrites a clean one) and count
-            # the incident so batch telemetry surfaces silent cache rot
-            self.stats.corrupt += 1
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use."""
+        if self._db is not None and self._db_pid != os.getpid():
+            _INHERITED.append(self._db)  # forked: open our own
+            self._db = None
+        while self._db is None:
+            db = sqlite3.connect(
+                self._db_path, timeout=30.0, isolation_level=None,
+                check_same_thread=False,
+            )
             try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - already gone
-                pass
-            return None
+                db.executescript(
+                    "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL;"
+                    " PRAGMA cache_size=-256; CREATE TABLE IF NOT EXISTS"
+                    " objects (key TEXT PRIMARY KEY, slot BLOB) WITHOUT ROWID"
+                )
+                self._db, self._db_pid = db, os.getpid()
+            except sqlite3.DatabaseError as error:
+                db.close()
+                if isinstance(error, sqlite3.OperationalError):
+                    raise
+                # not a database: move it aside, drop its WAL (which must
+                # not replay onto the fresh file) and start over
+                self.stats.corrupt += 1
+                os.replace(self._db_path, self._db_path + ".corrupt")
+                for leftover in ("-wal", "-shm"):
+                    if os.path.exists(self._db_path + leftover):
+                        os.remove(self._db_path + leftover)
+        return self._db
 
-    def _write_object(self, key: str, slot: _Slot) -> None:
-        path = self._object_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp"
-        )
+    def _execute(self, sql: str, *params) -> Optional[tuple]:
+        """First row of one statement; None if the store is unusable."""
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(tuple(slot), handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)  # atomic under concurrent writers
-        except Exception:
-            # unpicklable model or full disk: keep the memory entry,
-            # skip persistence
-            try:
-                os.remove(tmp_path)
-            except OSError:
-                pass
+            return self._connection().execute(sql, params).fetchone()
+        except (sqlite3.Error, OSError):
+            return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..php.errors import PhpSyntaxError
 
@@ -213,6 +213,9 @@ class ModelCache:
     _sizes: Dict[str, int] = field(default_factory=dict, repr=False)
     #: running total of ``_sizes`` (kept incrementally; O(1) reads)
     _total_bytes: int = field(default=0, repr=False)
+    #: memory-tier keys grouped by the content digest that ends them,
+    #: so :meth:`spill_versions` never scans the whole tier
+    _by_digest: Dict[str, Set[str]] = field(default_factory=dict, repr=False)
 
     def lookup(
         self, path: str, source: str, variant: str = "", digest: str = ""
@@ -310,6 +313,7 @@ class ModelCache:
         self._slots[key] = slot
         self._sizes[key] = size
         self._total_bytes += size
+        self._by_digest.setdefault(key[-64:], set()).add(key)
         while self._over_entries() or (
             self.max_bytes is not None and self._total_bytes > self.max_bytes
         ):
@@ -326,6 +330,10 @@ class ModelCache:
         slot = self._slots.pop(key, None)
         if slot is not None:
             self._total_bytes -= self._sizes.pop(key, 0)
+            keys = self._by_digest[key[-64:]]
+            keys.discard(key)
+            if not keys:
+                del self._by_digest[key[-64:]]
         return slot
 
     # -- eager spill --------------------------------------------------------
@@ -351,10 +359,10 @@ class ModelCache:
         their keys in the defining file's digest.  A rescan calls this
         with the digests its edit superseded, so dead versions leave
         the memory tier instead of crowding out live artifacts."""
-        dead = set(digests)
-        if not dead:  # nothing superseded: skip the key scan
-            return 0
-        return self.spill([key for key in self._slots if key[-64:] in dead])
+        index = self._by_digest
+        return self.spill(
+            [key for digest in set(digests) for key in index.get(digest, ())]
+        )
 
     @property
     def current_bytes(self) -> int:
@@ -376,6 +384,7 @@ class ModelCache:
     def clear(self) -> None:
         self._slots.clear()
         self._sizes.clear()
+        self._by_digest.clear()
         self._total_bytes = 0
         self.stats = CacheStats()
         self.summary_stats = SummaryCacheStats()

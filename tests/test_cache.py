@@ -1,11 +1,18 @@
 """Tests for the incremental parse cache (memory LRU + disk tier)."""
 
+import os
+import random
+import subprocess
+import sys
+import time
+
 from repro.batch import DiskModelCache
 from repro.core import ModelCache, PhpSafe
-from repro.core.cache import content_key
+from repro.core.cache import content_key, ir_key, source_digest, summary_key
 from repro.core.model import PluginModel
 from repro.php.errors import PhpParseError
 from repro.plugin import Plugin
+from tests.helpers import corrupt_cache_rows
 
 SOURCE = "<?php echo $_GET['q'];"
 
@@ -119,6 +126,56 @@ class TestLruEviction:
         assert cache.stats.evictions == 0
 
 
+class TestDigestIndex:
+    def test_index_tracks_slots_and_spill_matches_full_scan(self):
+        """``spill_versions`` reads a digest -> keys index; under a seeded
+        random mix of operations the index must equal the memory tier
+        grouped by key suffix, and each spill must release exactly the
+        bytes a scan of every key would have released."""
+        rng = random.Random(20151)
+        digests = [source_digest(f"<?php // v{n}") for n in range(6)]
+
+        def random_key():
+            digest = rng.choice(digests)
+            return rng.choice(
+                (
+                    content_key(f"f{rng.randrange(3)}.php", "", digest=digest),
+                    content_key("f0.php", "", "recover", digest),
+                    summary_key("fp", f"fn{rng.randrange(3)}", digest),
+                    ir_key("fp", f"f{rng.randrange(3)}.php", digest),
+                )
+            )
+
+        cache = ModelCache(max_entries=12, max_bytes=40_000)
+        spilled = evictions = 0
+        for _step in range(3000):
+            operation = rng.random()
+            if operation < 0.5:
+                model = "x" * rng.choice((10, 2_000, 9_000, 50_000))
+                cache._insert(random_key(), (model, None))
+            elif operation < 0.7:
+                cache._load(random_key())
+            elif operation < 0.8:
+                cache.spill([random_key() for _ in range(rng.randrange(4))])
+            elif operation < 0.99:
+                dead = set(rng.sample(digests, rng.randrange(3)))
+                expected = sum(
+                    cache._sizes[key] for key in cache._slots if key[-64:] in dead
+                )
+                survivors = [key for key in cache._slots if key[-64:] not in dead]
+                assert cache.spill_versions(dead) == expected
+                assert list(cache._slots) == survivors
+                spilled += expected
+            else:
+                evictions += cache.stats.evictions  # clear() resets stats
+                cache.clear()
+            grouped = {}
+            for key in cache._slots:
+                grouped.setdefault(key[-64:], set()).add(key)
+            assert cache._by_digest == grouped
+        assert spilled > 0 and evictions + cache.stats.evictions > 0
+
+
 class TestDiskModelCache:
     def test_disk_round_trip(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -158,12 +215,88 @@ class TestDiskModelCache:
         cache_dir = str(tmp_path / "cache")
         cache = DiskModelCache(cache_dir)
         cache.store("a.php", SOURCE, {"model": "a"})
-        path = cache._object_path(content_key("a.php", SOURCE))
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+        assert corrupt_cache_rows(cache_dir, [content_key("a.php", SOURCE)]) == 1
         fresh = DiskModelCache(cache_dir)
         assert fresh.lookup("a.php", SOURCE) == (None, None)
         assert fresh.stats.misses == 1
+
+    def test_garbage_database_file_is_replaced(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "objects.sqlite").write_bytes(b"not a database " * 512)
+        plugin = Plugin(name="p", files={"a.php": SOURCE})
+        keys = lambda report: sorted(f.key for f in report.findings)
+        expected = keys(PhpSafe().analyze(plugin))
+        assert expected
+
+        cache = DiskModelCache(str(cache_dir))
+        assert keys(PhpSafe(cache=cache).analyze(plugin)) == expected
+        assert cache.stats.corrupt == 1
+        assert cache.disk_len() >= 1
+        # the recreated store persists: a fresh cache is served from it
+        again = DiskModelCache(str(cache_dir))
+        assert keys(PhpSafe(cache=again).analyze(plugin)) == expected
+        assert again.stats.disk_hits >= 1
+        assert again.stats.corrupt == 0
+
+    def test_cache_built_before_fork_works_in_child(self, tmp_path):
+        cache = DiskModelCache(str(tmp_path / "cache"))
+        cache.store("a.php", SOURCE, {"model": "a"})  # parent's connection
+        parent_db = cache._db
+        pid = os.fork()
+        if pid == 0:  # child: exit without returning into pytest
+            code = 1
+            try:
+                cache.spill(list(cache._slots))
+                model, _error = cache.lookup("a.php", SOURCE)
+                cache.store("b.php", SOURCE, {"model": "b"})
+                if (
+                    model == {"model": "a"}
+                    and cache.stats.disk_hits == 1
+                    and cache._db is not parent_db
+                ):
+                    code = 0
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        # the parent's own connection still works and sees the child's row
+        assert cache._db is parent_db
+        assert cache.lookup("b.php", SOURCE)[0] == {"model": "b"}
+        assert cache.disk_len() == 2
+
+    def test_concurrent_writers_share_one_store(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        go = tmp_path / "go"
+        script = (
+            "import os, sys, time\n"
+            "from repro.batch import DiskModelCache\n"
+            "cache = DiskModelCache(sys.argv[1])\n"
+            "cache.disk_len()\n"
+            "while not os.path.exists(sys.argv[2]):\n"
+            "    time.sleep(0.005)\n"
+            "for i in range(200):\n"
+            "    cache.store(f'{sys.argv[3]}/f{i}.php', '<?php', {'i': i})\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, cache_dir, str(go), name], env=env
+            )
+            for name in ("w0", "w1")
+        ]
+        time.sleep(0.5)
+        go.touch()
+        assert [writer.wait(timeout=120) for writer in writers] == [0, 0]
+
+        fresh = DiskModelCache(cache_dir)
+        assert fresh.disk_len() == 400
+        for name in ("w0", "w1"):
+            for i in range(200):
+                assert fresh.lookup(f"{name}/f{i}.php", "<?php")[0] == {"i": i}
+        assert fresh.stats.disk_hits == 400
+        assert fresh.stats.corrupt == 0
 
     def test_clear_drops_disk_tier(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"))

@@ -15,6 +15,7 @@ from repro.core.ir import IR_VERSION, IRProgram, describe_program
 from repro.core.phpsafe import process_cache
 from repro.core.results import finding_signatures
 from repro.plugin import Plugin
+from tests.helpers import corrupt_cache_rows
 
 # one source exercising the constructs whose lowering is subtle:
 # interpolation, reference groups, ``global``/``static`` write-through,
@@ -99,15 +100,12 @@ class TestIRDiskCache:
             key for key in first.cache._slots if key.startswith("ir1!")
         ]
         assert ir_keys
-        for key in ir_keys:
-            path = first.cache._object_path(key)
-            with open(path, "wb") as handle:
-                handle.write(b"\x80\x04 this is not a pickle")
+        assert corrupt_cache_rows(cache_dir, ir_keys) == len(ir_keys)
 
         second = PhpSafe(cache_dir=cache_dir)
         assert _signatures(second) == expected
         assert second.cache.stats.corrupt >= len(ir_keys)
-        # the quarantine unlinked the rotten objects and the re-analysis
+        # the quarantine deleted the rotten rows and the re-analysis
         # rewrote clean ones: a third tool reads them back fine
         third = PhpSafe(cache_dir=cache_dir)
         assert _signatures(third) == expected

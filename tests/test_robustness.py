@@ -5,8 +5,6 @@ resynchronization, per-unit engine isolation — and the typed incident
 taxonomy threaded through :class:`ToolReport` and the batch telemetry.
 """
 
-import os
-
 import pytest
 
 from repro.batch import BatchOptions, BatchScanner, ToolSpec
@@ -24,6 +22,7 @@ from repro.php import ast_nodes as ast
 from repro.php.lexer import Lexer
 from repro.php.printer import print_file
 from repro.plugin import Plugin
+from tests.helpers import corrupt_cache_rows
 
 BROKEN_MIDDLE = """<?php
 echo $_GET['a'];
@@ -349,16 +348,6 @@ class TestBatchTelemetry:
 
 
 class TestCorruptCache:
-    def corrupt_all_objects(self, cache_dir):
-        count = 0
-        for dirpath, _dirnames, filenames in os.walk(cache_dir):
-            for name in filenames:
-                if name.endswith(".pkl"):
-                    with open(os.path.join(dirpath, name), "wb") as handle:
-                        handle.write(b"\x80garbage not a pickle")
-                    count += 1
-        return count
-
     def test_corrupt_slot_is_quarantined(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         plugin = Plugin(name="p", files={"index.php": "<?php echo $_GET['q'];"})
@@ -366,7 +355,7 @@ class TestCorruptCache:
         warm = DiskModelCache(cache_dir)
         baseline = PhpSafe(cache=warm).analyze(plugin)
         assert warm.disk_len() >= 1
-        assert self.corrupt_all_objects(cache_dir) >= 1
+        assert corrupt_cache_rows(cache_dir) >= 1
 
         cold = DiskModelCache(cache_dir)  # fresh memory tier, rotten disk
         report = PhpSafe(cache=cold).analyze(plugin)
