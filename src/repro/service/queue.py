@@ -135,6 +135,18 @@ _MIGRATIONS = (
 )
 
 
+#: guards every queue's SQLite connection in this process and is taken
+#: around every ``fork()``: a child forked while a thread is inside a
+#: SQLite call inherits SQLite's own mutexes locked and hangs on its
+#: first SQLite call (a process job slot's disk cache is one)
+_SQLITE_LOCK = threading.Lock()
+os.register_at_fork(
+    before=_SQLITE_LOCK.acquire,
+    after_in_parent=_SQLITE_LOCK.release,
+    after_in_child=_SQLITE_LOCK.release,
+)
+
+
 class JobQueue:
     """Crash-safe spool of scan jobs (see module docstring)."""
 
@@ -149,11 +161,11 @@ class JobQueue:
         self.max_attempts = max_attempts
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        self._lock = threading.Lock()
+        self._lock = _SQLITE_LOCK
         self._queued = threading.Condition(self._lock)
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.row_factory = sqlite3.Row
         with self._lock:
+            self._conn = sqlite3.connect(path, check_same_thread=False)
+            self._conn.row_factory = sqlite3.Row
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(_SCHEMA)
             present = {

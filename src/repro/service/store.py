@@ -9,7 +9,8 @@ resubmissions — same bytes, same analyzer configuration — therefore
 never reach the queue at all: the stored report is served instantly.
 
 Layout (all writes are atomic temp-file + ``os.replace``, so any number
-of worker threads/processes can share one store)::
+of worker threads/processes can share one store; lineage appends are
+read-modify-write and also hold an ``flock`` on ``root/lineage/.lock``)::
 
     root/plugins/<aa>/<digest>.json    {"name", "version", "files"}
     root/results/<aa>/<key>.json       the finished report document
@@ -25,13 +26,25 @@ analyzer which files actually changed.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import tempfile
+import threading
 from typing import Dict, List, Optional
 
 from ..plugin import Plugin
+
+#: held while this process holds a lineage ``flock``, and taken around
+#: every ``fork()``: a child forked mid-append would inherit the locked
+#: descriptor and keep the flock held for as long as it lives
+_LINEAGE_MUTEX = threading.Lock()
+os.register_at_fork(
+    before=_LINEAGE_MUTEX.acquire,
+    after_in_parent=_LINEAGE_MUTEX.release,
+    after_in_child=_LINEAGE_MUTEX.release,
+)
 
 
 def plugin_digest(plugin: Plugin) -> str:
@@ -58,6 +71,7 @@ class ResultStore:
         self._results_dir = os.path.join(root, "results")
         self._manifests_dir = os.path.join(root, "manifests")
         self._lineage_dir = os.path.join(root, "lineage")
+        self._lineage_lock = os.path.join(self._lineage_dir, ".lock")
         os.makedirs(self._plugins_dir, exist_ok=True)
         os.makedirs(self._results_dir, exist_ok=True)
         os.makedirs(self._manifests_dir, exist_ok=True)
@@ -96,10 +110,8 @@ class ResultStore:
     def result_key(digest: str, fingerprint: str) -> str:
         """Report identity: plugin bytes + analyzer configuration.
 
-        Always hashed — an earlier version returned the raw digest when
-        ``fingerprint`` was empty, which put unfingerprinted results in
-        a namespace that could collide with hashed keys.  Legacy raw
-        paths are migrated lazily by :meth:`get_result`.
+        Always hashed, an empty ``fingerprint`` included, so every key
+        lives in one namespace and none can collide with a raw digest.
         """
         return hashlib.sha256(
             f"{digest}:{fingerprint}".encode("utf-8")
@@ -116,27 +128,9 @@ class ResultStore:
     def get_result(
         self, digest: str, fingerprint: str
     ) -> Optional[Dict[str, object]]:
-        document = self._read_json(
+        return self._read_json(
             self._shard_path(self._results_dir, self.result_key(digest, fingerprint))
         )
-        if document is not None:
-            return document
-        if not fingerprint:
-            return self._migrate_legacy_result(digest)
-        return None
-
-    def _migrate_legacy_result(self, digest: str) -> Optional[Dict[str, object]]:
-        """Serve and move a pre-fix raw-digest result to its hashed key."""
-        legacy_path = self._shard_path(self._results_dir, digest)
-        document = self._read_json(legacy_path)
-        if document is None:
-            return None
-        self.put_result(digest, "", document)
-        try:
-            os.remove(legacy_path)
-        except OSError:  # pragma: no cover - concurrent migration
-            pass
-        return document
 
     # -- per-file digest manifests (incremental rescans) -------------------
 
@@ -171,15 +165,19 @@ class ResultStore:
         """Append ``digest`` to the scan lineage of plugin ``name``.
 
         A digest already present is moved to the end (most recent); the
-        list is the submission order the store observed.
+        list is the submission order the store observed.  The exclusive
+        ``flock`` serializes appends from every thread and process that
+        shares the store, so none is lost between read and write.
         """
         path = self._shard_path(self._lineage_dir, self.lineage_key(name))
-        document = self._read_json(path) or {"name": name, "digests": []}
-        digests = [d for d in document.get("digests", []) if d != digest]
-        digests.append(digest)
-        document["name"] = name
-        document["digests"] = digests
-        self._write_json(path, document)
+        with _LINEAGE_MUTEX, open(self._lineage_lock, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            document = self._read_json(path) or {"name": name, "digests": []}
+            digests = [d for d in document.get("digests", []) if d != digest]
+            digests.append(digest)
+            document["name"] = name
+            document["digests"] = digests
+            self._write_json(path, document)
 
     def lineage(self, name: str) -> List[str]:
         """Digest sequence recorded for ``name``, oldest first."""

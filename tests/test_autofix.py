@@ -113,3 +113,17 @@ class TestApplyAndVerify:
         )
         patched, _ = apply_fixes(plugin, findings)
         parse_source(patched.files["t.php"])  # must not raise
+
+
+class TestCorpusRemediation:
+    """A3: the fixes clear every phpSAFE finding of the 2014 corpus."""
+
+    def test_fixes_clear_every_corpus_finding(self, corpus_2014):
+        tool = PhpSafe()
+        before = after = 0
+        for plugin in corpus_2014.plugins:
+            findings = tool.analyze(plugin).findings
+            patched, _proposals = apply_fixes(plugin, findings)
+            before += len(findings)
+            after += len(tool.analyze(patched).findings)
+        assert (before, after) == (449, 0)

@@ -174,6 +174,42 @@ class TestCorpusCommand:
         assert any(sample["plugin"] in name for name in plugin_dirs)
 
 
+class TestEvaluateCommand:
+    def test_prints_every_paper_section(
+        self, monkeypatch, corpus_2012, corpus_2014, evaluations, capsys
+    ):
+        # the session evaluation stands in for the run, so nothing is
+        # computed twice; the command only renders it
+        from repro import cli
+
+        corpora = {"2012": corpus_2012, "2014": corpus_2014}
+        monkeypatch.setattr(
+            cli, "build_corpus", lambda version, scale: corpora[version]
+        )
+        monkeypatch.setattr(
+            cli, "evaluate_both", lambda given, *args, **kwargs: evaluations
+        )
+        assert main(["evaluate", "--scale", "0.05"]) == 0
+        out = capsys.readouterr().out
+        for header in (
+            "TABLE I.",
+            "FIG. 2.",
+            "TABLE II.",
+            "SECTION V.D",
+            "TABLE III.",
+            "SECTION V.E",
+        ):
+            assert header in out
+        for line in (
+            "union=394",
+            "union=586",
+            "232 of 586",
+            "failed files=31",
+            "errors=37",
+        ):
+            assert line in out
+
+
 class TestParser:
     def test_unknown_tool_rejected(self, vulnerable_file):
         with pytest.raises(SystemExit):

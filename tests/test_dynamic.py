@@ -1,5 +1,7 @@
 """Tests for the dynamic exploit-confirmation harness."""
 
+from collections import Counter
+
 from repro.config.vulnerability import VulnKind
 from repro.core import PhpSafe
 from repro.dynamic import (
@@ -180,3 +182,23 @@ class TestConfirmation:
         fake = Finding(kind=VulnKind.XSS, file="bad.php", line=1, sink="echo")
         verdict = ExploitConfirmer().confirm(plugin, fake)
         assert verdict.status is Status.ERROR
+
+
+class TestCorpusConfirmation:
+    """A2: on the densest OOP plugin of the 2014 corpus, every seeded
+    vulnerability phpSAFE reports confirms and no expert-rejected bait
+    does."""
+
+    def test_seeded_vulns_confirm_and_baits_do_not(self, corpus_2014):
+        plugin = corpus_2014.plugin("mail-subscribe-list")
+        confirmer = ExploitConfirmer()
+        statuses = {True: Counter(), False: Counter()}  # keyed by is_vulnerable
+        for finding in PhpSafe().analyze(plugin).findings:
+            entry = corpus_2014.truth.lookup(
+                plugin.name, finding.kind.value, finding.file, finding.line
+            )
+            if entry is not None:
+                verdict = confirmer.confirm(plugin, finding)
+                statuses[entry.spec.is_vulnerable][verdict.status] += 1
+        assert statuses[True] == {Status.CONFIRMED: 22}
+        assert statuses[False] == {Status.UNCONFIRMED: 3}

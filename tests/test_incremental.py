@@ -2,13 +2,15 @@
 
 Covers the full chain: manifest planning and fallback triggers,
 incremental-vs-cold finding parity, the ResultStore manifest/lineage
-round-trip (including the legacy empty-fingerprint migration), SARIF
-baseline classification (new / unchanged / absent), and the service
-worker path that wires them together.
+round-trip (including concurrent lineage appends), SARIF baseline
+classification (new / unchanged / absent), and the service worker path
+that wires them together.
 """
 
 import dataclasses
 import json
+import multiprocessing
+import threading
 
 import pytest
 
@@ -280,7 +282,7 @@ class TestRescanPlanning:
 
 
 # ---------------------------------------------------------------------------
-# ResultStore: manifests, lineage, legacy keys
+# ResultStore: manifests, lineage, result keys
 # ---------------------------------------------------------------------------
 
 
@@ -326,23 +328,49 @@ class TestManifestStore:
         assert store.result_key(digest, "") != digest
         assert store.result_key(digest, "") != store.result_key(digest, "cfg")
 
-    def test_legacy_raw_digest_result_is_migrated(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        digest = "ab" + "0" * 62
-        legacy_path = store._shard_path(store._results_dir, digest)
-        document = {"schema": "legacy", "outcome": "ok"}
-        store._write_json(legacy_path, document)
-        # served through the empty-fingerprint lookup...
-        assert store.get_result(digest, "") == document
-        # ...and physically moved to the hashed key
-        import os
+    def test_concurrent_lineage_appends_are_all_kept(self, tmp_path):
+        # dispatcher threads and fleet node processes append to one
+        # shared store; every append must survive the others
+        root = str(tmp_path)
+        store = ResultStore(root)
+        threads = [
+            threading.Thread(
+                target=_append_lineage, args=(root, f"t{index}"), daemon=True
+            )
+            for index in range(8)
+        ]
+        # forked while the threads append: a child must not inherit a
+        # held lock
+        context = multiprocessing.get_context("fork")
+        processes = [
+            context.Process(
+                target=_append_lineage, args=(root, f"p{index}"), daemon=True
+            )
+            for index in range(2)
+        ]
+        for worker in threads + processes:
+            worker.start()
+        for worker in threads + processes:
+            worker.join(timeout=60)
+        assert all(process.exitcode == 0 for process in processes)
+        expected = {
+            f"{prefix}{index}-{step}"
+            for prefix, count in (("t", 8), ("p", 2))
+            for index in range(count)
+            for step in range(LINEAGE_APPENDS)
+        }
+        lineage = store.lineage("shared")
+        assert len(lineage) == len(expected)
+        assert set(lineage) == expected
 
-        assert not os.path.exists(legacy_path)
-        hashed = store._shard_path(
-            store._results_dir, store.result_key(digest, "")
-        )
-        assert os.path.exists(hashed)
-        assert store.get_result(digest, "") == document
+
+LINEAGE_APPENDS = 10
+
+
+def _append_lineage(root, prefix):
+    store = ResultStore(root)
+    for step in range(LINEAGE_APPENDS):
+        store.record_lineage("shared", f"{prefix}-{step}")
 
 
 # ---------------------------------------------------------------------------

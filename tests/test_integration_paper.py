@@ -12,6 +12,8 @@ import pytest
 
 from repro.config.vulnerability import VulnKind
 from repro.evaluation import (
+    PAPER_FAILED_FILES,
+    PAPER_OOP,
     analyze_inertia,
     both_versions_breakdown,
     compute_overlap,
@@ -109,6 +111,21 @@ def test_fig2_every_tool_contributes_unique_findings(evaluations):
             assert overlap.region(tool) > 0, (version, tool)
 
 
+def test_fig2_region_structure(evaluations):
+    """All three tools share some findings, phpSAFE's exclusive region
+    is the largest (its OOP advantage), and the regions partition the
+    union."""
+    for version in ("2012", "2014"):
+        overlap = compute_overlap(evaluations[version])
+        assert overlap.shared_by_all() > 0, version
+        exclusive = {
+            tool: overlap.region(tool) for tool in ("phpSAFE", "RIPS", "Pixy")
+        }
+        assert max(exclusive, key=exclusive.get) == "phpSAFE", version
+        regions = sum(region.count for region in overlap.regions)
+        assert regions == overlap.union_total, version
+
+
 def test_oop_vulnerabilities_only_phpsafe(evaluations, corpus_2012, corpus_2014):
     """Section V.A: 151 OOP vulns in 2012 (10 plugins), 179 in 2014 (7)."""
     for evaluation, corpus, expected_count, expected_plugins in (
@@ -127,6 +144,7 @@ def test_oop_vulnerabilities_only_phpsafe(evaluations, corpus_2012, corpus_2014)
         }
         assert len(oop_ids) == expected_count
         assert len(oop_plugins) == expected_plugins
+        assert (expected_count, expected_plugins) == PAPER_OOP[evaluation.version]
         detected_ps = evaluation.tools["phpSAFE"].match.detected_ids
         assert oop_ids <= detected_ps
         assert not oop_ids & evaluation.tools["RIPS"].match.detected_ids
@@ -200,6 +218,7 @@ def test_robustness_section_ve(evaluations):
     for (version, tool), failed in expected.items():
         evaluation = evaluations[version].tools[tool]
         assert len(evaluation.failed_files) == failed, (version, tool)
+        assert failed == PAPER_FAILED_FILES[tool][version], (version, tool)
     assert evaluations["2012"].tools["Pixy"].error_messages == 1
     assert evaluations["2014"].tools["Pixy"].error_messages == 37
 

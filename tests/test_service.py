@@ -219,6 +219,26 @@ class TestJobQueue:
         back = queue.get(job.id)
         assert back.state == "queued" and back.attempts == 0
 
+    def test_fork_waits_until_no_thread_is_in_a_queue_call(self, tmp_path):
+        # a worker forked mid-call would inherit SQLite's mutexes locked
+        queue = JobQueue(str(tmp_path / "q.sqlite"))
+        forked = threading.Event()
+
+        def fork():
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+            forked.set()
+
+        forker = threading.Thread(target=fork, daemon=True)
+        with queue._lock:  # this thread is inside a queue call
+            forker.start()
+            assert not forked.wait(0.2)
+        assert forked.wait(10)
+        forker.join()
+        queue.submit("d1")  # the queue still works in the parent
+
 
 class BlockedClaimer:
     """A ``claim(stop=...)`` blocked on another thread."""
