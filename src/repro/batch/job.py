@@ -154,6 +154,10 @@ def run_job(
     # tools that keep no perf counters of their own get the job's
     if not report.perf:
         report.perf = scope.report()
+    # the collector's full pass runs as the analysis leaves, after the
+    # tool took its own delta
+    for name in ("gc_full_passes", "gc_full_seconds"):
+        report.perf[name] = scope.delta[name]
     if outcome != "ok":
         new_manifest = None
     delta = CacheDelta.read(cache).since(before)

@@ -15,6 +15,7 @@ import threading
 import time
 from typing import Iterator
 
+from ..perf import counters
 from ..plugin import Plugin
 from .results import ToolReport
 
@@ -24,11 +25,43 @@ _pause_lock = threading.Lock()
 _pause_depth = 0
 #: whether the collector was enabled when the outermost analysis began
 _pause_resume = False
+#: tracked objects the last full collection left frozen: the bound
+#: :data:`_outside_allocations` must reach before the next one runs
+_frozen_population = 0
+#: net tracked allocations made outside analyses since that collection
+_outside_allocations = 0
+#: ``gc.get_count()[0]`` and the collections run so far, as the last
+#: outermost analysis left
+_exit_mark = (0, 0)
+
+
+def _collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def _settle() -> None:
+    """Freeze what outlives the analysis that just left (in practice the
+    memory tier), so later collections no longer walk it; run a full
+    collection first once enough was allocated outside analyses to
+    need one.  Called with :data:`_pause_lock` held."""
+    global _frozen_population, _outside_allocations
+    if _outside_allocations >= _frozen_population:
+        start = time.perf_counter()
+        gc.unfreeze()
+        gc.collect()
+        gc.freeze()
+        _frozen_population = gc.get_freeze_count()
+        _outside_allocations = 0
+        counters.gc_full_passes += 1
+        counters.gc_full_seconds += time.perf_counter() - start
+    else:
+        gc.freeze()
 
 
 @contextlib.contextmanager
 def collector_paused() -> Iterator[None]:
-    """Keep CPython's cyclic garbage collector off for one analysis.
+    """Keep CPython's cyclic garbage collector off for one analysis, and
+    keep what outlives it out of later collections.
 
     An analysis allocates millions of short-lived objects and creates no
     reference cycles (``tests/test_gc_pause.py`` pins that), so
@@ -40,14 +73,29 @@ def collector_paused() -> Iterator[None]:
     analyses in threads (the service's ``isolation="thread"``) share
     one pause.
 
+    When the last analysis leaves and the collector was on, it calls
+    ``gc.freeze()``: every object alive then (a long-lived analyzer's
+    cache tier, above all) leaves the collector's walk, and reference
+    counting still frees it.  A cycle made outside an analysis would
+    stay frozen for good, so the freeze is bounded: each outermost
+    entry adds the net tracked allocations made since the last exit,
+    and once they reach the population the last full collection left
+    frozen, the exit unfreezes, collects and freezes again.  Both the
+    count and the check are O(1).
+
     Assumes no process forks while an analysis is running: a forked
     child would inherit a disabled collector and a depth it can never
     bring back to zero.  No job slot forks its worker inside an
     analysis.
     """
-    global _pause_depth, _pause_resume
+    global _pause_depth, _pause_resume, _outside_allocations, _exit_mark
     with _pause_lock:
         if _pause_depth == 0:
+            count, collections = _exit_mark
+            _outside_allocations += (
+                gc.get_count()[0] - count
+                + gc.get_threshold()[0] * (_collections() - collections)
+            )
             _pause_resume = gc.isenabled()
             gc.disable()
         _pause_depth += 1
@@ -56,8 +104,13 @@ def collector_paused() -> Iterator[None]:
     finally:
         with _pause_lock:
             _pause_depth -= 1
-            if _pause_depth == 0 and _pause_resume:
-                gc.enable()
+            if _pause_depth == 0:
+                if _pause_resume:
+                    # on first, so a deadline that lands in a full
+                    # collection cannot leave it off
+                    gc.enable()
+                    _settle()
+                _exit_mark = (gc.get_count()[0], _collections())
 
 
 class AnalyzerTool(abc.ABC):

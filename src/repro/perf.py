@@ -51,6 +51,9 @@ FIELDS = (
     "ir_lower_seconds",
     "ir_cache_hits",
     "ir_cache_misses",
+    # the bounded full collection an analysis exit runs (core/tool.py)
+    "gc_full_passes",
+    "gc_full_seconds",
 )
 
 
