@@ -12,8 +12,9 @@ Exercises the diff-aware workflow CI cares about, through the real CLI:
    do not fail it),
 4. revert the mutation and prove the gate passes again,
 5. drive ``PhpSafe.rescan`` directly on the mutated plugin and prove
-   the incremental path reused prior analysis units and produced the
-   same findings as a cold scan,
+   the incremental path reused prior analysis units, produced the
+   same findings as a cold scan, and looked up fewer function
+   summaries than the plugin defines (summaries load on demand),
 6. repeat step 5 in strict mode (``recover=False``): strict scans run
    the same analysis units, so they reuse roots too.
 
@@ -32,6 +33,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.cli import main as cli_main  # noqa: E402
 from repro.core import ModelCache, PhpSafe, PhpSafeOptions  # noqa: E402
+from repro.core.model import PluginModel  # noqa: E402
 from repro.core.results import finding_signatures  # noqa: E402
 from repro.corpus.generator import build_corpus  # noqa: E402
 
@@ -123,7 +125,10 @@ def main():
     ):
         tool = PhpSafe(options=options, cache=ModelCache())
         _report, manifest, _stats = tool.rescan(plugin)
+        summary_stats = tool.cache.summary_stats
+        lookups_before = summary_stats.hits + summary_stats.misses
         warm_report, _manifest2, stats = tool.rescan(mutated, manifest)
+        lookups = summary_stats.hits + summary_stats.misses - lookups_before
         cold_report = PhpSafe(options=options).analyze(mutated)
         check(target not in cold_report.failed_files, f"{mode}edit parses")
         check(stats.incremental, f"{mode}rescan took the incremental path")
@@ -134,6 +139,17 @@ def main():
         check(
             finding_signatures([warm_report]) == finding_signatures([cold_report]),
             f"{mode}incremental findings identical to cold {mode}scan",
+        )
+        functions = len(
+            PluginModel.build(mutated, recover=options.recover).functions
+        )
+        print(
+            f"{mode}rescan summary lookups: {lookups}"
+            f" for {functions} functions in the plugin"
+        )
+        check(
+            lookups < functions,
+            f"{mode}rescan looked up fewer summaries than the plugin has functions",
         )
         print(
             f"{mode}rescan smoke ok — {stats.roots_reused}/{stats.roots_total}"

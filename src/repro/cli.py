@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 
 from .baselines import PixyLike, RipsLike
 from .core import PhpSafe, PhpSafeOptions
-from .corpus import build_corpus
+from .corpus import build_corpus, save_corpus
 from .evaluation import (
     analyze_inertia,
     both_versions_breakdown,
@@ -431,27 +431,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_corpus(args: argparse.Namespace) -> int:
     for version in args.versions:
         corpus = build_corpus(version, scale=args.scale)
-        version_dir = os.path.join(args.outdir, version)
-        os.makedirs(version_dir, exist_ok=True)
-        for plugin in corpus.plugins:
-            plugin.write_to(version_dir)
-        manifest = [
-            {
-                "spec_id": entry.spec.spec_id,
-                "kind": entry.spec.kind.value,
-                "vector": entry.spec.vector.value,
-                "region": entry.spec.region,
-                "vulnerable": entry.spec.is_vulnerable,
-                "carried": entry.spec.carried,
-                "plugin": entry.plugin,
-                "file": entry.file,
-                "line": entry.line,
-            }
-            for entry in corpus.truth.entries
-        ]
-        manifest_path = os.path.join(version_dir, "ground-truth.json")
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
+        version_dir = save_corpus(corpus, args.outdir)
         print(
             f"{version}: {corpus.total_files} files, {corpus.total_loc} LOC, "
             f"{corpus.truth.vulnerable_count()} vulnerabilities → {version_dir}"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..config.entries import PropagationSpec
 from ..config.profiles import AnalyzerProfile
@@ -462,6 +462,9 @@ class TaintEngine:
         construct_kinds: frozenset = ALL_KINDS,
         unknown_call_policy: str = "clean",
         reuse_roots: Optional[FrozenSet[str]] = None,
+        summary_source: Optional[
+            Callable[[FunctionInfo], Optional[FunctionSummary]]
+        ] = None,
     ) -> None:
         """The baselines' envelope settings (phpSAFE keeps the
         defaults): ``construct_kinds`` are the kinds checked at
@@ -478,6 +481,12 @@ class TaintEngine:
         of these root files, which a prior manifest proved unchanged and
         uncoupled, are skipped.  An empty set tracks and reuses nothing;
         ``None`` (plain scans) pays nothing for the bookkeeping.
+
+        ``summary_source`` maps a function to a reusable summary from
+        outside this run (the cross-run cache), or ``None``.  It is
+        asked on demand, the first time a function's summary is needed,
+        so a rescan asks only for the functions its live units reach;
+        it is never asked when ``use_summaries`` is off.
         """
         self.model = model
         self.profile = profile
@@ -499,6 +508,11 @@ class TaintEngine:
                 )
         self.summaries: Dict[str, FunctionSummary] = {}
         self._in_progress: Set[str] = set()
+        self._summary_source = (
+            summary_source if self.options.use_summaries else None
+        )
+        #: keys of the summaries ``summary_source`` served this run
+        self.loaded_summaries: Set[str] = set()
         #: cross-call taint of ``static`` locals, keyed by owning
         #: function key then variable name; joins only, never resets
         self._static_store: Dict[str, Dict[str, TaintState]] = {}
@@ -544,7 +558,8 @@ class TaintEngine:
 
         The late pass summarizes every function still without a summary
         (covering corner cases like a function only reachable through
-        its own recursion), then reports the source→sink flows inside
+        its own recursion), taking the summary source's summary where it
+        has one instead of opening a unit, then reports the source→sink flows inside
         all summaries: flows that depend on the unknown parameters of
         an entry point are dropped (no caller exists inside the plugin
         to bind them), and events already emitted at real call sites
@@ -583,6 +598,8 @@ class TaintEngine:
                     if self.aborted:
                         break
                     if key in self.summaries or info.file in reuse:
+                        continue
+                    if self._load_summary(info) is not None:
                         continue
                     self._run_unit(
                         f"function {key}",
@@ -837,17 +854,25 @@ class TaintEngine:
     # Function summaries
     # ------------------------------------------------------------------
 
-    def preload_summary(self, summary: FunctionSummary) -> None:
-        """Install a cache-served summary before the run starts.
+    def _load_summary(self, info: FunctionInfo) -> Optional[FunctionSummary]:
+        """Install the summary source's summary of ``info``, if any.
 
         Replays the summary's parameter-free property writes into the
         class property store — the commit :meth:`_record_prop_write`
-        performs while a body is being summarized — so never-called
-        methods keep contributing property taint on cache hits.
+        performs while a body is being summarized — so a cache-served
+        method still contributes the property taint a computed one
+        would.
         """
-        self.summaries[summary.key] = summary
+        if self._summary_source is None:
+            return None
+        summary = self._summary_source(info)
+        if summary is None:
+            return None
+        self.summaries[info.key] = summary
+        self.loaded_summaries.add(info.key)
         for (class_lower, prop), taint in summary.prop_writes.items():
             self.class_props.write(class_lower, prop, taint.drop_param_refs())
+        return summary
 
     def _merge_summary_deps(self, summary: FunctionSummary) -> None:
         """A caller's summary inherits its callee's dependencies: the
@@ -882,6 +907,8 @@ class TaintEngine:
 
     def _summarize(self, info: FunctionInfo) -> FunctionSummary:
         cached = self.summaries.get(info.key)
+        if cached is None and info.key not in self._in_progress:
+            cached = self._load_summary(info)
         if cached is not None and self.options.use_summaries:
             counters.summary_memo_hits += 1
             self._merge_summary_deps(cached)

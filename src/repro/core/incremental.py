@@ -115,9 +115,11 @@ def build_manifest(
     """Assemble the manifest describing a finished (tracked) scan.
 
     Roots executed this run get fresh footprints and finding groups;
-    roots in ``reuse_roots`` copy their record from ``prior`` (their
-    content did not change, so neither did their footprint), with any
-    live promoted findings attributed to them min-merged in.
+    roots in ``reuse_roots`` keep their record from ``prior`` (their
+    content did not change, so neither did their footprint).  A live
+    finding attributed to a reused root (a summary event of one of its
+    functions that a live unit called) is min-merged into a copy of it;
+    without one the prior record is kept as it is.
     """
     groups = engine.findings_by_unit()
     prior_roots: Dict[str, Dict[str, object]] = {}
@@ -134,15 +136,19 @@ def build_manifest(
         prior_record = prior_roots.get(root)
         if prior_record is None:
             continue
+        live = groups.get(root)
+        if not live:
+            # nothing to merge: the prior record is already canonical
+            roots[root] = prior_record
+            continue
         record = dict(prior_record)
         carried = [
             finding_from_dict(raw)  # type: ignore[arg-type]
             for raw in prior_record.get("findings", [])  # type: ignore[union-attr]
         ]
-        live = groups.get(root, [])
         record["findings"] = [
             finding_to_dict(f)
-            for f in TaintEngine.dedupe_findings(carried + list(live))
+            for f in TaintEngine.dedupe_findings(carried + live)
         ]
         roots[root] = record
     state_roots: Dict[str, str] = {}

@@ -13,7 +13,8 @@ file, read the findings off the returned report.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..config.profiles import AnalyzerProfile
 from ..incidents import Incident, IncidentSeverity, IncidentStage
@@ -21,9 +22,9 @@ from ..perf import counters, derive
 from ..plugin import Plugin
 from ..rules import resolve_profile
 from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
-from .engine import PhpSafeOptions, TaintEngine, summary_is_valid
+from .engine import FunctionSummary, PhpSafeOptions, TaintEngine, summary_is_valid
 from .ir import IRTaintEngine
-from .model import PluginModel, parse_variant
+from .model import FunctionInfo, PluginModel, parse_variant
 from .results import FileFailure, Finding, ToolReport
 from .tool import AnalyzerTool, collector_paused
 
@@ -113,49 +114,45 @@ class PhpSafe(AnalyzerTool):
             ).encode("utf-8")
         ).hexdigest()[:16]
 
-    def _preload_summaries(
-        self,
-        engine: TaintEngine,
-        model: PluginModel,
-        digests: Dict[str, str],
-    ) -> Set[str]:
-        """Install valid cross-run summaries before the engine runs.
+    def _cached_summary(
+        self, model: PluginModel, digests: Dict[str, str], info: FunctionInfo
+    ) -> Optional[FunctionSummary]:
+        """The engine's summary source: the cross-run summary of
+        ``info``'s function, or None.
 
         A hit must survive dependency validation: every file the summary
         was computed from still has the same content, and every lookup
         that found nothing still finds nothing."""
-        preloaded: Set[str] = set()
-        for key, info in model.functions.items():
-            digest = digests.get(info.file)
-            if not digest:
-                continue
-            cached = self.cache.lookup_summary(
-                summary_key(self.summary_fingerprint, key, digest)
-            )
-            if cached is None:
-                counters.summary_cache_misses += 1
-                continue
-            if not summary_is_valid(cached, model, digests):
-                self.cache.summary_stats.stale += 1
-                counters.summary_cache_stale += 1
-                continue
-            engine.preload_summary(cached)
-            preloaded.add(key)
-            counters.summary_cache_hits += 1
-        return preloaded
+        # keyed as _store_summaries keys it: by the file of the
+        # definition the model binds the name to
+        defined = model.functions.get(info.key)
+        digest = digests.get(defined.file) if defined is not None else None
+        if not digest:
+            return None
+        cached = self.cache.lookup_summary(
+            summary_key(self.summary_fingerprint, info.key, digest)
+        )
+        if cached is None:
+            counters.summary_cache_misses += 1
+            return None
+        if not summary_is_valid(cached, model, digests):
+            self.cache.summary_stats.stale += 1
+            counters.summary_cache_stale += 1
+            return None
+        counters.summary_cache_hits += 1
+        return cached
 
     def _store_summaries(
         self,
         engine: TaintEngine,
         model: PluginModel,
         digests: Dict[str, str],
-        preloaded: Set[str],
     ) -> None:
         """Persist the summaries this run computed, pinned to the
         content digests of every file they depend on."""
         for key, summary in engine.summaries.items():
             if (
-                key in preloaded
+                key in engine.loaded_summaries
                 or summary.faulted
                 or summary.uses_globals
                 or summary.uses_statics
@@ -217,6 +214,10 @@ class PhpSafe(AnalyzerTool):
             report.failures.append(
                 FileFailure(file=path, reason=str(error), is_error=False)
             )
+        use_summary_cache = self.cache is not None and self.options.use_summaries
+        digests: Dict[str, str] = {}
+        if use_summary_cache:
+            digests = model.file_digests()
         engine = IRTaintEngine(
             model,
             self.profile,
@@ -224,13 +225,12 @@ class PhpSafe(AnalyzerTool):
             ir_store=self.cache,
             ir_fingerprint=self.summary_fingerprint,
             reuse_roots=reuse_roots,
+            summary_source=(
+                partial(self._cached_summary, model, digests)
+                if use_summary_cache
+                else None
+            ),
         )
-        use_summary_cache = self.cache is not None and self.options.use_summaries
-        digests: Dict[str, str] = {}
-        preloaded: Set[str] = set()
-        if use_summary_cache:
-            digests = model.file_digests()
-            preloaded = self._preload_summaries(engine, model, digests)
         live = engine.run()
         if carried:
             merged = TaintEngine.dedupe_findings(list(live) + list(carried))
@@ -239,7 +239,7 @@ class PhpSafe(AnalyzerTool):
         for finding in merged:
             report.add_finding(finding)
         if use_summary_cache:
-            self._store_summaries(engine, model, digests, preloaded)
+            self._store_summaries(engine, model, digests)
         report.incidents = list(model.incidents) + list(engine.incidents)
         # recovered incidents map to "error message but analysis
         # completed" failures (the Pixy column of the paper's table)

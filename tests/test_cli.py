@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.corpus import build_corpus, load_corpus, load_truth
 
 
 @pytest.fixture()
@@ -163,15 +164,27 @@ class TestCorpusCommand:
         ) == 0
         version_dir = os.path.join(outdir, "2012")
         assert os.path.isdir(version_dir)
-        manifest_path = os.path.join(version_dir, "ground-truth.json")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        vulnerable = [entry for entry in manifest if entry["vulnerable"]]
-        assert len(vulnerable) == 394
+        truth = load_truth(version_dir)
+        assert truth.vulnerable_count() == 394
         # the referenced files exist on disk
-        sample = manifest[0]
+        sample = truth.entries[0]
         plugin_dirs = os.listdir(version_dir)
-        assert any(sample["plugin"] in name for name in plugin_dirs)
+        assert any(sample.plugin in name for name in plugin_dirs)
+
+    def test_written_corpus_loads_back(self, tmp_path, capsys):
+        """What ``phpsafe corpus`` writes, ``load_corpus`` reads back as
+        the generator built it: same truth entries, same plugin files."""
+        outdir = str(tmp_path / "corpus")
+        assert main(
+            ["corpus", outdir, "--versions", "2012", "--scale", "0.02"]
+        ) == 0
+        loaded = load_corpus(os.path.join(outdir, "2012"))
+        generated = build_corpus("2012", scale=0.02)
+        assert loaded.version == generated.version
+        assert loaded.truth.entries == generated.truth.entries
+        assert {plugin.name: plugin.files for plugin in loaded.plugins} == {
+            plugin.name: plugin.files for plugin in generated.plugins
+        }
 
 
 class TestEvaluateCommand:

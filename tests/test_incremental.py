@@ -196,6 +196,67 @@ class TestRescanParity:
         assert raw["fallback_reason"] == ""
 
 
+def record_summary_lookups(tool):
+    """Wrap ``tool.cache.lookup_summary``; the returned list collects
+    the function key of every lookup (``summary2!<fp>!<key>!<digest>``)."""
+    looked_up = []
+    lookup = tool.cache.lookup_summary
+
+    def recording(key):
+        looked_up.append(key.split("!")[2])
+        return lookup(key)
+
+    tool.cache.lookup_summary = recording
+    return looked_up
+
+
+class TestOnDemandSummaries:
+    """A rescan asks the summary cache only for the functions its live
+    units reach, not for every function of the plugin."""
+
+    def test_untouched_roots_functions_are_not_looked_up(self):
+        # each root defines a function only it calls
+        plugin = Plugin(name="own", files={
+            "a.php": "<?php\nfunction fa($x) { echo $x; }\nfa($_GET['a']);\n",
+            "b.php": "<?php\nfunction fb($x) { echo $x; }\nfb($_GET['b']);\n",
+            "c.php": "<?php\nfunction fc($x) { echo $x; }\nfc($_GET['c']);\n",
+            "d.php": "<?php\nfunction fd($x) { echo $x; }\n",
+        })
+        tool = PhpSafe(cache=ModelCache())
+        _report, manifest, _ = tool.rescan(plugin)
+        looked_up = record_summary_lookups(tool)
+        updated = mutate(plugin, "b.php", "echo $_COOKIE['extra'];\n")
+        warm, _manifest2, stats = tool.rescan(updated, manifest)
+        assert stats.incremental
+        assert stats.roots_reused == stats.roots_total - 1
+        assert "fb" in looked_up
+        assert not {"fa", "fc", "fd"} & set(looked_up)
+        cold = PhpSafe(use_process_cache=False).analyze(updated)
+        assert finding_signatures([warm]) == finding_signatures([cold])
+
+    def test_reused_roots_function_called_by_live_unit_is_loaded(self):
+        plugin = Plugin(name="lib", files={
+            "main.php": "<?php\ninclude 'lib.php';\nshow($_GET['q']);\n",
+            "lib.php": "<?php\nfunction show($m) { echo '<b>' . $m . '</b>'; }\n",
+            "other.php": "<?php\nfunction lone($x) { echo $x; }\necho $_GET['o'];\n",
+        })
+        tool = PhpSafe(cache=ModelCache())
+        _report, manifest, _ = tool.rescan(plugin)
+        looked_up = record_summary_lookups(tool)
+        hits_before = tool.cache.summary_stats.hits
+        updated = mutate(plugin, "main.php", "echo $_COOKIE['extra'];\n")
+        warm, _manifest2, stats = tool.rescan(updated, manifest)
+        assert stats.incremental
+        assert stats.changed_files == ["main.php"]
+        assert stats.roots_reused == 2
+        assert looked_up == ["show"]
+        assert tool.cache.summary_stats.hits == hits_before + 1
+        assert warm.perf["summary_cache_hits"] == 1
+        assert warm.perf["summaries_computed"] == 0
+        cold = PhpSafe(use_process_cache=False).analyze(updated)
+        assert finding_signatures([warm]) == finding_signatures([cold])
+
+
 # ---------------------------------------------------------------------------
 # plan_rescan: fallback triggers
 # ---------------------------------------------------------------------------

@@ -175,6 +175,45 @@ class TestPersistenceExclusions:
         assert keys(first) == keys(second)
 
 
+class TestUnreachedSummaries:
+    """A cached summary takes part in a scan only when the scan reaches
+    its function, exactly as a computed one would."""
+
+    CLASS_A = (
+        "<?php class A { function set() { $this->v = $_GET['q']; }"
+        " function show() { echo '<p>' . $this->v . '</p>'; } }"
+    )
+    MAIN_V1 = (
+        "<?php include 'a.php';\n$a = new A();\n$a->set();\n"
+        "echo '<p>' . $a->v . '</p>';\n"
+    )
+    MAIN_V2 = (
+        "<?php include 'a.php';\n$a = new A();\n"
+        "echo '<p>' . $a->v . '</p>';\n"
+    )
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_uncalled_method_writes_nothing_when_uncalled_is_off(
+        self, tier, tmp_path
+    ):
+        # with analyze_uncalled off, A::set() is reached only through
+        # v1's call; v2 drops the call, so set()'s cached property
+        # write must not taint the echo of $a->v
+        options = PhpSafeOptions(analyze_uncalled=False)
+        if tier == "memory":
+            tool = PhpSafe(options=options, cache=ModelCache())
+        else:
+            tool = PhpSafe(options=options, cache_dir=str(tmp_path))
+        v1 = Plugin(name="p", files={"a.php": self.CLASS_A, "main.php": self.MAIN_V1})
+        v2 = Plugin(name="p", files={"a.php": self.CLASS_A, "main.php": self.MAIN_V2})
+        assert keys(tool.analyze(v1)) != []
+        assert tool.cache.summary_stats.stores >= 1
+        warm = tool.analyze(v2)
+        cold = PhpSafe(options=options, use_process_cache=False).analyze(v2)
+        assert keys(cold) == []
+        assert keys(warm) == keys(cold)
+
+
 #: a second value for every ``PhpSafeOptions`` field, grouped by role
 SECOND_VALUES = {
     "result": {
