@@ -316,6 +316,11 @@ class UnitFootprint:
     prop_writes: Set[str] = field(default_factory=set)
     #: "static:<owner>" cross-call slots touched
     statics: Set[str] = field(default_factory=set)
+    #: keys of functions defined under *other* roots whose summary these
+    #: units installed first (computed, or taken from the summary
+    #: source); a rescan that re-runs this root but no longer reaches
+    #: one of them replays it (see :meth:`TaintEngine.run`)
+    summaries: Set[str] = field(default_factory=set)
     #: a unit under this root faulted — its effects are partial, so the
     #: root is never skippable
     faulted: bool = False
@@ -465,6 +470,7 @@ class TaintEngine:
         summary_source: Optional[
             Callable[[FunctionInfo], Optional[FunctionSummary]]
         ] = None,
+        replay_summaries: Optional[Dict[str, str]] = None,
     ) -> None:
         """The baselines' envelope settings (phpSAFE keeps the
         defaults): ``construct_kinds`` are the kinds checked at
@@ -486,7 +492,14 @@ class TaintEngine:
         outside this run (the cross-run cache), or ``None``.  It is
         asked on demand, the first time a function's summary is needed,
         so a rescan asks only for the functions its live units reach;
-        it is never asked when ``use_summaries`` is off.
+        it is never asked when ``use_summaries`` is off, and never twice
+        for one function.
+
+        ``replay_summaries`` maps function keys to the executed root
+        that installed them in the prior scan (see
+        :func:`~repro.core.incremental.plan_rescan`); the late pass
+        takes the summary source's summary of each one this run did not
+        reach, under that root.
         """
         self.model = model
         self.profile = profile
@@ -494,6 +507,7 @@ class TaintEngine:
         self.construct_kinds = construct_kinds
         self.unknown_call_policy = unknown_call_policy
         self.reuse_roots: FrozenSet[str] = reuse_roots or frozenset()
+        self.replay_summaries: Dict[str, str] = replay_summaries or {}
         #: every kind this profile's specs mention; ``ALL_KINDS`` itself
         #: (same object — the ``from_label`` fast path is identity-based)
         #: unless rule packs introduced extra kinds
@@ -513,6 +527,8 @@ class TaintEngine:
         )
         #: keys of the summaries ``summary_source`` served this run
         self.loaded_summaries: Set[str] = set()
+        #: keys ``summary_source`` had nothing for
+        self._source_missed: Set[str] = set()
         #: cross-call taint of ``static`` locals, keyed by owning
         #: function key then variable name; joins only, never resets
         self._static_store: Dict[str, Dict[str, TaintState]] = {}
@@ -559,11 +575,18 @@ class TaintEngine:
         The late pass summarizes every function still without a summary
         (covering corner cases like a function only reachable through
         its own recursion), taking the summary source's summary where it
-        has one instead of opening a unit, then reports the source→sink flows inside
-        all summaries: flows that depend on the unknown parameters of
-        an entry point are dropped (no caller exists inside the plugin
-        to bind them), and events already emitted at real call sites
-        deduplicate by sink line.
+        has one instead of opening a unit, then reports the source→sink
+        flows inside all summaries: flows that depend on the unknown
+        parameters of an entry point are dropped (no caller exists
+        inside the plugin to bind them), and events already emitted at
+        real call sites deduplicate by sink line.
+
+        A cold scan summarizes every function and so commits every
+        summary's property writes, but a skipped root's record carries
+        only what its own units summarized.  A function of a skipped
+        root that the prior scan summarized under a root re-run now,
+        and that this run did not reach, is therefore replayed under
+        that root (:meth:`_replay_summary`).
         """
         start = time.perf_counter()
         steps_before = self._steps
@@ -606,6 +629,17 @@ class TaintEngine:
                         info.file,
                         lambda info=info: self._summarize(info),
                         summary_key=key,
+                    )
+                for key, root in sorted(self.replay_summaries.items()):
+                    if self.aborted:
+                        break
+                    info = self.model.functions.get(key)
+                    if info is None or key in self.summaries:
+                        continue
+                    self._run_unit(
+                        f"function {key}",
+                        root,
+                        lambda info=info: self._replay_summary(info),
                     )
                 # even a degraded run reports what its summaries did find
                 self._collect_summary_events()
@@ -735,12 +769,25 @@ class TaintEngine:
                 footprint.writes.add(name)
 
     def _collect_summary_events(self) -> None:
-        """Promote summary-local sink events to plugin-level events."""
+        """Promote summary-local sink events to plugin-level events.
+
+        Under unit tracking each summary's events go to the root whose
+        unit installed the summary, whose footprint holds what they
+        were computed from (the summary's dependencies and property
+        reads); a summary no other root installed goes to its defining
+        file."""
+        installed_by: Dict[str, str] = {}
+        if self.track:
+            for root, footprint in self.footprints.items():
+                for key in footprint.summaries:
+                    installed_by[key] = root
         for key, summary in sorted(self.summaries.items()):
             owner = ""
             if self.track:
                 info = self.model.functions.get(key)
-                owner = info.file if info is not None else ""
+                owner = installed_by.get(key, "")
+                if not owner and info is not None:
+                    owner = info.file
             for event in summary.sink_events:
                 concrete = event.taint.substituted({})  # drop ParamRefs, keep PropRefs
                 if concrete.active or self._has_prop_refs(event.taint):
@@ -863,16 +910,33 @@ class TaintEngine:
         method still contributes the property taint a computed one
         would.
         """
-        if self._summary_source is None:
+        if self._summary_source is None or info.key in self._source_missed:
             return None
         summary = self._summary_source(info)
         if summary is None:
+            self._source_missed.add(info.key)
             return None
         self.summaries[info.key] = summary
         self.loaded_summaries.add(info.key)
+        self._note_installed(info)
         for (class_lower, prop), taint in summary.prop_writes.items():
             self.class_props.write(class_lower, prop, taint.drop_param_refs())
         return summary
+
+    def _replay_summary(self, info: FunctionInfo) -> None:
+        """Take the summary source's summary of ``info`` inside the
+        current unit, as a memoized call would; on a miss the function
+        stays unsummarized and :func:`~repro.core.incremental.
+        validate_rescan` falls back to a full scan."""
+        summary = self._load_summary(info)
+        if summary is not None:
+            self._merge_summary_deps(summary)
+
+    def _note_installed(self, info: FunctionInfo) -> None:
+        """Record on the current root that its unit installed the
+        summary of a function defined under another root."""
+        if self.track and self._unit_fp is not None and info.file != self._unit_root:
+            self._unit_fp.summaries.add(info.key)
 
     def _merge_summary_deps(self, summary: FunctionSummary) -> None:
         """A caller's summary inherits its callee's dependencies: the
@@ -976,6 +1040,7 @@ class TaintEngine:
                     summary.ref_param_writes[index] = record.taint
         self.summaries[info.key] = summary
         counters.summaries_computed += 1
+        self._note_installed(info)
         if self.track and (summary.uses_globals or summary.uses_statics):
             # order-dependent summary: remember which root first computed
             # it so the planner re-runs that root whenever it matters

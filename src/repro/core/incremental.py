@@ -13,12 +13,15 @@ and the finalized findings its events produced.  That record set — the
    previously failed lookup now resolves, or its state footprint
    couples (read∩write in either direction) with an affected root.
    Everything else is skipped via the engine's ``reuse_roots`` and its
-   findings are carried forward from the manifest.
+   findings are carried forward from the manifest.  Functions of
+   skipped roots that an affected root summarized are handed to the
+   engine as ``replay_summaries``.
 2. :func:`validate_rescan` re-checks the couplings after the run with
    the *actual* footprints of the executed units (the plan only had
    stale estimates for changed files) and pins the order-dependent
    ``uses_globals``/``uses_statics`` summaries to their original
-   compute position.  Any violation falls back to a full tracked scan,
+   compute position, and checks that every summary to replay was
+   found.  Any violation falls back to a full tracked scan,
    so incremental mode can degrade in speed but never in correctness.
 
 Findings round-trip through the manifest losslessly, and merging
@@ -40,7 +43,7 @@ from .results import Finding
 from ..plugin import Plugin
 
 #: schema tag of the persisted manifest document
-MANIFEST_SCHEMA = "repro.incremental.manifest/v1"
+MANIFEST_SCHEMA = "repro.incremental.manifest/v2"
 
 
 def plugin_file_digests(plugin: Plugin) -> Dict[str, str]:
@@ -96,6 +99,7 @@ def _footprint_to_dict(footprint: UnitFootprint) -> Dict[str, object]:
         "prop_reads": sorted(footprint.prop_reads),
         "prop_writes": sorted(footprint.prop_writes),
         "statics": sorted(footprint.statics),
+        "summaries": sorted(footprint.summaries),
         "faulted": footprint.faulted,
     }
 
@@ -115,11 +119,9 @@ def build_manifest(
     """Assemble the manifest describing a finished (tracked) scan.
 
     Roots executed this run get fresh footprints and finding groups;
-    roots in ``reuse_roots`` keep their record from ``prior`` (their
-    content did not change, so neither did their footprint).  A live
-    finding attributed to a reused root (a summary event of one of its
-    functions that a live unit called) is min-merged into a copy of it;
-    without one the prior record is kept as it is.
+    roots in ``reuse_roots`` keep their record from ``prior`` as it is
+    (they did not run, so neither their footprint nor their findings
+    changed).
     """
     groups = engine.findings_by_unit()
     prior_roots: Dict[str, Dict[str, object]] = {}
@@ -134,23 +136,8 @@ def build_manifest(
         roots[root] = record
     for root in reuse_roots:
         prior_record = prior_roots.get(root)
-        if prior_record is None:
-            continue
-        live = groups.get(root)
-        if not live:
-            # nothing to merge: the prior record is already canonical
+        if prior_record is not None:
             roots[root] = prior_record
-            continue
-        record = dict(prior_record)
-        carried = [
-            finding_from_dict(raw)  # type: ignore[arg-type]
-            for raw in prior_record.get("findings", [])  # type: ignore[union-attr]
-        ]
-        record["findings"] = [
-            finding_to_dict(f)
-            for f in TaintEngine.dedupe_findings(carried + live)
-        ]
-        roots[root] = record
     state_roots: Dict[str, str] = {}
     if prior is not None:
         for key, prior_root in dict(
@@ -162,10 +149,14 @@ def build_manifest(
             if prior_root in reuse_roots and key in engine.model.functions:
                 state_roots[key] = prior_root
     state_roots.update(engine.state_summary_roots)
-    # every event must be attributable to a root, otherwise a later
-    # rescan could drop it when skipping; an unattributed group marks
-    # the manifest as unusable for incremental planning
-    complete = "" not in groups and not engine.aborted
+    # every event must be attributable to a root that ran, otherwise a
+    # later rescan could drop it when skipping; a group without one
+    # marks the manifest as unusable for incremental planning
+    complete = (
+        "" not in groups
+        and not reuse_roots.intersection(groups)
+        and not engine.aborted
+    )
     return {
         "schema": MANIFEST_SCHEMA,
         "fingerprint": fingerprint,
@@ -210,6 +201,11 @@ class RescanPlan:
     changed_files: FrozenSet[str] = frozenset()
     #: roots that must re-run (changed, coupled, or unplannable)
     affected: FrozenSet[str] = frozenset()
+    #: function key -> affected root: functions of reused roots whose
+    #: summary that root installed in the prior scan.  Only the root's
+    #: record carries the summary's effects, so the run replays each
+    #: one it does not reach (``TaintEngine(replay_summaries=...)``)
+    replay: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -341,11 +337,18 @@ def plan_rescan(
             changed_files=changed,
             affected=frozenset(affected),
         )
+    replay: Dict[str, str] = {}
+    for root in sorted(affected):
+        for key in roots.get(root, {}).get("summaries", ()):  # type: ignore[union-attr]
+            info = model.functions.get(key)
+            if info is not None and info.file in candidates:
+                replay.setdefault(key, root)
     return RescanPlan(
         full=False,
         reuse_roots=frozenset(candidates),
         changed_files=changed,
         affected=frozenset(affected),
+        replay=replay,
     )
 
 
@@ -375,6 +378,12 @@ def validate_rescan(
         # a faulted unit has partial footprints and partial findings;
         # the cold path reproduces whatever degradation is deterministic
         return "unit fault during incremental run"
+    if engine.options.analyze_uncalled:
+        for key in sorted(plan.replay):
+            if key not in engine.summaries:
+                # no skipped root carries its effects and the summary
+                # source had no valid summary to replay
+                return f"summary {key} could not be replayed"
     roots: Dict[str, Dict[str, object]] = manifest.get("roots", {})  # type: ignore[assignment]
     skipped = _Coupling()
     for root in plan.reuse_roots:

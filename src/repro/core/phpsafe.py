@@ -187,14 +187,15 @@ class PhpSafe(AnalyzerTool):
         plugin: Plugin,
         model: Optional[PluginModel] = None,
         reuse_roots: Optional[FrozenSet[str]] = None,
+        replay_summaries: Optional[Dict[str, str]] = None,
         carried: Sequence[Finding] = (),
     ) -> Tuple[ToolReport, PluginModel, TaintEngine]:
         """The shared scan core behind :meth:`analyze` and
         :meth:`rescan`: build (or accept) the model, run the engine,
         shape the report.  ``reuse_roots`` makes the run a tracked one
-        (see :class:`TaintEngine`); ``carried`` findings from a prior
-        manifest are min-merged with the live ones before
-        deduplication."""
+        and ``replay_summaries`` goes with it (see :class:`TaintEngine`);
+        ``carried`` findings from a prior manifest are min-merged with
+        the live ones before deduplication."""
         perf_before = counters.snapshot()
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         if model is None:
@@ -225,6 +226,7 @@ class PhpSafe(AnalyzerTool):
             ir_store=self.cache,
             ir_fingerprint=self.summary_fingerprint,
             reuse_roots=reuse_roots,
+            replay_summaries=replay_summaries,
             summary_source=(
                 partial(self._cached_summary, model, digests)
                 if use_summary_cache
@@ -337,6 +339,7 @@ class PhpSafe(AnalyzerTool):
                 plugin,
                 model=model,
                 reuse_roots=plan.reuse_roots,
+                replay_summaries=plan.replay,
                 carried=carried_findings(manifest, plan.reuse_roots),
             )
             violation = validate_rescan(manifest, plan, engine, model)

@@ -184,6 +184,32 @@ class TestRescanParity:
             # the untouched decoupled root is the only reusable one
             assert stats.roots_reused <= 1
 
+    def test_summary_events_follow_the_root_that_installed_them(self):
+        # main.php's unit summarizes A::show(), whose echo reads the
+        # property writer.php taints; once the writer cleans it, the
+        # echo's finding must go, though lib.php is reused
+        lib = (
+            "<?php\nclass A {\n"
+            " function show() { echo '<p>' . $this->v . '</p>'; }\n}\n"
+        )
+        writer = "<?php\ninclude 'lib.php';\n$x = new A();\n$x->v = $_GET['q'];\n"
+        plugin = Plugin(name="p", files={
+            "lib.php": lib,
+            "main.php": "<?php\ninclude 'lib.php';\n$a = new A();\n$a->show();\n",
+            "writer.php": writer,
+        })
+        tool = PhpSafe(cache=ModelCache())
+        report, manifest, _ = tool.rescan(plugin)
+        assert [(f.file, f.line) for f in report.findings] == [("lib.php", 3)]
+        files = dict(plugin.files)
+        files["writer.php"] = writer.replace("$_GET['q']", "'clean'")
+        updated = dataclasses.replace(plugin, files=files)
+        warm, _m2, stats = tool.rescan(updated, manifest)
+        cold = PhpSafe(use_process_cache=False).analyze(updated)
+        assert stats.roots_reused == 1
+        assert cold.findings == []
+        assert finding_signatures([warm]) == finding_signatures([cold])
+
     def test_stats_to_dict_round_trip(self):
         stats = RescanStats(
             roots_total=3, roots_reused=2, changed_files=["b.php"]
@@ -255,6 +281,92 @@ class TestOnDemandSummaries:
         assert warm.perf["summaries_computed"] == 0
         cold = PhpSafe(use_process_cache=False).analyze(updated)
         assert finding_signatures([warm]) == finding_signatures([cold])
+
+    CLASS_A = (
+        "<?php\nclass A { function set() { $this->v = $_GET['q']; } }\n"
+        "class B { function set() { $this->w = 1; } }\n"
+    )
+    MAIN_V1 = (
+        "<?php\ninclude 'lib.php';\n$a = new A();\n$a->set();\n"
+        "echo '<p>' . $a->v . '</p>';\n"
+    )
+
+    @pytest.mark.parametrize(
+        "main_v2, echo_line",
+        [
+            # the edit drops the only call: A::set() becomes uncalled
+            (
+                "<?php\ninclude 'lib.php';\n$a = new A();\n"
+                "echo '<p>' . $a->v . '</p>';\n",
+                4,
+            ),
+            # the edit calls B::set() instead: A::set() is still called
+            # by name, so a cold scan reaches it only in the late pass
+            (
+                "<?php\ninclude 'lib.php';\n$b = new B();\n$b->set();\n"
+                "$a = new A();\necho '<p>' . $a->v . '</p>';\n",
+                6,
+            ),
+        ],
+        ids=["uncalled", "late-pass"],
+    )
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_summary_left_behind_by_an_edited_root_still_applies(
+        self, main_v2, echo_line, tier, tmp_path
+    ):
+        # v1 summarizes A::set() inside main.php's unit, so its property
+        # write is on main.php's record, not on lib.php's; once the edit
+        # stops reaching it, lib.php is still reused, yet a cold scan
+        # runs A::set() on its own and its write taints the echo
+        if tier == "memory":
+            tool = PhpSafe(cache=ModelCache())
+        else:
+            tool = PhpSafe(cache_dir=str(tmp_path))
+        v1 = Plugin(name="p", files={"lib.php": self.CLASS_A, "main.php": self.MAIN_V1})
+        _report, manifest, _ = tool.rescan(v1)
+        v2 = dataclasses.replace(
+            v1, files={"lib.php": self.CLASS_A, "main.php": main_v2}
+        )
+        warm, manifest2, stats = tool.rescan(v2, manifest)
+        cold = PhpSafe(use_process_cache=False).analyze(v2)
+        assert [(f.file, f.line) for f in cold.findings] == [("main.php", echo_line)]
+        assert stats.roots_reused == 1
+        assert finding_signatures([warm]) == finding_signatures([cold])
+        # the replay stays on main.php's record for the next edit
+        v3 = mutate(v2, "main.php", "echo 'done';\n")
+        warm3, _manifest3, stats3 = tool.rescan(v3, manifest2)
+        cold3 = PhpSafe(use_process_cache=False).analyze(v3)
+        assert stats3.roots_reused == 1
+        assert finding_signatures([warm3]) == finding_signatures([cold3])
+
+    def test_summary_that_cannot_be_replayed_falls_back(self):
+        tool = PhpSafe(cache=ModelCache())
+        v1 = Plugin(name="p", files={"lib.php": self.CLASS_A, "main.php": self.MAIN_V1})
+        _report, manifest, _ = tool.rescan(v1)
+        tool.cache.clear()
+        v2 = dataclasses.replace(v1, files={
+            "lib.php": self.CLASS_A,
+            "main.php": self.MAIN_V1.replace("$a->set();\n", ""),
+        })
+        warm, _manifest2, stats = tool.rescan(v2, manifest)
+        cold = PhpSafe(use_process_cache=False).analyze(v2)
+        assert stats.fallback_reason == "summary a::set could not be replayed"
+        assert finding_signatures([warm]) == finding_signatures([cold])
+
+    def test_late_pass_miss_asks_the_cache_once(self):
+        # r() is reachable only through its own recursion, so only the
+        # late pass summarizes it: its lookup misses once, then the
+        # body is computed without asking again
+        plugin = Plugin(name="rec", files={
+            "a.php": "<?php\nfunction r($x) { r($x); echo $x; }\necho $_GET['a'];\n",
+        })
+        tool = PhpSafe(cache=ModelCache())
+        looked_up = record_summary_lookups(tool)
+        report = tool.analyze(plugin)
+        assert looked_up.count("r") == 1
+        assert tool.cache.summary_stats.misses == 1
+        assert report.perf["summary_cache_misses"] == 1
+        assert report.perf["summaries_computed"] == 1
 
 
 # ---------------------------------------------------------------------------
