@@ -14,13 +14,17 @@ modes in isolated spawn subprocesses, asserting:
    ``tests/golden/paper-{2012,2014}.json``;
 
 and writes the measurements to ``BENCH_scale.json`` (uploaded as a CI
-artifact).  The full three-tier bench, including the ≥1M-LOC tier, is
-run via ``phpsafe bench scale``; this job keeps the per-push cost to
-the smallest tier.
+artifact).  CI keeps the per-push cost to the smallest tier.
+``--tiers`` benches more tiers next to it (``scale-smoke`` always
+runs, its golden file being the smoke check); a run that names another
+tier also applies the full :func:`repro.benchscale.check_scale` gate.
+The committed three-tier file, including the ≥1M-LOC tier, comes from::
+
+    python scripts/scale_smoke.py --tiers scale-smoke scale-quarter scale-1m
 
 Stdlib only; run from the repo root::
 
-    python scripts/scale_smoke.py [--out BENCH_scale.json]
+    python scripts/scale_smoke.py [--tiers TIER ...] [--out BENCH_scale.json]
 """
 
 from __future__ import annotations
@@ -76,23 +80,29 @@ def check_golden(name: str, streamed: set, failures: list) -> None:
 
 
 def main(argv=None) -> int:
+    from repro.corpus.stress import TIERS, get_tier
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--tiers", nargs="+", choices=sorted(TIERS), default=["scale-smoke"],
+        help="stress tiers to bench (default: scale-smoke, which always runs)",
+    )
     parser.add_argument(
         "--out", default="BENCH_scale.json", help="bench file to write"
     )
     args = parser.parse_args(argv)
+    tiers = sorted(set(args.tiers) | {"scale-smoke"})
 
     from repro.batch.streaming import stream_scan
-    from repro.benchscale import run_scale_bench, sink_file, write_bench
+    from repro.benchscale import check_scale, run_scale_bench, sink_file, write_bench
     from repro.core.results import stream_signatures
     from repro.corpus.generator import build_corpus
-    from repro.corpus.stress import get_tier
 
     tier = get_tier("scale-smoke")
     failures = []
 
     with tempfile.TemporaryDirectory(prefix="scale-smoke-") as sink_dir:
-        section = run_scale_bench(["scale-smoke"], sink_dir=sink_dir)
+        section = run_scale_bench(tiers, sink_dir=sink_dir)
         streamed = stream_signatures(sink_file(sink_dir, "scale-smoke", "streaming"))
         paper = {}
         for version in ("2012", "2014"):
@@ -125,6 +135,8 @@ def main(argv=None) -> int:
     check_golden("scale-smoke", streamed, failures)
     for version, signatures in paper.items():
         check_golden(f"paper-{version}", signatures, failures)
+    if tiers != ["scale-smoke"]:
+        failures.extend(check_scale(section))
 
     write_bench(args.out, section)
     print(f"bench written to {args.out}")

@@ -24,7 +24,7 @@ Soundness: every cache tier is content-addressed, so eviction/spill can
 only cost recomputation, never change a result — tier-1 tests compare
 streamed and accumulated finding signatures, ``scripts/scale_smoke.py``
 checks the streamed ones against the golden files, and
-``BENCH_scale.json`` (``phpsafe bench scale``) records the RSS bound
+``BENCH_scale.json`` (``scripts/scale_smoke.py``) records the RSS bound
 streaming buys.  Streaming speed across commits is measured by
 perfbench's ``stress-stream`` workload.
 """

@@ -1,6 +1,6 @@
 """Scale benchmark: peak RSS and LOC/s across the stress tiers.
 
-``phpsafe bench scale`` runs each stress tier
+``scripts/scale_smoke.py --tiers ...`` runs each stress tier
 (:mod:`repro.corpus.stress`) in both evaluation modes and writes the
 results to ``BENCH_scale.json`` as one plain JSON document:
 
@@ -19,8 +19,9 @@ the harness itself.  The per-tier contract is
 accumulating is *expected* to exceed it on the largest tier (that gap
 is the point of the PR, and :func:`check_scale` gates on both).
 
-The findings themselves are pinned by the golden files:
-``scripts/scale_smoke.py`` checks the streamed signatures against them.
+The findings themselves are pinned by the golden files (seed 0, the
+only seed benched): ``scripts/scale_smoke.py`` checks the streamed
+signatures against them.
 """
 
 from __future__ import annotations
@@ -29,13 +30,10 @@ import json
 import multiprocessing
 import os
 import resource
-import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .corpus.stress import get_tier, iter_stress_plugins, stress_options
-
-BENCH_PATH = "BENCH_scale.json"
 
 
 def _peak_rss_mb() -> float:
@@ -43,7 +41,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> None:
+def _child_entry(mode: str, tier_name: str, sink_path: str, conn) -> None:
     """Subprocess body: run one (tier, mode) and send the measurement."""
     try:
         tier = get_tier(tier_name)
@@ -52,7 +50,7 @@ def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> 
             from .batch.streaming import stream_scan
 
             summary = stream_scan(
-                iter_stress_plugins(tier, seed),
+                iter_stress_plugins(tier),
                 sink_path,
                 options=stress_options(),
             )
@@ -68,7 +66,7 @@ def _child_entry(mode: str, tier_name: str, seed: int, sink_path: str, conn) -> 
             # materialized corpus, entry-bounded (NOT byte-bounded)
             # artifact cache — the batch scheduler's old default — and
             # every report accumulated then merged
-            plugins_list = list(iter_stress_plugins(tier, seed))
+            plugins_list = list(iter_stress_plugins(tier))
             tool = PhpSafe(
                 options=stress_options(),
                 cache=ModelCache(max_entries=4096),
@@ -106,17 +104,13 @@ def sink_file(sink_dir: str, tier_name: str, mode: str) -> str:
     return os.path.join(sink_dir, f"{tier_name}-{mode}.jsonl")
 
 
-def run_tier_mode(
-    tier_name: str, mode: str, seed: int = 0, sink_dir: Optional[str] = None
-) -> Dict[str, object]:
+def run_tier_mode(tier_name: str, mode: str, sink_dir: str) -> Dict[str, object]:
     """Measure one (tier, mode) in an isolated spawn subprocess."""
     context = multiprocessing.get_context("spawn")
     parent_conn, child_conn = context.Pipe(duplex=False)
-    sink_path = sink_file(
-        sink_dir or tempfile.mkdtemp(prefix="benchscale-"), tier_name, mode
-    )
+    sink_path = sink_file(sink_dir, tier_name, mode)
     process = context.Process(
-        target=_child_entry, args=(mode, tier_name, seed, sink_path, child_conn)
+        target=_child_entry, args=(mode, tier_name, sink_path, child_conn)
     )
     process.start()
     child_conn.close()
@@ -133,13 +127,9 @@ def run_tier_mode(
     return result
 
 
-def run_scale_bench(
-    tier_names: Sequence[str],
-    seed: int = 0,
-    sink_dir: Optional[str] = None,
-) -> Dict[str, object]:
+def run_scale_bench(tier_names: Sequence[str], sink_dir: str) -> Dict[str, object]:
     """The ``BENCH_scale.json`` document.  Findings streams go to
-    ``sink_dir`` (a fresh temporary directory if None)."""
+    ``sink_dir``."""
     tiers: Dict[str, object] = {}
     streaming_total = 0.0
     for name in tier_names:
@@ -152,7 +142,7 @@ def run_scale_bench(
         }
         for mode in ("streaming", "accumulating"):
             print(f"bench scale: {name}/{mode} ...", flush=True)
-            measured = run_tier_mode(name, mode, seed=seed, sink_dir=sink_dir)
+            measured = run_tier_mode(name, mode, sink_dir)
             row[mode] = measured
             print(
                 f"bench scale: {name}/{mode}: {measured['loc']} LOC in "
@@ -220,19 +210,3 @@ def write_bench(path: str, document: Dict[str, object]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=1)
         handle.write("\n")
-
-
-def run_and_gate(
-    tier_names: Sequence[str],
-    path: str = BENCH_PATH,
-    seed: int = 0,
-) -> int:
-    """CLI core: bench, write, gate; returns the exit code."""
-    document = run_scale_bench(tier_names, seed=seed)
-    write_bench(path, document)
-    failures = check_scale(document)
-    for failure in failures:
-        print(f"bench scale: FAIL: {failure}", flush=True)
-    if not failures:
-        print(f"bench scale: ok — results in {path}", flush=True)
-    return 1 if failures else 0

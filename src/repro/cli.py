@@ -654,17 +654,6 @@ def _serve_coordinator(args: argparse.Namespace, spec, tool_name: str) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.action == "scale":
-        from .benchscale import run_and_gate as run_scale
-
-        return run_scale(args.tiers, path=args.output, seed=args.seed)
-    from .service.chaos import config_from_args, run_and_gate
-
-    assert args.action == "fleet"  # argparse enforces the choice
-    return run_and_gate(config_from_args(args))
-
-
 def cmd_approve(args: argparse.Namespace) -> int:
     from .history import ApprovalPolicy, HistoryStore, ScanRecord
 
@@ -1027,41 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
              " with 503 (cached results still served)",
     )
     serve.set_defaults(func=cmd_serve)
-
-    bench = sub.add_parser(
-        "bench", help="performance / robustness harnesses"
-    )
-    bench_sub = bench.add_subparsers(dest="action", required=True)
-    fleet = bench_sub.add_parser(
-        "fleet",
-        help="fault-injection load harness: N-node fleet under chaos",
-    )
-    from .service.chaos import build_arg_parser as _chaos_args
-
-    _chaos_args(fleet)
-    fleet.set_defaults(func=cmd_bench)
-
-    scale = bench_sub.add_parser(
-        "scale",
-        help="stress-tier memory/throughput bench: peak RSS and LOC/s "
-             "per tier, streaming vs accumulating, into BENCH_scale.json",
-    )
-    from .corpus.stress import TIERS as _stress_tiers
-
-    scale.add_argument(
-        "--tiers", nargs="+", choices=sorted(_stress_tiers),
-        default=sorted(_stress_tiers),
-        help="stress tiers to bench (default: all)",
-    )
-    scale.add_argument(
-        "--output", default="BENCH_scale.json",
-        help="bench file to write (default: BENCH_scale.json)",
-    )
-    scale.add_argument(
-        "--seed", type=int, default=0,
-        help="stress-corpus noise seed (seeded flows are seed-invariant)",
-    )
-    scale.set_defaults(func=cmd_bench)
 
     confirm = sub.add_parser("confirm", help="dynamically confirm findings")
     confirm.add_argument("path")

@@ -6,7 +6,7 @@ run by the :mod:`.ir` executor), results processing (:mod:`.results`).  :class:`
 """
 
 from ..incidents import Incident, IncidentSeverity, IncidentStage
-from .autofix import FixProposal, apply_fixes, propose_fix, verify_fix
+from .autofix import FixProposal, apply_fixes, verify_fix
 from .cache import CacheStats, ModelCache
 from .engine import TaintEngine
 from .model import ClassInfo, FileModel, FunctionInfo, PluginModel
@@ -23,7 +23,6 @@ __all__ = [
     "ModelCache",
     "apply_fixes",
     "coverage_summary",
-    "propose_fix",
     "to_html",
     "to_json",
     "to_text",

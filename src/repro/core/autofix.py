@@ -17,7 +17,7 @@ re-runs the analyzer to show the finding is gone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..config.vulnerability import VulnKind
 from ..php import ast_nodes as ast
@@ -128,30 +128,6 @@ class _SinkRewriter:
         if expr is None or not _needs_wrap(expr):
             return expr
         return _wrap(expr, self.sanitizer)
-
-
-def propose_fix(plugin: Plugin, finding: Finding) -> Optional[FixProposal]:
-    """Build a remediation proposal for one finding, or None."""
-    source = plugin.files.get(finding.file)
-    if source is None:
-        return None
-    tree = parse_source(source, finding.file)
-    rewriter = _SinkRewriter(finding)
-    rewriter.rewrite(tree)
-    if not rewriter.rewrote:
-        return None
-    patched = print_file(tree)
-    description = (
-        f"route the value at {finding.file}:{finding.line} through "
-        f"{rewriter.sanitizer}() before the {finding.sink} sink"
-    )
-    return FixProposal(
-        finding=finding,
-        file=finding.file,
-        original_source=source,
-        patched_source=patched,
-        description=description,
-    )
 
 
 def apply_fixes(

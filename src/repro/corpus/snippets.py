@@ -341,26 +341,6 @@ def noise_sanitized_echo(uid: str) -> Fragment:
     )
 
 
-def noise_class(uid: str) -> Fragment:
-    """A clean settings-holder class (for OOP plugins)."""
-    return Fragment(
-        lines=[
-            f"class Util_{uid}_Settings {{",
-            "    public $values = array();",
-            "    public function put($key, $value) {",
-            "        $this->values[sanitize_key($key)] = intval($value);",
-            "    }",
-            "    public function get($key, $fallback = 0) {",
-            "        if (isset($this->values[$key])) {",
-            "            return $this->values[$key];",
-            "        }",
-            "        return $fallback;",
-            "    }",
-            "}",
-        ]
-    )
-
-
 def noise_loop_block(uid: str) -> Fragment:
     """Arithmetic churn: parser food with zero taint relevance."""
     return Fragment(

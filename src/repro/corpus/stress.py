@@ -24,9 +24,8 @@ so expected-finding counts hold for any seed.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from ..plugin import Plugin
 from . import snippets
@@ -326,8 +325,8 @@ def materialize(tier: StressTier, seed: int = 0) -> List[Plugin]:
 def tier_summary(tier: StressTier, seed: int = 0) -> Dict[str, int]:
     """Generated (not nominal) size of a tier: plugins/files/LOC.
 
-    Walks the generator once; used by tests and ``bench scale`` to
-    report true LOC/s denominators.
+    Walks the generator once; used by tests and perfbench's
+    ``stress-stream`` workload to report true LOC/s denominators.
     """
     plugins = files = loc = 0
     for plugin in iter_stress_plugins(tier, seed):

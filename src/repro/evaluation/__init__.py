@@ -8,7 +8,7 @@ everything (:mod:`.report`).
 """
 
 from .inertia import InertiaAnalysis, analyze_inertia
-from .matching import ClassifiedFinding, MatchResult, match_report
+from .matching import ClassifiedFinding, MatchResult
 from .metrics import Confusion, percent
 from .overlap import OverlapAnalysis, compute_overlap, growth_percent
 from .report import (
@@ -66,7 +66,6 @@ __all__ = [
     "evaluate_both",
     "evaluate_version",
     "growth_percent",
-    "match_report",
     "pairwise_comparisons",
     "percent",
     "tool_intervals",

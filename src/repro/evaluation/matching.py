@@ -62,15 +62,6 @@ class MatchResult:
         }
 
 
-def match_report(
-    report: ToolReport, truth: GroundTruth, plugin: str, version: str
-) -> MatchResult:
-    """Classify one plugin report against the manifest."""
-    result = MatchResult(tool=report.tool, version=version)
-    accumulate_report(result, report, truth, plugin)
-    return result
-
-
 def accumulate_report(
     result: MatchResult, report: ToolReport, truth: GroundTruth, plugin: str
 ) -> None:

@@ -13,7 +13,7 @@ from typing import Dict, List
 from ..config.vulnerability import TABLE2_ROWS, VulnKind
 from .inertia import InertiaAnalysis
 from .metrics import Confusion, percent
-from .overlap import OverlapAnalysis
+from .overlap import OverlapAnalysis, growth_percent
 from .runner import VersionEvaluation
 from .vectors import VectorBreakdown
 
@@ -184,11 +184,7 @@ def render_fig2(older: OverlapAnalysis, newer: OverlapAnalysis) -> str:
             analysis.regions, key=lambda region: (len(region.tools), sorted(region.tools))
         ):
             lines.append(f"    {region.label:30s} {region.count}")
-    growth = (
-        (newer.union_total - older.union_total) / older.union_total * 100.0
-        if older.union_total
-        else 0.0
-    )
+    growth = growth_percent(older, newer)
     lines.append(f"  growth 2012→2014: {growth:+.0f}% (paper: +51%)")
     return "\n".join(lines)
 
@@ -231,104 +227,3 @@ def render_robustness(evaluations: Dict[str, VersionEvaluation]) -> str:
                 f"(paper: {paper_failed}){note}"
             )
     return "\n".join(lines)
-
-
-def render_markdown(
-    evaluations: Dict[str, VersionEvaluation],
-    older_overlap: OverlapAnalysis,
-    newer_overlap: OverlapAnalysis,
-    vectors: Dict[str, VectorBreakdown],
-    inertia: InertiaAnalysis,
-) -> str:
-    """One self-contained markdown report of the whole evaluation.
-
-    The mechanical counterpart of EXPERIMENTS.md: regenerates every
-    experiment's measured values from a live run, ready to commit.
-    """
-    lines = ["# phpSAFE reproduction — evaluation report", ""]
-
-    lines.append("## Table I — per-tool detection")
-    lines.append("")
-    lines.append("| Tool | Version | XSS TP | XSS FP | SQLi TP | SQLi FP | Precision | Recall | F-score |")
-    lines.append("|---|---|---|---|---|---|---|---|---|")
-    for tool in TOOL_ORDER:
-        for version in sorted(evaluations):
-            evaluation = evaluations[version]
-            xss = evaluation.confusion(tool, VulnKind.XSS)
-            sqli = evaluation.confusion(tool, VulnKind.SQLI)
-            total = evaluation.confusion(tool)
-            lines.append(
-                f"| {tool} | {version} | {xss.tp} | {xss.fp} | {sqli.tp} | "
-                f"{sqli.fp} | {percent(total.precision)} | "
-                f"{percent(total.recall)} | {percent(total.f_score)} |"
-            )
-    lines.append("")
-
-    lines.append("## Fig. 2 — detection overlap")
-    lines.append("")
-    for analysis in (older_overlap, newer_overlap):
-        lines.append(
-            f"- **{analysis.version}**: {analysis.union_total} distinct "
-            f"(paper: {PAPER_DISTINCT.get(analysis.version, '?')}); regions: "
-            + ", ".join(
-                f"{region.label} = {region.count}"
-                for region in sorted(
-                    analysis.regions,
-                    key=lambda r: (len(r.tools), sorted(r.tools)),
-                )
-            )
-        )
-    lines.append("")
-
-    lines.append("## Table II — input vectors")
-    lines.append("")
-    lines.append("| Vector | " + " | ".join(sorted(vectors)) + " |")
-    lines.append("|---|" + "---|" * len(vectors))
-    for label in TABLE2_ROWS:
-        cells = " | ".join(str(vectors[key].row(label)) for key in sorted(vectors))
-        lines.append(f"| {label} | {cells} |")
-    lines.append("")
-
-    lines.append("## Section V.D — fix inertia")
-    lines.append("")
-    lines.append(
-        f"- carried into the newer version: **{inertia.carried}** of "
-        f"{inertia.newer_total} ({inertia.carried_share * 100:.0f}%)"
-    )
-    lines.append(
-        f"- trivially exploitable among carried: **{inertia.carried_easy}** "
-        f"({inertia.easy_share_of_carried * 100:.0f}%)"
-    )
-    lines.append("")
-
-    lines.append("## Table III — detection time")
-    lines.append("")
-    lines.append("| Tool | " + " | ".join(
-        f"{v} s (s/KLOC)" for v in sorted(evaluations)) + " |")
-    lines.append("|---|" + "---|" * len(evaluations))
-    for tool in TOOL_ORDER:
-        cells = []
-        for version in sorted(evaluations):
-            tool_eval = evaluations[version].tools.get(tool)
-            if tool_eval is None:
-                cells.append("-")
-            else:
-                cells.append(
-                    f"{tool_eval.seconds_mean:.2f} ({tool_eval.seconds_per_kloc:.3f})"
-                )
-        lines.append(f"| {tool} | " + " | ".join(cells) + " |")
-    lines.append("")
-
-    lines.append("## Section V.E — robustness")
-    lines.append("")
-    for version in sorted(evaluations):
-        evaluation = evaluations[version]
-        for tool in TOOL_ORDER:
-            tool_eval = evaluation.tools.get(tool)
-            if tool_eval is None:
-                continue
-            lines.append(
-                f"- {tool} {version}: {len(tool_eval.failed_files)} failed "
-                f"file(s), {tool_eval.error_messages} error message(s)"
-            )
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from .errors import (
     PhpLexError,
     PhpParseError,
     PhpSyntaxError,
-    UnsupportedConstructError,
 )
 from .cfg import ControlFlowGraph, build_cfg, build_file_cfgs
 from .interp import Interpreter, PhpArray, PhpObject, PhpRuntimeError
@@ -18,14 +17,12 @@ from .lexer import count_loc, tokenize, tokenize_significant
 from .parser import parse_source
 from .printer import print_expr, print_file
 from .tokens import Token, TokenType
-from .visitor import NodeTransformer, NodeVisitor
 
 __all__ = [
     "AnalysisBudgetExceeded",
     "PhpLexError",
     "PhpParseError",
     "PhpSyntaxError",
-    "UnsupportedConstructError",
     "ControlFlowGraph",
     "Interpreter",
     "PhpArray",
@@ -33,8 +30,6 @@ __all__ = [
     "PhpRuntimeError",
     "Token",
     "TokenType",
-    "NodeTransformer",
-    "NodeVisitor",
     "build_cfg",
     "build_file_cfgs",
     "count_loc",

@@ -48,7 +48,7 @@ def _add_slots(cls):
 
 
 #: annotations that can never hold (or contain) an AST node; fields so
-#: typed are skipped by :func:`walk` and the visitor framework
+#: typed are skipped by :func:`walk`
 _SCALAR_ANNOTATIONS = {
     "int", "str", "bool", "float", "object",
     "Optional[str]", "Optional[int]", "List[str]",

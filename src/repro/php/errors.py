@@ -41,16 +41,6 @@ class PhpParseError(PhpSyntaxError):
     """The parser could not build an AST from the token stream."""
 
 
-class UnsupportedConstructError(PhpParseError):
-    """A construct outside the analyzer's language subset was found.
-
-    The Pixy-like baseline raises this on OOP constructs to reproduce the
-    robustness failures reported in the paper (Pixy failed 32 files and
-    raised 38 error messages because "it is an old tool and does not
-    recognize OOP code").
-    """
-
-
 class AnalysisBudgetExceeded(Exception):
     """Analysis of a file exceeded its resource budget.
 

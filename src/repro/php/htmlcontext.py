@@ -186,8 +186,3 @@ def _self_closing(markup: str, index: int) -> bool:
     while index >= 0 and markup[index].isspace():
         index -= 1
     return index >= 0 and markup[index] == "/"
-
-
-def sanitizer_for(markup_prefix: str) -> str:
-    """Convenience: the recommended sanitizer after ``markup_prefix``."""
-    return context_at_end(markup_prefix).recommended_sanitizer

@@ -36,12 +36,6 @@ class Printer:
             lines.extend(self._stmt(statement, 0))
         return "\n".join(lines) + "\n"
 
-    def print_statements(self, statements: List[ast.Statement]) -> str:
-        lines: List[str] = []
-        for statement in statements:
-            lines.extend(self._stmt(statement, 0))
-        return "\n".join(lines)
-
     def print_expr(self, expr: Optional[ast.Expr]) -> str:
         return self._expr(expr)
 

@@ -22,7 +22,7 @@ from .fleet import (
     free_port,
 )
 from .queue import DONE, FAILED, QUEUED, RUNNING, Job, JobQueue, QueueFull
-from .sarif import result_signatures, to_sarif, to_sarif_json
+from .sarif import result_signatures, to_sarif
 from .server import (
     AnalysisService,
     BackgroundServer,
@@ -62,5 +62,4 @@ __all__ = [
     "run_service",
     "serve",
     "to_sarif",
-    "to_sarif_json",
 ]

@@ -1,4 +1,4 @@
-"""Fault-injection load harness for the fleet (``phpsafe bench fleet``).
+"""Fault-injection load harness for the fleet (``scripts/fleet_chaos.py``).
 
 The acceptance bar of the multi-node service (ROADMAP item 1): a real
 fleet — N ``phpsafe serve`` subprocesses behind an in-process
@@ -45,7 +45,7 @@ from ..core import PhpSafe
 from ..core.results import finding_signatures
 from ..plugin import Plugin
 from .coordinator import FleetCoordinator
-from .fleet import HttpNodeClient, LocalNodeProcess, NodeError, RetryPolicy
+from .fleet import HttpNodeClient, LocalNodeProcess, RetryPolicy
 from .queue import DONE, FAILED, RUNNING
 from .sarif import result_signatures
 
@@ -450,8 +450,8 @@ def run_and_gate(config: ChaosConfig) -> int:
     return 0
 
 
-def build_arg_parser(parser: Optional[argparse.ArgumentParser] = None):
-    parser = parser or argparse.ArgumentParser(
+def build_arg_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         description="fault-injection load harness for the phpsafe fleet"
     )
     parser.add_argument("--nodes", type=int, default=3)

@@ -294,7 +294,7 @@ class NodeHandle:
 
 
 # ---------------------------------------------------------------------------
-# local node processes (chaos harness, bench fleet)
+# local node processes (chaos harness)
 # ---------------------------------------------------------------------------
 
 

@@ -25,9 +25,8 @@ how the service tests prove the export round-trips losslessly.
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Sequence, Set, Union
 
 from ..config import VulnKind
 from ..core.results import Finding, FindingSignature, ToolReport
@@ -229,14 +228,6 @@ def to_sarif(
         "version": SARIF_VERSION,
         "runs": [report_to_run(report, tool_version) for report in reports],
     }
-
-
-def to_sarif_json(
-    reports: Union[ToolReport, Sequence[ToolReport]],
-    tool_version: str = "1.0.0",
-    indent: Optional[int] = 1,
-) -> str:
-    return json.dumps(to_sarif(reports, tool_version), indent=indent)
 
 
 def result_signatures(document: Dict[str, object]) -> Set[FindingSignature]:

@@ -1,7 +1,7 @@
 """Tests for automatic remediation proposals."""
 
 from repro.core import PhpSafe
-from repro.core.autofix import apply_fixes, propose_fix, verify_fix
+from repro.core.autofix import apply_fixes, verify_fix
 from repro.plugin import Plugin
 
 
@@ -11,10 +11,12 @@ def analyzed(files):
 
 
 class TestProposeFix:
+    """One finding through ``apply_fixes``: the proposal built for it."""
+
     def test_xss_echo_wrapped_in_esc_html(self):
         plugin, findings = analyzed({"t.php": "<?php echo $_GET['m'];"})
-        proposal = propose_fix(plugin, findings[0])
-        assert proposal is not None and proposal.changed
+        _, [proposal] = apply_fixes(plugin, [findings[0]])
+        assert proposal.changed
         assert "esc_html($_GET['m'])" in proposal.patched_source
         assert "esc_html()" in proposal.description
 
@@ -22,34 +24,34 @@ class TestProposeFix:
         plugin, findings = analyzed(
             {"t.php": "<?php $wpdb->query('D WHERE i=' . $_GET['i']);"}
         )
-        proposal = propose_fix(plugin, findings[0])
-        assert proposal and "esc_sql(" in proposal.patched_source
+        _, [proposal] = apply_fixes(plugin, [findings[0]])
+        assert "esc_sql(" in proposal.patched_source
 
     def test_cmdi_wrapped_in_escapeshellarg(self):
         plugin, findings = analyzed({"t.php": "<?php system('x ' . $_GET['a']);"})
         cmdi = [f for f in findings if f.kind.value == "cmdi"]
-        proposal = propose_fix(plugin, cmdi[0])
-        assert proposal and "escapeshellarg(" in proposal.patched_source
+        _, [proposal] = apply_fixes(plugin, [cmdi[0]])
+        assert "escapeshellarg(" in proposal.patched_source
 
     def test_lfi_wrapped_in_basename(self):
         plugin, findings = analyzed({"t.php": "<?php include $_GET['p'];"})
         lfi = [f for f in findings if f.kind.value == "lfi"]
-        proposal = propose_fix(plugin, lfi[0])
-        assert proposal and "basename(" in proposal.patched_source
+        _, [proposal] = apply_fixes(plugin, [lfi[0]])
+        assert "basename(" in proposal.patched_source
 
     def test_literals_not_wrapped(self):
         plugin, findings = analyzed(
             {"t.php": "<?php echo 'prefix', $_GET['m'];"}
         )
-        proposal = propose_fix(plugin, findings[0])
-        assert proposal is not None
+        _, [proposal] = apply_fixes(plugin, [findings[0]])
         assert "esc_html('prefix')" not in proposal.patched_source
 
     def test_missing_file_returns_none(self):
         plugin, findings = analyzed({"t.php": "<?php echo $_GET['m'];"})
         finding = findings[0]
         other = Plugin(name="o", files={"other.php": "<?php"})
-        assert propose_fix(other, finding) is None
+        patched, proposals = apply_fixes(other, [finding])
+        assert proposals == [] and patched.files == other.files
 
 
 class TestApplyAndVerify:

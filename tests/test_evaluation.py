@@ -7,14 +7,15 @@ from repro.core.results import Finding, ToolReport
 from repro.corpus.generator import FileBuilder, GeneratedCorpus
 from repro.corpus.spec import GroundTruth, GroundTruthEntry, SeededSpec
 from repro.evaluation import (
+    MatchResult,
     analyze_inertia,
     compute_overlap,
     evaluate_version,
     growth_percent,
-    match_report,
     tier_shares,
     vector_breakdown,
 )
+from repro.evaluation.matching import accumulate_report
 from repro.plugin import Plugin
 
 
@@ -32,6 +33,13 @@ def truth_with(*entries):
     return truth
 
 
+def classify(report, truth):
+    """Match one plugin report the way the evaluation runner does."""
+    result = MatchResult(tool=report.tool, version="2014")
+    accumulate_report(result, report, truth, "p")
+    return result
+
+
 def xss_finding(file, line):
     return Finding(kind=VulnKind.XSS, file=file, line=line, sink="echo")
 
@@ -46,7 +54,7 @@ class TestMatching:
         report.add_finding(xss_finding("a.php", 3))   # matches vulnerable
         report.add_finding(xss_finding("a.php", 9))   # matches bait -> FP
         report.add_finding(xss_finding("a.php", 50))  # unmatched -> FP
-        result = match_report(report, truth, "p", "2014")
+        result = classify(report, truth)
         assert result.counts() == (1, 2)
         assert result.detected_ids == {"v-1"}
 
@@ -58,7 +66,7 @@ class TestMatching:
         report.add_finding(
             Finding(kind=VulnKind.SQLI, file="a.php", line=3, sink="q")
         )
-        result = match_report(report, truth, "p", "2014")
+        result = classify(report, truth)
         assert result.counts(VulnKind.SQLI) == (1, 0)
         assert result.counts(VulnKind.XSS) == (0, 0)
 
@@ -68,7 +76,7 @@ class TestMatching:
         )
         report = ToolReport(tool="T", plugin="p")
         report.add_finding(xss_finding("a.php", 3))  # XSS at a SQLi line
-        result = match_report(report, truth, "p", "2014")
+        result = classify(report, truth)
         assert result.counts() == (0, 1)
 
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.core import PhpSafe
-from repro.php.htmlcontext import MarkupContext, context_at_end, sanitizer_for
+from repro.php.htmlcontext import MarkupContext, context_at_end
 
 
 class TestStateMachine:
@@ -46,10 +46,10 @@ class TestStateMachine:
         assert context_at_end("<script>if (a < b) {") is MarkupContext.SCRIPT
 
     def test_sanitizer_recommendations(self):
-        assert sanitizer_for("<p>") == "esc_html"
-        assert sanitizer_for('<input value="') == "esc_attr"
-        assert sanitizer_for('<a href="') == "esc_url"
-        assert sanitizer_for("<script>x(") == "esc_js"
+        assert context_at_end("<p>").recommended_sanitizer == "esc_html"
+        assert context_at_end('<input value="').recommended_sanitizer == "esc_attr"
+        assert context_at_end('<a href="').recommended_sanitizer == "esc_url"
+        assert context_at_end("<script>x(").recommended_sanitizer == "esc_js"
 
 
 class TestJumpScan:

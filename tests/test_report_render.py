@@ -63,7 +63,8 @@ class TestOtherRenderers:
             compute_overlap(evaluations["2014"]),
         )
         assert "union=394" in text and "union=586" in text
-        assert "growth" in text
+        # (586 - 394) / 394 = +48.7%, against the paper's +51%
+        assert "growth 2012→2014: +49% (paper: +51%)" in text
 
     def test_inertia_text(self, evaluations):
         text = render_inertia(analyze_inertia(evaluations["2012"], evaluations["2014"]))
@@ -74,27 +75,3 @@ class TestOtherRenderers:
         assert "failed files=31" in text
         assert "errors=37" in text
 
-
-class TestMarkdownReport:
-    def test_full_markdown_document(self, evaluations):
-        from repro.evaluation.report import render_markdown
-
-        document = render_markdown(
-            evaluations,
-            compute_overlap(evaluations["2012"]),
-            compute_overlap(evaluations["2014"]),
-            {
-                "2012": vector_breakdown(evaluations["2012"]),
-                "2014": vector_breakdown(evaluations["2014"]),
-                "both": both_versions_breakdown(
-                    evaluations["2012"], evaluations["2014"]
-                ),
-            },
-            analyze_inertia(evaluations["2012"], evaluations["2014"]),
-        )
-        assert document.startswith("# phpSAFE reproduction")
-        for heading in ("Table I", "Fig. 2", "Table II", "fix inertia",
-                        "Table III", "robustness"):
-            assert heading in document
-        assert "| phpSAFE | 2012 | 307 | 63 | 8 | 2 |" in document
-        assert "**2014**: 586 distinct" in document

@@ -539,12 +539,7 @@ class TestBenchScaleGate:
     def test_cli_accepts_bench_scale_and_stream_flags(self):
         from repro.cli import build_parser
 
-        parser = build_parser()
-        args = parser.parse_args(
-            ["bench", "scale", "--tiers", "scale-smoke"]
-        )
-        assert args.action == "scale" and args.tiers == ["scale-smoke"]
-        args = parser.parse_args(
+        args = build_parser().parse_args(
             ["scan", "x", "--stream", "out.jsonl", "--max-cache-bytes", "1000"]
         )
         assert args.stream == "out.jsonl" and args.max_cache_bytes == 1000

@@ -101,7 +101,6 @@ class TestNoiseTemplates:
         [
             snippets.noise_helper_function,
             snippets.noise_sanitized_echo,
-            snippets.noise_class,
             snippets.noise_loop_block,
             snippets.pixy_warning_block,
         ],
