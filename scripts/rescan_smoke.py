@@ -125,10 +125,11 @@ def main():
     ):
         tool = PhpSafe(options=options, cache=ModelCache())
         _report, manifest, _stats = tool.rescan(plugin)
-        summary_stats = tool.cache.summary_stats
-        lookups_before = summary_stats.hits + summary_stats.misses
         warm_report, _manifest2, stats = tool.rescan(mutated, manifest)
-        lookups = summary_stats.hits + summary_stats.misses - lookups_before
+        lookups = sum(
+            warm_report.perf[f"summary_cache_{outcome}"]
+            for outcome in ("hits", "misses", "stale")
+        )
         cold_report = PhpSafe(options=options).analyze(mutated)
         check(target not in cold_report.failed_files, f"{mode}edit parses")
         check(stats.incremental, f"{mode}rescan took the incremental path")

@@ -156,8 +156,8 @@ def main():
         status, metrics = api(base, "/metrics")
         check(status == 200, "metrics endpoint returns 200")
         check(
-            metrics.get("schema") == "repro.batch.telemetry/v8",
-            "metrics on telemetry schema v8",
+            metrics.get("schema") == "repro.batch.telemetry/v9",
+            "metrics on telemetry schema v9",
         )
         check("service" in metrics and "queue" in metrics, "service + queue sections")
 

@@ -22,6 +22,7 @@ import sqlite3
 from typing import List, Optional
 
 from ..core.cache import MEMORY_TIER_MAX_BYTES, ModelCache, _Slot
+from ..perf import counters
 
 #: connections a forked child inherited: SQLite must not use or close a
 #: connection across ``fork()``, so the child keeps them, unused
@@ -58,10 +59,10 @@ class DiskModelCache(ModelCache):
         except Exception:
             # truncated/corrupted/stale-format row: delete it so the
             # next store rewrites it, and count it for batch telemetry
-            self.stats.corrupt += 1
+            counters.cache_corrupt += 1
             self._execute("DELETE FROM objects WHERE key = ?", key)
             return None
-        self.stats.disk_hits += 1
+        counters.cache_disk_hits += 1
         # promote into the memory LRU without re-writing the object
         super()._insert(key, (model, error))
         return model, error
@@ -107,7 +108,7 @@ class DiskModelCache(ModelCache):
                     raise
                 # not a database: move it aside, drop its WAL (which must
                 # not replay onto the fresh file) and start over
-                self.stats.corrupt += 1
+                counters.cache_corrupt += 1
                 os.replace(self._db_path, self._db_path + ".corrupt")
                 for leftover in ("-wal", "-shm"):
                     if os.path.exists(self._db_path + leftover):

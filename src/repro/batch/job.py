@@ -31,7 +31,7 @@ from ..core.tool import AnalyzerTool
 from ..incidents import Incident, IncidentSeverity, IncidentStage
 from ..perf import scoped
 from ..plugin import Plugin
-from .telemetry import CacheDelta, PluginScanStats, ScanTelemetry
+from .telemetry import PluginScanStats, ScanTelemetry
 
 
 class _JobDeadline(BaseException):
@@ -73,8 +73,6 @@ class JobRecord:
     report: ToolReport
     #: "ok" | "timeout" | "error" | "crashed"
     outcome: str = "ok"
-    #: cache counters the job moved
-    cache: CacheDelta = CacheDelta()
     #: the rescan's new per-file digest manifest (``None`` for a plain
     #: scan, a failed job or a tool without a rescan path)
     manifest: Optional[Dict[str, object]] = None
@@ -99,7 +97,6 @@ class JobRecord:
             recovered=report.recovered_count,
             files_skipped=report.files_skipped,
             loc_skipped=report.loc_skipped,
-            cache=self.cache,
             perf=dict(report.perf),
             queued_seconds=queued_seconds,
             outcome=self.outcome,
@@ -123,8 +120,6 @@ def run_job(
     tracked scan that still yields a manifest); otherwise the tool
     analyzes.  ``timeout`` (seconds) arms the SIGALRM deadline.
     """
-    cache = getattr(tool, "cache", None)
-    before = CacheDelta.read(cache)
     outcome, new_manifest, rescan_stats = "ok", None, {}
     previous = signal.signal(signal.SIGALRM, _on_alarm) if timeout else None
     start = time.perf_counter()
@@ -151,17 +146,12 @@ def run_job(
     # the reviewer variable dump is large and holds analysis-internal
     # objects; don't ship it over the result pickle channel
     report.variables = {}
-    # tools that keep no perf counters of their own get the job's
-    if not report.perf:
-        report.perf = scope.report()
-    # the collector's full pass runs as the analysis leaves, after the
-    # tool took its own delta
-    for name in ("gc_full_passes", "gc_full_seconds"):
-        report.perf[name] = scope.delta[name]
+    # the job's own delta also covers the collector's full pass, which
+    # runs as the analysis leaves, after the tool took its delta
+    report.perf = scope.report()
     if outcome != "ok":
         new_manifest = None
-    delta = CacheDelta.read(cache).since(before)
-    return JobRecord(report, outcome, delta, new_manifest, rescan_stats)
+    return JobRecord(report, outcome, new_manifest, rescan_stats)
 
 
 #: held while a slot submits a job, which forks its worker when it has

@@ -13,8 +13,8 @@ million-LOC corpora.  :func:`stream_scan` removes all three:
   for LRU pressure (file models carry no token lists at all);
 - **results**: findings stream to an on-disk JSONL sink
   (:class:`~repro.core.results.JsonlFindingSink`) and the report is
-  dropped; SARIF export and telemetry read the stream back
-  plugin-at-a-time via :func:`~repro.core.results.stream_reports`.
+  dropped; :func:`~repro.core.results.stream_signatures` reads the
+  stream back for the signature checks.
 
 Each plugin is one :func:`~repro.batch.job.run_job` of the in-process
 loop :func:`~repro.batch.job.run_jobs`, so a plugin whose analysis

@@ -1,7 +1,7 @@
 """Batch-scan telemetry: the JSON report a scan leaves behind.
 
 Each batch run aggregates one :class:`PluginScanStats` per plugin
-(wall time, size, findings, cache counters, outcome) plus run-level
+(wall time, size, findings, perf counters, outcome) plus run-level
 incidents (worker restarts, deadline timeouts, crashes) into a
 :class:`ScanTelemetry` that serializes to a stable JSON schema
 (``schema`` key: :data:`SCHEMA`) for CI dashboards and the
@@ -34,19 +34,24 @@ leaking models across jobs invisibly.  v8 keeps the daemon's telemetry
 to running totals: ``GET /metrics`` no longer lists a row per job
 (``plugins``), which grew by about 0.9 KB per job served, and
 ``service.waits_recorded`` counts the jobs the queue-wait sum covers.
-Batch documents are unchanged.
+Batch documents are unchanged.  v9 keeps every key but computes the
+``cache`` sections from the ``perf`` counters, the one tally of a job's
+cache events: a summary found but rejected by dependency validation
+counts as ``summary_stale`` only, no longer also as a ``summary_hits``
+(``summary_hit_rate`` is hits over all lookups, stale ones included),
+and ``disk_hits`` counts reads served from disk by every tier (parse,
+summary and lowered IR), not by the parse tier alone.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..perf import merge as merge_perf
 
-SCHEMA = "repro.batch.telemetry/v8"
+SCHEMA = "repro.batch.telemetry/v9"
 
 
 @dataclass
@@ -253,37 +258,21 @@ def aggregate_fleet(
     }
 
 
-class CacheDelta(NamedTuple):
-    """Cache counters one job moved, parse tier then summary tier (the
-    field names are the keys of a telemetry ``cache`` section)."""
+#: ``cache`` section key -> the :data:`repro.perf.FIELDS` counter it reads
+_CACHE_COUNTERS = (
+    ("hits", "parse_cache_hits"),
+    ("misses", "parse_cache_misses"),
+    ("disk_hits", "cache_disk_hits"),
+    ("corrupt", "cache_corrupt"),
+    ("summary_hits", "summary_cache_hits"),
+    ("summary_misses", "summary_cache_misses"),
+    ("summary_stale", "summary_cache_stale"),
+)
 
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    #: corrupt disk-cache objects quarantined
-    corrupt: int = 0
-    #: function-summary cache counters (separate tier from the parse
-    #: cache; see :class:`repro.core.cache.SummaryCacheStats`)
-    summary_hits: int = 0
-    summary_misses: int = 0
-    summary_stale: int = 0
 
-    @classmethod
-    def read(cls, cache) -> "CacheDelta":
-        """The current counters of ``cache`` (zeros for no cache)."""
-        if cache is None:
-            return cls()
-        parse, summary = cache.stats, cache.summary_stats
-        return cls(
-            parse.hits, parse.misses, parse.disk_hits, parse.corrupt,
-            summary.hits, summary.misses, summary.stale,
-        )
-
-    def since(self, before: "CacheDelta") -> "CacheDelta":
-        return CacheDelta(*map(operator.sub, self, before))
-
-    def plus(self, other: "CacheDelta") -> "CacheDelta":
-        return CacheDelta(*map(operator.add, self, other))
+def cache_section(perf: Dict[str, float]) -> Dict[str, int]:
+    """A telemetry ``cache`` section read off a perf counter delta."""
+    return {key: int(perf.get(name, 0)) for key, name in _CACHE_COUNTERS}
 
 
 @dataclass
@@ -305,7 +294,6 @@ class PluginScanStats:
     #: files/LOC the tool could not analyze (coverage denominator)
     files_skipped: int = 0
     loc_skipped: int = 0
-    cache: CacheDelta = CacheDelta()
     #: per-run perf counter delta (:data:`repro.perf.counters`)
     perf: Dict[str, float] = field(default_factory=dict)
     #: time the job waited queued before a worker claimed it (service
@@ -330,7 +318,6 @@ class PluginScanStats:
         """Sum ``other``'s counters into this row."""
         for name in _SUMMED:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.cache = self.cache.plus(other.cache)
         merge_perf(self.perf, other.perf)
 
     def to_dict(self) -> Dict[str, object]:
@@ -346,7 +333,7 @@ class PluginScanStats:
             "files_skipped": self.files_skipped,
             "loc_skipped": self.loc_skipped,
             "files_per_second": round(self.files_per_second, 3),
-            "cache": self.cache._asdict(),
+            "cache": cache_section(self.perf),
             "perf": dict(self.perf),
             "queued_seconds": round(self.queued_seconds, 6),
             "outcome": self.outcome,
@@ -418,18 +405,28 @@ class ScanTelemetry:
         return self.totals.files / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
+    def cache(self) -> Dict[str, int]:
+        """The run's ``cache`` section counters (see :func:`cache_section`)."""
+        return cache_section(self.totals.perf)
+
+    @property
     def cache_hit_rate(self) -> float:
-        return _rate(self.totals.cache.hits, self.totals.cache.misses)
+        cache = self.cache
+        return _rate(cache["hits"], cache["misses"])
 
     @property
     def summary_hit_rate(self) -> float:
-        return _rate(self.totals.cache.summary_hits, self.totals.cache.summary_misses)
+        """Hits per summary lookup; a stale entry is a lookup, not a hit."""
+        cache = self.cache
+        return _rate(
+            cache["summary_hits"], cache["summary_misses"] + cache["summary_stale"]
+        )
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         totals = self.totals
-        cache = totals.cache
+        cache = self.cache
         document: Dict[str, object] = {
             "schema": SCHEMA,
             "jobs": self.jobs,
@@ -441,14 +438,14 @@ class ScanTelemetry:
             "files_per_second": round(self.files_per_second, 3),
             "files_skipped": totals.files_skipped,
             "cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "disk_hits": cache.disk_hits,
+                "hits": cache["hits"],
+                "misses": cache["misses"],
+                "disk_hits": cache["disk_hits"],
                 "hit_rate": round(self.cache_hit_rate, 4),
-                "corrupt": cache.corrupt,
-                "summary_hits": cache.summary_hits,
-                "summary_misses": cache.summary_misses,
-                "summary_stale": cache.summary_stale,
+                "corrupt": cache["corrupt"],
+                "summary_hits": cache["summary_hits"],
+                "summary_misses": cache["summary_misses"],
+                "summary_stale": cache["summary_stale"],
                 "summary_hit_rate": round(self.summary_hit_rate, 4),
             },
             "perf": dict(totals.perf),

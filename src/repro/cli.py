@@ -344,12 +344,13 @@ def _scan_batch(args: argparse.Namespace, tool, targets) -> int:
         if args.show_incidents:
             _print_incidents(report, indent="    ")
         total_failed += len(report.failed_files)
+    cache = telemetry.cache
     print(
         f"{totals.findings} finding(s), {total_failed} failed file(s), "
         f"cache hit rate {telemetry.cache_hit_rate:.0%}, "
-        f"summary cache {totals.cache.summary_hits}/"
-        f"{totals.cache.summary_hits + totals.cache.summary_misses} hit(s)"
-        f" ({totals.cache.summary_stale} stale), "
+        f"summary cache {cache['summary_hits']}/"
+        f"{cache['summary_hits'] + cache['summary_misses'] + cache['summary_stale']}"
+        f" hit(s) ({cache['summary_stale']} stale), "
         f"incidents: {totals.incidents} recorded"
         f" ({totals.recovered} recovered) / {telemetry.timeouts} timeout(s)"
         f" / {telemetry.crashes} crash(es)"

@@ -35,6 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+from ..perf import counters
 from ..php.errors import PhpSyntaxError
 
 
@@ -131,10 +132,10 @@ def ir_key(fingerprint: str, path: str, digest: str) -> str:
 
 @dataclass
 class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    #: subset of ``hits`` served from a persistent tier (disk cache)
-    disk_hits: int = 0
+    """The cache's own state, which :meth:`ModelCache.occupancy` reports.
+    What a job read from the cache (hits, misses, disk hits, corrupt
+    rows) is counted on :data:`repro.perf.counters` instead."""
+
     evictions: int = 0
     #: subset of ``evictions`` forced by the byte cap while the entry
     #: count was still under ``max_entries`` (memory pressure, not
@@ -142,49 +143,6 @@ class CacheStats:
     byte_evictions: int = 0
     #: entries never retained because they alone exceeded ``max_bytes``
     oversized: int = 0
-    #: corrupt persistent entries detected and quarantined (disk cache)
-    corrupt: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class IRCacheStats:
-    """Counters of the lowered-IR tier (one entry per file), separate
-    from the parse and summary tiers for the same observability reason."""
-
-    hits: int = 0
-    misses: int = 0
-    #: subset of ``hits`` served from the persistent tier
-    disk_hits: int = 0
-    stores: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class SummaryCacheStats:
-    """Counters of the function-summary tier, separate from the parse
-    tier so each cache's effectiveness is observable on its own."""
-
-    hits: int = 0
-    misses: int = 0
-    #: entries found but rejected by dependency validation
-    stale: int = 0
-    #: subset of ``hits`` served from the persistent tier
-    disk_hits: int = 0
-    stores: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 #: One cached outcome: ``(file model, None)`` or ``(None, parse failure)``.
@@ -205,8 +163,6 @@ class ModelCache:
     #: sized via :func:`approx_slot_bytes` at insertion time
     max_bytes: Optional[int] = None
     stats: CacheStats = field(default_factory=CacheStats)
-    summary_stats: SummaryCacheStats = field(default_factory=SummaryCacheStats)
-    ir_stats: IRCacheStats = field(default_factory=IRCacheStats)
     #: recency-ordered (dict insertion order): first key is the LRU victim
     _slots: Dict[str, _Slot] = field(default_factory=dict, repr=False)
     #: per-key size estimates backing :attr:`current_bytes`
@@ -223,9 +179,9 @@ class ModelCache:
         """Return ``(file model or None, cached failure or None)``."""
         slot = self._load(content_key(path, source, variant, digest))
         if slot is None:
-            self.stats.misses += 1
+            counters.parse_cache_misses += 1
             return None, None
-        self.stats.hits += 1
+        counters.parse_cache_hits += 1
         return slot
 
     def store(
@@ -248,45 +204,30 @@ class ModelCache:
     ) -> None:
         self._insert(content_key(path, source, variant, digest), (None, error))
 
-    # -- function-summary tier ---------------------------------------------
+    # -- function-summary and lowered-IR tiers ------------------------------
     #
-    # Summaries live in the same recency queue and persistent object
-    # store as file models (the key namespaces are disjoint), but keep
-    # their own hit/miss counters: the parse tier's stats stay exact.
+    # Summaries and lowered IR live in the same recency queue and
+    # persistent object store as file models (the key namespaces are
+    # disjoint).  Their hits and misses are counted by the caller, which
+    # alone knows whether a found entry is still valid.
 
     def lookup_summary(self, key: str) -> Optional[object]:
         """Return the persisted :class:`FunctionSummary` under ``key``."""
-        return self._load_counted(key, self.summary_stats)
+        slot = self._load(key)
+        return None if slot is None else slot[0]
 
     def store_summary(self, key: str, summary: object) -> None:
-        self.summary_stats.stores += 1
         self._insert(key, (summary, None))
-
-    # -- lowered-IR tier ----------------------------------------------------
 
     def lookup_ir(self, key: str) -> Optional[object]:
         """Return the cached :class:`~repro.core.ir.IRProgram` under
         ``key``, or None.  Version/shape validation is the caller's job —
         the cache only answers by content address."""
-        return self._load_counted(key, self.ir_stats)
+        slot = self._load(key)
+        return None if slot is None else slot[0]
 
     def store_ir(self, key: str, program: object) -> None:
-        self.ir_stats.stores += 1
         self._insert(key, (program, None))
-
-    def _load_counted(self, key: str, stats) -> Optional[object]:
-        """:meth:`_load` counted against a secondary tier's ``stats``."""
-        disk_hits_before = self.stats.disk_hits
-        slot = self._load(key)
-        if self.stats.disk_hits != disk_hits_before:
-            # re-attribute the disk hit to the secondary tier's counters
-            self.stats.disk_hits = disk_hits_before
-            stats.disk_hits += 1
-        if slot is None:
-            stats.misses += 1
-            return None
-        stats.hits += 1
-        return slot[0]
 
     # -- storage hooks (extended by the persistent disk tier) ---------------
 
@@ -387,8 +328,6 @@ class ModelCache:
         self._by_digest.clear()
         self._total_bytes = 0
         self.stats = CacheStats()
-        self.summary_stats = SummaryCacheStats()
-        self.ir_stats = IRCacheStats()
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..config.profiles import AnalyzerProfile
 from ..incidents import Incident, IncidentSeverity, IncidentStage
-from ..perf import counters, derive
+from ..perf import counters, scoped
 from ..plugin import Plugin
 from ..rules import resolve_profile
 from .cache import MEMORY_TIER_MAX_BYTES, ModelCache, summary_key
@@ -136,7 +136,6 @@ class PhpSafe(AnalyzerTool):
             counters.summary_cache_misses += 1
             return None
         if not summary_is_valid(cached, model, digests):
-            self.cache.summary_stats.stale += 1
             counters.summary_cache_stale += 1
             return None
         counters.summary_cache_hits += 1
@@ -179,7 +178,9 @@ class PhpSafe(AnalyzerTool):
     @collector_paused()
     def analyze(self, plugin: Plugin) -> ToolReport:
         """Run the four stages on every file of ``plugin``."""
-        report, _model, _engine = self._scan(plugin)
+        with scoped() as perf:
+            report, _model, _engine = self._scan(plugin)
+        report.perf = perf.report()
         return report
 
     def _scan(
@@ -196,7 +197,6 @@ class PhpSafe(AnalyzerTool):
         and ``replay_summaries`` goes with it (see :class:`TaintEngine`);
         ``carried`` findings from a prior manifest are min-merged with
         the live ones before deduplication."""
-        perf_before = counters.snapshot()
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         if model is None:
             model = PluginModel.build(
@@ -282,9 +282,6 @@ class PhpSafe(AnalyzerTool):
         report.loc_skipped = sum(model.skipped_loc.values())
         # reviewer resources (paper Section III.D): final variable dump
         report.variables = dict(engine.globals.records)
-        # per-run observability: counter deltas plus derived rates
-        report.perf = counters.since(perf_before)
-        report.perf.update(derive(report.perf))
         return report, model, engine
 
     @collector_paused()
@@ -302,7 +299,8 @@ class PhpSafe(AnalyzerTool):
         tracked scan on any violation.  The report's finding set is
         identical to a cold :meth:`analyze` either way (``difftest``
         enforces this); only ``report.variables`` may omit entries a
-        skipped unit would have written.
+        skipped unit would have written.  ``report.perf`` covers the
+        whole call, the model build included.
         """
         from .incremental import (
             RescanStats,
@@ -313,54 +311,61 @@ class PhpSafe(AnalyzerTool):
             validate_rescan,
         )
 
-        digests = plugin_file_digests(plugin)
-        if manifest is not None and self.cache is not None:
-            # the edit's superseded versions are dead weight in memory
-            # (they stay on disk); a digest still in use is kept
-            old_files: Dict[str, str] = manifest.get("files") or {}  # type: ignore
-            self.cache.spill_versions(set(old_files.values()) - set(digests.values()))
-        # unlike the summary key, a manifest keeps the parse variant: it
-        # carries the findings of files only a recovering parse reads
-        fingerprint = f"{self.summary_fingerprint}:{parse_variant(self.options.recover)}"
-        model = PluginModel.build(
-            plugin,
-            include_budget=self.options.include_budget,
-            cache=self.cache,
-            recover=self.options.recover,
-            digests=digests,
-        )
-        plan = plan_rescan(manifest, fingerprint, digests, model)
-        stats = RescanStats(
-            changed_files=sorted(plan.changed_files),
-            fallback_reason="",
-        )
-        if not plan.full and manifest is not None:
-            report, model, engine = self._scan(
-                plugin,
-                model=model,
-                reuse_roots=plan.reuse_roots,
-                replay_summaries=plan.replay,
-                carried=carried_findings(manifest, plan.reuse_roots),
-            )
-            violation = validate_rescan(manifest, plan, engine, model)
-            if violation is None:
-                new_manifest = build_manifest(
-                    fingerprint,
-                    digests,
-                    engine,
-                    prior=manifest,
-                    reuse_roots=plan.reuse_roots,
+        with scoped() as perf:
+            digests = plugin_file_digests(plugin)
+            if manifest is not None and self.cache is not None:
+                # the edit's superseded versions are dead weight in memory
+                # (they stay on disk); a digest still in use is kept
+                old_files: Dict[str, str] = manifest.get("files") or {}  # type: ignore
+                self.cache.spill_versions(
+                    set(old_files.values()) - set(digests.values())
                 )
-                stats.roots_total = len(new_manifest["roots"])  # type: ignore[arg-type]
-                stats.roots_reused = len(plan.reuse_roots)
-                return report, new_manifest, stats
-            stats.fallback_reason = violation
-        elif plan.reason:
-            stats.fallback_reason = plan.reason
-        report, model, engine = self._scan(plugin, model=model, reuse_roots=frozenset())
-        new_manifest = build_manifest(fingerprint, digests, engine)
-        stats.roots_total = len(new_manifest["roots"])  # type: ignore[arg-type]
-        stats.roots_reused = 0
+            # unlike the summary key, a manifest keeps the parse variant: it
+            # carries the findings of files only a recovering parse reads
+            fingerprint = (
+                f"{self.summary_fingerprint}:{parse_variant(self.options.recover)}"
+            )
+            model = PluginModel.build(
+                plugin,
+                include_budget=self.options.include_budget,
+                cache=self.cache,
+                recover=self.options.recover,
+                digests=digests,
+            )
+            plan = plan_rescan(manifest, fingerprint, digests, model)
+            stats = RescanStats(
+                changed_files=sorted(plan.changed_files),
+                fallback_reason=plan.reason,
+            )
+            report = None
+            if not plan.full and manifest is not None:
+                report, model, engine = self._scan(
+                    plugin,
+                    model=model,
+                    reuse_roots=plan.reuse_roots,
+                    replay_summaries=plan.replay,
+                    carried=carried_findings(manifest, plan.reuse_roots),
+                )
+                violation = validate_rescan(manifest, plan, engine, model)
+                if violation is None:
+                    new_manifest = build_manifest(
+                        fingerprint,
+                        digests,
+                        engine,
+                        prior=manifest,
+                        reuse_roots=plan.reuse_roots,
+                    )
+                    stats.roots_reused = len(plan.reuse_roots)
+                else:
+                    stats.fallback_reason = violation
+                    report = None
+            if report is None:
+                report, model, engine = self._scan(
+                    plugin, model=model, reuse_roots=frozenset()
+                )
+                new_manifest = build_manifest(fingerprint, digests, engine)
+            stats.roots_total = len(new_manifest["roots"])  # type: ignore[arg-type]
+        report.perf = perf.report()
         return report, new_manifest, stats
 
     def analyze_source(self, source: str, filename: str = "input.php") -> ToolReport:

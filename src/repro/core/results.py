@@ -407,33 +407,3 @@ def stream_signatures(path: str) -> Set[FindingSignature]:
             )
         )
     return signatures
-
-
-def stream_reports(path: str) -> Iterator[ToolReport]:
-    """Rebuild per-plugin :class:`ToolReport` objects from a stream.
-
-    Yields one report per ``plugin`` summary record, carrying the
-    plugin's findings and summary counters (failure/incident *counts*
-    survive the round trip; the typed objects themselves are not
-    persisted).  This is the adapter that lets the SARIF exporter and
-    telemetry readers consume a streamed scan one plugin at a time.
-    """
-    pending: List[Finding] = []
-    for record in read_finding_stream(path):
-        kind = record.get("record")
-        if kind == "finding":
-            pending.append(finding_from_dict(record))
-        elif kind == "plugin":
-            report = ToolReport(
-                tool=str(record.get("tool", "")),
-                plugin=str(record.get("plugin", "")),
-            )
-            for finding in pending:
-                report.add_finding(finding)
-            pending = []
-            report.files_analyzed = int(record.get("files_analyzed", 0))  # type: ignore[arg-type]
-            report.loc_analyzed = int(record.get("loc_analyzed", 0))  # type: ignore[arg-type]
-            report.files_skipped = int(record.get("files_skipped", 0))  # type: ignore[arg-type]
-            report.loc_skipped = int(record.get("loc_skipped", 0))  # type: ignore[arg-type]
-            report.seconds = float(record.get("seconds", 0.0))  # type: ignore[arg-type]
-            yield report

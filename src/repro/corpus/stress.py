@@ -25,7 +25,7 @@ so expected-finding counts hold for any seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from ..plugin import Plugin
 from . import snippets
@@ -314,12 +314,6 @@ def iter_stress_plugins(tier: StressTier, seed: int = 0) -> Iterator[Plugin]:
         yield _chain_plugin(tier, seed, index)
     for index in range(tier.huge_plugins):
         yield _huge_plugin(tier, seed, index)
-
-
-def materialize(tier: StressTier, seed: int = 0) -> List[Plugin]:
-    """Eagerly build the whole tier (accumulating-mode benchmarks and
-    small-tier tests only — deliberately *not* what streaming uses)."""
-    return list(iter_stress_plugins(tier, seed))
 
 
 def tier_summary(tier: StressTier, seed: int = 0) -> Dict[str, int]:

@@ -3,16 +3,19 @@
 The paper treats analysis time as a first-class result (Table 5); this
 module gives the reproduction the observability to track it.  A single
 process-wide :data:`counters` object is incremented from the lexer,
-parser, taint engine and summary cache — always on, integer adds only,
+parser, taint engine and the cache tiers — always on, integer adds only,
 aggregated per call site (never per token) so the instrumentation cost
 is unmeasurable.
 
-Callers that want a per-run view (``PhpSafe.analyze``, batch workers)
-take a :meth:`PerfCounters.snapshot` before the work and
-:meth:`PerfCounters.since` after — or wrap the work in :func:`scoped`,
-which does both; the delta dict is what lands in ``ToolReport.perf``
-and the batch telemetry (schema v4).  Derived rates (tokens/s, nodes/s)
-are computed by :func:`derive` at reporting time.
+Callers that want a per-run view (``PhpSafe.analyze``/``rescan``,
+:func:`repro.batch.job.run_job`) wrap the work in :func:`scoped`, which
+takes a :meth:`PerfCounters.snapshot` before it and
+:meth:`PerfCounters.since` after; the delta dict is what lands in
+``ToolReport.perf`` and the batch telemetry.  These counters are the
+only tally of a job's cache hits, misses, stale summaries, disk hits
+and corrupt rows: the telemetry ``cache`` section is computed from
+them.  Derived rates (tokens/s, nodes/s) are computed by :func:`derive`
+at reporting time.
 
 Counter storage is **thread-local**: the analysis service runs several
 jobs concurrently in one process, and a per-job delta taken against a
@@ -40,7 +43,14 @@ FIELDS = (
     "taint_joins",
     "taint_states_interned",
     "taint_intern_hits",
-    # summaries (in-memory memo + persistent cache)
+    # parse tier of the artifact cache (ModelCache.lookup); disk hits
+    # and corrupt rows are counted for every tier (DiskModelCache)
+    "parse_cache_hits",
+    "parse_cache_misses",
+    "cache_disk_hits",
+    "cache_corrupt",
+    # summaries (in-memory memo + persistent cache); a stale entry was
+    # found but rejected by dependency validation, and is not a hit
     "summaries_computed",
     "summary_memo_hits",
     "summary_cache_hits",

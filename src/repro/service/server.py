@@ -9,7 +9,7 @@ that front end for the reproduction.  Two layers:
     tests drive it directly): content-addressed submission through the
     :class:`~repro.service.store.ResultStore`, durable queueing with
     bounded depth, the :class:`~repro.service.workers.WorkerPool`, and
-    live metrics on telemetry schema v8.
+    live metrics on telemetry schema v9.
 
 :class:`ServiceServer` / :func:`run_service`
     A stdlib-only asyncio HTTP/1.1 front end::
@@ -25,7 +25,7 @@ that front end for the reproduction.  Two layers:
                                   plugin's lineage — the service side
                                   of the fail-only-on-new gate
         GET  /healthz             liveness
-        GET  /metrics             telemetry v8 + queue state
+        GET  /metrics             telemetry v9 + queue state
         GET  /fleet               coordinator-only: per-node fleet view
 
     Responses are JSON; overload returns 429 (and degraded fleets 503)

@@ -334,7 +334,7 @@ class TestPersistentCache:
         cold = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         warm = scan_corpus(plugins, jobs=2, cache_dir=cache_dir)
         assert warm.telemetry.cache_hit_rate > 0.9
-        assert warm.telemetry.totals.cache.hits >= 4
+        assert warm.telemetry.cache["hits"] >= 4
         assert finding_keys(cold.reports) == finding_keys(warm.reports)
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):

@@ -7,9 +7,10 @@ import sys
 import time
 
 from repro.batch import DiskModelCache
-from repro.core import ModelCache, PhpSafe
+from repro.core import CacheStats, ModelCache, PhpSafe
 from repro.core.cache import content_key, ir_key, source_digest, summary_key
 from repro.core.model import PluginModel
+from repro.perf import scoped
 from repro.php.errors import PhpParseError
 from repro.plugin import Plugin
 from tests.helpers import corrupt_cache_rows
@@ -21,10 +22,12 @@ class TestModelCache:
     def test_hit_after_store(self):
         cache = ModelCache()
         plugin = Plugin(name="p", files={"a.php": SOURCE})
-        PluginModel.build(plugin, cache=cache)
-        assert cache.stats.misses == 1
-        PluginModel.build(plugin, cache=cache)
-        assert cache.stats.hits == 1
+        with scoped() as first:
+            PluginModel.build(plugin, cache=cache)
+        assert first.delta["parse_cache_misses"] == 1
+        with scoped() as second:
+            PluginModel.build(plugin, cache=cache)
+        assert second.delta["parse_cache_hits"] == 1
 
     def test_cached_model_without_index_is_reparsed(self):
         # a model from a store that predates the parser-built index
@@ -39,28 +42,31 @@ class TestModelCache:
 
     def test_content_change_misses(self):
         cache = ModelCache()
-        PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)
-        PluginModel.build(
-            Plugin(name="p", files={"a.php": SOURCE + " echo 1;"}), cache=cache
-        )
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 2
+        with scoped() as perf:
+            PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)
+            PluginModel.build(
+                Plugin(name="p", files={"a.php": SOURCE + " echo 1;"}), cache=cache
+            )
+        assert perf.delta["parse_cache_hits"] == 0
+        assert perf.delta["parse_cache_misses"] == 2
 
     def test_same_content_different_path_misses(self):
         # includes resolve by path, so the key is path-sensitive
         cache = ModelCache()
-        PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)
-        PluginModel.build(Plugin(name="p", files={"b.php": SOURCE}), cache=cache)
-        assert cache.stats.misses == 2
+        with scoped() as perf:
+            PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)
+            PluginModel.build(Plugin(name="p", files={"b.php": SOURCE}), cache=cache)
+        assert perf.delta["parse_cache_misses"] == 2
 
     def test_parse_failures_cached(self):
         cache = ModelCache()
         plugin = Plugin(name="p", files={"bad.php": "<?php $a = ;"})
-        first = PluginModel.build(plugin, cache=cache)
-        second = PluginModel.build(plugin, cache=cache)
+        with scoped() as perf:
+            first = PluginModel.build(plugin, cache=cache)
+            second = PluginModel.build(plugin, cache=cache)
         assert "bad.php" in first.parse_failures
         assert "bad.php" in second.parse_failures
-        assert cache.stats.hits == 1
+        assert perf.delta["parse_cache_hits"] == 1
 
     def test_eviction_bounds_size(self):
         cache = ModelCache(max_entries=4)
@@ -70,11 +76,16 @@ class TestModelCache:
         assert len(cache) <= 4
 
     def test_clear(self):
-        cache = ModelCache()
-        PluginModel.build(Plugin(name="p", files={"a.php": SOURCE}), cache=cache)
+        cache = ModelCache(max_entries=1)
+        plugin = Plugin(name="p", files={"a.php": SOURCE, "b.php": SOURCE})
+        PluginModel.build(plugin, cache=cache)
+        assert cache.stats.evictions == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.misses == 0
+        assert cache.stats == CacheStats()
+        with scoped() as perf:
+            PluginModel.build(plugin, cache=cache)
+        assert perf.delta["parse_cache_misses"] == 2
 
 
 class TestLruEviction:
@@ -185,10 +196,11 @@ class TestDiskModelCache:
         assert first.disk_len() == 1
         # a fresh process would construct a new cache over the same dir
         second = DiskModelCache(cache_dir)
-        model = PluginModel.build(plugin, cache=second)
-        assert second.stats.hits == 1
-        assert second.stats.disk_hits == 1
-        assert second.stats.misses == 0
+        with scoped() as perf:
+            model = PluginModel.build(plugin, cache=second)
+        assert perf.delta["parse_cache_hits"] == 1
+        assert perf.delta["cache_disk_hits"] == 1
+        assert perf.delta["parse_cache_misses"] == 0
         assert "a.php" in model.files
 
     def test_failure_round_trip(self, tmp_path):
@@ -196,20 +208,22 @@ class TestDiskModelCache:
         plugin = Plugin(name="p", files={"bad.php": "<?php $a = ;"})
         PluginModel.build(plugin, cache=DiskModelCache(cache_dir))
         second = DiskModelCache(cache_dir)
-        model = PluginModel.build(plugin, cache=second)
+        with scoped() as perf:
+            model = PluginModel.build(plugin, cache=second)
         assert "bad.php" in model.parse_failures
         error = model.parse_failures["bad.php"]
         assert error.filename == "bad.php"  # structured fields survive pickling
-        assert second.stats.disk_hits == 1
+        assert perf.delta["cache_disk_hits"] == 1
 
     def test_memory_eviction_keeps_disk_object(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"), max_entries=1)
         cache.store("a.php", SOURCE, {"model": "a"})
         cache.store("b.php", SOURCE, {"model": "b"})  # evicts `a` from memory
         assert len(cache) == 1
-        model, _error = cache.lookup("a.php", SOURCE)  # served from disk
+        with scoped() as perf:
+            model, _error = cache.lookup("a.php", SOURCE)  # served from disk
         assert model == {"model": "a"}
-        assert cache.stats.disk_hits == 1
+        assert perf.delta["cache_disk_hits"] == 1
 
     def test_corrupted_object_is_a_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -217,8 +231,10 @@ class TestDiskModelCache:
         cache.store("a.php", SOURCE, {"model": "a"})
         assert corrupt_cache_rows(cache_dir, [content_key("a.php", SOURCE)]) == 1
         fresh = DiskModelCache(cache_dir)
-        assert fresh.lookup("a.php", SOURCE) == (None, None)
-        assert fresh.stats.misses == 1
+        with scoped() as perf:
+            assert fresh.lookup("a.php", SOURCE) == (None, None)
+        assert perf.delta["parse_cache_misses"] == 1
+        assert perf.delta["cache_corrupt"] == 1
 
     def test_garbage_database_file_is_replaced(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -230,14 +246,16 @@ class TestDiskModelCache:
         assert expected
 
         cache = DiskModelCache(str(cache_dir))
-        assert keys(PhpSafe(cache=cache).analyze(plugin)) == expected
-        assert cache.stats.corrupt == 1
+        with scoped() as perf:
+            assert keys(PhpSafe(cache=cache).analyze(plugin)) == expected
+        assert perf.delta["cache_corrupt"] == 1
         assert cache.disk_len() >= 1
         # the recreated store persists: a fresh cache is served from it
         again = DiskModelCache(str(cache_dir))
-        assert keys(PhpSafe(cache=again).analyze(plugin)) == expected
-        assert again.stats.disk_hits >= 1
-        assert again.stats.corrupt == 0
+        with scoped() as perf:
+            assert keys(PhpSafe(cache=again).analyze(plugin)) == expected
+        assert perf.delta["cache_disk_hits"] >= 1
+        assert perf.delta["cache_corrupt"] == 0
 
     def test_cache_built_before_fork_works_in_child(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"))
@@ -248,11 +266,12 @@ class TestDiskModelCache:
             code = 1
             try:
                 cache.spill(list(cache._slots))
-                model, _error = cache.lookup("a.php", SOURCE)
+                with scoped() as perf:
+                    model, _error = cache.lookup("a.php", SOURCE)
                 cache.store("b.php", SOURCE, {"model": "b"})
                 if (
                     model == {"model": "a"}
-                    and cache.stats.disk_hits == 1
+                    and perf.delta["cache_disk_hits"] == 1
                     and cache._db is not parent_db
                 ):
                     code = 0
@@ -292,11 +311,12 @@ class TestDiskModelCache:
 
         fresh = DiskModelCache(cache_dir)
         assert fresh.disk_len() == 400
-        for name in ("w0", "w1"):
-            for i in range(200):
-                assert fresh.lookup(f"{name}/f{i}.php", "<?php")[0] == {"i": i}
-        assert fresh.stats.disk_hits == 400
-        assert fresh.stats.corrupt == 0
+        with scoped() as perf:
+            for name in ("w0", "w1"):
+                for i in range(200):
+                    assert fresh.lookup(f"{name}/f{i}.php", "<?php")[0] == {"i": i}
+        assert perf.delta["cache_disk_hits"] == 400
+        assert perf.delta["cache_corrupt"] == 0
 
     def test_clear_drops_disk_tier(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"))
@@ -334,11 +354,13 @@ class TestCachedAnalysis:
         second = cached_tool.analyze(plugin)  # fully from cache
         keys = lambda report: sorted(f.key for f in report.findings)
         assert keys(plain) == keys(first) == keys(second)
-        assert cache.stats.hits >= 2
+        assert second.perf["parse_cache_hits"] >= 2
 
     def test_cache_shared_across_tools(self):
         cache = ModelCache()
         plugin = Plugin(name="p", files={"a.php": SOURCE})
-        PhpSafe(cache=cache).analyze(plugin)
-        PhpSafe(cache=cache).analyze(plugin)
-        assert cache.stats.hit_rate >= 0.5
+        with scoped() as perf:
+            PhpSafe(cache=cache).analyze(plugin)
+            PhpSafe(cache=cache).analyze(plugin)
+        hits, misses = perf.delta["parse_cache_hits"], perf.delta["parse_cache_misses"]
+        assert hits / (hits + misses) >= 0.5

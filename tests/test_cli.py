@@ -108,7 +108,7 @@ class TestBatchScan:
         capsys.readouterr()
         with open(warm_path) as handle:
             warm = json.load(handle)
-        assert warm["schema"] == "repro.batch.telemetry/v8"
+        assert warm["schema"] == "repro.batch.telemetry/v9"
         assert warm["cache"]["hit_rate"] > 0.9
         with open(cold_path) as handle:
             cold = json.load(handle)

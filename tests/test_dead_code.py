@@ -1,9 +1,10 @@
 """Every top-level definition under ``src/repro`` is reached by shipped code.
 
-A module-level ``def`` or ``class`` must be named, as a whole word,
-somewhere in ``src/``, ``scripts/``, ``perfbench/`` or ``examples/``.
-An ``__init__.py`` re-export does not count, and neither do the
-definition's own lines.  Tests alone do not keep code alive: what only
+A module-level ``def`` or ``class`` must be used by the code in
+``src/``, ``scripts/``, ``perfbench/`` or ``examples/``: as a name, an
+attribute or an import, f-string expressions included.  A docstring or
+comment that names it does not count, nor does an ``__init__.py``
+re-export or the definition's own body.  Tests alone do not keep code alive: what only
 tests reach is deleted together with its tests, or ported to the path
 that stays.  ``ALLOWED`` names the few test-support entry points that
 stay anyway, each with its reason.
@@ -11,13 +12,11 @@ stay anyway, each with its reason.
 
 import ast
 import os
-import re
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
 SEARCHED = ("src", "scripts", "perfbench", "examples")
-WORD = re.compile(r"\w+")
 
 #: ``module.name`` -> why it stays without a reference from shipped code
 ALLOWED = {
@@ -25,6 +24,7 @@ ALLOWED = {
     "batch.scheduler.scan_corpus": "the tests' one-call batch scan",
     "corpus.loader.load_corpus": "reads what `phpsafe corpus` writes",
     "core.ir.describe_program": "the IR determinism reference in tests/test_ir.py",
+    "service.fleet.LocalNodeClient": "the fleet tests' in-process node client",
 }
 
 
@@ -36,9 +36,9 @@ def _python_files(directory):
                 yield os.path.join(dirpath, filename)
 
 
-def _read_lines(path):
+def _parse(path):
     with open(path, encoding="utf-8") as handle:
-        return handle.read().splitlines()
+        return ast.parse(handle.read(), path)
 
 
 def _definitions():
@@ -47,28 +47,40 @@ def _definitions():
         if os.path.basename(path) == "__init__.py":
             continue
         module = os.path.relpath(path, PACKAGE)[: -len(".py")].replace(os.sep, ".")
-        tree = ast.parse("\n".join(_read_lines(path)), path)
-        for node in tree.body:
+        for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno
 
 
+def _used_names(tree):
+    """``(name, line)`` of every name a module's code uses: variables,
+    attributes and imported names.  Docstrings and comments name
+    nothing; an expression inside an f-string does."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+
+
 def _unreferenced():
-    """Qualified names of the definitions no searched line names."""
-    lines_by_path = {}
+    """Qualified names of the definitions no searched code uses."""
+    uses_by_path = {}
     for directory in SEARCHED:
         for path in _python_files(os.path.join(ROOT, directory)):
             if directory == "src" and os.path.basename(path) == "__init__.py":
                 continue
-            lines_by_path[path] = [set(WORD.findall(line)) for line in _read_lines(path)]
-    # lines_naming[word]: how many searched lines contain the word
-    lines_naming = Counter(
-        word for lines in lines_by_path.values() for words in lines for word in words
-    )
+            uses_by_path[path] = list(_used_names(_parse(path)))
+    uses = Counter(name for found in uses_by_path.values() for name, _line in found)
     dead = []
     for qualname, name, path, first, last in _definitions():
-        own = sum(name in words for words in lines_by_path[path][first - 1 : last])
-        if lines_naming[name] == own:
+        own = sum(
+            used == name and first <= line <= last for used, line in uses_by_path[path]
+        )
+        if uses[name] == own:
             dead.append(qualname)
     return dead
 
@@ -85,3 +97,8 @@ def test_allowlist_names_only_unreferenced_definitions():
     # a stale entry (renamed, deleted or now used) would hide nothing but
     # still read as a reason to keep code
     assert sorted(set(ALLOWED) - set(_unreferenced())) == []
+
+
+def test_only_code_names_a_definition():
+    tree = ast.parse('"""f() in a docstring"""\n# g() in a comment\nprint(f"{h()}")\n')
+    assert {name for name, _line in _used_names(tree)} == {"print", "h"}

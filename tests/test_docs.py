@@ -129,7 +129,7 @@ def test_every_regenerate_paragraph_names_a_command():
         "tests/test_docs.py::test_not_there",
         "pytest tests/test_docs.py -k NotThere",
         "python -m repro no-such-verb",
-        "python -m repro bench no-such-tier",
+        "python -m repro history no-such-action",
         "python -m repro evaluate --no-such-flag",
     ],
 )

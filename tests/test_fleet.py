@@ -510,7 +510,7 @@ class TestFleetCoordinator:
             assert fleet["degraded"] is False
             status, metrics = coordinator.metrics()
             assert status == 200
-            assert metrics["schema"].endswith("/v8")
+            assert metrics["schema"].endswith("/v9")
             assert metrics["nodes"] == {"total": 2, "up": 2, "down": 0}
             assert metrics["coordinator"]["completed"] == 1
             assert metrics["coordinator"]["queue_wait"]["p99"] >= 0

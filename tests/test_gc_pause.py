@@ -30,7 +30,7 @@ from repro.core import tool as tool_module
 from repro.core.cache import ModelCache
 from repro.core.ir import IRTaintEngine
 from repro.core.tool import collector_paused
-from repro.corpus.stress import StressTier, materialize, stress_options
+from repro.corpus.stress import StressTier, iter_stress_plugins, stress_options
 from repro.perf import counters
 
 from tests.test_rescan_memory import small_plugin, with_root
@@ -117,7 +117,7 @@ class TestNoCycles:
                     cycle_check(f"{tool.name} on {plugin.slug}")
 
     def test_stress_tier(self, cycle_check):
-        plugins = materialize(TINY_STRESS, seed=1)
+        plugins = list(iter_stress_plugins(TINY_STRESS, seed=1))
         assert any(p.name.startswith("stress-chain-") for p in plugins)
         assert any(p.name.startswith("stress-huge-") for p in plugins)
         tool = PhpSafe(options=stress_options(), use_process_cache=False)

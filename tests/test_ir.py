@@ -68,15 +68,17 @@ class TestIRDiskCache:
         cache_dir = str(tmp_path / "cache")
         first = PhpSafe(cache_dir=cache_dir)
         cold = _signatures(first)
-        assert first.cache.ir_stats.stores >= 1
+        assert _ir_programs(first.cache)
 
         # a fresh tool over the same directory starts with an empty
         # memory tier, so the lowered programs must come back off disk
         second = PhpSafe(cache_dir=cache_dir)
-        warm = _signatures(second)
-        assert warm == cold
-        assert second.cache.ir_stats.disk_hits >= 1
-        assert second.cache.ir_stats.hits >= 1
+        report = second.analyze(_plugin())
+        assert frozenset(finding_signatures([report])) == cold
+        assert report.perf["ir_cache_hits"] >= 1
+        assert report.perf["cache_disk_hits"] >= (
+            report.perf["parse_cache_hits"] + report.perf["ir_cache_hits"]
+        )
 
     def test_ir_program_pickle_roundtrip(self):
         cache = ModelCache()
@@ -102,15 +104,18 @@ class TestIRDiskCache:
         assert ir_keys
         assert corrupt_cache_rows(cache_dir, ir_keys) == len(ir_keys)
 
-        second = PhpSafe(cache_dir=cache_dir)
-        assert _signatures(second) == expected
-        assert second.cache.stats.corrupt >= len(ir_keys)
+        second = PhpSafe(cache_dir=cache_dir).analyze(_plugin())
+        assert frozenset(finding_signatures([second])) == expected
+        assert second.perf["cache_corrupt"] >= len(ir_keys)
         # the quarantine deleted the rotten rows and the re-analysis
         # rewrote clean ones: a third tool reads them back fine
-        third = PhpSafe(cache_dir=cache_dir)
-        assert _signatures(third) == expected
-        assert third.cache.stats.corrupt == 0
-        assert third.cache.ir_stats.disk_hits >= 1
+        third = PhpSafe(cache_dir=cache_dir).analyze(_plugin())
+        assert frozenset(finding_signatures([third])) == expected
+        assert third.perf["cache_corrupt"] == 0
+        assert third.perf["ir_cache_hits"] >= 1
+        assert third.perf["cache_disk_hits"] >= (
+            third.perf["parse_cache_hits"] + third.perf["ir_cache_hits"]
+        )
 
 
 class TestIRLoweringDeterminism:
@@ -174,10 +179,10 @@ class TestProcessCache:
         # a unique source so other tests can't have warmed these slots
         source = SOURCE + "\n<?php echo $_GET['process_cache_probe'];\n"
         plugin = Plugin(name="pc", files={"probe.php": source})
-        shared = process_cache()
-        PhpSafe().analyze(plugin)
-        hits_before = shared.stats.hits
-        ir_hits_before = shared.ir_stats.hits
-        PhpSafe().analyze(plugin)
-        assert shared.stats.hits > hits_before
-        assert shared.ir_stats.hits > ir_hits_before
+        first = PhpSafe()
+        first.analyze(plugin)
+        second = PhpSafe()
+        assert first.cache is second.cache is process_cache()
+        report = second.analyze(plugin)
+        assert report.perf["parse_cache_hits"] > 0
+        assert report.perf["ir_cache_hits"] > 0

@@ -17,6 +17,7 @@ from repro.core import model as model_module
 from repro.core.cache import MEMORY_TIER_MAX_BYTES, content_key, source_digest
 from repro.core.model import PluginModel
 from repro.core.results import finding_signatures
+from repro.perf import scoped
 from repro.php.lexer import Lexer
 from repro.plugin import Plugin
 
@@ -58,11 +59,6 @@ def many_functions_plugin(name: str, functions: int) -> Plugin:
     )
 
 
-def disk_hits(cache) -> int:
-    tiers = (cache.stats, cache.summary_stats, cache.ir_stats)
-    return sum(stats.disk_hits for stats in tiers)
-
-
 class TestTokenFreeModels:
     def test_old_format_model_drops_tokens_on_load(self, tmp_path):
         plugin = small_plugin()
@@ -76,8 +72,9 @@ class TestTokenFreeModels:
             file_model.tokens = Lexer(file_model.source, path).tokenize()
             writer.store(path, file_model.source, file_model, "recover")
         reader = DiskModelCache(cache_dir)
-        loaded = PluginModel.build(plugin, cache=reader, recover=True)
-        assert reader.stats.disk_hits == len(plugin.files)
+        with scoped() as perf:
+            loaded = PluginModel.build(plugin, cache=reader, recover=True)
+        assert perf.delta["cache_disk_hits"] == len(plugin.files)
         assert not any(hasattr(fm, "tokens") for fm in loaded.files.values())
         report = PhpSafe(cache=DiskModelCache(cache_dir)).analyze(plugin)
         assert finding_signatures([report]) == finding_signatures([cold])
@@ -137,11 +134,12 @@ class TestSupersededVersions:
         files = dict(plugin.files)
         files["twin.php"] = edited_root(0)
         plugin = dataclasses.replace(plugin, files=files)
-        _report, manifest, _stats = tool.rescan(plugin)
-        _report, _manifest, stats = tool.rescan(with_root(plugin, 1), manifest)
+        with scoped() as perf:
+            _report, manifest, _stats = tool.rescan(plugin)
+            _report, _manifest, stats = tool.rescan(with_root(plugin, 1), manifest)
         assert stats.changed_files == ["page.php"]
         assert content_key("twin.php", edited_root(0), "recover") in cache._slots
-        assert disk_hits(cache) == 0
+        assert perf.delta["cache_disk_hits"] == 0
 
     def test_round_robin_session_never_reads_disk(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "cache"))
@@ -149,18 +147,19 @@ class TestSupersededVersions:
         assert cache.max_bytes == MEMORY_TIER_MAX_BYTES
         tool = PhpSafe(cache=cache)
         plugins = {}
-        for number in range(5):
-            plugin = many_functions_plugin(f"p{number}", 900)
-            _report, manifest, _stats = tool.rescan(plugin)
-            plugins[plugin.name] = (plugin, manifest)
+        with scoped() as setup:
+            for number in range(5):
+                plugin = many_functions_plugin(f"p{number}", 900)
+                _report, manifest, _stats = tool.rescan(plugin)
+                plugins[plugin.name] = (plugin, manifest)
         # more live artifacts than the old 4096-entry memory tier held
         assert len(cache) > 4096
-        before = disk_hits(cache)
-        for index in range(1, 3):
-            for name in sorted(plugins):
-                plugin, manifest = plugins[name]
-                plugin = with_root(plugin, index)
-                _report, manifest, stats = tool.rescan(plugin, manifest)
-                assert stats.incremental and stats.roots_reused > 0
-                plugins[name] = (plugin, manifest)
-        assert disk_hits(cache) == before == 0
+        with scoped() as session:
+            for index in range(1, 3):
+                for name in sorted(plugins):
+                    plugin, manifest = plugins[name]
+                    plugin = with_root(plugin, index)
+                    _report, manifest, stats = tool.rescan(plugin, manifest)
+                    assert stats.incremental and stats.roots_reused > 0
+                    plugins[name] = (plugin, manifest)
+        assert session.delta["cache_disk_hits"] == setup.delta["cache_disk_hits"] == 0

@@ -17,6 +17,7 @@ from repro.core import (
     PhpSafeOptions,
 )
 from repro.core.model import PluginModel
+from repro.perf import scoped
 from repro.php import PhpParseError, parse_source
 from repro.php import ast_nodes as ast
 from repro.php.lexer import Lexer
@@ -337,7 +338,7 @@ class TestBatchTelemetry:
         assert stats["broken"].recovered >= 1
         assert stats["clean"].incidents == 0
         document = telemetry.to_dict()
-        assert document["schema"] == "repro.batch.telemetry/v8"
+        assert document["schema"] == "repro.batch.telemetry/v9"
         assert document["incidents"]["total"] >= 1
         assert document["incidents"]["recovered"] >= 1
         assert "files_skipped" in document
@@ -359,8 +360,8 @@ class TestCorruptCache:
 
         cold = DiskModelCache(cache_dir)  # fresh memory tier, rotten disk
         report = PhpSafe(cache=cold).analyze(plugin)
-        assert cold.stats.corrupt >= 1
-        assert cold.stats.disk_hits == 0
+        assert report.perf["cache_corrupt"] >= 1
+        assert report.perf["cache_disk_hits"] == 0
         # analysis falls back to a clean re-parse, results identical
         assert [f.key for f in report.findings] == [
             f.key for f in baseline.findings
@@ -370,7 +371,9 @@ class TestCorruptCache:
 
     def test_corrupt_counter_in_stats(self, tmp_path):
         cache = DiskModelCache(str(tmp_path / "c"))
-        assert cache.stats.corrupt == 0
+        with scoped() as perf:
+            assert cache.lookup("a.php", "<?php") == (None, None)
+        assert perf.delta["cache_corrupt"] == 0
 
 
 class TestStrictEquivalence:

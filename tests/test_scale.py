@@ -28,7 +28,6 @@ from repro.core.results import (
     finding_signatures,
     finding_to_dict,
     read_finding_stream,
-    stream_reports,
     stream_signatures,
 )
 from repro.config.vulnerability import InputVector, VulnKind
@@ -41,6 +40,7 @@ from repro.corpus.stress import (
     stress_options,
     tier_summary,
 )
+from repro.perf import scoped
 from repro.plugin import Plugin
 
 SOURCE = "<?php echo $_GET['q'];"
@@ -94,9 +94,9 @@ class TestByteBoundedCache:
         assert cache.stats.oversized >= 1
         assert len(cache) == 0
         assert cache.disk_len() == 1  # served persistently, never pinned
-        disk_hits_before = cache.stats.disk_hits
-        PluginModel.build(big, cache=cache)
-        assert cache.stats.disk_hits == disk_hits_before + 1
+        with scoped() as perf:
+            PluginModel.build(big, cache=cache)
+        assert perf.delta["cache_disk_hits"] == 1
 
     def test_byte_accounting_survives_eviction_and_refresh(self):
         cache = ModelCache(max_entries=3, max_bytes=None)
@@ -228,7 +228,7 @@ class TestProcessCacheOccupancy:
     def test_telemetry_document_reports_process_cache(self):
         from repro.batch.telemetry import SCHEMA, ScanTelemetry
 
-        assert SCHEMA == "repro.batch.telemetry/v8"
+        assert SCHEMA == "repro.batch.telemetry/v9"
         document = ScanTelemetry().to_dict()
         assert document["schema"] == SCHEMA
         assert set(document["process_cache"]) == {
@@ -364,19 +364,17 @@ class TestFindingStream:
         finding = self._report().findings[0]
         assert finding_from_dict(finding_to_dict(finding)) == finding
 
-    def test_sink_then_stream_reports(self, tmp_path):
+    def test_sink_then_read_stream(self, tmp_path):
         path = str(tmp_path / "findings.jsonl")
         report = self._report()
         with JsonlFindingSink(path, tool="phpSAFE") as sink:
             assert sink.write_report(report) == 1
-        records = list(read_finding_stream(path))
-        assert records[0]["record"] == "header"
-        assert [r["record"] for r in records[1:]] == ["finding", "plugin"]
-        rebuilt = list(stream_reports(path))
-        assert len(rebuilt) == 1
-        assert finding_signatures(rebuilt) == finding_signatures([report])
-        assert rebuilt[0].loc_analyzed == 40
-        assert rebuilt[0].findings[0].trace == report.findings[0].trace
+        header, finding, summary = read_finding_stream(path)
+        assert [header["record"], finding["record"], summary["record"]] == [
+            "header", "finding", "plugin",
+        ]
+        assert summary["loc_analyzed"] == 40
+        assert finding_from_dict(finding).trace == report.findings[0].trace
         assert stream_signatures(path) == finding_signatures([report])
 
     def test_stream_stamps_plugin(self, tmp_path):

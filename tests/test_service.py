@@ -11,7 +11,7 @@ import pytest
 from repro.batch import ToolSpec
 from repro.batch.telemetry import SCHEMA, ScanTelemetry, ServiceStats
 from repro.core import PhpSafe
-from repro.core.results import ToolReport, finding_signatures
+from repro.core.results import FileFailure, ToolReport, finding_signatures
 from repro.core.tool import AnalyzerTool
 from repro.incidents import Incident, IncidentSeverity, IncidentStage
 from repro.plugin import Plugin
@@ -79,7 +79,11 @@ class LockOnBomb(AnalyzerTool):
     def analyze(self, plugin: Plugin) -> ToolReport:
         report = ToolReport(tool=self.name, plugin=plugin.slug)
         if plugin.name == "bomb":
-            report.perf["lock"] = threading.Lock()
+            # the job keeps a tool's failures as they are (its perf
+            # delta it replaces with its own)
+            report.failures.append(
+                FileFailure(file="index.php", reason=threading.Lock())
+            )
         return report
 
 
@@ -604,7 +608,7 @@ class TestServiceIntegration:
             wait_done(service, [job["id"]])
             code, document = service.metrics()
             assert code == 200
-            assert document["schema"] == SCHEMA == "repro.batch.telemetry/v8"
+            assert document["schema"] == SCHEMA == "repro.batch.telemetry/v9"
             assert document["service"]["completed"] == 1
             assert document["service"]["accepted"] == 1
             assert document["queue"]["done"] == 1
@@ -706,7 +710,7 @@ class TestHttpServer:
     def test_metrics_over_http(self, http_service):
         code, document = http_service("GET", "/metrics")
         assert code == 200
-        assert document["schema"] == "repro.batch.telemetry/v8"
+        assert document["schema"] == "repro.batch.telemetry/v9"
         assert "service" in document and "queue" in document
 
 

@@ -11,6 +11,8 @@ import dataclasses
 
 import pytest
 
+from repro.batch.job import run_job
+from repro.batch.telemetry import ScanTelemetry
 from repro.core import ModelCache, PhpSafe
 from repro.core.phpsafe import PhpSafeOptions
 from repro.core.results import finding_signatures
@@ -26,6 +28,11 @@ def keys(report):
     return sorted(finding.key for finding in report.findings)
 
 
+def summary_keys(cache):
+    """The keys of the summaries ``cache`` holds in memory."""
+    return [key for key in cache._slots if key.startswith("summary2!")]
+
+
 def scan(files, cache=None, options=None, profile=None):
     tool = PhpSafe(profile=profile, options=options, cache=cache)
     return tool.analyze(Plugin(name="p", files=dict(files)))
@@ -36,9 +43,9 @@ class TestSummaryRoundTrip:
         cache = ModelCache()
         files = {"main.php": MAIN, "lib.php": LIB}
         first = scan(files, cache=cache)
-        assert cache.summary_stats.stores >= 1
+        assert summary_keys(cache)
         second = scan(files, cache=cache)
-        assert cache.summary_stats.hits >= 1
+        assert second.perf["summary_cache_hits"] >= 1
         assert keys(first) == keys(second)
 
     def test_findings_identical_with_and_without_cache(self):
@@ -57,8 +64,12 @@ class TestSummaryRoundTrip:
         # summaries must come back from the disk tier
         second_tool = PhpSafe(cache_dir=str(tmp_path))
         second = second_tool.analyze(Plugin(name="p", files=dict(files)))
-        assert second_tool.cache.summary_stats.hits >= 1
-        assert second_tool.cache.summary_stats.disk_hits >= 1
+        perf = second.perf
+        assert perf["summary_cache_hits"] >= 1
+        # the memory tier started empty: every artifact found came off disk
+        assert perf["cache_disk_hits"] >= (
+            perf["parse_cache_hits"] + perf["ir_cache_hits"] + perf["summary_cache_hits"]
+        )
         assert keys(first) == keys(second)
 
 
@@ -89,8 +100,28 @@ class TestSummaryInvalidation:
             {"main.php": main, "a.php": outer, "b.php": inner_bad}, cache=cache
         )
         uncached = scan({"main.php": main, "a.php": outer, "b.php": inner_bad})
-        assert cache.summary_stats.stale >= 1
+        assert warm.perf["summary_cache_stale"] >= 1
         assert keys(warm) == keys(uncached) != []
+
+    def test_stale_summary_is_counted_once(self):
+        # outer()'s summary is found but its callee's file changed: one
+        # stale lookup, and not a hit, in the job's perf and its
+        # telemetry row alike
+        tool = PhpSafe(cache=ModelCache())
+        main = "<?php include 'a.php'; include 'b.php'; outer($_GET['q']);"
+        outer = "<?php function outer($m) { inner($m); }"
+        inner_safe = "<?php function inner($m) { echo htmlentities($m); }"
+        inner_bad = "<?php function inner($m) { echo $m; }"
+        files = {"main.php": main, "a.php": outer, "b.php": inner_safe}
+        run_job(tool, Plugin(name="p", files=files))
+        record = run_job(tool, Plugin(name="p", files={**files, "b.php": inner_bad}))
+        perf = record.report.perf
+        assert (perf["summary_cache_hits"], perf["summary_cache_stale"]) == (0, 1)
+        telemetry = ScanTelemetry()
+        telemetry.record(record.stats())
+        for cache in (record.stats().to_dict()["cache"], telemetry.to_dict()["cache"]):
+            assert (cache["summary_hits"], cache["summary_stale"]) == (0, 1)
+        assert telemetry.summary_hit_rate == 0.0
 
     def test_newly_defined_function_invalidates(self):
         cache = ModelCache()
@@ -113,17 +144,17 @@ class TestFingerprintSeparation:
         cache = ModelCache()
         files = {"main.php": MAIN, "lib.php": LIB}
         scan(files, cache=cache, options=PhpSafeOptions(profile_name="wordpress"))
-        hits_before = cache.summary_stats.hits
-        scan(files, cache=cache, options=PhpSafeOptions(profile_name="generic"))
-        assert cache.summary_stats.hits == hits_before
+        second = scan(files, cache=cache, options=PhpSafeOptions(profile_name="generic"))
+        assert second.perf["summary_cache_hits"] == 0
+        assert second.perf["summary_cache_stale"] == 0
 
     def test_oop_option_change_misses(self):
         cache = ModelCache()
         files = {"main.php": MAIN, "lib.php": LIB}
         scan(files, cache=cache, options=PhpSafeOptions(oop=True))
-        hits_before = cache.summary_stats.hits
-        scan(files, cache=cache, options=PhpSafeOptions(oop=False))
-        assert cache.summary_stats.hits == hits_before
+        second = scan(files, cache=cache, options=PhpSafeOptions(oop=False))
+        assert second.perf["summary_cache_hits"] == 0
+        assert second.perf["summary_cache_stale"] == 0
 
     def test_recover_mode_change_hits(self):
         """Strict and recovering scans compute summaries and lowered IR
@@ -150,8 +181,8 @@ class TestFingerprintSeparation:
         cache = ModelCache()
         files = {"main.php": MAIN, "lib.php": LIB}
         scan(files, cache=cache, options=PhpSafeOptions())
-        scan(files, cache=cache, options=PhpSafeOptions())
-        assert cache.summary_stats.hits >= 1
+        second = scan(files, cache=cache, options=PhpSafeOptions())
+        assert second.perf["summary_cache_hits"] >= 1
 
 
 class TestPersistenceExclusions:
@@ -169,8 +200,7 @@ class TestPersistenceExclusions:
         first = scan(files, cache=cache)
         # render()'s result depends on global state at call time, which
         # the cache key cannot capture — it must never be persisted
-        summary_keys = [key for key in cache._slots if key.startswith("summary2!")]
-        assert all("render" not in key for key in summary_keys)
+        assert all("render" not in key for key in summary_keys(cache))
         second = scan(files, cache=cache)
         assert keys(first) == keys(second)
 
@@ -207,7 +237,7 @@ class TestUnreachedSummaries:
         v1 = Plugin(name="p", files={"a.php": self.CLASS_A, "main.php": self.MAIN_V1})
         v2 = Plugin(name="p", files={"a.php": self.CLASS_A, "main.php": self.MAIN_V2})
         assert keys(tool.analyze(v1)) != []
-        assert tool.cache.summary_stats.stores >= 1
+        assert summary_keys(tool.cache)
         warm = tool.analyze(v2)
         cold = PhpSafe(options=options, use_process_cache=False).analyze(v2)
         assert keys(cold) == []
