@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 
 from ..core.cache import ModelCache
 from ..core.phpsafe import PhpSafe, PhpSafeOptions
-from ..core.results import ToolReport, finding_signatures
+from ..core.results import ToolReport
 from ..core.tool import AnalyzerTool
 from ..plugin import Plugin
 from .diskcache import DiskModelCache
@@ -139,12 +139,6 @@ class BatchResult:
         if not self.reports:
             return None
         return functools.reduce(ToolReport.merged, self.reports)
-
-    def finding_signatures(self):
-        """Canonical finding-signature set of the whole batch — the
-        value the differential harness compares across configurations
-        (see :func:`repro.core.results.finding_signatures`)."""
-        return finding_signatures(self.reports)
 
 
 class BatchScanner:

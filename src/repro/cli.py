@@ -51,6 +51,7 @@ from typing import Optional, Sequence
 
 from .baselines import PixyLike, RipsLike
 from .core import PhpSafe, PhpSafeOptions
+from .core.results import finding_to_dict
 from .corpus import build_corpus, save_corpus
 from .evaluation import (
     analyze_inertia,
@@ -393,17 +394,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     "sqli": sqli,
                     "failed_files": len(failed),
                     "seconds": round(seconds, 4),
-                    "findings": [
-                        {
-                            "kind": finding.kind.value,
-                            "plugin": finding.plugin,
-                            "file": finding.file,
-                            "line": finding.line,
-                            "sink": finding.sink,
-                            "variable": finding.variable,
-                        }
-                        for finding in findings
-                    ],
+                    "findings": [finding_to_dict(finding) for finding in findings],
                 }
             )
             continue

@@ -35,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
-from ..config.vulnerability import InputVector, VulnKind
 from .cache import source_digest
 from .engine import TaintEngine, UnitFootprint
 from .model import PluginModel
-from .results import Finding
+from .results import Finding, finding_from_dict, finding_to_dict
 from ..plugin import Plugin
 
 #: schema tag of the persisted manifest document
@@ -53,41 +52,6 @@ def plugin_file_digests(plugin: Plugin) -> Dict[str, str]:
     the parser rejects still participate in change detection.
     """
     return {path: source_digest(source) for path, source in plugin.files.items()}
-
-
-# ---------------------------------------------------------------------------
-# Finding (de)serialization — must be lossless: carried findings are
-# min-merged with live ones, so any dropped field would perturb the
-# canonical winner.
-# ---------------------------------------------------------------------------
-
-
-def finding_to_dict(finding: Finding) -> Dict[str, object]:
-    return {
-        "kind": finding.kind.value,
-        "file": finding.file,
-        "line": finding.line,
-        "sink": finding.sink,
-        "variable": finding.variable,
-        "vectors": [vector.value for vector in finding.vectors],
-        "trace": list(finding.trace),
-        "via_oop": finding.via_oop,
-        "markup_context": finding.markup_context,
-    }
-
-
-def finding_from_dict(raw: Dict[str, object]) -> Finding:
-    return Finding(
-        kind=VulnKind(raw["kind"]),
-        file=str(raw["file"]),
-        line=int(raw["line"]),  # type: ignore[arg-type]
-        sink=str(raw["sink"]),
-        variable=str(raw.get("variable", "")),
-        vectors=tuple(InputVector(v) for v in raw.get("vectors", ())),  # type: ignore[union-attr]
-        trace=tuple(raw.get("trace", ())),  # type: ignore[arg-type]
-        via_oop=bool(raw.get("via_oop", False)),
-        markup_context=str(raw.get("markup_context", "")),
-    )
 
 
 def _footprint_to_dict(footprint: UnitFootprint) -> Dict[str, object]:
@@ -130,9 +94,7 @@ def build_manifest(
     roots: Dict[str, Dict[str, object]] = {}
     for root, footprint in engine.footprints.items():
         record = _footprint_to_dict(footprint)
-        record["findings"] = [
-            finding_to_dict(f) for f in groups.get(root, [])
-        ]
+        record["findings"] = [finding_to_dict(f) for f in groups.get(root, [])]
         roots[root] = record
     for root in reuse_roots:
         prior_record = prior_roots.get(root)

@@ -18,6 +18,11 @@ from ..incidents import Incident
 from .taint import VariableRecord
 
 
+#: canonical cross-configuration finding identity used by the
+#: differential harness: plugin provenance + kind + sink location + sink
+FindingSignature = Tuple[str, str, str, int, str]
+
+
 @dataclass(frozen=True)
 class Finding:
     """One reported vulnerability.
@@ -93,6 +98,13 @@ class Finding:
         """Report-level dedup identity: plugin provenance + :attr:`key`."""
         return (self.plugin, self.kind.value, self.file, self.line)
 
+    def signature(self, plugin: str = "") -> FindingSignature:
+        """The canonical :data:`FindingSignature`; ``plugin`` names the
+        owning report, for findings not stamped by :meth:`ToolReport.merged`."""
+        return (
+            self.plugin or plugin, self.kind.value, self.file, self.line, self.sink
+        )
+
     @property
     def primary_vector(self) -> Optional[InputVector]:
         """The most attacker-reachable vector (lowest tier wins)."""
@@ -108,11 +120,6 @@ class Finding:
         )
 
 
-#: canonical cross-configuration finding identity used by the
-#: differential harness: plugin provenance + kind + sink location + sink
-FindingSignature = Tuple[str, str, str, int, str]
-
-
 def finding_signatures(reports: Iterable["ToolReport"]) -> Set[FindingSignature]:
     """Signature set of every finding in ``reports``.
 
@@ -121,19 +128,11 @@ def finding_signatures(reports: Iterable["ToolReport"]) -> Set[FindingSignature]
     report's plugin fills the gap — two configurations of the same scan
     must produce identical signature sets.
     """
-    signatures: Set[FindingSignature] = set()
-    for report in reports:
-        for finding in report.findings:
-            signatures.add(
-                (
-                    finding.plugin or report.plugin,
-                    finding.kind.value,
-                    finding.file,
-                    finding.line,
-                    finding.sink,
-                )
-            )
-    return signatures
+    return {
+        finding.signature(report.plugin)
+        for report in reports
+        for finding in report.findings
+    }
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,12 @@ FINDINGS_STREAM_SCHEMA = "repro.findings.stream/v1"
 
 
 def finding_to_dict(finding: Finding) -> Dict[str, object]:
-    """Lossless JSON form of one finding (inverse: :func:`finding_from_dict`)."""
+    """Lossless JSON form of one finding (inverse: :func:`finding_from_dict`).
+
+    The one record every JSON output embeds: the stream below, rescan
+    manifests (whose carried findings are min-merged with live ones, so
+    a dropped field would change the winner), review and service
+    documents, ``compare --json`` and the history archive."""
     return {
         "kind": finding.kind.value,
         "file": finding.file,
@@ -393,17 +397,8 @@ def stream_signatures(path: str) -> Set[FindingSignature]:
     """Canonical signature set of a findings stream — the value a
     streamed run is compared by, with accumulated runs and the golden
     files."""
-    signatures: Set[FindingSignature] = set()
-    for record in read_finding_stream(path):
-        if record.get("record") != "finding":
-            continue
-        signatures.add(
-            (
-                str(record.get("plugin", "")),
-                str(record["kind"]),
-                str(record["file"]),
-                int(record["line"]),  # type: ignore[arg-type]
-                str(record["sink"]),
-            )
-        )
-    return signatures
+    return {
+        finding_from_dict(record).signature()
+        for record in read_finding_stream(path)
+        if record.get("record") == "finding"
+    }

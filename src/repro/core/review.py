@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..plugin import Plugin
 from .model import PluginModel
-from .results import Finding, ToolReport
+from .results import Finding, ToolReport, finding_to_dict
 
 _SEVERITY_ORDER = {"sqli": 0, "cmdi": 1, "lfi": 2, "xss": 3}
 
@@ -79,17 +79,7 @@ def report_document(report: ToolReport) -> Dict[str, object]:
         "loc_analyzed": report.loc_analyzed,
         "seconds": round(report.seconds, 4),
         "findings": [
-            {
-                "kind": finding.kind.value,
-                "file": finding.file,
-                "line": finding.line,
-                "sink": finding.sink,
-                "variable": finding.variable,
-                "vectors": [vector.value for vector in finding.vectors],
-                "via_oop": finding.via_oop,
-                "trace": list(finding.trace),
-                "fix_hint": fix_hint(finding),
-            }
+            {**finding_to_dict(finding), "fix_hint": fix_hint(finding)}
             for finding in sorted_findings(report)
         ],
         "failures": [

@@ -23,11 +23,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .config.vulnerability import VulnKind
-from .core.results import ToolReport
+from .core.results import ToolReport, finding_to_dict
 
 #: Cross-version matching identity for a finding.  Line numbers shift
 #: between releases, so findings match on (kind, file, sink, variable).
 FindingKey = Tuple[str, str, str, str]
+
+
+def _finding_key(finding: dict) -> FindingKey:
+    return (finding["kind"], finding["file"], finding["sink"], finding["variable"])
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,7 @@ class ScanRecord:
 
     @property
     def finding_keys(self) -> List[FindingKey]:
-        return [
-            (f["kind"], f["file"], f["sink"], f["variable"]) for f in self.findings
-        ]
+        return [_finding_key(f) for f in self.findings]
 
     def count(self, kind: Optional[VulnKind] = None) -> int:
         if kind is None:
@@ -66,18 +68,7 @@ class ScanRecord:
             scanned_at=scanned_at,
             loc=report.loc_analyzed,
             files=report.files_analyzed,
-            findings=tuple(
-                {
-                    "kind": f.kind.value,
-                    "file": f.file,
-                    "line": f.line,
-                    "sink": f.sink,
-                    "variable": f.variable,
-                    "vectors": [v.value for v in f.vectors],
-                    "via_oop": f.via_oop,
-                }
-                for f in report.findings
-            ),
+            findings=tuple(finding_to_dict(f) for f in report.findings),
             failed_files=tuple(report.failed_files),
         )
 
@@ -121,7 +112,7 @@ def diff_scans(older: ScanRecord, newer: ScanRecord) -> FindingsDiff:
     diff = FindingsDiff(older=older, newer=newer)
     matched: Counter = Counter()
     for finding in newer.findings:
-        key = (finding["kind"], finding["file"], finding["sink"], finding["variable"])
+        key = _finding_key(finding)
         if matched[key] < older_counts[key]:
             matched[key] += 1
             diff.persistent.append(finding)
@@ -129,7 +120,7 @@ def diff_scans(older: ScanRecord, newer: ScanRecord) -> FindingsDiff:
             diff.introduced.append(finding)
     consumed: Counter = Counter()
     for finding in older.findings:
-        key = (finding["kind"], finding["file"], finding["sink"], finding["variable"])
+        key = _finding_key(finding)
         consumed[key] += 1
         if consumed[key] > newer_counts[key]:
             diff.fixed.append(finding)

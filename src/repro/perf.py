@@ -28,7 +28,7 @@ worker processes are single-threaded by construction.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 #: counter fields, in reporting order; ``*_seconds`` fields are floats
 FIELDS = (
@@ -154,10 +154,12 @@ def derive(delta: Dict[str, float]) -> Dict[str, float]:
     return rates
 
 
-def merge(into: Optional[Dict[str, float]], delta: Dict[str, float]) -> Dict[str, float]:
-    """Accumulate one counter delta into another (for batch aggregation)."""
-    if into is None:
-        into = {}
-    for name, value in delta.items():
-        into[name] = round(into.get(name, 0) + value, 6)
-    return into
+def merge(into: Dict[str, float], delta: Dict[str, float]) -> None:
+    """Accumulate one job's counters into ``into`` (batch aggregation).
+
+    Only :data:`FIELDS` add up; the rates are re-derived from the sums,
+    because a sum of per-job rates is not a rate."""
+    for name in FIELDS:
+        if name in delta:
+            into[name] = round(into.get(name, 0) + delta[name], 6)
+    into.update(derive(into))

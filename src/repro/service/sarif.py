@@ -82,14 +82,10 @@ def _fingerprint(finding: Finding, plugin: str) -> str:
     """Canonical signature, encoded; ``/`` never occurs in the parts
     SARIF consumers compare, and the separator cannot collide with PHP
     identifiers or relative paths because of the escaping below."""
-    parts = (
-        finding.plugin or plugin,
-        finding.kind.value,
-        finding.file,
-        str(finding.line),
-        finding.sink,
+    return "|".join(
+        str(part).replace("\\", "\\\\").replace("|", "\\|")
+        for part in finding.signature(plugin)
     )
-    return "|".join(part.replace("\\", "\\\\").replace("|", "\\|") for part in parts)
 
 
 def _split_fingerprint(encoded: str) -> List[str]:

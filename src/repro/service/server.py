@@ -54,7 +54,7 @@ from ..batch.telemetry import ServiceStats
 from ..plugin import Plugin
 from .queue import DONE, FAILED, JobQueue, QueueFull
 from .store import ResultStore
-from .workers import WorkerPool
+from .workers import RESULT_SCHEMA, WorkerPool
 
 #: request body cap (a plugin source upload, JSON-encoded)
 MAX_BODY_BYTES = 32 * 1024 * 1024
@@ -120,8 +120,11 @@ def spec_fingerprint(spec: ToolSpec) -> str:
     pack *references* (profile names, pack paths), and the baselines'
     profiles are not in their spec at all, but editing a pack file
     changes its content hash and must invalidate stored results and
-    dedup decisions too."""
-    parts: Tuple[object, ...] = (spec.name, _canonical(spec.options))
+    dedup decisions too.  The result schema is folded in as well, so a
+    document stored in an older layout is re-analyzed, never served."""
+    parts: Tuple[object, ...] = (
+        RESULT_SCHEMA, spec.name, _canonical(spec.options)
+    )
     profile = getattr(spec.build(), "profile", None)
     if profile is not None:
         parts = parts + (profile.fingerprint(),)

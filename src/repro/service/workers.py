@@ -52,7 +52,7 @@ from .sarif import to_sarif
 from .store import ResultStore
 
 #: schema of the stored result document
-RESULT_SCHEMA = "repro.service.result/v2"
+RESULT_SCHEMA = "repro.service.result/v3"
 
 
 def result_document(
@@ -66,7 +66,9 @@ def result_document(
 
     Schema v2 adds the ``rescan`` section — how much of the plugin's
     prior analysis the diff-aware rescan reused (empty dict when the
-    tool has no incremental path)."""
+    tool has no incremental path).  Schema v3 writes each report
+    finding as the :func:`~repro.core.results.finding_to_dict` record
+    (adding ``markup_context`` and ``plugin``) plus its ``fix_hint``."""
     return {
         "schema": RESULT_SCHEMA,
         "digest": job.digest,

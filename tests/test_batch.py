@@ -23,6 +23,7 @@ from repro.core.review import to_json
 from repro.core.tool import AnalyzerTool
 from repro.corpus import build_corpus
 from repro.evaluation.runner import run_tool
+from repro.perf import FIELDS, derive
 from repro.plugin import Plugin
 from repro.service import AnalysisService
 
@@ -408,6 +409,23 @@ class TestTelemetry:
         out = tmp_path / "telemetry.json"
         scan_corpus(small_plugins(), jobs=1).telemetry.write(str(out))
         assert key_paths(json.loads(out.read_text())) == BATCH_TELEMETRY_KEYS
+
+    def test_run_rates_derive_from_summed_counters(self):
+        """A run's rates are derived from its summed counters; a sum of
+        the plugins' rates is not a rate."""
+        plugins = [
+            Plugin(name=f"rate{i}", files={"index.php": f"<?php echo $_GET['r{i}'];"})
+            for i in range(3)
+        ]
+        document = scan_corpus(plugins, jobs=1).telemetry.to_dict()
+        rows = [row["perf"] for row in document["plugins"]]
+        summed = {name: sum(row.get(name, 0) for row in rows) for name in FIELDS}
+        rates = derive(summed)
+        assert {"tokens_per_second", "nodes_per_second"} <= set(rates)
+        for name, value in rates.items():
+            assert document["perf"][name] == pytest.approx(value, rel=1e-3)
+        for name in ("tokens_per_second", "nodes_per_second"):
+            assert document["perf"][name] < sum(row[name] for row in rows)
 
     def test_wall_time_and_throughput(self):
         result = scan_corpus(small_plugins(), jobs=1)

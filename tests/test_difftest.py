@@ -225,9 +225,13 @@ class TestCaptureHooks:
     def test_batch_result_finding_signatures(self):
         corpus = build_corpus("2012", scale=0.02)
         scanner = BatchScanner(ToolSpec(name="phpsafe"), BatchOptions(jobs=1))
-        result = scanner.scan(corpus.plugins[:2])
-        signatures = result.finding_signatures()
-        assert signatures == finding_signatures(result.reports)
+        plugins = corpus.plugins[:2]
+        result = scanner.scan(plugins)
+        signatures = finding_signatures(result.reports)
+        direct = finding_signatures([PhpSafe().analyze(p) for p in plugins])
+        assert signatures == direct
+        # unstamped findings take their owning report's plugin
+        assert {s[0] for s in signatures} <= {p.slug for p in plugins}
 
     def test_runner_report_hook_captures_reports(self):
         corpus = build_corpus("2012", scale=0.02)

@@ -20,6 +20,7 @@ from repro.service import (
     BackgroundServer,
     JobQueue,
     QueueFull,
+    RESULT_SCHEMA,
     ResultStore,
     plugin_digest,
     result_signatures,
@@ -451,6 +452,34 @@ class TestServiceIntegration:
             # renaming the same bytes still hits the store
             code, body = service.submit({"name": "other", "files": dict(plugin.files)})
             assert code == 200 and body["cached"] is True
+        finally:
+            service.shutdown()
+
+    def test_result_of_an_older_schema_is_reanalyzed(self, tmp_path, monkeypatch):
+        """A document a service of the previous result schema stored is
+        not served: the schema is part of the key results are stored by."""
+        from repro.service import server, workers
+
+        plugin = small_plugins()[0]
+        previous = "repro.service.result/v2"
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "RESULT_SCHEMA", previous)
+            patch.setattr(server, "RESULT_SCHEMA", previous, raising=False)
+            old = self.make_service(tmp_path, jobs=1)
+            old.start()
+            try:
+                wait_done(old, [submit_plugin(old, plugin)["id"]])
+            finally:
+                old.shutdown()
+        service = self.make_service(tmp_path, jobs=1)
+        service.start()
+        try:
+            body = submit_plugin(service, plugin)
+            assert not body.get("cached")
+            assert service.stats.deduped == 0
+            wait_done(service, [body["id"]])
+            _code, status = service.job_status(body["id"])
+            assert status["result"]["schema"] == RESULT_SCHEMA != previous
         finally:
             service.shutdown()
 
